@@ -12,7 +12,8 @@ from .configuration import GeometricConfiguration
 from .geometry import (AffineMap2, GeometryError, TOL_MERGE, apply_affine,
                        apply_affine_point, conic_conic_intersections,
                        dilation_to_circle, ellipse_parameters)
-from .incidence import IncidenceStructure, Signature, signature
+from .incidence import (IncidenceStructure, Signature, block_pair_counts,
+                        signature)
 
 
 @dataclass(frozen=True)
@@ -132,35 +133,22 @@ def audit(G: GeometricConfiguration, spurious_scan: bool = True,
                        tuple(sorted(borderline)))
 
 
-def _type_from_block_sets(block_sets) -> IntersectionType:
-    per_pair = {}
-    for i, j in combinations(range(len(block_sets)), 2):
-        shared = len(block_sets[i] & block_sets[j])
-        if shared > 0:
-            per_pair[(i, j)] = shared
-    return IntersectionType(frozenset(per_pair.values()), per_pair)
-
-
 def intersection_type(G: GeometricConfiguration) -> IntersectionType:
-    sets = [G.points_of_conic(b) for b in range(G.num_conics)]
-    return _type_from_block_sets(sets)
+    return intersection_type_combinatorial(G.to_incidence_structure())
 
 
 def intersection_type_combinatorial(C: IncidenceStructure) -> IntersectionType:
-    from .incidence import has_biclique
-    t = _type_from_block_sets(C.block_point_sets)
-    if C.num_blocks >= 2 and not has_biclique(C, 5, 2):
-        assert t.types <= {1, 2, 3, 4}, \
-            "conical structure with out-of-range intersection type"
-    return t
+    per_pair = block_pair_counts(C)
+    return IntersectionType(frozenset(per_pair.values()), per_pair)
 
 
 def geometric_meets(G: GeometricConfiguration) -> dict:
-    """Actual conic-conic intersection counts, keyed by conic pair.
+    """Actual conic-conic intersection counts of every conic pair.
 
-    Pairs whose geometric meet exceeds their configuration-point meet are
-    collected under the "excess" key of the returned mapping's companion;
-    the function returns (counts, excess_pairs).
+    Returns {"counts": {(i, j): n}, "excess": pairs}. "counts" holds all
+    C(B, 2) pairs (i < j), disjoint ones with n = 0; "excess" is the sorted
+    tuple of pairs that meet in more points than they share as
+    configuration points.
     """
     config = intersection_type(G).per_pair
     counts = {}

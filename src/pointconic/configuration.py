@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,15 +47,20 @@ class GeometricConfiguration:
     def num_conics(self) -> int:
         return len(self.conics)
 
-    def points_of_conic(self, b: int) -> frozenset:
-        return frozenset(q for (q, c) in self.flags if c == b)
-
-    def conics_of_point(self, p: int) -> frozenset:
-        return frozenset(c for (q, c) in self.flags if q == p)
-
-    def to_incidence_structure(self) -> IncidenceStructure:
+    @cached_property
+    def _incidence(self) -> IncidenceStructure:
         return IncidenceStructure(self.num_points, self.num_conics,
                                   self.flags)
+
+    def points_of_conic(self, b: int) -> frozenset:
+        return self._incidence.points_of_block(b)
+
+    def conics_of_point(self, p: int) -> frozenset:
+        return self._incidence.blocks_of_point(p)
+
+    def to_incidence_structure(self) -> IncidenceStructure:
+        """The flags as one shared, indexed incidence structure."""
+        return self._incidence
 
 
 @dataclass(frozen=True, eq=False)

@@ -557,12 +557,8 @@ def product(C1: GeometricConfiguration, C2: GeometricConfiguration,
     def pt_index(i1, i2):
         return i1 * n2 + i2
 
-    blocks_of_point_1 = [sorted(C1.conics_of_point(i)) for i in range(n1)]
-    blocks_of_point_2 = [sorted(C2.conics_of_point(i)) for i in range(n2)]
-    points_of_block_1 = [sorted(C1.points_of_conic(b))
-                         for b in range(C1.num_conics)]
-    points_of_block_2 = [sorted(C2.points_of_conic(b))
-                         for b in range(C2.num_conics)]
+    points_of_block_1 = C1.to_incidence_structure().block_point_sets
+    points_of_block_2 = C2.to_incidence_structure().block_point_sets
 
     conics = []
     flags = set()
@@ -842,18 +838,6 @@ def _no_4_concyclic(pts: np.ndarray, threshold: float = 1e-9) -> bool:
     return True
 
 
-def _no_6_coconical(pts: np.ndarray, threshold: float = 1e-7) -> bool:
-    from itertools import combinations
-    for idx in combinations(range(len(pts)), 6):
-        try:
-            conic = conic_from_5_points(pts[list(idx[:5])])
-        except GeometryError:
-            return False
-        if conic.residual(pts[idx[5]]) <= threshold:
-            return False
-    return True
-
-
 def realize_lineal_by_circles(C: IncidenceStructure,
                               seed: int = 0) -> GeometricConfiguration:
     """Realize a lineal 3-configuration by points in general position and
@@ -893,8 +877,6 @@ def realize_by_conics(C: IncidenceStructure,
     for _ in range(RETRY_BUDGET):
         pts = rng.uniform(0, 1, size=(C.num_points, 2))
         if not _no_3_collinear(pts):
-            continue
-        if C.num_points >= 6 and not _no_6_coconical(pts):
             continue
         conics = []
         ok = True

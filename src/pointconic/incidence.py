@@ -7,7 +7,9 @@ structures this library deals with.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import networkx as nx
@@ -23,21 +25,31 @@ class IncidenceStructure:
     num_blocks: int
     flags: frozenset
 
+    @cached_property
+    def _index(self) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...]]:
+        """(blocks of each point, points of each block), from one flag pass."""
+        blocks = [[] for _ in range(self.num_points)]
+        points = [[] for _ in range(self.num_blocks)]
+        for (p, b) in self.flags:
+            blocks[p].append(b)
+            points[b].append(p)
+        return tuple(map(frozenset, blocks)), tuple(map(frozenset, points))
+
     def point_degree(self, p: int) -> int:
-        return sum(1 for (q, _) in self.flags if q == p)
+        return len(self._index[0][p])
 
     def block_size(self, b: int) -> int:
-        return sum(1 for (_, c) in self.flags if c == b)
+        return len(self._index[1][b])
 
     def points_of_block(self, b: int) -> frozenset:
-        return frozenset(p for (p, c) in self.flags if c == b)
+        return self._index[1][b]
 
     def blocks_of_point(self, p: int) -> frozenset:
-        return frozenset(b for (q, b) in self.flags if q == p)
+        return self._index[0][p]
 
     @property
     def block_point_sets(self) -> list[frozenset]:
-        return [self.points_of_block(b) for b in range(self.num_blocks)]
+        return list(self._index[1])
 
 
 @dataclass(frozen=True)
@@ -118,25 +130,33 @@ def dual(C: IncidenceStructure) -> IncidenceStructure:
 
 
 def signature(C: IncidenceStructure) -> Signature:
-    pcount = [0] * C.num_points
-    bcount = [0] * C.num_blocks
-    for (p, b) in C.flags:
-        pcount[p] += 1
-        bcount[b] += 1
-    pdeg, bdeg = set(pcount), set(bcount)
+    blocks_of, points_of = C._index
+    pdeg = {len(bs) for bs in blocks_of}
+    bdeg = {len(ps) for ps in points_of}
     q = pdeg.pop() if len(pdeg) == 1 else None
     k = bdeg.pop() if len(bdeg) == 1 else None
     return Signature(C.num_points, q, C.num_blocks, k)
+
+
+def block_pair_counts(C: IncidenceStructure) -> dict:
+    """Shared-point count of every block pair (i, j), i < j, that shares a
+    point, in sorted key order; O(sum of squared point degrees)."""
+    counts = Counter()
+    for blocks in C._index[0]:
+        counts.update(combinations(sorted(blocks), 2))
+    return dict(sorted(counts.items()))
 
 
 def has_biclique(C: IncidenceStructure, s: int, t: int) -> bool:
     """True iff some s points and t blocks are mutually incident (K_{s,t})."""
     if s < 1 or t < 1:
         raise IncidenceError("biclique sides must be at least 1")
-    # Enumerate subsets on whichever side gives fewer subsets; all paper
-    # predicates have t <= 2, so this stays cheap.
+    # Work on the side with the fewer blocks per biclique; every paper
+    # predicate then has t == 2, which the block-pair counts answer.
     if t > s:
         return has_biclique(dual(C), t, s)
+    if t == 2:
+        return any(n >= s for n in block_pair_counts(C).values())
     sets = [ps for ps in C.block_point_sets if len(ps) >= s]
     for blocks in combinations(sets, t):
         common = frozenset.intersection(*blocks)
@@ -167,7 +187,9 @@ def property_report(C: IncidenceStructure) -> PropertyReport:
     strongly_conical = conical and not has_biclique(C, 2, 5)
     L = levi_graph(C)
     g = girth(L)
-    assert lineal == (g >= 6), "lineality/girth cross-check failed"
+    if lineal != (g >= 6):
+        raise IncidenceError(
+            f"lineality/girth cross-check failed: lineal={lineal}, girth={g}")
     return PropertyReport(lineal, circular, strongly_circular, conical,
                           strongly_conical, g, vertex_connectivity(L))
 

@@ -124,3 +124,34 @@ def carnot_six_from_conic(rng, max_tries: int = 200):
         if ok:
             return tri, pts, conic
     raise RuntimeError("could not sample a transversal (triangle, conic)")
+
+
+# ---------------------------------------------------------------------------
+# Set-based oracles for the indexed incidence core
+# ---------------------------------------------------------------------------
+
+def scan_points_of_block(C: IncidenceStructure, b: int) -> frozenset:
+    return frozenset(p for (p, c) in C.flags if c == b)
+
+
+def scan_blocks_of_point(C: IncidenceStructure, p: int) -> frozenset:
+    return frozenset(c for (q, c) in C.flags if q == p)
+
+
+def pairwise_block_meets(C: IncidenceStructure) -> dict:
+    """Shared-point count of every block pair that shares a point, by
+    pairwise set intersection, keyed (i, j) with i < j in sorted order."""
+    sets = [scan_points_of_block(C, b) for b in range(C.num_blocks)]
+    meets = {}
+    for i, j in combinations(range(len(sets)), 2):
+        shared = len(sets[i] & sets[j])
+        if shared:
+            meets[(i, j)] = shared
+    return meets
+
+
+def brute_force_biclique(C: IncidenceStructure, s: int, t: int) -> bool:
+    """K_{s,t} search over every t-subset of blocks, with no dual swap."""
+    sets = [scan_points_of_block(C, b) for b in range(C.num_blocks)]
+    return any(len(frozenset.intersection(*blocks)) >= s
+               for blocks in combinations(sets, t))

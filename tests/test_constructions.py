@@ -252,6 +252,12 @@ class TestRealizers:
         rep = audit(G)
         assert rep.passed and not rep.spurious_incidences
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_conics_on_anti_miquel_large(self, seed):
+        G = realize_by_conics(catalog("anti-miquel-large"), seed=seed)
+        rep = audit(G)
+        assert rep.passed and not rep.spurious_incidences
+
     def test_conics_blocks_of_2(self):
         C = new_incidence_structure(
             4, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2)])

@@ -2,7 +2,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import (brute_force_biclique, pairwise_block_meets,
+                      scan_blocks_of_point, scan_points_of_block)
+from pointconic import incidence
+from pointconic.analysis import intersection_type_combinatorial
+from pointconic.constructions import crossed_ellipses
 from pointconic.incidence import (IncidenceError, catalog, catalog_names,
                                   cyclic_cascade, disjoint_union, dual,
                                   girth, has_biclique, incidence_switch,
@@ -57,6 +64,53 @@ class TestBasics:
         assert "irregular" in str(signature(irregular))
 
 
+@st.composite
+def structures(draw):
+    """Incidence structures with up to 12 points and 10 blocks, drawn as a
+    0/1 incidence matrix so dense structures (large bicliques) occur."""
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(0, 10))
+    cells = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    flags = [(i // m, i % m) for i, on in enumerate(cells) if on]
+    return new_incidence_structure(n, m, flags)
+
+
+class TestIndexedCore:
+    @given(structures())
+    @settings(max_examples=200, deadline=None)
+    def test_accessors_match_flag_scans(self, C):
+        for p in range(C.num_points):
+            assert C.blocks_of_point(p) == scan_blocks_of_point(C, p)
+            assert C.point_degree(p) == len(scan_blocks_of_point(C, p))
+        for b in range(C.num_blocks):
+            assert C.points_of_block(b) == scan_points_of_block(C, b)
+            assert C.block_size(b) == len(scan_points_of_block(C, b))
+        assert C.block_point_sets == [scan_points_of_block(C, b)
+                                      for b in range(C.num_blocks)]
+
+    @given(structures())
+    @settings(max_examples=200, deadline=None)
+    def test_per_pair_matches_pairwise_intersections(self, C):
+        got = intersection_type_combinatorial(C).per_pair
+        assert list(got.items()) == list(pairwise_block_meets(C).items())
+
+    @given(structures())
+    @settings(max_examples=200, deadline=None)
+    def test_biclique_matches_brute_force(self, C):
+        for s in range(1, 6):
+            for t in range(1, 6):
+                assert has_biclique(C, s, t) == brute_force_biclique(C, s, t)
+
+    def test_geometric_configuration_shares_one_structure(self):
+        G = crossed_ellipses()
+        C = G.to_incidence_structure()
+        assert G.to_incidence_structure() is C
+        for b in range(G.num_conics):
+            assert G.points_of_conic(b) == scan_points_of_block(C, b)
+        for p in range(G.num_points):
+            assert G.conics_of_point(p) == scan_blocks_of_point(C, p)
+
+
 class TestBicliques:
     def test_miquel(self):
         C = catalog("miquel")
@@ -107,6 +161,11 @@ class TestGraphInvariants:
         assert rep.circular and rep.strongly_circular
         assert rep.girth == 4
         assert rep.vertex_connectivity == 3
+
+    def test_lineal_girth_cross_check_raises(self, monkeypatch):
+        monkeypatch.setattr(incidence, "girth", lambda L: 4)
+        with pytest.raises(IncidenceError, match="cross-check"):
+            property_report(catalog("fano"))
 
     def test_strongly_circular_edge_sharing(self):
         # In a strongly circular structure, two blocks share at most 2
