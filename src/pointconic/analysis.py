@@ -10,8 +10,8 @@ import numpy as np
 from . import geometry
 from .configuration import GeometricConfiguration
 from .geometry import (AffineMap2, GeometryError, TOL_MERGE, apply_affine,
-                       apply_affine_point, conic_conic_intersections,
-                       dilation_to_circle, ellipse_parameters)
+                       apply_affine_point, dilation_to_circle,
+                       ellipse_parameters, pencil_intersections)
 from .incidence import (IncidenceStructure, Signature, block_pair_counts,
                         signature)
 
@@ -148,17 +148,17 @@ def geometric_meets(G: GeometricConfiguration) -> dict:
     Returns {"counts": {(i, j): n}, "excess": pairs}. "counts" holds all
     C(B, 2) pairs (i < j), disjoint ones with n = 0; "excess" is the sorted
     tuple of pairs that meet in more points than they share as
-    configuration points.
+    configuration points. All pairs go through the batched pencil kernel
+    `geometry.pencil_intersections`: it checks every pair for degenerate
+    or coincident conics before solving any, solves them in fixed-size
+    chunks, and raises when a pair gives more than four distinct points.
     """
     config = intersection_type(G).per_pair
-    counts = {}
-    excess = []
-    for i, j in combinations(range(G.num_conics), 2):
-        pts = conic_conic_intersections(G.conics[i], G.conics[j])
-        counts[(i, j)] = len(pts)
-        if len(pts) > config.get((i, j), 0):
-            excess.append((i, j))
-    return {"counts": counts, "excess": tuple(excess)}
+    pairs = list(combinations(range(G.num_conics), 2))
+    _, n = pencil_intersections(G.conics, pairs)
+    counts = dict(zip(pairs, n.tolist()))
+    excess = tuple(p for p in pairs if counts[p] > config.get(p, 0))
+    return {"counts": counts, "excess": excess}
 
 
 AXIS_TOL = 1e-8

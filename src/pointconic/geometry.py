@@ -85,8 +85,7 @@ class Conic:
 
     def same_as(self, other: "Conic", tol: float = 1e-9) -> bool:
         """Proportionality test on the normalized forms."""
-        return bool(np.linalg.norm(self.form - other.form) < tol
-                    or np.linalg.norm(self.form + other.form) < tol)
+        return bool(_coincident(self.form, other.form, tol)[0])
 
     def __eq__(self, other):
         return isinstance(other, Conic) and np.array_equal(self.form,
@@ -254,128 +253,252 @@ def central_conic_from_pairs(center, reps) -> Conic:
 # ---------------------------------------------------------------------------
 # Conic-conic intersection via the pencil
 # ---------------------------------------------------------------------------
+# One kernel, on stacks of conic pairs. Each stage runs the per-pair pencil
+# method's arithmetic with the same numpy/LAPACK routines, so a pair gets the
+# same points in any batch. Small inner products use stacked `np.matmul`,
+# which rounds like `@` and `np.linalg.norm` on one vector; `einsum` or
+# explicit sums round differently, which the ill-conditioned line bases of
+# symmetric scenes turn into different counts.
 
-def _split_degenerate(C: np.ndarray) -> list[np.ndarray]:
-    """Split a (near-)rank-2 symmetric form into its two lines.
+_PENCIL_TS = np.array([0.0, 1.0, -1.0, 2.0])
+_PENCIL_VANDER = np.vander(_PENCIL_TS, 4)
+_MINOR_KEEP = ([1, 2], [0, 2], [0, 1])  # indices left after deleting k
+# Pairs per kernel pass: keeps the working set under 1 MB. One pass over
+# cell24's 4560 pairs needs ~20 MB more peak memory and is no faster.
+_PAIR_CHUNK = 256
 
-    Works in complex arithmetic; callers filter for real results. Uses the
-    adjugate to find the singular point, then reduces to a rank-1 matrix
-    whose rows/columns are the lines.
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of stacked real or complex vectors (last axis)."""
+    def sq(u):
+        return np.matmul(u[..., None, :], u[..., :, None])[..., 0, 0]
+    return np.sqrt(sq(v.real) + sq(v.imag) if np.iscomplexobj(v) else sq(v))
+
+
+def _quadratic_form(p: np.ndarray, A: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p^T A q for stacked vectors (..., 3) and broadcastable forms
+    (..., 3, 3)."""
+    return np.matmul(np.matmul(p[..., None, :], A), q[..., :, None])[..., 0, 0]
+
+
+def _coincident(FA: np.ndarray, FB: np.ndarray, tol: float) -> np.ndarray:
+    """Proportionality test on stacked normalized forms (N, 3, 3)."""
+    FA, FB = FA.reshape(-1, 9), FB.reshape(-1, 9)
+    return (_norm(FA - FB) < tol) | (_norm(FA + FB) < tol)
+
+
+def _split_degenerate(C: np.ndarray) -> np.ndarray:
+    """Split stacked (near-)rank-2 symmetric forms (R, 3, 3) into two lines
+    each, (R, 2, 3) complex; callers filter for real results.
+
+    The adjugate gives the singular point, which reduces the form to a
+    rank-1 matrix whose rows/columns are the lines. A form of rank <= 1 is
+    a double line, given twice.
     """
-    C = np.asarray(C, dtype=complex)
-    # Adjugate of a 3x3 matrix.
-    adj = np.array([[np.linalg.det(np.delete(np.delete(C, i, 0), j, 1))
-                     * (-1) ** (i + j) for i in range(3)] for j in range(3)])
-    i = int(np.argmax(np.abs(np.diag(adj))))
-    if abs(adj[i, i]) < 1e-14:
-        # Rank <= 1: a double line.
-        j = int(np.argmax(np.abs(C).sum(axis=1)))
-        return [C[j], C[j]]
-    beta = np.sqrt(-adj[i, i] + 0j)
-    p = adj[:, i] / beta
-    skew = np.array([[0, p[2], -p[1]], [-p[2], 0, p[0]], [p[1], -p[0], 0]])
+    C = C.astype(complex)
+    rows = np.arange(len(C))
+    adj = np.empty_like(C)
+    for i, keep_i in enumerate(_MINOR_KEEP):
+        for j, keep_j in enumerate(_MINOR_KEEP):
+            minor = C[:, keep_i][:, :, keep_j]
+            adj[:, j, i] = np.linalg.det(minor) * (-1) ** (i + j)
+    i = np.argmax(np.abs(np.diagonal(adj, axis1=1, axis2=2)), axis=1)
+    beta = np.sqrt(-adj[rows, i, i] + 0j)
+    p = adj[rows, :, i] / beta[:, None]
+    skew = np.zeros_like(C)
+    skew[:, 0, 1], skew[:, 0, 2] = p[:, 2], -p[:, 1]
+    skew[:, 1, 0], skew[:, 1, 2] = -p[:, 2], p[:, 0]
+    skew[:, 2, 0], skew[:, 2, 1] = p[:, 1], -p[:, 0]
     M = C + skew
-    r, c = np.unravel_index(int(np.argmax(np.abs(M))), M.shape)
-    return [M[r, :], M[:, c]]
+    r, c = np.divmod(np.argmax(np.abs(M).reshape(-1, 9), axis=1), 3)
+    lines = np.stack([M[rows, r, :], M[rows, :, c]], axis=1)
+    double = np.abs(adj[rows, i, i]) < 1e-14
+    heaviest = C[rows, np.argmax(np.abs(C).sum(axis=2), axis=1)]
+    lines[double] = heaviest[double, None, :]
+    return lines
 
 
-def _line_conic_complex(line: np.ndarray, A: np.ndarray) -> list[np.ndarray]:
-    """Intersections (homogeneous, complex) of a projective line with a conic."""
-    basis = []
-    for e in np.eye(3):
-        v = np.cross(line, e)
-        if np.linalg.norm(v) > 1e-12 * (np.linalg.norm(line) + 1):
-            basis.append(v)
-        if len(basis) == 2:
-            break
-    if len(basis) < 2:
-        return []
-    p0, p1 = basis
-    a = p1 @ A @ p1
-    b = p0 @ A @ p1
-    c = p0 @ A @ p0
-    out = []
-    if abs(a) < 1e-16 * (abs(b) + abs(c) + 1):
-        if abs(b) > 1e-300:
-            out.append(p0 - c / (2 * b) * p1)
-    else:
-        r = np.sqrt(b * b - a * c + 0j)
-        out.append(p0 + ((-b + r) / a) * p1)
-        out.append(p0 + ((-b - r) / a) * p1)
-    return out
+def _line_conic_complex(L: np.ndarray, A: np.ndarray):
+    """Homogeneous complex intersections of stacked lines (..., 3) with
+    broadcastable conics (..., 3, 3): points (..., 2, 3) and a mask (..., 2)
+    of the slots that hold one.
+
+    A line is parametrized by the first two of cross(line, e_k) that are not
+    negligible; a line with fewer has no points.
+    """
+    v = [np.cross(L, e) for e in np.eye(3)]
+    usable = [_norm(vk) > 1e-12 * (_norm(L) + 1) for vk in v]
+    p0 = np.where(usable[0][..., None], v[0], v[1])
+    p1 = np.where((usable[0] & usable[1])[..., None], v[1], v[2])
+    a = _quadratic_form(p1, A, p1)
+    b = _quadratic_form(p0, A, p1)
+    c = _quadratic_form(p0, A, p0)
+    linear = np.abs(a) < 1e-16 * (np.abs(b) + np.abs(c) + 1)
+    r = np.sqrt(b * b - a * c + 0j)
+    first = np.where(linear[..., None], p0 - (c / (2 * b))[..., None] * p1,
+                     p0 + ((-b + r) / a)[..., None] * p1)
+    second = p0 + ((-b - r) / a)[..., None] * p1
+    has_basis = sum(u.astype(int) for u in usable) >= 2
+    valid = np.stack([has_basis & (~linear | (np.abs(b) > 1e-300)),
+                      has_basis & ~linear], axis=-1)
+    return np.stack([first, second], axis=-2), valid
 
 
-def _newton_polish(p, A: np.ndarray, B: np.ndarray, iters: int = 30):
-    """Refine a common point of two conics with 2D Newton steps."""
-    x, y = float(p[0]), float(p[1])
+def _solve_or_nan(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked 2x2 solves; a singular system gives a NaN solution."""
+    try:
+        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for k in range(len(J)):
+            try:
+                out[k] = np.linalg.solve(J[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _newton_polish(xy: np.ndarray, A: np.ndarray, B: np.ndarray,
+                   iters: int = 30) -> np.ndarray:
+    """Refine stacked common points (K, 2) of conic pairs (K, 3, 3) with 2D
+    Newton steps, clipped to length 0.1. A point stops once both residuals
+    are below 1e-16, or when its Jacobian is singular or its step not finite.
+    """
+    xy = xy.copy()
+    live = np.arange(len(xy))
     for _ in range(iters):
-        v = np.array([x, y, 1.0])
-        fa = v @ A @ v
-        fb = v @ B @ v
-        if max(abs(fa), abs(fb)) < 1e-16:
+        if not len(live):
             break
-        ga = 2 * (A[:2] @ v)
-        gb = 2 * (B[:2] @ v)
-        J = np.array([ga, gb])
-        try:
-            delta = np.linalg.solve(J, -np.array([fa, fb]))
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(delta)):
-            break
-        step = np.linalg.norm(delta)
-        if step > 0.1:
-            delta *= 0.1 / step
-        x += delta[0]
-        y += delta[1]
-    return np.array([x, y])
+        v = np.column_stack([xy[live], np.ones(len(live))])
+        A_l, B_l = A[live], B[live]
+        fa = _quadratic_form(v, A_l, v)
+        fb = _quadratic_form(v, B_l, v)
+        go = ~(np.maximum(np.abs(fa), np.abs(fb)) < 1e-16)
+        J = 2 * np.stack([np.matmul(A_l[go, :2], v[go, :, None]),
+                          np.matmul(B_l[go, :2], v[go, :, None])], axis=1)
+        delta = _solve_or_nan(J[..., 0], -np.stack([fa[go], fb[go]], axis=1))
+        finite = np.isfinite(delta).all(axis=1)
+        delta, live = delta[finite], live[go][finite]
+        step = _norm(delta)
+        long = step > 0.1
+        delta[long] *= (0.1 / step[long])[:, None]
+        xy[live] += delta
+    return xy
+
+
+def _residuals(xy: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """`Conic.residual` of stacked points (K, 2) against forms (K, 3, 3)."""
+    v = np.column_stack([xy, np.ones(len(xy))])
+    v /= _norm(v)[:, None]
+    return np.abs(_quadratic_form(v, M, v))
+
+
+def _pencil_candidates(MA: np.ndarray, MB: np.ndarray):
+    """Unpolished real affine candidates (K, 2) of stacked pairs of forms
+    (P, 3, 3), with the pair of each, in the per-pair order root, line, slot.
+    """
+    P = len(MA)
+    # det(MA + t*MB) is a cubic in t; recover it from four evaluations and
+    # find its roots as the eigenvalues of the companion matrix (np.roots).
+    vals = np.linalg.det(MA[:, None] + _PENCIL_TS[:, None, None] * MB[:, None])
+    coeffs = np.linalg.solve(np.broadcast_to(_PENCIL_VANDER, (P, 4, 4)),
+                             vals[:, :, None])[:, :, 0]
+    companion = np.zeros((P, 3, 3))
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    pair, k = np.nonzero(np.abs(roots.imag) <= 1e-8 * (1 + np.abs(roots.real)))
+    lam = roots.real[pair, k]
+    lines = _split_degenerate(MA[pair] + lam[:, None, None] * MB[pair])
+    q, valid = _line_conic_complex(lines, MA[pair, None].astype(complex))
+    q, valid, pair = q.reshape(-1, 3), valid.reshape(-1), np.repeat(pair, 4)
+    nrm = _norm(q)
+    valid &= ~((nrm == 0) | (np.abs(q[:, 2]) < 1e-10 * nrm))  # at infinity
+    q = q / q[:, 2:]
+    valid &= ~(np.maximum(np.abs(q[:, 0].imag), np.abs(q[:, 1].imag))
+               > 1e-6 * (1 + np.abs(q[:, 0].real) + np.abs(q[:, 1].real)))
+    return q[valid, :2].real, pair[valid]
+
+
+def _pencil_chunk(MA: np.ndarray, MB: np.ndarray, merge_tol: float):
+    """Each pair's distinct points, sorted into `points[k, :counts[k]]` of a
+    NaN-padded (P, >= 4, 2) array, for stacked pairs of forms (P, 3, 3)."""
+    P = len(MA)
+    xy, pair = _pencil_candidates(MA, MB)
+    xy = _newton_polish(xy, MA[pair], MB[pair])
+    tol = 10 * merge_tol
+    # "Not above tol" lets a NaN residual pass, like the per-pair method's
+    # `if residual > tol: skip`.
+    on_both = (~(_residuals(xy, MA[pair]) > tol)
+               & ~(_residuals(xy, MB[pair]) > tol))
+    xy, pair = xy[on_both], pair[on_both]
+    # Merge: a candidate is dropped when it lies within merge_tol of an
+    # earlier kept candidate of its pair.
+    per_pair = np.bincount(pair, minlength=P)
+    rank = np.arange(len(pair)) - (np.cumsum(per_pair) - per_pair)[pair]
+    width = max(4, int(per_pair.max(initial=0)))
+    cand = np.full((P, width, 2), np.nan)
+    cand[pair, rank] = xy
+    kept = np.zeros((P, width), bool)
+    kept[pair, rank] = True
+    for j in range(1, width):
+        near = _norm(cand[:, :j] - cand[:, j:j + 1]) < merge_tol
+        kept[:, j] &= ~(kept[:, :j] & near).any(axis=1)
+    order = np.lexsort((np.round(cand[:, :, 1], 9), np.round(cand[:, :, 0], 9),
+                        ~kept), axis=-1)
+    points = np.take_along_axis(cand, order[:, :, None], axis=1)
+    counts = kept.sum(axis=1)
+    points[np.arange(width) >= counts[:, None]] = np.nan
+    return points, counts
+
+
+def pencil_intersections(conics, pairs, merge_tol: float = TOL_MERGE):
+    """Real affine intersection points of the conic pairs `pairs`, index
+    pairs (i, j) into `conics`.
+
+    Returns `(points, counts)`: pair k meets in `points[k, :counts[k]]`,
+    sorted by rounded (x, y); the rest of the (P, 4, 2) array is NaN. Each
+    degenerate member of the pencil A + lambda*B is split into two lines,
+    which are intersected with A; candidates are Newton-polished and kept
+    if they lie on both conics, tangential ones once. Every pair is checked
+    first (degenerate or coincident conics raise), then all are solved in
+    fixed-size chunks. Raises when more than four distinct points of a pair
+    survive the merge, which two distinct conics cannot have.
+    """
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    points = np.full((len(pairs), 4, 2), np.nan)
+    counts = np.zeros(len(pairs), dtype=int)
+    if any(conics[i].is_degenerate() for i in set(pairs.ravel().tolist())):
+        raise GeometryError("degenerate conic input")
+    forms = np.array([c.form for c in conics])
+    chunks = [slice(s, s + _PAIR_CHUNK)
+              for s in range(0, len(pairs), _PAIR_CHUNK)]
+    if any(_coincident(forms[pairs[c, 0]], forms[pairs[c, 1]], 1e-9).any()
+           for c in chunks):
+        raise GeometryError(
+            "coincident conics: five or more common points force equality")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for c in chunks:
+            pts, n = _pencil_chunk(forms[pairs[c, 0]], forms[pairs[c, 1]],
+                                   merge_tol)
+            if n.max() > 4:
+                i, j = pairs[c][int(np.argmax(n))]
+                raise GeometryError(
+                    f"conics {i} and {j} give {n.max()} distinct "
+                    "intersection points; two distinct conics share at "
+                    "most 4")
+            points[c], counts[c] = pts[:, :4], n
+    return points, counts
 
 
 def conic_conic_intersections(A: Conic, B: Conic,
                               merge_tol: float = TOL_MERGE) -> list[np.ndarray]:
-    """All real affine intersection points of two nondegenerate conics.
-
-    Finds a degenerate member of the pencil A + lambda*B, splits it into
-    two lines and intersects those with A; candidates are Newton-polished
-    and kept only if they lie on both conics. Tangential intersections are
-    reported once. Raises on degenerate or coincident inputs.
-    """
-    if A.is_degenerate() or B.is_degenerate():
-        raise GeometryError("degenerate conic input")
-    if A.same_as(B):
-        raise GeometryError(
-            "coincident conics: five or more common points force equality")
-    MA, MB = A.form, B.form
-    # det(MA + t*MB) is a cubic in t; recover it from four evaluations.
-    ts = np.array([0.0, 1.0, -1.0, 2.0])
-    vals = [np.linalg.det(MA + t * MB) for t in ts]
-    coeffs = np.linalg.solve(np.vander(ts, 4), vals)
-    roots = np.roots(coeffs)
-    real_roots = [r.real for r in roots
-                  if abs(r.imag) <= 1e-8 * (1 + abs(r.real))]
-    candidates = []
-    for lam in real_roots:
-        C = MA + lam * MB
-        for line in _split_degenerate(C):
-            for q in _line_conic_complex(line, MA.astype(complex)):
-                nrm = np.linalg.norm(q)
-                if nrm == 0 or abs(q[2]) < 1e-10 * nrm:
-                    continue  # point at infinity
-                q = q / q[2]
-                if max(abs(q[0].imag), abs(q[1].imag)) > 1e-6 * (
-                        1 + abs(q[0].real) + abs(q[1].real)):
-                    continue
-                candidates.append(np.array([q[0].real, q[1].real]))
-    points = []
-    for p in candidates:
-        p = _newton_polish(p, MA, MB)
-        if A.residual(p) > 10 * merge_tol or B.residual(p) > 10 * merge_tol:
-            continue
-        if any(np.linalg.norm(p - q) < merge_tol for q in points):
-            continue
-        points.append(p)
-    points.sort(key=lambda p: (round(p[0], 9), round(p[1], 9)))
-    return points[:4]
+    """All real affine intersection points of two nondegenerate conics: the
+    one-pair call of `pencil_intersections`. Points come sorted, tangential
+    ones once. Raises on degenerate or coincident inputs, and when more than
+    four distinct points survive the merge."""
+    points, counts = pencil_intersections((A, B), [(0, 1)], merge_tol)
+    return list(points[0, :counts[0]])
 
 
 # ---------------------------------------------------------------------------

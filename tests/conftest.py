@@ -7,7 +7,8 @@ from itertools import combinations
 import numpy as np
 
 from pointconic.constructions import ellipse_conic
-from pointconic.geometry import Conic, cross2, ellipse_parameters
+from pointconic.geometry import (TOL_MERGE, Conic, GeometryError, cross2,
+                                 ellipse_parameters)
 from pointconic.incidence import IncidenceStructure, new_incidence_structure
 
 
@@ -155,3 +156,134 @@ def brute_force_biclique(C: IncidenceStructure, s: int, t: int) -> bool:
     sets = [scan_points_of_block(C, b) for b in range(C.num_blocks)]
     return any(len(frozenset.intersection(*blocks)) >= s
                for blocks in combinations(sets, t))
+
+
+# ---------------------------------------------------------------------------
+# Per-pair pencil kernel: the oracle for geometry.pencil_intersections
+# ---------------------------------------------------------------------------
+# The per-pair pencil kernel, verbatim. geometry.pencil_intersections runs
+# the same algorithm on stacks of pairs and must reproduce its counts and
+# points.
+
+def _split_degenerate(C: np.ndarray) -> list[np.ndarray]:
+    """Split a (near-)rank-2 symmetric form into its two lines.
+
+    Works in complex arithmetic; callers filter for real results. Uses the
+    adjugate to find the singular point, then reduces to a rank-1 matrix
+    whose rows/columns are the lines.
+    """
+    C = np.asarray(C, dtype=complex)
+    # Adjugate of a 3x3 matrix.
+    adj = np.array([[np.linalg.det(np.delete(np.delete(C, i, 0), j, 1))
+                     * (-1) ** (i + j) for i in range(3)] for j in range(3)])
+    i = int(np.argmax(np.abs(np.diag(adj))))
+    if abs(adj[i, i]) < 1e-14:
+        # Rank <= 1: a double line.
+        j = int(np.argmax(np.abs(C).sum(axis=1)))
+        return [C[j], C[j]]
+    beta = np.sqrt(-adj[i, i] + 0j)
+    p = adj[:, i] / beta
+    skew = np.array([[0, p[2], -p[1]], [-p[2], 0, p[0]], [p[1], -p[0], 0]])
+    M = C + skew
+    r, c = np.unravel_index(int(np.argmax(np.abs(M))), M.shape)
+    return [M[r, :], M[:, c]]
+
+
+def _line_conic_complex(line: np.ndarray, A: np.ndarray) -> list[np.ndarray]:
+    """Intersections (homogeneous, complex) of a projective line with a conic."""
+    basis = []
+    for e in np.eye(3):
+        v = np.cross(line, e)
+        if np.linalg.norm(v) > 1e-12 * (np.linalg.norm(line) + 1):
+            basis.append(v)
+        if len(basis) == 2:
+            break
+    if len(basis) < 2:
+        return []
+    p0, p1 = basis
+    a = p1 @ A @ p1
+    b = p0 @ A @ p1
+    c = p0 @ A @ p0
+    out = []
+    if abs(a) < 1e-16 * (abs(b) + abs(c) + 1):
+        if abs(b) > 1e-300:
+            out.append(p0 - c / (2 * b) * p1)
+    else:
+        r = np.sqrt(b * b - a * c + 0j)
+        out.append(p0 + ((-b + r) / a) * p1)
+        out.append(p0 + ((-b - r) / a) * p1)
+    return out
+
+
+def _newton_polish(p, A: np.ndarray, B: np.ndarray, iters: int = 30):
+    """Refine a common point of two conics with 2D Newton steps."""
+    x, y = float(p[0]), float(p[1])
+    for _ in range(iters):
+        v = np.array([x, y, 1.0])
+        fa = v @ A @ v
+        fb = v @ B @ v
+        if max(abs(fa), abs(fb)) < 1e-16:
+            break
+        ga = 2 * (A[:2] @ v)
+        gb = 2 * (B[:2] @ v)
+        J = np.array([ga, gb])
+        try:
+            delta = np.linalg.solve(J, -np.array([fa, fb]))
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(delta)):
+            break
+        step = np.linalg.norm(delta)
+        if step > 0.1:
+            delta *= 0.1 / step
+        x += delta[0]
+        y += delta[1]
+    return np.array([x, y])
+
+
+def scalar_conic_conic_intersections(A: Conic, B: Conic,
+                                     merge_tol: float = TOL_MERGE
+                                     ) -> list[np.ndarray]:
+    """All real affine intersection points of two nondegenerate conics.
+
+    Finds a degenerate member of the pencil A + lambda*B, splits it into
+    two lines and intersects those with A; candidates are Newton-polished
+    and kept only if they lie on both conics. Tangential intersections are
+    reported once. Raises on degenerate or coincident inputs.
+    """
+    if A.is_degenerate() or B.is_degenerate():
+        raise GeometryError("degenerate conic input")
+    if A.same_as(B):
+        raise GeometryError(
+            "coincident conics: five or more common points force equality")
+    MA, MB = A.form, B.form
+    # det(MA + t*MB) is a cubic in t; recover it from four evaluations.
+    ts = np.array([0.0, 1.0, -1.0, 2.0])
+    vals = [np.linalg.det(MA + t * MB) for t in ts]
+    coeffs = np.linalg.solve(np.vander(ts, 4), vals)
+    roots = np.roots(coeffs)
+    real_roots = [r.real for r in roots
+                  if abs(r.imag) <= 1e-8 * (1 + abs(r.real))]
+    candidates = []
+    for lam in real_roots:
+        C = MA + lam * MB
+        for line in _split_degenerate(C):
+            for q in _line_conic_complex(line, MA.astype(complex)):
+                nrm = np.linalg.norm(q)
+                if nrm == 0 or abs(q[2]) < 1e-10 * nrm:
+                    continue  # point at infinity
+                q = q / q[2]
+                if max(abs(q[0].imag), abs(q[1].imag)) > 1e-6 * (
+                        1 + abs(q[0].real) + abs(q[1].real)):
+                    continue
+                candidates.append(np.array([q[0].real, q[1].real]))
+    points = []
+    for p in candidates:
+        p = _newton_polish(p, MA, MB)
+        if A.residual(p) > 10 * merge_tol or B.residual(p) > 10 * merge_tol:
+            continue
+        if any(np.linalg.norm(p - q) < merge_tol for q in points):
+            continue
+        points.append(p)
+    points.sort(key=lambda p: (round(p[0], 9), round(p[1], 9)))
+    return points[:4]

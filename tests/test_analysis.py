@@ -1,4 +1,6 @@
 """Unit tests for audits, intersection types and isometry."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,12 @@ from pointconic.analysis import (audit, geometric_meets, intersection_type,
                                  intersection_type_combinatorial,
                                  isometry_check, strongly_isometric_to_circles)
 from pointconic.configuration import GeometricConfiguration
-from pointconic.constructions import (crossed_ellipses, ellipse_conic,
-                                      polygon_ring, translate_conic)
-from pointconic.geometry import (AffineMap2, GeometryError, apply_affine,
-                                 apply_affine_point, ellipse_parameters)
+from pointconic.constructions import (cell24, crossed_ellipses, ellipse_conic,
+                                      pmn, polygon_ring, qcube_48,
+                                      translate_conic)
+from pointconic.geometry import (AffineMap2, Conic, GeometryError,
+                                 apply_affine, apply_affine_point,
+                                 ellipse_parameters)
 from pointconic.incidence import catalog, new_incidence_structure
 
 
@@ -117,6 +121,40 @@ class TestGeometricMeets:
         assert all(v == 4 for v in res["counts"].values())
         assert res["excess"] == ()
         assert max(res["counts"].values()) <= 4
+
+    # Regression pins: the count of pairs meeting outside their configured
+    # points, the same values perfbench/workloads.py pins. A fix of the
+    # lines-through-the-origin basis fault in the pencil kernel's line
+    # parametrization moves them (qcube_48: 533 -> 568), and must update
+    # them here and in perfbench/workloads.py together.
+    @pytest.mark.parametrize("build, excess", [
+        (lambda: pmn(4, 4), 407), (lambda: pmn(4, 6), 816),
+        (qcube_48, 533), (cell24, 1999)], ids=["pmn44", "pmn46", "qcube_48",
+                                               "cell24"])
+    def test_excess_pins(self, build, excess):
+        G = build()
+        res = geometric_meets(G)
+        n = G.num_conics
+        assert len(res["counts"]) == n * (n - 1) // 2
+        assert len(res["excess"]) == excess
+
+    def test_no_runtime_warnings(self):
+        for G in (qcube_48(), cell24()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                geometric_meets(G)
+
+    def test_degenerate_and_coincident_rejected_up_front(self):
+        G = crossed_ellipses()
+        lines = Conic.from_coeffs(1, 0, -1, 0, 0, 0)
+        bad = GeometricConfiguration(G.points, (*G.conics, lines), G.flags,
+                                     G.tol)
+        with pytest.raises(GeometryError, match="degenerate conic input"):
+            geometric_meets(bad)
+        twice = GeometricConfiguration(G.points, (*G.conics, G.conics[0]),
+                                       G.flags, G.tol)
+        with pytest.raises(GeometryError, match="coincident conics"):
+            geometric_meets(twice)
 
 
 class TestIsometry:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import (carnot_six_from_conic, random_ellipse, random_triangle,
-                      sweep_intersections)
-from pointconic.constructions import ellipse_conic
+                      scalar_conic_conic_intersections, sweep_intersections)
+from pointconic.constructions import (crossed_ellipses, dipyramid_carnot,
+                                      ellipse_conic, pmn, polygon_ring,
+                                      qcube_48, richter_gebert)
 from pointconic.geometry import (AffineMap2, Conic, GeometryError,
                                  Projection4to2, apply_affine,
                                  apply_affine_point, carnot_product,
@@ -15,7 +17,8 @@ from pointconic.geometry import (AffineMap2, Conic, GeometryError,
                                  conic_from_5_points,
                                  conic_from_normalized_coeffs,
                                  dilation_to_circle, ellipse_parameters,
-                                 line_conic_intersections, point_on_conic,
+                                 line_conic_intersections,
+                                 pencil_intersections, point_on_conic,
                                  project, project_conic_plane, signed_ratio)
 
 UNIT_CIRCLE = Conic.from_coeffs(1, 0, 1, 0, 0, -1)
@@ -359,3 +362,91 @@ class TestSweepOracleAgreement:
                 assert min((np.linalg.norm(p - q) for q in got),
                            default=np.inf) < 1e-6
             done += 1
+
+
+def _all_pairs(conics):
+    return [(i, j) for i in range(len(conics))
+            for j in range(i + 1, len(conics))]
+
+
+def _tangent_family():
+    """Circle and ellipse pairs centred on one axis, many of them tangent
+    there: their Newton Jacobians can be exactly singular."""
+    out = []
+    for r1 in (0.3, 0.5, 0.7):
+        for r2 in (0.2, 0.4, 0.6, 0.9):
+            for c in (r1 + r2, abs(r1 - r2), 0.1, 0.5):
+                out += [ellipse_conic((0, 0), r1, r1, 0),
+                        ellipse_conic((c, 0), r2, r2, 0),
+                        ellipse_conic((0, 0), r1, 0.5 * r1, 0),
+                        ellipse_conic((0, c), r2, 0.7 * r2, math.pi / 2)]
+    return out
+
+
+class TestBatchedKernelAgainstScalarOracle:
+    """`pencil_intersections` runs the scalar kernel's algorithm on stacks of
+    pairs; the scalar kernel in conftest is its oracle."""
+
+    @staticmethod
+    def _check(conics, pairs, tol):
+        points, counts = pencil_intersections(conics, pairs)
+        for k, (i, j) in enumerate(pairs):
+            want = scalar_conic_conic_intersections(conics[i], conics[j])
+            assert counts[k] == len(want), (i, j)
+            got = points[k, :counts[k]]
+            assert np.all(np.isnan(points[k, counts[k]:]))
+            if tol == 0:
+                assert np.array_equal(got, np.array(want).reshape(-1, 2))
+            elif want:
+                assert np.max(np.abs(got - np.array(want))) <= tol, (i, j)
+
+    @pytest.mark.parametrize("build", [
+        lambda: pmn(4, 4), qcube_48,
+        *[lambda s=s: dipyramid_carnot(8, seed=s) for s in range(3)],
+        *[lambda s=s: richter_gebert(seed=s) for s in range(3)],
+    ], ids=["pmn44", "qcube_48", "dipyramid8-0", "dipyramid8-1",
+            "dipyramid8-2", "richter_gebert-0", "richter_gebert-1",
+            "richter_gebert-2"])
+    def test_every_pair_of_scene(self, build):
+        conics = build().conics
+        self._check(conics, _all_pairs(conics), 1e-14)
+
+    def test_bit_identical_on_builder_and_tangent_pairs(self):
+        for G in (crossed_ellipses(), *(polygon_ring(n) for n in range(3, 9))):
+            self._check(G.conics, _all_pairs(G.conics), 0)
+        conics = _tangent_family()
+        self._check(conics, [(k, k + 1) for k in range(0, len(conics), 2)], 0)
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    @settings(max_examples=40, deadline=None)
+    def test_random_ellipses_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        conics = [random_ellipse(rng) for _ in range(5)]
+        pairs = [(i, j) for i, j in _all_pairs(conics)
+                 if not conics[i].same_as(conics[j])]
+        self._check(conics, pairs, 0)
+        for i, j in pairs[:2]:
+            got = conic_conic_intersections(conics[i], conics[j])
+            want = scalar_conic_conic_intersections(conics[i], conics[j])
+            assert np.array_equal(np.array(got), np.array(want))
+
+    def test_more_than_four_points_raise(self):
+        # xy = 1 and xy + x = 2 meet at (1, 1) and, along their shared
+        # asymptote x = 0, at infinity. Rounding puts pencil candidates at
+        # |y| ~ 1e7, where both residuals are ~1e-16, so five distinct
+        # points survive the merge. Keeping the first four in sorted order
+        # would drop (1, 1).
+        A = Conic.from_coeffs(0, 1, 0, 0, 0, -1)
+        B = Conic.from_coeffs(0, 1, 0, 1, 0, -2)
+        with pytest.raises(GeometryError, match="distinct intersection"):
+            conic_conic_intersections(A, B)
+        C = ellipse_conic((0, 0), 0.6, 0.3, 0.2)
+        with pytest.raises(GeometryError, match="conics 1 and 2 give"):
+            pencil_intersections((C, A, B), [(0, 1), (1, 2)])
+
+    def test_no_pairs(self):
+        points, counts = pencil_intersections((UNIT_CIRCLE,), [])
+        assert points.shape == (0, 4, 2) and counts.shape == (0,)

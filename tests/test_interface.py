@@ -1,4 +1,5 @@
 """Unit tests for JSON I/O, SVG rendering and the CLI."""
+import hashlib
 import json
 
 import numpy as np
@@ -181,3 +182,31 @@ class TestCli:
             assert main(["build", "dipyramid_carnot", "--n", "3",
                          "--seed", "9", "-o", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    # SHA-256 of the only CLI outputs built from conic-conic kernel points;
+    # no benchmark digest covers them. A fix of the lines-through-the-origin
+    # basis fault in the kernel's line parametrization may move them;
+    # update them together with the benchmark's pinned counts.
+    BUILD_DIGESTS = {
+        ("crossed_ellipses",):
+            "eb6e2a4d566ca879d3d504713f35beb87f7106c0540310a5561bd240ad669181",
+        ("polygon_ring", "--n", "3"):
+            "81cb88152dd8c008c4f0222ab0063f00fc39a739bb7dd63fee56e8aa911ee628",
+        ("polygon_ring", "--n", "4"):
+            "407b87aa531d55985c69eeec1817345ee88b66dca785e3d61c9e7718d23110a5",
+        ("polygon_ring", "--n", "5"):
+            "e7f56522ce72e0d89cbed3836bcb1a687d0d0149fd4a363248aeb4eee4345757",
+        ("polygon_ring", "--n", "6"):
+            "a34890a450025d4954b3819d371e64b2dfb691df3dcc5b2966cbc1d2b9c95e51",
+        ("polygon_ring", "--n", "7"):
+            "017e253142dbe8b0adfc891f892d6e4a8772942593f80cba792c389d1699e239",
+        ("polygon_ring", "--n", "8"):
+            "e77f81ecc34fd0a6f110ddbe615fba99a5b1bfa13e920e013438f7932a40546f",
+    }
+
+    def test_kernel_built_outputs_pinned(self, tmp_path, capsys):
+        for args, digest in self.BUILD_DIGESTS.items():
+            out = tmp_path / "out.json"
+            assert main(["build", *args, "-o", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
+        capsys.readouterr()
