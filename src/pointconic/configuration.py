@@ -1,12 +1,13 @@
 """Realized planar configurations and 4-polytope scaffolding."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import TOL_INCIDENCE, Conic
+from .geometry import TOL_INCIDENCE, Conic, GeometryError
 from .incidence import IncidenceStructure
 
 
@@ -26,6 +27,9 @@ class GeometricConfiguration:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise GeometryError(f"tol must be positive and finite, "
+                                f"got {self.tol!r}")
         pts = np.asarray(self.points, float).reshape(-1, 2).copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -1,12 +1,15 @@
 """Builders for the point-conic configurations this library ships.
 
-Every builder returns a GeometricConfiguration whose flags are verified by
-construction; `analysis.audit` re-checks them independently. Builders that
-draw random data are pure functions of (parameters, seed) and resample
-internally on degenerate draws, up to an explicit retry budget.
+Every builder returns a GeometricConfiguration that has passed
+`analysis.audit`; the audit is the gate, so builders do not pre-check what it
+checks (duplicate points, missing or spurious incidences, coincident conics).
+Builders that draw random data are pure functions of (parameters, seed). They
+resample through one helper, `_retry`: a rejected draw raises GeometryError or
+ConstructionError, and `_retry` draws again up to an explicit budget.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +29,26 @@ RETRY_BUDGET = 1000
 
 class ConstructionError(ValueError):
     """Raised when a builder cannot produce a valid configuration."""
+
+
+def _retry(attempt, budget: int, what: str):
+    """Return the first result of `attempt()` within `budget` calls.
+
+    A GeometryError or ConstructionError rejects the draw and `attempt` is
+    called again; any other exception propagates at once. Raises
+    ConstructionError naming `what`, the budget and the last rejection when
+    the budget runs out.
+    """
+    spent = 0
+    last: Exception | None = None
+    while spent < budget:
+        spent += 1
+        try:
+            return attempt()
+        except (GeometryError, ConstructionError) as exc:
+            last = exc
+    raise ConstructionError(
+        f"{what}: retry budget of {budget} exhausted; last: {last}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +228,9 @@ def _with_default_projection(build):
     A fixed projection can happen to be near-parallel to one of a polytope's
     hexagon planes; walking the seed sequence keeps default builds both
     deterministic and generic."""
-    last_exc: Exception | None = None
-    for k in range(32):
-        try:
-            return build(generic_projection(12345 + k))
-        except (ConstructionError, GeometryError) as exc:
-            last_exc = exc
-    raise ConstructionError(
-        f"no generic default projection found: {last_exc}")
+    seeds = itertools.count(12345)
+    return _retry(lambda: build(generic_projection(next(seeds))), 32,
+                  "generic default projection")
 
 
 def qcube_48(proj: Projection4to2 | None = None) -> GeometricConfiguration:
@@ -260,19 +278,20 @@ def qcube_48(proj: Projection4to2 | None = None) -> GeometricConfiguration:
 # Carnot configurations
 # ---------------------------------------------------------------------------
 
-def _sample_6_on_conic(conic: Conic, tri) -> list[np.ndarray] | None:
+def _sample_6_on_conic(conic: Conic, tri) -> list[np.ndarray]:
     """Intersect a conic with all three side lines of a triangle; canonical
-    slot order (A1, A2, B1, B2, C1, C2), or None if any side misses."""
+    slot order (A1, A2, B1, B2, C1, C2). Raises GeometryError if a side
+    misses the conic or a cut point sits on a vertex."""
     A, B, C = tri
     out = []
     for (U, V) in ((B, C), (C, A), (A, B)):
         pts = line_conic_intersections(conic, U, V)
         if len(pts) != 2:
-            return None
+            raise GeometryError("conic does not cut every side twice")
         for p in pts:
             for vert in tri:
                 if np.linalg.norm(p - vert) < 1e-3:
-                    return None
+                    raise GeometryError("conic cuts a side at a vertex")
         out.extend(pts)
     return out
 
@@ -287,13 +306,14 @@ def _random_ellipse(rng, center_box=0.4) -> Conic:
 
 def _edge_point(rng, U, V, taken=None, margin=0.12):
     """Random point on the line UV, clear of the endpoints and of `taken`."""
-    for _ in range(64):
+    def draw():
         s = rng.uniform(margin, 1 - margin)
         p = U + s * (V - U)
-        if taken is None or np.linalg.norm(p - taken) > 0.08 * \
+        if taken is not None and np.linalg.norm(p - taken) <= 0.08 * \
                 np.linalg.norm(V - U):
-            return p
-    raise ConstructionError("could not place a generic edge point")
+            raise ConstructionError("edge point too close to the taken one")
+        return p
+    return _retry(draw, 64, "generic edge point")
 
 
 def _fit_face_conic(pts6, tol: float) -> Conic:
@@ -314,37 +334,28 @@ def richter_gebert(seed: int = 0) -> GeometricConfiguration:
     inconsistent with the 24 flags and recorded as a note in provenance.
     """
     rng = np.random.default_rng(seed)
-    last_exc: Exception | None = None
-    for _ in range(200):
-        try:
-            return _richter_gebert_once(rng)
-        except (GeometryError, ConstructionError) as exc:
-            last_exc = exc
-    raise ConstructionError(f"retry budget exhausted: {last_exc}")
+    return _retry(lambda: _richter_gebert_once(rng), 200, "richter_gebert")
 
 
 def _richter_gebert_once(rng) -> GeometricConfiguration:
     # Planar projection of a tetrahedron: 4 generic base points.
-    while True:
+    def draw_base():
         base = rng.uniform(-1, 1, size=(4, 2))
         areas = [abs(cross2(base[j] - base[i], base[k] - base[i]))
                  for i, j, k in
                  ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))]
-        if min(areas) > 0.35:
-            break
-    A, B, C, D = base
+        if min(areas) <= 0.35:
+            raise GeometryError("tetrahedron drawing too flat")
+        return base
+    A, B, C, D = _retry(draw_base, 64, "generic tetrahedron drawing")
     edge_pts: dict[frozenset, list] = {}
 
     def edge(u, v):
         return frozenset((u, v))
 
     # Face ABC: six points cut from a random conic.
-    for _ in range(64):
-        pts6 = _sample_6_on_conic(_random_ellipse(rng), (A, B, C))
-        if pts6 is not None:
-            break
-    else:
-        raise ConstructionError("no transversal conic found for first face")
+    pts6 = _retry(lambda: _sample_6_on_conic(_random_ellipse(rng), (A, B, C)),
+                  64, "transversal conic for the first face")
     edge_pts[edge(1, 2)] = pts6[0:2]   # on BC
     edge_pts[edge(2, 0)] = pts6[2:4]   # on CA
     edge_pts[edge(0, 1)] = pts6[4:6]   # on AB
@@ -413,13 +424,8 @@ def dipyramid_carnot(n: int, seed: int = 0) -> GeometricConfiguration:
     if n < 3:
         raise ConstructionError("dipyramid needs n >= 3")
     rng = np.random.default_rng(seed)
-    last_exc: Exception | None = None
-    for _ in range(200):
-        try:
-            return _dipyramid_once(rng, n)
-        except (GeometryError, ConstructionError) as exc:
-            last_exc = exc
-    raise ConstructionError(f"retry budget exhausted: {last_exc}")
+    return _retry(lambda: _dipyramid_once(rng, n), 200,
+                  f"dipyramid_carnot({n})")
 
 
 def _dipyramid_once(rng, n: int) -> GeometricConfiguration:
@@ -689,8 +695,6 @@ def _hexagon_configuration(points4: np.ndarray, hexagons: list,
     planar and centrally symmetric in E^4.
     """
     pts2 = np.array([geometry.project(proj, p) for p in points4])
-    if analysis._duplicate_pairs(pts2, TOL_MERGE):
-        raise ConstructionError("non-generic projection: merged points")
     conics = []
     flags = set()
     radii = []
@@ -703,9 +707,6 @@ def _hexagon_configuration(points4: np.ndarray, hexagons: list,
         if conic.kind != "ellipse":
             raise ConstructionError(
                 f"non-generic projection: hexagon gave {conic.kind}")
-        for p in hx:
-            if conic.residual(pts2[p]) > tol:
-                raise ConstructionError("hexagon conic misses a vertex")
         b = len(conics)
         conics.append(conic)
         flags |= {(p, b) for p in hx}
@@ -822,26 +823,6 @@ def cell24_polytope() -> Polytope4:
 # Generic realizers
 # ---------------------------------------------------------------------------
 
-def _no_3_collinear(pts: np.ndarray, threshold: float = 1e-9) -> bool:
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if abs(cross2(pts[j] - pts[i], pts[k] - pts[i])) \
-                        <= threshold:
-                    return False
-    return True
-
-
-def _no_4_concyclic(pts: np.ndarray, threshold: float = 1e-9) -> bool:
-    from itertools import combinations
-    aug = np.column_stack([np.sum(pts ** 2, axis=1), pts, np.ones(len(pts))])
-    for idx in combinations(range(len(pts)), 4):
-        if abs(np.linalg.det(aug[list(idx)])) <= threshold:
-            return False
-    return True
-
-
 def realize_lineal_by_circles(C: IncidenceStructure,
                               seed: int = 0) -> GeometricConfiguration:
     """Realize a lineal 3-configuration by points in general position and
@@ -852,10 +833,9 @@ def realize_lineal_by_circles(C: IncidenceStructure,
     if has_biclique(C, 2, 2):
         raise ConstructionError("structure is not lineal")
     rng = np.random.default_rng(seed)
-    for _ in range(RETRY_BUDGET):
+
+    def attempt():
         pts = rng.uniform(0, 1, size=(C.num_points, 2))
-        if not (_no_3_collinear(pts) and _no_4_concyclic(pts)):
-            continue
         conics = tuple(circle_through_3_points(
             *[pts[p] for p in sorted(C.points_of_block(b))])
             for b in range(C.num_blocks))
@@ -863,9 +843,8 @@ def realize_lineal_by_circles(C: IncidenceStructure,
             pts, conics, C.flags, tol=1e-8,
             provenance={"builder": "realize_lineal_by_circles",
                         "seed": seed})
-        if analysis.audit(G).passed:
-            return G
-    raise ConstructionError("retry budget exhausted for circle realization")
+        return _require_audit(G, "circle realization")
+    return _retry(attempt, RETRY_BUDGET, "circle realization")
 
 
 def realize_by_conics(C: IncidenceStructure,
@@ -878,43 +857,30 @@ def realize_by_conics(C: IncidenceStructure,
     if any(C.block_size(b) > 5 for b in range(C.num_blocks)):
         raise ConstructionError("block sizes must be at most 5")
     rng = np.random.default_rng(seed)
-    for _ in range(RETRY_BUDGET):
+
+    def attempt():
         pts = rng.uniform(0, 1, size=(C.num_points, 2))
-        if not _no_3_collinear(pts):
-            continue
-        conics = []
-        ok = True
-        for b in range(C.num_blocks):
-            members = sorted(C.points_of_block(b))
-            conic = _conic_through_padded(rng, pts, members, C, b)
-            if conic is None:
-                ok = False
-                break
-            conics.append(conic)
-        if not ok:
-            continue
+        conics = tuple(
+            _conic_through_padded(rng, pts, sorted(C.points_of_block(b)))
+            for b in range(C.num_blocks))
         G = GeometricConfiguration(
-            pts, tuple(conics), C.flags, tol=1e-8,
+            pts, conics, C.flags, tol=1e-8,
             provenance={"builder": "realize_by_conics", "seed": seed})
-        if analysis.audit(G).passed:
-            return G
-    raise ConstructionError("retry budget exhausted for conic realization")
+        return _require_audit(G, "conic realization")
+    return _retry(attempt, RETRY_BUDGET, "conic realization")
 
 
-def _conic_through_padded(rng, pts, members, C, b):
+def _conic_through_padded(rng, pts, members) -> Conic:
     """Nondegenerate conic through the block's points, padded to five with
     fresh generic points; rejects conics grazing non-member points."""
     others = [i for i in range(len(pts)) if i not in members]
-    for _ in range(64):
+
+    def attempt():
         aux = rng.uniform(-0.2, 1.2, size=(5 - len(members), 2))
-        five = [pts[i] for i in members] + list(aux)
-        try:
-            conic = conic_from_5_points(five)
-        except GeometryError:
-            continue
+        conic = conic_from_5_points([pts[i] for i in members] + list(aux))
         if conic.is_degenerate():
-            continue
+            raise GeometryError("degenerate padded conic")
         if any(conic.residual(pts[i]) <= 1e-7 for i in others):
-            continue
+            raise GeometryError("padded conic grazes a non-member point")
         return conic
-    return None
+    return _retry(attempt, 64, "padded conic fit")

@@ -131,9 +131,9 @@ def from_document(doc: dict):
 
 
 def write_configuration(obj, path, name: str | None = None) -> None:
-    doc = to_document(obj, name=name)
-    jsonschema.validate(doc, _SCHEMAS[doc["kind"]])
-    Path(path).write_text(dumps_canonical(doc))
+    """Write the canonical document; the reader validates it against the
+    schema, the value types guarantee it on this side."""
+    Path(path).write_text(dumps_canonical(to_document(obj, name=name)))
 
 
 def read_configuration(path):

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from conftest import no_3_collinear, no_4_concyclic
-from pointconic import analysis, io
+from pointconic import analysis, constructions, io
 from pointconic.analysis import audit, intersection_type, isometry_check
+from pointconic.cli import main
 from pointconic.configuration import GeometricConfiguration
 from pointconic.constructions import (ConstructionError, cell24,
                                       cell24_polytope, crossed_ellipses,
@@ -288,3 +289,46 @@ class TestDeterminism:
         a = io.dumps_canonical(io.to_document(make()))
         b = io.dumps_canonical(io.to_document(make()))
         assert a == b
+
+
+class TestRetry:
+    @staticmethod
+    def _failing(calls, succeed_on=None, errors=(GeometryError,
+                                                 ConstructionError)):
+        def attempt():
+            calls.append(None)
+            if len(calls) == succeed_on:
+                return len(calls)
+            raise errors[len(calls) % len(errors)](f"draw {len(calls)}")
+        return attempt
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_success_on_attempt_k(self, k):
+        calls = []
+        assert constructions._retry(self._failing(calls, k), 7, "x") == k
+        assert len(calls) == k
+
+    def test_exhaustion_names_label_budget_and_last_error(self):
+        calls = []
+        with pytest.raises(ConstructionError,
+                           match=r"^widget: retry budget of 5 exhausted; "
+                                 r"last: draw 5$"):
+            constructions._retry(self._failing(calls), 5, "widget")
+        assert len(calls) == 5
+
+    def test_other_errors_propagate_at_once(self):
+        calls = []
+        with pytest.raises(TypeError, match="draw 1"):
+            constructions._retry(self._failing(calls, errors=(TypeError,)),
+                                 5, "x")
+        assert len(calls) == 1
+
+    def test_exhausted_builder_exits_1(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(constructions, "_dipyramid_once",
+                            lambda rng, n: self._failing(calls)())
+        out = tmp_path / "d.json"
+        assert main(["build", "dipyramid_carnot", "-o", str(out)]) == 1
+        assert len(calls) == 200 and not out.exists()
+        assert "dipyramid_carnot(4): retry budget of 200 exhausted" in \
+            capsys.readouterr().err

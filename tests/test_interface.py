@@ -1,13 +1,18 @@
 """Unit tests for JSON I/O, SVG rendering and the CLI."""
 import hashlib
 import json
+import math
 
+import jsonschema
 import numpy as np
 import pytest
 
 from pointconic.cli import main
+from pointconic import io
 from pointconic.configuration import GeometricConfiguration
-from pointconic.constructions import crossed_ellipses, pmn, polygon_ring
+from pointconic.constructions import (crossed_ellipses, pmn, polygon_ring,
+                                      product, realize_lineal_by_circles)
+from pointconic.geometry import GeometryError
 from pointconic.incidence import catalog
 from pointconic.io import (InterfaceError, dumps_canonical, from_document,
                            read_configuration, to_document,
@@ -46,6 +51,21 @@ class TestRoundTrip:
                               GeometricConfiguration)
 
 
+    def test_written_documents_match_schema(self, tmp_path):
+        G = crossed_ellipses()
+        cases = [(G, None), (pmn(4, 4), None),
+                 (product(G, G, genericize=True, seed=1), None),
+                 (realize_lineal_by_circles(catalog("fano"), seed=0), None),
+                 (catalog("pappus"), "pappus")]
+        for k, (obj, name) in enumerate(cases):
+            path = tmp_path / f"{k}.json"
+            write_configuration(obj, path, name=name)
+            doc = json.loads(path.read_text())
+            jsonschema.validate(doc, io._SCHEMAS[doc["kind"]])
+            assert doc.get("name") == name
+            assert type(read_configuration(path)) is type(obj)
+
+
 class TestValidation:
     def test_missing_flags_named(self):
         doc = to_document(catalog("fano"))
@@ -74,6 +94,13 @@ class TestValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(InterfaceError, match="non-finite"):
             dumps_canonical({"x": float("nan")})
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        G = crossed_ellipses()
+        with pytest.raises(GeometryError, match="tol must be positive"):
+            GeometricConfiguration(G.points, G.conics, G.flags, tol=tol)
+        assert issubclass(GeometryError, ValueError)
 
     def test_canonical_reals_survive(self):
         G = crossed_ellipses()
@@ -209,4 +236,106 @@ class TestCli:
             out = tmp_path / "out.json"
             assert main(["build", *args, "-o", str(out)]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
+        capsys.readouterr()
+
+    # SHA-256 of the seeded builders' and realizers' outputs, recorded before
+    # their resampling loops were folded into `constructions._retry`. Every
+    # retry budget and the order of every RNG draw were kept, so these bytes
+    # must not move.
+    SEEDED_BUILD_DIGESTS = {
+        ("richter_gebert", "--seed", "0"):
+            "c6e954d3f014cdbdec633c864636f8549dc88b848f87aefd694fe0f8244a5c71",
+        ("richter_gebert", "--seed", "1"):
+            "ed935fc3e84ce0c0408cc99e8d167672653c02f92dd13449c8eb75fcc948528e",
+        ("richter_gebert", "--seed", "2"):
+            "612e71806093203b7653c903c01756144cbd3789a7daadcd6bb6b979a5abd54f",
+        ("richter_gebert", "--seed", "3"):
+            "27324ba68ade8021926a531375163f0cd7421725fc97f220cd778bfce3a47ed0",
+        ("richter_gebert", "--seed", "4"):
+            "38c6edbc8fcc3032a2b1988770483091a931b4c8ea0f681637091e9cb7769985",
+        ("dipyramid_carnot", "--n", "3", "--seed", "0"):
+            "c7564f51c8de4222686c73c48210093beaddbe0bbc10444fecbf00b655514c61",
+        ("dipyramid_carnot", "--n", "3", "--seed", "1"):
+            "c998f85d9639855775c4a91e5e1fad26b4592768d2edc9a77a3b6d6053b9fc2b",
+        ("dipyramid_carnot", "--n", "3", "--seed", "2"):
+            "ccf7601e7e0dd7a335e8e414aae3f1e33d952290c3db0b044634cf2a02f3f573",
+        ("dipyramid_carnot", "--n", "5", "--seed", "0"):
+            "5756f7f3793e3e0ef6ba9d6c1a936ed797c53459d60b6ec594142fdbf572321f",
+        ("dipyramid_carnot", "--n", "5", "--seed", "1"):
+            "bc232b9699126b9b75123376217be690cbeb9f59d7305112a37b31984102f993",
+        ("dipyramid_carnot", "--n", "5", "--seed", "2"):
+            "12c8a553450848fe0dc6b758225550da78b84ad80fe3b386063f97bb50f5e608",
+        ("dipyramid_carnot", "--n", "8", "--seed", "0"):
+            "4335533eec2e80ed8170e76059d6ab7a20483d938ba8f141eff6f48bd620b8ec",
+        ("dipyramid_carnot", "--n", "8", "--seed", "1"):
+            "6e5d4110385a074130a343156414f159b7f7426ff603d04613e552da53a1ef81",
+        ("dipyramid_carnot", "--n", "8", "--seed", "2"):
+            "ac2f21eebb7bad51a2368ef8a8713828557e993c2036ae4b977cbdf0c91c1708",
+    }
+    REALIZE_DIGESTS = {
+        ("circles", "fano", 0):
+            "0473cd27c49b42e8bd1225e34edfd66ae3466fdd559d33b84c27f5540baaf8b6",
+        ("circles", "fano", 1):
+            "0d86ec3d871dd664b461cfd50bf33979b8dfdbdfbf4aebf55e9774f5aa569c69",
+        ("circles", "fano", 2):
+            "1ccb86edc1944ec150374cfff0c91cfa928c57ea84fcf700af5aa2dea192f768",
+        ("circles", "fano", 3):
+            "18f1d04cd99e14f9488f9a17a40cb7c5ab044a6d08d8ba52111d6fd7ff25abdd",
+        ("circles", "fano", 4):
+            "e43d41ab1acae91c53041d35b25ab3f4106546933fd2ffe3de6c52ba50afad69",
+        ("circles", "pappus", 0):
+            "7ab302e0ae714adfb2db7f5e44bf1407b2886df510d7273d163a793b65a35f43",
+        ("circles", "pappus", 1):
+            "d94219cf1a29434f9450e39b22ecbc56b8b6513019447ed27581576563f8cb3d",
+        ("circles", "pappus", 2):
+            "5b0a147d0871e1a1d76e3024e83b4002dd2861d11bf5e9a9199cccd7f909bb27",
+        ("circles", "pappus", 3):
+            "689b6121879175c91dec22dc6436cfb07e0f8cff7fe404add7855ca77021a688",
+        ("circles", "pappus", 4):
+            "046b00a5315e3ebb2d8a50843651ada83d2bf6fa7c4d0329d363a8119aa3c8f9",
+        ("conics", "anti-miquel-large", 0):
+            "8cde6b7859ed5dc3e3e98334ad0227b14cedacc49c250f924e0a249bfe08225a",
+        ("conics", "anti-miquel-large", 1):
+            "85c78f9613a3fcc73a8e8a6ffe281d7ae1f93409a4779f1593e694416eb5f451",
+        ("conics", "anti-miquel-large", 2):
+            "35c8112c63b32f280f1f65d7b48df5428fc36d85419808397cad7c309a99522b",
+        ("conics", "anti-miquel-small", 0):
+            "309d2c128a4ca69c0edadfa457f1ea2938cfa6e9de186d080b7cdb7cb10b6c92",
+        ("conics", "anti-miquel-small", 1):
+            "846fd9a78a7e68e0290cb429fd73a83abbc2dcd31f12e69bf15946fe912bfdaf",
+        ("conics", "anti-miquel-small", 2):
+            "4b636f11fd50beccd5d184de1ae0873eb410f408acd7b2ccf0e2d0f9f9fe3656",
+        ("conics", "fano", 0):
+            "551594308891783803b7965c96842b415602cd49cbc0c89c38ea00152cf80907",
+        ("conics", "fano", 1):
+            "2bf615f26eb4111500165995a11e83f1b96a509295983a01553b0e9c6fd91747",
+        ("conics", "fano", 2):
+            "eb23ee323c94310ae3b64037118431528175d09a7c769c919b92f2bee00f715f",
+        ("conics", "miquel", 0):
+            "262c69dbe1901303e6ea67cb1116edb574686846526e62041faac49b45782192",
+        ("conics", "miquel", 1):
+            "17574f163a0d7fd6c610174ab90fdbb7a854e0d1cc41ca07f677f4fd08be2ba0",
+        ("conics", "miquel", 2):
+            "70c4b2a28025e86fe1d3e59f3b316442718b66da8095df556fd38ad5445ca2ed",
+        ("conics", "pappus", 0):
+            "dae159e498158548c449884353cde4f1589a787edfb8224dd856d5d50cfef9be",
+        ("conics", "pappus", 1):
+            "e659813a43f941b43135fa6d3d4046495b78c0719698cdb0d1c4ef8434a8f91c",
+        ("conics", "pappus", 2):
+            "0699807a2e261311f1448768eeaa433d86e34ecff55c9fa2011adca4c704c4c8",
+    }
+
+    def test_seeded_outputs_pinned(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        for args, digest in self.SEEDED_BUILD_DIGESTS.items():
+            assert main(["build", *args, "-o", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
+        for (mode, name, seed), digest in self.REALIZE_DIGESTS.items():
+            src = tmp_path / f"{name}.json"
+            if not src.exists():
+                assert main(["catalog", name, "-o", str(src)]) == 0
+            assert main(["realize", mode, "-i", str(src), "--seed", str(seed),
+                         "-o", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, \
+                (mode, name, seed)
         capsys.readouterr()
