@@ -41,7 +41,7 @@ class GeometricConfiguration:
                 raise TypeError("conics must be Conic instances")
         for (p, b) in self.flags:
             if not (0 <= p < len(pts) and 0 <= b < len(self.conics)):
-                raise IndexError(f"flag {(p, b)} out of range")
+                raise GeometryError(f"flag {(p, b)} out of range")
 
     @property
     def num_points(self) -> int:

@@ -1,18 +1,17 @@
 """Combinatorial incidence structures and their Levi graphs.
 
 Points and blocks are 0-based indices in disjoint namespaces; a flag is a
-(point, block) pair. Graph work (girth, connectivity, colour-preserving
-isomorphism) is delegated to networkx, which is plenty for the desk-scale
-structures this library deals with.
+(point, block) pair. Girth and vertex connectivity run on the structure's
+incidence index, read as the Levi graph's adjacency. networkx serves only
+`LeviGraph.graph` and `are_isomorphic`, and is imported there.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-
-import networkx as nx
 
 
 class IncidenceError(ValueError):
@@ -54,19 +53,39 @@ class IncidenceStructure:
 
 @dataclass(frozen=True)
 class LeviGraph:
-    """Coloured bipartite incidence graph; black = points, white = blocks."""
+    """Coloured bipartite incidence graph of `structure`; black = points
+    ("p", i), white = blocks ("b", j)."""
 
-    graph: nx.Graph
-
-    @property
-    def black(self):
-        return [v for v, d in self.graph.nodes(data=True)
-                if d["color"] == "black"]
+    structure: IncidenceStructure
 
     @property
-    def white(self):
-        return [v for v, d in self.graph.nodes(data=True)
-                if d["color"] == "white"]
+    def black(self) -> list:
+        return [("p", i) for i in range(self.structure.num_points)]
+
+    @property
+    def white(self) -> list:
+        return [("b", j) for j in range(self.structure.num_blocks)]
+
+    @cached_property
+    def graph(self):
+        """The same graph as a networkx `Graph` with a "color" node
+        attribute, built on first access."""
+        import networkx as nx
+        G = nx.Graph()
+        G.add_nodes_from(self.black, color="black")
+        G.add_nodes_from(self.white, color="white")
+        G.add_edges_from((("p", p), ("b", b))
+                         for (p, b) in self.structure.flags)
+        return G
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of each node, read off the index: point p is node p,
+        block b is node num_points + b."""
+        blocks_of, points_of = self.structure._index
+        P = self.structure.num_points
+        return (tuple(tuple(P + b for b in bs) for bs in blocks_of)
+                + tuple(map(tuple, points_of)))
 
 
 @dataclass(frozen=True)
@@ -117,11 +136,7 @@ def new_incidence_structure(num_points: int, num_blocks: int, flags,
 
 
 def levi_graph(C: IncidenceStructure) -> LeviGraph:
-    G = nx.Graph()
-    G.add_nodes_from((("p", i) for i in range(C.num_points)), color="black")
-    G.add_nodes_from((("b", i) for i in range(C.num_blocks)), color="white")
-    G.add_edges_from((("p", p), ("b", b)) for (p, b) in C.flags)
-    return LeviGraph(G)
+    return LeviGraph(C)
 
 
 def dual(C: IncidenceStructure) -> IncidenceStructure:
@@ -166,17 +181,158 @@ def has_biclique(C: IncidenceStructure, s: int, t: int) -> bool:
 
 
 def girth(L: LeviGraph) -> float:
-    """Girth of the Levi graph; acyclic graphs report infinity."""
-    if L.graph.number_of_edges() == 0:
-        return float("inf")
-    return nx.girth(L.graph)
+    """Length of the Levi graph's shortest cycle; acyclic graphs report
+    infinity. BFS from every node; a cycle closed from depth d is at least
+    2d + 1 long, so each search stops once that reaches the best so far."""
+    adj = L._adjacency
+    best = math.inf
+    depth = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    for root in range(len(adj)):
+        depth[root] = 0
+        seen, level = [root], [root]
+        d = 0
+        while level and 2 * d + 1 < best:
+            nxt = []
+            for u in level:
+                pu = parent[u]
+                for w in adj[u]:
+                    dw = depth[w]
+                    if dw < 0:
+                        depth[w] = d + 1
+                        parent[w] = u
+                        nxt.append(w)
+                    elif w != pu and d + dw + 1 < best:
+                        best = d + dw + 1
+            seen += nxt
+            level = nxt
+            d += 1
+        for u in seen:
+            depth[u] = parent[u] = -1
+    return best
 
 
 def vertex_connectivity(L: LeviGraph) -> int:
-    G = L.graph
-    if G.number_of_nodes() == 0 or not nx.is_connected(G):
+    """Vertex connectivity of the Levi graph; 0 when it is disconnected or
+    empty.
+
+    Esfahanian and Hakimi (Networks 14, 1984): with v of minimum degree
+    and K = deg(v), some minimum vertex cut either misses v, and then
+    separates v from a non-neighbour, or contains v, and then separates two
+    of v's neighbours. Those flows suffice, and each stops once it reaches
+    the current K (Even, SIAM J. Comput. 4, 1975). A disconnected graph has
+    a non-neighbour of v that no path reaches, so it gives 0. The graph is
+    bipartite, so v's neighbours are pairwise non-adjacent.
+    """
+    adj = L._adjacency
+    if not adj:
         return 0
-    return nx.node_connectivity(G)
+    v = min(range(len(adj)), key=lambda x: len(adj[x]))
+    K = len(adj[v])
+    flows = _DisjointPaths(adj)
+    near = set(adj[v])
+    near.add(v)
+    pairs = [(v, w) for w in range(len(adj)) if w not in near]
+    pairs += combinations(adj[v], 2)
+    for (s, t) in pairs:
+        K = flows.count(s, t, K)
+    return K
+
+
+class _DisjointPaths:
+    """Internally vertex-disjoint paths between non-adjacent nodes, by BFS
+    augmenting paths on the split graph (node x as x_in -> x_out with
+    capacity 1, edge {x, w} as x_out -> w_in and w_out -> x_in).
+
+    The split graph stays implicit. Flow through node x enters by exactly
+    one edge, so `pred[x]` (-1 when x carries none) says both whether
+    x_in -> x_out is saturated and which edge into x carries flow. Edges
+    into the target need no record: a node whose flow enters the target
+    has its only way out saturated, so no search reaches its x_out. The
+    search marks and parent links are reset only where a search touched
+    them.
+    """
+
+    def __init__(self, adj):
+        n = len(adj)
+        self.adj = adj
+        self.pred = [-1] * n
+        self.seen_in = [False] * n
+        self.seen_out = [False] * n
+        self.par_in = [0] * n     # x_in entered from par_in[x]'s out; -1: x_out
+        self.par_out = [0] * n    # x_out entered from par_out[x]'s in; -1: x_in
+
+    def count(self, s: int, t: int, cap: int) -> int:
+        """min(cap, number of internally disjoint paths between the
+        non-adjacent nodes s and t)."""
+        pred = self.pred
+        carrying = []
+        found = 0
+        while found < cap:
+            hit = self._augmenting_path(s, t)
+            if hit < 0:
+                break
+            found += 1
+            x = hit                     # walk back from x_out to s_out
+            while x != s:
+                p = self.par_out[x]
+                y = x if p < 0 else p   # now at y_in
+                q = self.par_in[y]
+                if q < 0:               # y_in from y_out: y's flow cancelled
+                    pred[y] = -1
+                    x = y
+                else:                   # flow edge q -> y replaces y's old one
+                    pred[y] = q
+                    carrying.append(y)
+                    x = q
+        for y in carrying:
+            pred[y] = -1
+        return found
+
+    def _augmenting_path(self, s: int, t: int) -> int:
+        """BFS from s_out; the node whose edge reaches t_in, or -1."""
+        adj, pred = self.adj, self.pred
+        seen_in, seen_out = self.seen_in, self.seen_out
+        par_in, par_out = self.par_in, self.par_out
+        seen_in[s] = seen_out[s] = True
+        touched = [s]
+        queue = [2 * s + 1]             # 2x: x_in, 2x + 1: x_out
+        hit = -1
+        for state in queue:
+            x = state >> 1
+            if state & 1:
+                for w in adj[x]:
+                    if w == t:
+                        hit = x
+                        break
+                    elif not seen_in[w] and pred[w] != x:
+                        seen_in[w] = True
+                        par_in[w] = x
+                        touched.append(w)
+                        queue.append(2 * w)
+                if hit >= 0:
+                    break
+                if pred[x] >= 0 and not seen_in[x]:
+                    seen_in[x] = True   # back along x's own saturated edge
+                    par_in[x] = -1
+                    touched.append(x)
+                    queue.append(2 * x)
+            else:
+                u = pred[x]
+                if u < 0:               # x_in -> x_out is free
+                    if not seen_out[x]:
+                        seen_out[x] = True
+                        par_out[x] = -1
+                        touched.append(x)
+                        queue.append(2 * x + 1)
+                elif not seen_out[u]:   # back along the flow edge u -> x
+                    seen_out[u] = True
+                    par_out[u] = x
+                    touched.append(u)
+                    queue.append(2 * u + 1)
+        for x in touched:
+            seen_in[x] = seen_out[x] = False
+        return hit
 
 
 def property_report(C: IncidenceStructure) -> PropertyReport:
@@ -199,6 +355,7 @@ def are_isomorphic(C1: IncidenceStructure, C2: IncidenceStructure) -> bool:
     if (C1.num_points, C1.num_blocks, len(C1.flags)) != \
             (C2.num_points, C2.num_blocks, len(C2.flags)):
         return False
+    import networkx as nx
     g1, g2 = levi_graph(C1).graph, levi_graph(C2).graph
     gm = nx.isomorphism.GraphMatcher(
         g1, g2, node_match=nx.isomorphism.categorical_node_match("color", ""))

@@ -4,12 +4,17 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
+from networkx.algorithms.connectivity import (
+    build_auxiliary_node_connectivity, local_node_connectivity)
+from networkx.algorithms.flow import build_residual_network
 
 from pointconic.constructions import ellipse_conic
 from pointconic.geometry import (TOL_MERGE, Conic, GeometryError, cross2,
                                  ellipse_parameters)
-from pointconic.incidence import IncidenceStructure, new_incidence_structure
+from pointconic.incidence import (IncidenceStructure, LeviGraph,
+                                  new_incidence_structure)
 
 
 def random_ellipse(rng, center_box: float = 1.0,
@@ -156,6 +161,38 @@ def brute_force_biclique(C: IncidenceStructure, s: int, t: int) -> bool:
     sets = [scan_points_of_block(C, b) for b in range(C.num_blocks)]
     return any(len(frozenset.intersection(*blocks)) >= s
                for blocks in combinations(sets, t))
+
+
+# ---------------------------------------------------------------------------
+# networkx oracles for the Levi-graph invariants (the library's former
+# girth and vertex connectivity, run on `LeviGraph.graph`)
+# ---------------------------------------------------------------------------
+
+def nx_girth(L: LeviGraph) -> float:
+    """Girth of the Levi graph; acyclic graphs report infinity."""
+    if L.graph.number_of_edges() == 0:
+        return float("inf")
+    return nx.girth(L.graph)
+
+
+def nx_vertex_connectivity(L: LeviGraph) -> int:
+    G = L.graph
+    if G.number_of_nodes() == 0 or not nx.is_connected(G):
+        return 0
+    return nx.node_connectivity(G)
+
+
+def nx_local_connectivities(L: LeviGraph) -> dict:
+    """Internally disjoint path counts of every non-adjacent node pair,
+    keyed by node numbers (point p is p, block b is num_points + b)."""
+    G = L.graph
+    H = build_auxiliary_node_connectivity(G)
+    R = build_residual_network(H, "capacity")
+    names = L.black + L.white
+    return {(s, t): local_node_connectivity(G, names[s], names[t],
+                                            auxiliary=H, residual=R)
+            for s, t in combinations(range(len(names)), 2)
+            if not G.has_edge(names[s], names[t])}
 
 
 # ---------------------------------------------------------------------------

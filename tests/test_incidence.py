@@ -2,14 +2,18 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_force_biclique, pairwise_block_meets,
+from conftest import (brute_force_biclique, nx_girth,
+                      nx_local_connectivities, nx_vertex_connectivity,
+                      pairwise_block_meets,
                       scan_blocks_of_point, scan_points_of_block)
 from pointconic import incidence
 from pointconic.analysis import intersection_type_combinatorial
-from pointconic.constructions import crossed_ellipses
+from pointconic.constructions import (cell24, crossed_ellipses,
+                                      dipyramid_carnot, pmn, product,
+                                      qcube_48)
 from pointconic.incidence import (IncidenceError, catalog, catalog_names,
                                   cyclic_cascade, disjoint_union, dual,
                                   girth, has_biclique, incidence_switch,
@@ -48,6 +52,10 @@ class TestBasics:
         assert L.graph.number_of_edges() == 24
         degs = {d for _, d in L.graph.degree()}
         assert degs == {3, 4}
+        colours = dict(L.graph.nodes(data="color"))
+        assert colours == {**{v: "black" for v in L.black},
+                           **{v: "white" for v in L.white}}
+        assert all(colours[u] != colours[w] for u, w in L.graph.edges)
 
     def test_dual_involution(self):
         C = catalog("miquel")
@@ -72,6 +80,47 @@ def structures(draw):
     m = draw(st.integers(0, 10))
     cells = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
     flags = [(i // m, i % m) for i, on in enumerate(cells) if on]
+    return new_incidence_structure(n, m, flags)
+
+
+@st.composite
+def dense_structures(draw):
+    """Incidence matrices about three-quarters full: mostly connected Levi
+    graphs with connectivity above 1."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 10))
+    cells = draw(st.lists(st.integers(0, 3), min_size=n * m,
+                          max_size=n * m))
+    flags = [(i // m, i % m) for i, v in enumerate(cells) if v]
+    return new_incidence_structure(n, m, flags)
+
+
+@st.composite
+def sparse_structures(draw):
+    """Structures with few flags, so that the Levi graph often falls apart,
+    has cut vertices or isolated nodes, or is a forest."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 10))
+    flags = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, m - 1)),
+                          max_size=n + m + 2))
+    return new_incidence_structure(n, m, flags)
+
+
+@st.composite
+def forests(draw):
+    """Levi graphs without cycles: each new node hangs off one earlier
+    node of the other colour, or (one time in five) starts a new tree."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 10))
+    order = draw(st.permutations([("p", i) for i in range(n)]
+                                 + [("b", j) for j in range(m)]))
+    flags = []
+    for k, (side, i) in enumerate(order):
+        other = [j for (s, j) in order[:k] if s != side]
+        if other and draw(st.integers(0, 4)):
+            j = draw(st.sampled_from(other))
+            flags.append((i, j) if side == "p" else (j, i))
     return new_incidence_structure(n, m, flags)
 
 
@@ -111,6 +160,88 @@ class TestIndexedCore:
             assert G.conics_of_point(p) == scan_blocks_of_point(C, p)
 
 
+def _cut_vertex_structure():
+    """Two 4-cycles sharing point 0 in the Levi graph: point 0 is a cut
+    vertex."""
+    return new_incidence_structure(
+        3, 4, [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (2, 2), (0, 3),
+               (2, 3)])
+
+
+def _cut_through_min_degree_vertex():
+    """Two K_{4,4} joined by points 0 and 9, each on two blocks of either
+    side: point 0 has minimum degree 4 and lies in the only 2-cut, so only
+    the flows between its neighbours find connectivity 2."""
+    flags = [(p, b) for p in range(1, 5) for b in range(4)]
+    flags += [(p, b) for p in range(5, 9) for b in range(4, 8)]
+    flags += [(0, b) for b in (0, 1, 4, 5)] + [(9, b) for b in (2, 3, 6, 7)]
+    return new_incidence_structure(10, 8, flags)
+
+
+def _rerouting_structure():
+    """A 9-node Levi graph in which the second path between blocks 1 and 4
+    is found only if the search backs up through a node that the first
+    path already uses."""
+    return new_incidence_structure(
+        4, 5, [(0, 0), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2), (2, 1),
+               (2, 3), (3, 2), (3, 4)])
+
+
+def _square():
+    d = dipyramid_carnot(3, seed=0)
+    return product(d, d, genericize=True, seed=1).to_incidence_structure()
+
+
+class TestLeviInvariantsAgainstNetworkx:
+    @staticmethod
+    def _check(C):
+        L = levi_graph(C)
+        for got, want in ((girth(L), nx_girth(L)),
+                          (vertex_connectivity(L), nx_vertex_connectivity(L))):
+            assert got == want
+            assert type(got) is type(want)
+
+    @given(st.one_of(structures(), dense_structures(),
+                     sparse_structures(), forests()))
+    @example(new_incidence_structure(0, 0, []))             # empty
+    @example(new_incidence_structure(1, 0, []))             # one point
+    @example(new_incidence_structure(1, 1, [(0, 0)]))       # K2
+    @example(new_incidence_structure(1, 5, [(0, b) for b in range(5)]))
+    @example(new_incidence_structure(5, 1, [(p, 0) for p in range(5)]))
+    @example(new_incidence_structure(3, 2, [(0, 0), (1, 0), (1, 1),
+                                            (2, 1)]))      # path
+    @example(new_incidence_structure(2, 2, [(0, 0), (1, 1)]))  # two K2s
+    @example(new_incidence_structure(3, 1, [(0, 0), (1, 0)]))  # isolated
+    @example(_cut_vertex_structure())
+    @example(_cut_through_min_degree_vertex())
+    @settings(max_examples=300, deadline=None)
+    def test_random_structures(self, C):
+        self._check(C)
+
+    @given(st.one_of(structures(), dense_structures(), sparse_structures()),
+           st.integers(1, 3))
+    @example(_rerouting_structure(), 2)
+    @settings(max_examples=100, deadline=None)
+    def test_local_flows(self, C, cap):
+        L = levi_graph(C)
+        flows = incidence._DisjointPaths(L._adjacency)
+        n = len(L._adjacency)
+        for (s, t), want in nx_local_connectivities(L).items():
+            assert flows.count(s, t, n) == want
+            assert flows.count(s, t, cap) == min(cap, want)
+
+    @pytest.mark.parametrize("build", [
+        lambda: pmn(4, 4).to_incidence_structure(),
+        lambda: qcube_48().to_incidence_structure(),
+        lambda: cell24().to_incidence_structure(),
+        lambda: catalog("anti-miquel-large"),
+        _square,
+    ], ids=["pmn-4-4", "qcube_48", "cell24", "anti-miquel-large",
+            "dipyramid-square"])
+    def test_scenes(self, build):
+        self._check(build())
+
+
 class TestBicliques:
     def test_miquel(self):
         C = catalog("miquel")
@@ -144,12 +275,20 @@ class TestGraphInvariants:
         assert girth(levi_graph(catalog("miquel"))) == 4
         tree = new_incidence_structure(2, 1, [(0, 0), (1, 0)])
         assert girth(levi_graph(tree)) == math.inf
+        star = new_incidence_structure(1, 5, [(0, b) for b in range(5)])
+        assert girth(levi_graph(star)) == math.inf
+        assert girth(levi_graph(_cut_vertex_structure())) == 4
 
     def test_connectivity(self):
         assert vertex_connectivity(levi_graph(_cycle_structure(3))) == 2
         assert vertex_connectivity(levi_graph(catalog("fano"))) == 3
         disconnected = disjoint_union([catalog("fano"), catalog("fano")])
         assert vertex_connectivity(levi_graph(disconnected)) == 0
+        flag = new_incidence_structure(1, 1, [(0, 0)])
+        assert vertex_connectivity(levi_graph(flag)) == 1
+        assert vertex_connectivity(levi_graph(_cut_vertex_structure())) == 1
+        L = levi_graph(_cut_through_min_degree_vertex())
+        assert vertex_connectivity(L) == 2
 
     def test_property_report(self):
         rep = property_report(catalog("fano"))

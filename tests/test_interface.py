@@ -2,11 +2,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import pointconic
 from pointconic.cli import main
 from pointconic import io
 from pointconic.configuration import GeometricConfiguration
@@ -101,6 +106,10 @@ class TestValidation:
         with pytest.raises(GeometryError, match="tol must be positive"):
             GeometricConfiguration(G.points, G.conics, G.flags, tol=tol)
         assert issubclass(GeometryError, ValueError)
+
+    def test_flag_out_of_range_rejected(self):
+        with pytest.raises(GeometryError, match="out of range"):
+            GeometricConfiguration(np.zeros((1, 2)), (), [(0, 3)])
 
     def test_canonical_reals_survive(self):
         G = crossed_ellipses()
@@ -202,6 +211,36 @@ class TestCli:
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert main(["analyze", "-i", str(tmp_path / "absent.json")]) == 1
         capsys.readouterr()
+
+    def test_flag_out_of_range_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"kind": "geometric", "points": [[0, 0]],
+                                   "conics": [], "flags": [[0, 3]],
+                                   "tol": 1e-8}))
+        assert main(["analyze", "-i", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "out of range" in err
+
+    def test_props_loads_neither_networkx_nor_scipy(self, tmp_path):
+        doc = tmp_path / "pmn44.json"
+        write_configuration(pmn(4, 4), doc)
+        probe = (
+            "import sys\n"
+            "def heavy():\n"
+            "    return sorted({m.split('.')[0] for m in sys.modules}\n"
+            "                  & {'networkx', 'scipy'})\n"
+            "from pointconic import cli\n"
+            "assert not heavy(), heavy()\n"
+            f"assert cli.main(['props', '-i', {str(doc)!r}]) == 0\n"
+            "assert not heavy(), heavy()\n")
+        src = str(Path(pointconic.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-2:] == ["girth 4", "6-connected"]
 
     def test_cli_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
