@@ -99,37 +99,80 @@ def conic_from_normalized_coeffs(coeffs) -> Conic:
     """Rebuild a conic from coefficients of an already-normalized form.
 
     Skips renormalization so that serialized conics round-trip bit-exactly;
-    rejects coefficient vectors that are not unit-norm to 1e-9."""
+    rejects coefficient vectors that are not unit-norm to 1e-9 (and NaN)."""
     a, b, c, d, e, f = (float(v) for v in coeffs)
     M = np.array([[a, b / 2, d / 2],
                   [b / 2, c, e / 2],
                   [d / 2, e / 2, f]])
-    if abs(np.linalg.norm(M) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(M) - 1.0) <= 1e-9:
         raise GeometryError("conic coefficients are not normalized")
     M.setflags(write=False)
+    return _conic_of(M, classify_form(M))
+
+
+# Row-major 3x3 form entries as (coefficient index, scale): a, b/2, d/2, ...
+_FORM_FROM_COEFFS = np.array([0, 1, 3, 1, 2, 4, 3, 4, 5])
+_FORM_SCALE = np.array([1, .5, .5, .5, 1, .5, .5, .5, 1])
+
+
+def conics_from_normalized_coeffs(coeffs) -> tuple[Conic, ...]:
+    """`conic_from_normalized_coeffs` over a (B, 6) coefficient array.
+
+    One stacked pass: the unit-norm check and `classify_form`'s `det` and
+    `svd` run over the (B, 3, 3) stack. Forms and kinds are bit-identical
+    to the one-conic call; each conic's form is a read-only view of the
+    stack."""
+    C = np.asarray(coeffs, dtype=float).reshape(-1, 6)
+    M = (C[:, _FORM_FROM_COEFFS] * _FORM_SCALE).reshape(-1, 3, 3)
+    off = ~(np.abs(np.sqrt(np.einsum("bij,bij->b", M, M)) - 1.0) <= 1e-9)
+    if off.any():
+        raise GeometryError(f"conic {int(off.argmax())}: coefficients are "
+                            f"not normalized")
+    M.setflags(write=False)
+    return tuple(map(_conic_of, M, _classify_forms(M)))
+
+
+def _conic_of(M: np.ndarray, kind: str) -> Conic:
     conic = object.__new__(Conic)
     object.__setattr__(conic, "form", M)
-    object.__setattr__(conic, "kind", classify_form(M))
+    object.__setattr__(conic, "kind", kind)
     return conic
 
 
-def classify_form(M: np.ndarray) -> str:
-    det3 = np.linalg.det(M)
-    det2 = M[0, 0] * M[1, 1] - M[0, 1] ** 2
+def _kind(det3, det2, trace2, second_singular_value) -> str:
     if abs(det3) < DEG_EPS:
         # Degenerate: rank decides between line pairs and a double line.
-        s = np.linalg.svd(M, compute_uv=False)
-        if s[1] < 1e-9:
+        if second_singular_value() < 1e-9:
             return "double-line"
         if det2 > DEG_EPS:
             return "point"
         return "pair-of-lines"
     if det2 > DEG_EPS:
         # Real ellipse iff det3 and the 2x2 trace have opposite signs.
-        return "ellipse" if det3 * (M[0, 0] + M[1, 1]) < 0 else "empty"
+        return "ellipse" if det3 * trace2 < 0 else "empty"
     if det2 < -DEG_EPS:
         return "hyperbola"
     return "parabola"
+
+
+def classify_form(M: np.ndarray) -> str:
+    return _kind(np.linalg.det(M), M[0, 0] * M[1, 1] - M[0, 1] ** 2,
+                 M[0, 0] + M[1, 1],
+                 lambda: np.linalg.svd(M, compute_uv=False)[1])
+
+
+def _classify_forms(M: np.ndarray) -> list[str]:
+    """`classify_form` over a (B, 3, 3) stack, bit for bit. `det` and `svd`
+    are the same LAPACK call per matrix. The 2x2 minor is formed in Python
+    floats: a numpy scalar's ``** 2`` is libm ``pow``, which differs from
+    an array's square in the last bit."""
+    det3 = np.linalg.det(M).tolist()
+    m00, m01, m11 = (M[:, i, j].tolist() for i, j in ((0, 0), (0, 1), (1, 1)))
+    flat = [i for i, d in enumerate(det3) if abs(d) < DEG_EPS]
+    s1 = dict(zip(flat, np.linalg.svd(M[flat], compute_uv=False)[:, 1]
+                  .tolist()))
+    return [_kind(d3, a * c - b ** 2, a + c, lambda i=i: s1[i])
+            for i, (d3, a, b, c) in enumerate(zip(det3, m00, m01, m11))]
 
 
 def classify(conic: Conic) -> str:

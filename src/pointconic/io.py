@@ -5,18 +5,26 @@ IncidenceStructure, "geometric" files a GeometricConfiguration. The writer
 emits a canonical form (fixed field order, sorted flags, reals printed with
 17 significant digits) so identical values always produce identical bytes
 and doubles survive the round trip exactly.
+
+The reader validates every document against its published schema in
+`schemas/` with one structural pass that follows JSON Schema's rules
+(`bool` is no number, an integral float is an integer) and names the JSON
+path of the first violation. It also rejects non-finite reals, which the
+schemas allow. Validated integers come back as `int`, points and conics as
+one array each; the conics are built in one stacked pass.
 """
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .configuration import GeometricConfiguration
-from .geometry import GeometryError, conic_from_normalized_coeffs
+from .geometry import GeometryError, conics_from_normalized_coeffs
 from .incidence import IncidenceStructure, new_incidence_structure
 
 
@@ -29,6 +37,7 @@ def _load_schema(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
+# The reader takes each kind's required and allowed keys from here.
 _SCHEMAS = {kind: _load_schema(kind) for kind in ("combinatorial",
                                                   "geometric")}
 
@@ -103,31 +112,142 @@ def to_document(obj, name: str | None = None) -> dict:
     raise InterfaceError(f"cannot serialize a {type(obj).__name__}")
 
 
+# ---------------------------------------------------------------------------
+# Structural validation against the published schemas
+# ---------------------------------------------------------------------------
+
+def _violation(path: str, msg: str) -> InterfaceError:
+    return InterfaceError(f"schema violation at {path}: {msg}")
+
+
+def _is_number(v) -> bool:
+    return type(v) is float or type(v) is int or (
+        isinstance(v, numbers.Real) and not isinstance(v, bool))
+
+
+def _index(v):
+    """`v` as an int if it is a JSON Schema integer >= 0, else None. A bool
+    is no integer; an integral float such as 1.0 is one."""
+    if isinstance(v, bool):
+        return None
+    if isinstance(v, int) or (isinstance(v, float) and v.is_integer()):
+        return int(v) if v >= 0 else None
+    return None
+
+
+def _is_finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:       # an int beyond the range of a double
+        return False
+
+
+def _bad_row(row, path: str, width: int, ok, what: str) -> InterfaceError:
+    if not isinstance(row, list):
+        return _violation(path, f"{row!r} is not an array")
+    if len(row) != width:
+        return _violation(path, f"has {len(row)} items, expected {width}")
+    j = next(j for j, v in enumerate(row) if not ok(v))
+    return _violation(f"{path}[{j}]", f"{row[j]!r} is not {what}")
+
+
+def _array(doc: dict, key: str) -> list:
+    rows = doc[key]
+    if not isinstance(rows, list):
+        raise _violation(f"$.{key}", f"{rows!r} is not an array")
+    return rows
+
+
+def _reals(doc: dict, key: str, width: int) -> np.ndarray:
+    """The rows of `doc[key]`, each `width` numbers, as one finite array."""
+    rows = _array(doc, key)
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == width
+                and all(map(_is_number, row))):
+            raise _bad_row(row, f"$.{key}[{i}]", width, _is_number,
+                           "a number")
+    try:
+        arr = np.asarray(rows, dtype=float).reshape(-1, width)
+        finite = bool(np.isfinite(arr).all())
+    except OverflowError:
+        finite = False
+    if not finite:
+        i, j = next((i, j) for i, row in enumerate(rows)
+                    for j, v in enumerate(row) if not _is_finite(v))
+        raise InterfaceError(f"non-finite real at $.{key}[{i}][{j}]")
+    return arr
+
+
+def _flags(doc: dict) -> list:
+    flags = []
+    for i, row in enumerate(_array(doc, "flags")):
+        if isinstance(row, list) and len(row) == 2:
+            p, b = row
+            if type(p) is not int or type(b) is not int or p < 0 or b < 0:
+                p, b = _index(p), _index(b)
+            if p is not None and b is not None:
+                flags.append((p, b))
+                continue
+        raise _bad_row(row, f"$.flags[{i}]", 2,
+                       lambda v: _index(v) is not None,
+                       "an integer >= 0")
+    return flags
+
+
+def _count(doc: dict, key: str) -> int:
+    n = _index(doc[key])
+    if n is None:
+        raise _violation(f"$.{key}", f"{doc[key]!r} is not an integer >= 0")
+    return n
+
+
+def _check_keys(doc: dict, schema: dict) -> None:
+    for key in schema["required"]:
+        if key not in doc:
+            raise _violation("$", f"{key!r} is a required property")
+    for key in doc:
+        if key not in schema["properties"]:
+            raise _violation("$", f"additional property {key!r} is not "
+                                  f"allowed")
+
+
 def from_document(doc: dict):
+    """The configuration a document describes; the document is only read.
+
+    Raises `InterfaceError` at the first schema violation or non-finite
+    real."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InterfaceError('document has no "kind" discriminator')
     kind = doc["kind"]
-    schema = _SCHEMAS.get(kind)
+    schema = _SCHEMAS.get(kind) if isinstance(kind, str) else None
     if schema is None:
         raise InterfaceError(f"unknown document kind {kind!r}")
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        raise InterfaceError(
-            f"schema violation at {exc.json_path}: {exc.message}") from exc
+    _check_keys(doc, schema)
     if kind == "combinatorial":
-        return new_incidence_structure(
-            doc["points"], doc["blocks"],
-            [tuple(f) for f in doc["flags"]])
+        points, blocks = _count(doc, "points"), _count(doc, "blocks")
+        flags = _flags(doc)
+        if not isinstance(doc.get("name", ""), str):
+            raise _violation("$.name", f"{doc['name']!r} is not a string")
+        return new_incidence_structure(points, blocks, flags)
+    points = _reals(doc, "points", 2)
+    coeffs = _reals(doc, "conics", 6)
+    flags = _flags(doc)
+    tol = doc["tol"]
+    if not _is_number(tol):
+        raise _violation("$.tol", f"{tol!r} is not a number")
+    if not _is_finite(tol):
+        raise InterfaceError("non-finite real at $.tol")
+    if not tol > 0:
+        raise _violation("$.tol", f"{tol!r} is not > 0")
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise _violation("$.provenance", f"{provenance!r} is not an object")
     try:
-        conics = tuple(conic_from_normalized_coeffs(c)
-                       for c in doc["conics"])
+        conics = conics_from_normalized_coeffs(coeffs)
     except GeometryError as exc:
         raise InterfaceError(str(exc)) from exc
-    points = np.array(doc["points"], float).reshape(-1, 2)
-    return GeometricConfiguration(
-        points, conics, frozenset(tuple(f) for f in doc["flags"]),
-        tol=doc["tol"], provenance=doc.get("provenance", {}))
+    return GeometricConfiguration(points, conics, flags, tol=float(tol),
+                                  provenance=provenance)
 
 
 def write_configuration(obj, path, name: str | None = None) -> None:

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (carnot_six_from_conic, random_ellipse, random_triangle,
                       scalar_conic_conic_intersections, sweep_intersections)
-from pointconic.constructions import (crossed_ellipses, dipyramid_carnot,
-                                      ellipse_conic, pmn, polygon_ring,
-                                      qcube_48, richter_gebert)
+from pointconic.constructions import (cell24, crossed_ellipses,
+                                      dipyramid_carnot, ellipse_conic, pmn,
+                                      polygon_ring, product, qcube_48,
+                                      richter_gebert)
 from pointconic.geometry import (AffineMap2, Conic, GeometryError,
                                  Projection4to2, apply_affine,
                                  apply_affine_point, carnot_product,
@@ -16,6 +19,7 @@ from pointconic.geometry import (AffineMap2, Conic, GeometryError,
                                  classify, conic_conic_intersections,
                                  conic_from_5_points,
                                  conic_from_normalized_coeffs,
+                                 conics_from_normalized_coeffs,
                                  dilation_to_circle, ellipse_parameters,
                                  line_conic_intersections,
                                  pencil_intersections, point_on_conic,
@@ -56,6 +60,76 @@ class TestConicBasics:
         assert np.array_equal(c.form, c2.form)
         with pytest.raises(GeometryError):
             conic_from_normalized_coeffs((5, 0, 5, 0, 0, -5))
+
+
+def _assert_stacked_matches_one_conic(coeffs):
+    stacked = conics_from_normalized_coeffs(coeffs)
+    assert len(stacked) == len(coeffs)
+    for c, s in zip(coeffs, stacked):
+        one = conic_from_normalized_coeffs(c)
+        assert s.form.tobytes() == one.form.tobytes()
+        assert s.kind == one.kind
+        assert not s.form.flags.writeable
+    return stacked
+
+
+def _symmetric(entries):
+    a, b, c, d, e, f = entries
+    return np.array([[a, b, d], [b, c, e], [d, e, f]], float)
+
+
+# Symmetric forms with exact degeneracies: a general form, line pairs
+# l m^T + m l^T, double lines l l^T, and parabolas (a, h, b) = (t^2, ts, s^2)
+# in the quadratic part, drawn from small integers as well as floats.
+_entry = st.one_of(st.integers(-3, 3),
+                   st.floats(-3, 3, allow_nan=False, allow_infinity=False))
+_vec = st.lists(_entry, min_size=3, max_size=3).map(np.array)
+_forms = st.one_of(
+    st.lists(_entry, min_size=6, max_size=6).map(_symmetric),
+    st.tuples(_vec, _vec).map(lambda lm: np.outer(*lm) + np.outer(*lm).T),
+    _vec.map(lambda v: np.outer(v, v)),
+    st.tuples(_entry, _entry, _entry, _entry, _entry).map(
+        lambda t: _symmetric((t[0] ** 2, t[0] * t[1], t[1] ** 2,
+                              t[2], t[3], t[4]))),
+).filter(lambda M: np.abs(M).max() > 1e-6)
+
+
+class TestStackedConics:
+    """The stacked reader pass against the one-conic call, its oracle."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: pmn(4, 4), qcube_48, cell24, crossed_ellipses,
+        lambda: product(crossed_ellipses(), crossed_ellipses(),
+                        genericize=True, seed=1)],
+        ids=["pmn44", "qcube_48", "cell24", "crossed_ellipses", "product"])
+    def test_builder_documents(self, build):
+        G = build()
+        stacked = _assert_stacked_matches_one_conic(
+            [c.coeffs() for c in G.conics])
+        assert stacked == G.conics
+
+    # Tiny entries make LAPACK's LU of a singular form divide by zero in
+    # both calls alike.
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @given(st.lists(_forms, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    @example([np.diag([1.0, 0, 0]), np.diag([1.0, -1, 0]),
+              np.diag([1.0, 1, 0]), np.diag([1.0, 1, 1]),
+              _symmetric((1, 0, 0, 0, -0.5, 0))])
+    def test_drawn_forms(self, forms):
+        _assert_stacked_matches_one_conic([Conic(M).coeffs() for M in forms])
+
+    def test_empty_stack(self):
+        assert conics_from_normalized_coeffs(np.zeros((0, 6))) == ()
+
+    @pytest.mark.parametrize("bad", [(5, 0, 5, 0, 0, -5),
+                                     (math.nan, 0, 1, 0, 0, 0)])
+    def test_unnormalized_or_nan_rejected(self, bad):
+        good = UNIT_CIRCLE.coeffs()
+        with pytest.raises(GeometryError, match="not normalized"):
+            conic_from_normalized_coeffs(bad)
+        with pytest.raises(GeometryError, match="conic 1: .*not normalized"):
+            conics_from_normalized_coeffs([good, bad])
 
 
 class TestFitting:

@@ -1,4 +1,5 @@
 """Unit tests for JSON I/O, SVG rendering and the CLI."""
+import copy
 import hashlib
 import json
 import math
@@ -10,6 +11,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pointconic
 from pointconic.cli import main
@@ -18,7 +21,7 @@ from pointconic.configuration import GeometricConfiguration
 from pointconic.constructions import (crossed_ellipses, pmn, polygon_ring,
                                       product, realize_lineal_by_circles)
 from pointconic.geometry import GeometryError
-from pointconic.incidence import catalog
+from pointconic.incidence import IncidenceError, catalog
 from pointconic.io import (InterfaceError, dumps_canonical, from_document,
                            read_configuration, to_document,
                            write_configuration)
@@ -115,6 +118,210 @@ class TestValidation:
         G = crossed_ellipses()
         doc = json.loads(dumps_canonical(to_document(G)))
         assert doc["points"] == [[float(x), float(y)] for x, y in G.points]
+
+
+def _with_integral_float_indices(doc: dict) -> dict:
+    doc = copy.deepcopy(doc)
+    doc["flags"] = [[float(p), float(b)] for p, b in doc["flags"]]
+    if doc["kind"] == "combinatorial":
+        doc["points"], doc["blocks"] = (float(doc["points"]),
+                                        float(doc["blocks"]))
+    return doc
+
+
+class TestIntegralFloatsAndNonFinite:
+    def test_integral_float_indices_read_as_int(self):
+        for obj in (pmn(4, 4), catalog("fano")):
+            doc = to_document(obj)
+            floats = _with_integral_float_indices(doc)
+            back, twin = from_document(floats), from_document(doc)
+            assert back.flags == twin.flags
+            assert all(type(i) is int for f in back.flags for i in f)
+            assert dumps_canonical(to_document(back)) == \
+                dumps_canonical(to_document(twin))
+        C = from_document(_with_integral_float_indices(
+            to_document(catalog("fano"))))
+        assert type(C.num_points) is int and type(C.num_blocks) is int
+
+    def test_integral_float_indices_cli(self, tmp_path, capsys):
+        g, c = tmp_path / "g.json", tmp_path / "c.json"
+        g.write_text(json.dumps(_with_integral_float_indices(
+            to_document(pmn(4, 4)))))
+        c.write_text(json.dumps(_with_integral_float_indices(
+            to_document(catalog("anti-miquel-small")))))
+        assert main(["analyze", "-i", str(g)]) == 0
+        assert "audit passed" in capsys.readouterr().out
+        assert main(["props", "-i", str(c)]) == 0
+        assert "2-connected" in capsys.readouterr().out
+
+    NON_FINITE = {
+        "point": ("points", 0, 0, math.inf),
+        "point-neg": ("points", 1, 1, -math.inf),
+        "point-nan": ("points", 0, 1, math.nan),
+        "conic-nan": ("conics", 0, 0, math.nan),
+        "conic-inf": ("conics", 1, 5, math.inf),
+        "point-huge-int": ("points", 0, 0, 10 ** 400),
+    }
+
+    @staticmethod
+    def _doc_with(where, i, j, value):
+        doc = to_document(crossed_ellipses())
+        doc[where][i][j] = value
+        return doc
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_rejected(self, case):
+        where, i, j, value = self.NON_FINITE[case]
+        with pytest.raises(InterfaceError,
+                           match=rf"non-finite .*\$\.{where}\[{i}\]\[{j}\]"):
+            from_document(self._doc_with(where, i, j, value))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 10 ** 400])
+    def test_non_finite_tol_rejected(self, tol):
+        doc = to_document(crossed_ellipses())
+        doc["tol"] = tol
+        with pytest.raises(InterfaceError, match="non-finite"):
+            from_document(doc)
+
+    @pytest.mark.parametrize("case", ["point", "point-nan", "conic-nan",
+                                      "conic-inf"])
+    def test_non_finite_cli_exit_1(self, case, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(self._doc_with(*self.NON_FINITE[case])))
+        for verb in (["analyze", "-i", str(bad)],
+                     ["render", "-i", str(bad), "-o", str(tmp_path / "x.svg")]):
+            assert main(verb) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "non-finite" in err
+
+
+# A differential test of the reader against the published schemas. Valid
+# documents are mutated at random; on documents whose reals are finite the
+# reader must report a schema violation exactly when Draft 2020-12 finds
+# the document invalid, and must leave the document as it was.
+_VALIDATORS = {kind: jsonschema.Draft202012Validator(schema)
+               for kind, schema in io._SCHEMAS.items()}
+_BASES = [to_document(catalog("fano"), name="fano"),
+          to_document(catalog("pappus")),
+          to_document(crossed_ellipses()),
+          {k: v for k, v in to_document(polygon_ring(3)).items()
+           if k != "provenance"}]
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9),
+    st.sampled_from([0.0, 1.0, 2.0, -1.0, -0.0, 0.5, 1e-9, 1e300]),
+    st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+    st.text(max_size=2),
+    st.lists(st.one_of(st.integers(-1, 3), st.floats(-2, 2)), max_size=7),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+# Cell values near the boundary: indices that are valid, integral floats,
+# negatives and bools.
+_cells = st.one_of(_junk, st.integers(0, 3),
+                   st.sampled_from([0.0, 1.0, 2.0, -0.0, -1, True, False]))
+_KEYS = ["kind", "points", "blocks", "conics", "flags", "tol", "provenance",
+         "name", "extra"]
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["drop", "set", "row", "cell", "cell",
+                                    "cell", "resize"]))
+        if how == "drop":
+            doc.pop(draw(st.sampled_from(_KEYS[1:])), None)
+        elif how == "set":
+            doc[draw(st.sampled_from(_KEYS[1:]))] = draw(_cells)
+        else:
+            rows = [k for k in ("points", "conics", "flags")
+                    if isinstance(doc.get(k), list) and doc[k]]
+            if not rows:
+                continue
+            arr = doc[draw(st.sampled_from(rows))]
+            i = draw(st.integers(0, len(arr) - 1))
+            if how == "row":
+                arr[i] = draw(_junk)
+            elif not isinstance(arr[i], list):
+                continue
+            elif how == "resize":
+                n = draw(st.integers(0, len(arr[i]) + 2))
+                arr[i] = (arr[i] + [draw(_junk), draw(_junk)])[:n]
+            elif arr[i]:
+                arr[i][draw(st.integers(0, len(arr[i]) - 1))] = draw(_cells)
+    return doc
+
+
+def _reader_verdict(doc):
+    """True if the reader reports a schema violation; semantic rejections
+    (unnormalized conics, indices out of range) are schema-valid."""
+    try:
+        from_document(doc)
+    except InterfaceError as exc:
+        return str(exc).startswith("schema violation")
+    except (GeometryError, IncidenceError):
+        pass
+    return False
+
+
+_DROP = object()
+# (base document, path, new value or _DROP, valid under the schema)
+_LISTED_MUTATIONS = {
+    "negative flag": (2, ("flags", 0, 0), -1, False),
+    "bool flag": (0, ("flags", 1, 1), True, False),
+    "integral-float flag": (2, ("flags", 0, 1), 1.0, True),
+    "fractional flag": (2, ("flags", 0, 1), 0.5, False),
+    "short flag": (0, ("flags", 0), [0], False),
+    "long flag": (0, ("flags", 0), [0, 0, 0], False),
+    "short point": (2, ("points", 0), [0.5], False),
+    "long point": (2, ("points", 0), [0.5, 0.5, 0.5], False),
+    "tuple point": (2, ("points", 0), (0.5, 0.5), False),
+    "short conic": (2, ("conics", 0), [1, 0, 0, 0, 0], False),
+    "long conic": (2, ("conics", 0), [1, 0, 0, 0, 0, 0, 0], False),
+    "bool coordinate": (2, ("points", 1, 0), False, False),
+    "string coefficient": (2, ("conics", 1, 2), "0", False),
+    "integral-float count": (0, ("points",), 7.0, True),
+    "negative count": (1, ("blocks",), -1, False),
+    "bool count": (1, ("points",), True, False),
+    "zero tol": (2, ("tol",), 0, False),
+    "negative tol": (2, ("tol",), -1e-9, False),
+    "int tol": (2, ("tol",), 1, True),
+    "list provenance": (2, ("provenance",), [], False),
+    "no provenance": (2, ("provenance",), _DROP, True),
+    "name on geometric": (2, ("name",), "x", False),
+    "int name": (0, ("name",), 3, False),
+    "extra key": (1, ("extra",), 0, False),
+    "missing tol": (2, ("tol",), _DROP, False),
+    "flags not an array": (1, ("flags",), {}, False),
+}
+
+
+class TestReaderMatchesSchema:
+    @pytest.mark.parametrize("case", sorted(_LISTED_MUTATIONS))
+    def test_listed_mutations(self, case):
+        base, path, value, valid = _LISTED_MUTATIONS[case]
+        doc = copy.deepcopy(_BASES[base])
+        *parent, last = path
+        target = doc
+        for key in parent:
+            target = target[key]
+        if value is _DROP:
+            del target[last]
+        else:
+            target[last] = value
+        assert _VALIDATORS[doc["kind"]].is_valid(doc) == valid
+        assert _reader_verdict(doc) == (not valid)
+
+    def test_bases_are_valid(self):
+        for doc in _BASES:
+            assert _VALIDATORS[doc["kind"]].is_valid(doc)
+            assert not _reader_verdict(doc)
+
+    @given(mutated_documents())
+    @settings(max_examples=600, deadline=None)
+    def test_rejects_exactly_what_the_schema_rejects(self, doc):
+        before = copy.deepcopy(doc)
+        assert _reader_verdict(doc) == \
+            (not _VALIDATORS[doc["kind"]].is_valid(doc))
+        assert doc == before
 
 
 class TestSvg:
@@ -241,6 +448,27 @@ class TestCli:
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-2:] == ["girth 4", "6-connected"]
+
+    def test_reading_does_not_load_jsonschema(self, tmp_path):
+        doc = tmp_path / "pmn44.json"
+        write_configuration(pmn(4, 4), doc)
+        probe = (
+            "import sys\n"
+            "from pointconic import cli\n"
+            "assert 'jsonschema' not in sys.modules\n"
+            f"assert cli.main(['analyze', '-i', {str(doc)!r}]) == 0\n"
+            f"assert cli.main(['render', '-i', {str(doc)!r}, '-o', "
+            f"{str(tmp_path / 'pmn44.svg')!r}]) == 0\n"
+            "assert 'jsonschema' not in sys.modules\n")
+        src = str(Path(pointconic.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert "audit passed" in run.stdout
+        assert (tmp_path / "pmn44.svg").read_text().count("<ellipse") == 32
 
     def test_cli_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
