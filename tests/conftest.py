@@ -10,6 +10,7 @@ from networkx.algorithms.connectivity import (
     build_auxiliary_node_connectivity, local_node_connectivity)
 from networkx.algorithms.flow import build_residual_network
 
+from pointconic.analysis import SPURIOUS_REL
 from pointconic.constructions import ellipse_conic
 from pointconic.geometry import (TOL_MERGE, Conic, GeometryError, cross2,
                                  ellipse_parameters)
@@ -324,3 +325,52 @@ def scalar_conic_conic_intersections(A: Conic, B: Conic,
         points.append(p)
     points.sort(key=lambda p: (round(p[0], 9), round(p[1], 9)))
     return points[:4]
+
+
+# ---------------------------------------------------------------------------
+# Spurious-scan oracles for analysis.audit
+# ---------------------------------------------------------------------------
+
+def dense_sampson_scan(G) -> tuple[set, set]:
+    """(spurious, borderline) unflagged pairs by Sampson distance relative
+    to the point-set diameter, conic by conic over every point, with no
+    prefilter: spurious within SPURIOUS_REL, borderline within 10 times it.
+
+    Normalizes the scene as the audit does: centroid at the origin and the
+    bounding-box diagonal D scaled to 1, each form carried through the same
+    map and rescaled to unit norm.
+    """
+    spurious, borderline = set(), set()
+    if G.num_points == 0 or G.num_conics == 0:
+        return spurious, borderline
+    P = G.points
+    c = P.mean(axis=0)
+    D = math.hypot(*(P.max(axis=0) - P.min(axis=0))) or 1.0
+    T = np.array([[D, 0.0, c[0]], [0.0, D, c[1]], [0.0, 0.0, 1.0]])
+    H = np.column_stack([(P - c) / D, np.ones(len(P))])
+    for b, conic in enumerate(G.conics):
+        M = T.T @ conic.form @ T
+        M = M / np.linalg.norm(M)
+        f = np.einsum("ni,ij,nj->n", H, M, H)
+        grad = 2 * np.linalg.norm(H @ M[:, :2], axis=1)
+        dist = np.abs(f) / np.maximum(grad, np.finfo(float).tiny)
+        for p in np.flatnonzero(dist <= 10 * SPURIOUS_REL).tolist():
+            if (p, b) not in G.flags:
+                (spurious if dist[p] <= SPURIOUS_REL
+                 else borderline).add((p, b))
+    return spurious, borderline
+
+
+def residual_matrix_spurious(G) -> set:
+    """The audit's former spurious scan: unflagged pairs whose algebraic
+    residual |h^T A h|, of the unit-norm form at the unit-norm homogenized
+    point, is at most 0.1 * tol. Its verdict depends on the scene's
+    position and size, so it is an oracle on unit-scale scenes only."""
+    H = np.column_stack([G.points, np.ones(G.num_points)])
+    H /= np.linalg.norm(H, axis=1, keepdims=True)
+    spurious = set()
+    for b, conic in enumerate(G.conics):
+        R = np.abs(np.einsum("ni,ij,nj->n", H, conic.form, H))
+        spurious.update((p, b) for p in np.flatnonzero(R <= 0.1 * G.tol)
+                        .tolist() if (p, b) not in G.flags)
+    return spurious

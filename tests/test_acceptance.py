@@ -203,6 +203,8 @@ def test_criterion_08():
     assert (sig.p, sig.q, sig.n, sig.k) == (5832, 6, 5832, 6)
     rep = audit(cube, spurious_scan=False, flag_sample=500)
     assert rep.passed
+    rep = audit(cube)
+    assert rep.passed and not rep.spurious_incidences
     assert time.perf_counter() - t0 < 30.0
 
 

@@ -1,16 +1,28 @@
 """Unit tests for audits, intersection types and isometry."""
+import math
 import warnings
+from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pointconic.analysis import (audit, geometric_meets, intersection_type,
+from conftest import (dense_sampson_scan, random_ellipse,
+                      residual_matrix_spurious)
+from pointconic import analysis
+from pointconic.analysis import (SPURIOUS_REL, audit, geometric_meets,
+                                 intersection_type,
                                  intersection_type_combinatorial,
                                  isometry_check, strongly_isometric_to_circles)
 from pointconic.configuration import GeometricConfiguration
-from pointconic.constructions import (cell24, crossed_ellipses, ellipse_conic,
-                                      pmn, polygon_ring, qcube_48,
-                                      translate_conic)
+from pointconic.constructions import (cell24, crossed_ellipses,
+                                      dipyramid_carnot, ellipse_conic, pmn,
+                                      polygon_ring, product, qcube_48,
+                                      realize_by_conics,
+                                      realize_lineal_by_circles,
+                                      richter_gebert, translate_conic)
 from pointconic.geometry import (AffineMap2, Conic, GeometryError,
                                  apply_affine, apply_affine_point,
                                  ellipse_parameters)
@@ -31,6 +43,51 @@ def _translate_family(num=5, seed=0):
                     for i in range(num)])
     flags = frozenset((i, i) for i in range(num))
     return GeometricConfiguration(pts, conics, flags, tol=1e-8)
+
+
+def _mapped(G, M: AffineMap2) -> GeometricConfiguration:
+    """G with its points and conics carried through the affine map M."""
+    return GeometricConfiguration(
+        np.array([apply_affine_point(M, p) for p in G.points]),
+        tuple(apply_affine(M, c) for c in G.conics), G.flags, G.tol)
+
+
+def _similarity(scale: float, angle: float, shift) -> AffineMap2:
+    """x -> scale * (R(angle) x + shift)."""
+    R = np.array([[math.cos(angle), -math.sin(angle)],
+                  [math.sin(angle), math.cos(angle)]])
+    return AffineMap2(scale * R, scale * np.asarray(shift, float))
+
+
+def _minkowski_square():
+    d = dipyramid_carnot(3, seed=0)
+    return product(d, d, genericize=True, seed=1)
+
+
+# One scene per builder and realizer, all at unit scale.
+BUILDERS = {
+    "crossed_ellipses": crossed_ellipses,
+    "polygon_ring": lambda: polygon_ring(5),
+    "qcube_48": qcube_48,
+    "richter_gebert": lambda: richter_gebert(seed=1),
+    "dipyramid_carnot": lambda: dipyramid_carnot(4, seed=3),
+    "pmn": lambda: pmn(4, 6),
+    "cell24": cell24,
+    "product": _minkowski_square,
+    "realize_lineal_by_circles":
+        lambda: realize_lineal_by_circles(catalog("pappus"), seed=0),
+    "realize_by_conics": lambda: realize_by_conics(catalog("miquel"), seed=0),
+}
+
+
+@cache
+def _scene(name: str) -> GeometricConfiguration:
+    return BUILDERS[name]()
+
+
+def _verdict(rep):
+    return (rep.passed, rep.spurious_incidences, rep.missing_incidences,
+            rep.duplicate_points, rep.coincident_conics)
 
 
 class TestAudit:
@@ -75,6 +132,167 @@ class TestAudit:
         rep = audit(G, flag_sample=10)
         assert rep.passed
 
+    def test_empty_scenes_scan_nothing(self):
+        conics = (ellipse_conic((0, 0), 1, 0.5, 0.2),
+                  ellipse_conic((1, 0), 1, 0.5, 0.2))
+        points = np.array([[0.0, 0.0], [1.0, 0.0]])
+        for pts, cs in ((np.zeros((0, 2)), conics), (points, ()),
+                        (np.zeros((0, 2)), ())):
+            rep = audit(GeometricConfiguration(pts, cs, frozenset(), 1e-8))
+            assert rep.spurious_incidences == ()
+            assert rep.borderline_incidences == ()
+            assert rep.passed
+
+
+class TestSpuriousScan:
+    """The chunked GEMM scan against the dense per-conic Sampson scan."""
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_builders_match_oracles(self, name):
+        G = _scene(name)
+        rep = audit(G)
+        spurious, borderline = dense_sampson_scan(G)
+        assert set(rep.spurious_incidences) == spurious
+        assert set(rep.borderline_incidences) == borderline
+        # At unit scale the former absolute-residual scan agrees: no
+        # unflagged point lies on a conic.
+        assert not spurious and not residual_matrix_spurious(G)
+
+    def test_minkowski_cube_matches_oracle(self):
+        d = dipyramid_carnot(3, seed=0)
+        cube = product(_minkowski_square(), d, genericize=True, seed=2)
+        rep = audit(cube)
+        spurious, borderline = dense_sampson_scan(cube)
+        assert set(rep.spurious_incidences) == spurious == set()
+        assert set(rep.borderline_incidences) == borderline
+        assert rep.passed
+
+    # Relative distances that straddle SPURIOUS_REL and 10 * SPURIOUS_REL,
+    # with the verdict each must get.
+    PLANTED = {0.9 * SPURIOUS_REL: "spurious",
+               1.1 * SPURIOUS_REL: "borderline",
+               5 * SPURIOUS_REL: "borderline",
+               9 * SPURIOUS_REL: "borderline",
+               11 * SPURIOUS_REL: None, 20 * SPURIOUS_REL: None}
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           num_conics=st.integers(1, 6),
+           per_conic=st.integers(1, 6),
+           planted=st.lists(st.tuples(st.integers(0, 5),
+                                      st.sampled_from(sorted(PLANTED)),
+                                      st.sampled_from([-1.0, 1.0])),
+                            max_size=8),
+           log_scale=st.floats(-3, 3),
+           shift=st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+           chunk=st.sampled_from([1, 5, 17, 64, 1 << 20]))
+    @settings(max_examples=150, deadline=None)
+    def test_planted_points_match_oracle(self, seed, num_conics, per_conic,
+                                         planted, log_scale, shift, chunk):
+        # Random ellipses alternate with random symmetric forms (mostly
+        # hyperbolas); points on them are cut by random lines through the
+        # unit box. Then the scene is scaled
+        # and shifted (not rotated, which would change the bounding box),
+        # and the planted points are moved off their conic along its normal
+        # by the listed multiples of the scene's diameter.
+        rng = np.random.default_rng(seed)
+        conics = [Conic(rng.normal(size=(3, 3))) if k % 2 else
+                  random_ellipse(rng) for k in range(num_conics)]
+
+        def on_conic(b):
+            A = conics[b].form
+            for _ in range(100):
+                h0 = np.append(rng.uniform(-1, 1, 2), 1.0)
+                u = np.append(rng.normal(size=2), 0.0)
+                a, bh, c = u @ A @ u, u @ A @ h0, h0 @ A @ h0
+                if a * c < bh * bh and abs(a) > 1e-3:
+                    t = (-bh + rng.choice([-1, 1]) * math.sqrt(bh * bh - a * c)
+                         ) / a
+                    if np.linalg.norm(h0 + t * u) <= 2:
+                        return (h0 + t * u)[:2]
+            return None
+
+        flagged = [(p, b) for b in range(num_conics) for _ in range(per_conic)
+                   if (p := on_conic(b)) is not None]
+        planted = [(b, rel, sign, p) for j, rel, sign in planted
+                   if (p := on_conic(b := j % num_conics)) is not None]
+        M = _similarity(10.0 ** log_scale, 0.0, shift)
+        conics = [apply_affine(M, c) for c in conics]
+        pts = np.array([apply_affine_point(M, p) for p, _ in flagged]
+                       + [apply_affine_point(M, p) for *_, p in planted]
+                       ).reshape(-1, 2)
+        D = math.hypot(*np.ptp(pts, axis=0)) if len(pts) else 0.0
+        for k, (b, rel, sign, _) in enumerate(planted):
+            grad = conics[b].form[:2] @ np.append(pts[len(flagged) + k], 1.0)
+            pts[len(flagged) + k] += sign * rel * D * grad / np.linalg.norm(
+                grad)
+        flags = frozenset((k, b) for k, (_, b) in enumerate(flagged))
+        G = GeometricConfiguration(pts, tuple(conics), flags)
+        with mock.patch.object(analysis, "_SCAN_ELEMENTS", chunk):
+            rep = audit(G)
+        spurious, borderline = dense_sampson_scan(G)
+        assert set(rep.spurious_incidences) == spurious
+        assert set(rep.borderline_incidences) == borderline
+        for k, (b, rel, *_) in enumerate(planted):
+            pair = (len(flagged) + k, b)
+            verdict = self.PLANTED[rel]
+            assert (pair in spurious) == (verdict == "spurious")
+            assert (pair in borderline) == (verdict == "borderline")
+
+
+    @pytest.mark.parametrize("rel", sorted(PLANTED))
+    def test_prefilter_keeps_the_steepest_pairs(self, rel):
+        # In the normalized frame, where |q| <= 1, the line pair made of the
+        # line through q and the centroid and the line x X + y Y + 1 = 0
+        # meets q at slope |grad f| = sqrt(2) |(q, 1)|, the steepest any
+        # unit form can be there. A cluster of points far from q puts the
+        # centroid near a corner, so |q| ~ 0.98 and |grad f| ~ 1.98.
+        rng = np.random.default_rng(8)
+        pts = np.vstack([rng.uniform(0, 0.01, size=(49, 2)), [1.0, 1.0]])
+        pts += (5.0, -3.0)
+        c = pts.mean(axis=0)
+        D = math.hypot(*np.ptp(pts, axis=0))
+        q = (pts[-1] - c) / D
+        u, v = np.array([-q[1], q[0], 0.0]), np.append(q, 1.0)
+        Tinv = np.linalg.inv(np.array([[D, 0, c[0]], [0, D, c[1]],
+                                       [0, 0, 1.0]]))
+        lines = Conic(Tinv.T @ (np.outer(u, v) + np.outer(v, u)) @ Tinv)
+        grad = lines.form[:2] @ np.append(pts[-1], 1.0)
+        pts[-1] += rel * D * grad / np.linalg.norm(grad)
+        G = GeometricConfiguration(pts, (lines,), frozenset())
+        rep = audit(G)
+        spurious, borderline = dense_sampson_scan(G)
+        assert set(rep.spurious_incidences) == spurious
+        assert set(rep.borderline_incidences) == borderline
+        verdict = self.PLANTED[rel]
+        assert ((49, 0) in spurious) == (verdict == "spurious")
+        assert ((49, 0) in borderline) == (verdict == "borderline")
+
+
+class TestScaleInvariance:
+    """An audit's verdict does not depend on the scene's position or size."""
+
+    @given(name=st.sampled_from(sorted(BUILDERS)),
+           log_scale=st.floats(-3, 3),
+           angle=st.floats(0, 2 * math.pi),
+           shift=st.tuples(st.floats(-10, 10), st.floats(-10, 10)))
+    @settings(max_examples=80, deadline=None)
+    def test_verdict_invariant_under_similarity(self, name, log_scale, angle,
+                                                shift):
+        # The shift is drawn in units of the scale: a scene carried far from
+        # the origin relative to its size loses digits no audit can restore.
+        G = _scene(name)
+        M = _similarity(10.0 ** log_scale, angle, shift)
+        assert _verdict(audit(_mapped(G, M))) == _verdict(audit(G))
+
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
+    def test_rotated_shifted_square_passes(self, s):
+        # The former absolute-residual scan reported 12,622, 4 and 66,310
+        # spurious incidences here at s = 1e-3, 1 and 1e3.
+        G = _mapped(_scene("product"), _similarity(s, 0.7, (3.0, -2.0)))
+        rep = audit(G)
+        assert rep.passed
+        assert rep.spurious_incidences == ()
+
 
 class TestIntersectionType:
     def test_crossed(self):
@@ -102,9 +320,7 @@ class TestIntersectionType:
         G = polygon_ring(4)
         M = AffineMap2(np.array([[1.2, 0.3], [-0.1, 0.9]]),
                        np.array([0.4, -0.2]))
-        G2 = GeometricConfiguration(
-            np.array([apply_affine_point(M, p) for p in G.points]),
-            tuple(apply_affine(M, c) for c in G.conics), G.flags, G.tol)
+        G2 = _mapped(G, M)
         assert audit(G2).passed
         assert intersection_type(G2).types == intersection_type(G).types
 
