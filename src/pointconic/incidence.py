@@ -217,25 +217,43 @@ def vertex_connectivity(L: LeviGraph) -> int:
     empty.
 
     Esfahanian and Hakimi (Networks 14, 1984): with v of minimum degree
-    and K = deg(v), some minimum vertex cut either misses v, and then
-    separates v from a non-neighbour, or contains v, and then separates two
-    of v's neighbours. Those flows suffice, and each stops once it reaches
-    the current K (Even, SIAM J. Comput. 4, 1975). A disconnected graph has
-    a non-neighbour of v that no path reaches, so it gives 0. The graph is
+    and K = deg(v), some minimum vertex cut either contains v, and then
+    separates two of v's neighbours, or misses v, and then separates v
+    from a non-neighbour. Those flows suffice, and each stops once it
+    reaches the current K (Even, SIAM J. Comput. 4, 1975). The graph is
     bipartite, so v's neighbours are pairwise non-adjacent.
+
+    The non-neighbour flows run last, since they join nodes to v, and visit
+    w in BFS order from v. Every node of Y = {v} + N(v) + the nodes visited
+    so far stays connected to v once fewer than K other nodes are removed,
+    so min(K, k(v, w)) = min(K, f) for f the number of paths from w to Y
+    disjoint except at v. Proof: if f >= K, a set S of fewer than K nodes
+    other than v and w misses one path, whose end lies in v's component of
+    G - S; if f < K, Menger gives a cut of w from Y of size f, which cuts w
+    from v. So each visited node is joined to v, first in its adjacency
+    (Even contracts verified nodes into the sink the same way), and the
+    search from w ends a step or two away, at its BFS parent or another
+    node of Y. A node that the BFS misses shows a disconnected graph.
     """
-    adj = L._adjacency
+    adj = list(L._adjacency)
     if not adj:
         return 0
     v = min(range(len(adj)), key=lambda x: len(adj[x]))
     K = len(adj[v])
     flows = _DisjointPaths(adj)
-    near = set(adj[v])
-    near.add(v)
-    pairs = [(v, w) for w in range(len(adj)) if w not in near]
-    pairs += combinations(adj[v], 2)
-    for (s, t) in pairs:
+    for (s, t) in combinations(adj[v], 2):
         K = flows.count(s, t, K)
+    order, seen = [v], {v}
+    for x in order:
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    if len(order) < len(adj):
+        return 0
+    for w in order[len(adj[v]) + 1:]:
+        K = flows.count(w, v, K)
+        adj[w] = (v,) + adj[w]
     return K
 
 
@@ -248,7 +266,8 @@ class _DisjointPaths:
     one edge, so `pred[x]` (-1 when x carries none) says both whether
     x_in -> x_out is saturated and which edge into x carries flow. Edges
     into the target need no record: a node whose flow enters the target
-    has its only way out saturated, so no search reaches its x_out. The
+    has its only way out saturated, so no search reaches its x_out. A
+    free node that lists the target first ends the search on entry. The
     search marks and parent links are reset only where a search touched
     them.
     """
@@ -309,6 +328,10 @@ class _DisjointPaths:
                         seen_in[w] = True
                         par_in[w] = x
                         touched.append(w)
+                        if pred[w] < 0 and adj[w][0] == t:
+                            par_out[w] = -1     # free w_in -> w_out -> t
+                            hit = w
+                            break
                         queue.append(2 * w)
                 if hit >= 0:
                     break

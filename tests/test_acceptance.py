@@ -208,6 +208,18 @@ def test_criterion_08():
     assert time.perf_counter() - t0 < 30.0
 
 
+def test_minkowski_cube_properties():
+    """`props` at criterion-8 scale: the cube's 11,664-node Levi graph."""
+    d = dipyramid_carnot(3, seed=0)
+    sq = product(d, d, genericize=True, seed=1)
+    C = product(sq, d, genericize=True, seed=2).to_incidence_structure()
+    (rep, dt) = _timed(lambda: property_report(C))
+    assert rep.girth == 4 and rep.vertex_connectivity == 6
+    assert rep.circular and rep.strongly_circular
+    assert rep.conical and rep.strongly_conical and not rep.lineal
+    assert dt < 15.0
+
+
 @criterion(9, "polygon_ring family")
 def test_criterion_09():
     for n in range(3, 11):

@@ -1,5 +1,6 @@
 """Unit tests for the combinatorial incidence core."""
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -187,6 +188,55 @@ def _rerouting_structure():
                (2, 3), (3, 2), (3, 4)])
 
 
+def _planted_cut(seed, cut, through):
+    """A Levi graph of 100 to 600 nodes in which `cut` nodes, points and
+    blocks in turn, join two random (cut + 3)-regular halves. Each cut node
+    meets the halves in nodes that no other cut node meets, so no fewer
+    than `cut` nodes separate them. With `through`, the first cut point has
+    the unique minimum degree cut + 1; without, point 0, in the first
+    half, has it."""
+    rng = random.Random(seed)
+    r = cut + 3
+    halves, flags = [], []
+    P = B = 0
+    for _ in range(2):
+        m = rng.randint(25, 148)
+        offsets = [0, 1] + rng.sample(range(2, m), r - 2)  # 0, 1: connected
+        blocks = rng.sample(range(B, B + m), m)
+        flags += [(P + i, blocks[(i + d) % m])
+                  for i in range(m) for d in offsets]
+        halves.append((rng.sample(range(P + 1, P + m), m - 1), blocks))
+        P, B = P + m, B + m
+    for k in range(cut):
+        deg = cut + 1 if through and k == 0 else cut + 2
+        a = rng.randint(1, deg - 1)
+        sides = [[half[k % 2 == 0].pop() for _ in range(n)]
+                 for half, n in zip(halves, (a, deg - a))]
+        if k % 2 == 0:
+            flags += [(P, b) for side in sides for b in side]
+            P += 1
+        else:
+            flags += [(p, B) for side in sides for p in side]
+            B += 1
+    if not through:
+        drop = rng.sample([f for f in flags if f[0] == 0], r - cut - 1)
+        flags = [f for f in flags if f not in drop]
+    return new_incidence_structure(P, B, flags)
+
+
+def _relabel(C, rng):
+    """C with its points and blocks renumbered by random permutations."""
+    pts = rng.sample(range(C.num_points), C.num_points)
+    blks = rng.sample(range(C.num_blocks), C.num_blocks)
+    return new_incidence_structure(C.num_points, C.num_blocks,
+                                   [(pts[p], blks[b]) for (p, b) in C.flags])
+
+
+PLANTED = [(cut, through) for cut in range(1, 6) for through in (False, True)]
+PLANTED_IDS = [f"cut{cut}-{'through' if through else 'avoids'}-v"
+               for cut, through in PLANTED]
+
+
 def _square():
     d = dipyramid_carnot(3, seed=0)
     return product(d, d, genericize=True, seed=1).to_incidence_structure()
@@ -232,14 +282,45 @@ class TestLeviInvariantsAgainstNetworkx:
 
     @pytest.mark.parametrize("build", [
         lambda: pmn(4, 4).to_incidence_structure(),
+        lambda: pmn(10, 10).to_incidence_structure(),
         lambda: qcube_48().to_incidence_structure(),
         lambda: cell24().to_incidence_structure(),
         lambda: catalog("anti-miquel-large"),
         _square,
-    ], ids=["pmn-4-4", "qcube_48", "cell24", "anti-miquel-large",
-            "dipyramid-square"])
+    ], ids=["pmn-4-4", "pmn-10-10", "qcube_48", "cell24",
+            "anti-miquel-large", "dipyramid-square"])
     def test_scenes(self, build):
         self._check(build())
+
+    @pytest.mark.parametrize("cut, through", PLANTED, ids=PLANTED_IDS)
+    def test_planted_cuts(self, cut, through):
+        C = _planted_cut(10 * cut + through, cut, through)
+        L = levi_graph(C)
+        adj = L._adjacency
+        assert 100 <= len(adj) <= 600
+        v = min(range(len(adj)), key=lambda x: len(adj[x]))
+        assert v == (C.num_points - (cut + 1) // 2 if through else 0)
+        self._check(C)
+        assert vertex_connectivity(L) == cut
+
+
+class TestConnectivityOrderInvariance:
+    """Relabelling moves the minimum-degree node that the flows start from
+    and the order in which they visit the rest, never the result."""
+
+    @given(dense_structures(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_dense_structures(self, C, rng):
+        want = vertex_connectivity(levi_graph(C))
+        for _ in range(3):
+            assert vertex_connectivity(levi_graph(_relabel(C, rng))) == want
+
+    @pytest.mark.parametrize("cut, through", PLANTED, ids=PLANTED_IDS)
+    def test_planted_cuts(self, cut, through):
+        C = _planted_cut(10 * cut + through, cut, through)
+        rng = random.Random(cut)
+        for _ in range(5):
+            assert vertex_connectivity(levi_graph(_relabel(C, rng))) == cut
 
 
 class TestBicliques:
