@@ -9,9 +9,9 @@ import numpy as np
 
 from . import geometry
 from .configuration import GeometricConfiguration
-from .geometry import (AffineMap2, GeometryError, TOL_MERGE, apply_affine,
+from .geometry import (GeometryError, TOL_MERGE, affine_images,
                        apply_affine_point, dilation_to_circle,
-                       ellipse_parameters, pencil_intersections)
+                       ellipse_parameters_stack, pencil_intersections)
 from .incidence import (IncidenceStructure, Signature, block_pair_counts,
                         signature)
 
@@ -111,8 +111,8 @@ def _duplicate_pairs(points: np.ndarray, tol: float) -> list:
     """Grid-hash pass; O(n) for generic data, exact within the tolerance."""
     cells = defaultdict(list)
     inv = 1.0 / max(tol, 1e-300)
-    for i, (x, y) in enumerate(points):
-        cells[(int(np.floor(x * inv)), int(np.floor(y * inv)))].append(i)
+    for i, (x, y) in enumerate(np.floor(points * inv).tolist()):
+        cells[(int(x), int(y))].append(i)
     dupes = []
     for (cx, cy), members in cells.items():
         neigh = []
@@ -130,8 +130,9 @@ def _duplicate_pairs(points: np.ndarray, tol: float) -> list:
 
 def _coincident_pairs(conics, tol: float = 1e-9) -> list:
     groups = defaultdict(list)
-    for i, c in enumerate(conics):
-        groups[tuple(np.round(c.form.reshape(-1), 5))].append(i)
+    forms = np.array([c.form for c in conics]).reshape(-1, 9)
+    for i, key in enumerate(np.round(forms, 5).tolist()):
+        groups[tuple(key)].append(i)
     out = []
     for members in groups.values():
         for i, j in combinations(members, 2):
@@ -214,19 +215,15 @@ def isometry_check(G: GeometricConfiguration) -> str:
     """One of "not_isometric", "isometric", "strongly_isometric"."""
     if G.num_conics == 0:
         return "strongly_isometric"
-    params = []
     for c in G.conics:
         if c.kind != "ellipse":
             raise GeometryError(f"isometry check requires ellipses, got {c.kind}")
-        _, a, b, ang = ellipse_parameters(c)
-        params.append((a, b, ang))
-    aa = np.array([p[0] for p in params])
-    bb = np.array([p[1] for p in params])
+    _, aa, bb, angles = ellipse_parameters_stack([c.form for c in G.conics])
     if np.ptp(aa) > AXIS_TOL or np.ptp(bb) > AXIS_TOL:
         return "not_isometric"
     if np.all(aa - bb <= AXIS_TOL):
         return "strongly_isometric"  # congruent circles: translations suffice
-    angles = np.array([p[2] for p in params])
+    angles = np.array(angles)
     rel = np.mod(angles - angles[0] + np.pi / 2, np.pi) - np.pi / 2
     if np.max(np.abs(rel)) <= AXIS_TOL:
         return "strongly_isometric"
@@ -243,7 +240,7 @@ def strongly_isometric_to_circles(
     M = dilation_to_circle(G.conics[0])
     pts = np.array([apply_affine_point(M, p) for p in G.points]) \
         if G.num_points else np.zeros((0, 2))
-    conics = tuple(apply_affine(M, c) for c in G.conics)
+    conics = affine_images(M.homogeneous(), [c.form for c in G.conics])
     prov = dict(G.provenance)
     prov["transform"] = "dilation-to-circles"
     return GeometricConfiguration(pts, conics, G.flags, G.tol, prov)

@@ -17,7 +17,8 @@ import numpy as np
 from . import analysis, geometry
 from .configuration import GeometricConfiguration, Polytope4
 from .geometry import (AffineMap2, Conic, GeometryError, Projection4to2,
-                       TOL_MERGE, apply_affine, apply_affine_point,
+                       TOL_MERGE, affine_images, apply_affine,
+                       apply_affine_point,
                        carnot_product, carnot_solve_sixth,
                        central_conic_from_pairs, conic_conic_intersections,
                        conic_from_5_points, cross2,
@@ -76,6 +77,18 @@ def circle_through_3_points(p, q, r) -> Conic:
 
 def translate_conic(conic: Conic, v) -> Conic:
     return apply_affine(AffineMap2.translation_by(v), conic)
+
+
+def translate_conics(forms: np.ndarray, shifts: np.ndarray) -> tuple:
+    """`translate_conic` of each form (n, 3, 3) by its shift (n, 2), in one
+    stacked pass (`geometry.affine_images`); bit for bit the same conics."""
+    H = np.tile(np.eye(3), (len(shifts), 1, 1))
+    H[:, :2, 2] = shifts
+    return affine_images(H, forms)
+
+
+def _forms(conics) -> np.ndarray:
+    return np.array([c.form for c in conics]).reshape(-1, 3, 3)
 
 
 def _require_audit(G: GeometricConfiguration, context: str,
@@ -553,7 +566,7 @@ def product(C1: GeometricConfiguration, C2: GeometricConfiguration,
         M = AffineMap2(R, np.zeros(2))
         C2 = GeometricConfiguration(
             np.array([apply_affine_point(M, p) for p in C2.points]),
-            tuple(apply_affine(M, c) for c in C2.conics),
+            affine_images(M.homogeneous(), _forms(C2.conics)),
             C2.flags, C2.tol, dict(C2.provenance))
 
     P1, P2 = C1.points, C2.points
@@ -570,22 +583,23 @@ def product(C1: GeometricConfiguration, C2: GeometricConfiguration,
     points_of_block_1 = C1.to_incidence_structure().block_point_sets
     points_of_block_2 = C2.to_incidence_structure().block_point_sets
 
-    conics = []
+    # Translates of C2's conics by C1's points, then of C1's by C2's, in one
+    # stacked pass.
+    nb1, nb2 = C1.num_conics, C2.num_conics
+    conics = translate_conics(
+        np.concatenate([np.tile(_forms(C2.conics), (n1, 1, 1)),
+                        np.tile(_forms(C1.conics), (n2, 1, 1))]),
+        np.concatenate([np.repeat(P1, nb2, axis=0),
+                        np.repeat(P2, nb1, axis=0)]))
     flags = set()
-    # Translates of C2's conics by C1's points.
     for i1 in range(n1):
-        v1 = P1[i1]
-        for b2 in range(C2.num_conics):
-            b = len(conics)
-            conics.append(translate_conic(C2.conics[b2], v1))
+        for b2 in range(nb2):
+            b = i1 * nb2 + b2
             for i2 in points_of_block_2[b2]:
                 flags.add((pt_index(i1, i2), b))
-    # Translates of C1's conics by C2's points.
     for i2 in range(n2):
-        v2 = P2[i2]
-        for b1 in range(C1.num_conics):
-            b = len(conics)
-            conics.append(translate_conic(C1.conics[b1], v2))
+        for b1 in range(nb1):
+            b = n1 * nb2 + i2 * nb1 + b1
             for i1 in points_of_block_1[b1]:
                 flags.add((pt_index(i1, i2), b))
     if analysis._coincident_pairs(conics):

@@ -115,6 +115,13 @@ _FORM_FROM_COEFFS = np.array([0, 1, 3, 1, 2, 4, 3, 4, 5])
 _FORM_SCALE = np.array([1, .5, .5, .5, 1, .5, .5, .5, 1])
 
 
+def forms_coeffs(forms) -> np.ndarray:
+    """`Conic.coeffs` of a stack of forms (B, 3, 3), as a (B, 6) array."""
+    M = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
+    return np.stack([M[:, 0, 0], 2 * M[:, 0, 1], M[:, 1, 1], 2 * M[:, 0, 2],
+                     2 * M[:, 1, 2], M[:, 2, 2]], axis=1)
+
+
 def conics_from_normalized_coeffs(coeffs) -> tuple[Conic, ...]:
     """`conic_from_normalized_coeffs` over a (B, 6) coefficient array.
 
@@ -681,6 +688,41 @@ def apply_affine(M: AffineMap2, conic: Conic) -> Conic:
     return Conic(Hinv.T @ conic.form @ Hinv)
 
 
+def affine_images(H: np.ndarray, forms: np.ndarray) -> tuple[Conic, ...]:
+    """`apply_affine` over a stack of forms (n, 3, 3), bit for bit, under one
+    homogeneous affine map H (3, 3) or one map per form (n, 3, 3).
+
+    One stacked `inv` and two stacked products; then `_normalize_form`'s
+    symmetrise, norm (through `_norm`, which rounds like `np.linalg.norm`)
+    and sign steps, and `_classify_forms`. The maps are taken as given:
+    `AffineMap2` is where an affine map is checked for invertibility.
+    Each conic's form is a read-only view of one stack."""
+    forms = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
+    Hinv = np.linalg.inv(H)
+    M = np.matmul(np.matmul(np.swapaxes(Hinv, -1, -2), forms), Hinv)
+    M = 0.5 * (M + np.swapaxes(M, 1, 2))
+    nrm = _norm(M.reshape(-1, 9))
+    if (nrm == 0.0).any():
+        raise GeometryError("zero conic form")
+    M /= nrm[:, None, None]
+    flat = M.reshape(-1, 9)
+    big = np.abs(flat) > 1e-14
+    first = flat[np.arange(len(flat)), big.argmax(axis=1)]
+    M[big.any(axis=1) & (first < 0)] *= -1.0
+    M.setflags(write=False)
+    return tuple(map(_conic_of, M, _classify_forms(M)))
+
+
+def _axis_angle(x: float, y: float) -> float:
+    """Direction of the vector (x, y) as an axis angle in (-pi/2, pi/2]."""
+    angle = math.atan2(y, x)
+    if angle <= -math.pi / 2:
+        angle += math.pi
+    elif angle > math.pi / 2:
+        angle -= math.pi
+    return angle
+
+
 def ellipse_parameters(conic: Conic):
     """(center, semi_major, semi_minor, angle) of an ellipse conic.
 
@@ -697,12 +739,31 @@ def ellipse_parameters(conic: Conic):
     order = np.argsort(-axes)
     a, b = axes[order]
     v = evecs[:, order[0]]
-    angle = math.atan2(v[1], v[0])
-    if angle <= -math.pi / 2:
-        angle += math.pi
-    elif angle > math.pi / 2:
-        angle -= math.pi
-    return center, float(a), float(b), float(angle)
+    return center, float(a), float(b), _axis_angle(float(v[0]), float(v[1]))
+
+
+def ellipse_parameters_stack(forms: np.ndarray):
+    """`ellipse_parameters` over a stack of ellipse forms (E, 3, 3), bit for
+    bit: centers (E, 2), semi-major and semi-minor axes (E,) each, and the
+    angles as a list of floats. The caller checks the kinds.
+
+    One `solve`, one `eigh` and two `det` calls, each the same LAPACK
+    routine per matrix as in the one-conic call; the angle is `math.atan2`
+    on Python floats, as there."""
+    M = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
+    if not len(M):
+        return np.zeros((0, 2)), np.zeros(0), np.zeros(0), []
+    Q = M[:, :2, :2]
+    centers = np.linalg.solve(Q, -M[:, :2, 2:])[:, :, 0]
+    evals, evecs = np.linalg.eigh(Q)
+    k = -np.linalg.det(M) / np.linalg.det(Q)
+    axes = np.sqrt(k[:, None] / evals)
+    order = np.argsort(-axes, axis=1)
+    rows = np.arange(len(M))
+    major = evecs[rows, :, order[:, 0]]
+    angles = [_axis_angle(x, y) for x, y in major.tolist()]
+    return (centers, axes[rows, order[:, 0]], axes[rows, order[:, 1]],
+            angles)
 
 
 def dilation_to_circle(conic: Conic) -> AffineMap2:

@@ -359,11 +359,17 @@ class _DisjointPaths:
 
 
 def property_report(C: IncidenceStructure) -> PropertyReport:
-    lineal = not has_biclique(C, 2, 2)
-    circular = not has_biclique(C, 3, 2)
-    strongly_circular = circular and not has_biclique(C, 2, 3)
-    conical = not has_biclique(C, 5, 2)
-    strongly_conical = conical and not has_biclique(C, 2, 5)
+    # K_{s,2} exists iff two blocks share s points, and K_{2,t} iff two
+    # points share t blocks: each side's largest pair count answers every
+    # predicate (`has_biclique` asks the same question one (s, t) at a time).
+    shared_points = max(block_pair_counts(C).values(), default=0)
+    lineal = shared_points < 2
+    circular = shared_points < 3
+    conical = shared_points < 5
+    shared_blocks = (max(block_pair_counts(dual(C)).values(), default=0)
+                     if conical else None)
+    strongly_circular = circular and shared_blocks < 3
+    strongly_conical = conical and shared_blocks < 5
     L = levi_graph(C)
     g = girth(L)
     if lineal != (g >= 6):

@@ -15,6 +15,7 @@ one array each; the conics are built in one stacked pass.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -24,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .configuration import GeometricConfiguration
-from .geometry import GeometryError, conics_from_normalized_coeffs
+from .geometry import (GeometryError, conics_from_normalized_coeffs,
+                       forms_coeffs)
 from .incidence import IncidenceStructure, new_incidence_structure
 
 
@@ -69,8 +71,37 @@ def _dump_value(v) -> str:
     raise InterfaceError(f"unserializable value of type {type(v).__name__}")
 
 
+def _dump_rows(rows) -> str | None:
+    """`_dump_value(rows)` for a nonempty list of equal-length rows that
+    hold only floats or only ints, in one formatting pass (after one
+    finiteness check for floats); None for any other value, which takes
+    the recursive path."""
+    if type(rows) is not list or set(map(type, rows)) != {list}:
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    width = widths.pop()
+    flat = list(itertools.chain.from_iterable(rows))
+    types = set(map(type, flat))
+    if types == {int}:
+        return str(rows)        # a list of int lists prints canonically
+    if types != {float}:
+        return None
+    if not np.isfinite(flat).all():
+        raise InterfaceError("non-finite real in document")
+    row = "[" + ", ".join(["{:.17g}"] * width) + "]"
+    return "[" + ", ".join(map(row.format, *zip(*rows))) + "]"
+
+
 def dumps_canonical(doc: dict) -> str:
-    return _dump_value(doc) + "\n"
+    """The canonical text of a document: `_dump_value`, with the numeric
+    rows of a top-level key (points, conics, flags) formatted in one pass."""
+    if not isinstance(doc, dict):
+        return _dump_value(doc) + "\n"
+    items = (f"{json.dumps(str(k))}: {_dump_rows(v) or _dump_value(v)}"
+             for k, v in doc.items())
+    return "{" + ", ".join(items) + "}\n"
 
 
 def _plain(v):
@@ -92,21 +123,27 @@ def _plain(v):
 # Documents
 # ---------------------------------------------------------------------------
 
+def _sorted_flags(flags) -> list:
+    """The flags as [point, block] lists of ints, sorted."""
+    F = np.array(list(flags), dtype=np.int64).reshape(-1, 2)
+    return F[np.lexsort((F[:, 1], F[:, 0]))].tolist()
+
+
 def to_document(obj, name: str | None = None) -> dict:
     if isinstance(obj, IncidenceStructure):
         doc = {"kind": "combinatorial",
                "points": obj.num_points,
                "blocks": obj.num_blocks,
-               "flags": [list(f) for f in sorted(obj.flags)]}
+               "flags": _sorted_flags(obj.flags)}
         if name is not None:
             doc["name"] = name
         return doc
     if isinstance(obj, GeometricConfiguration):
+        forms = np.array([conic.form for conic in obj.conics])
         return {"kind": "geometric",
-                "points": [[float(x), float(y)] for x, y in obj.points],
-                "conics": [[float(c) for c in conic.coeffs()]
-                           for conic in obj.conics],
-                "flags": [list(f) for f in sorted(obj.flags)],
+                "points": obj.points.tolist(),
+                "conics": forms_coeffs(forms).tolist(),
+                "flags": _sorted_flags(obj.flags),
                 "tol": float(obj.tol),
                 "provenance": _plain(obj.provenance)}
     raise InterfaceError(f"cannot serialize a {type(obj).__name__}")

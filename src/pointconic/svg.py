@@ -4,6 +4,14 @@ Ellipses are emitted as native <ellipse> elements with parameters derived
 analytically from the quadratic form; other conics fall back to sampled
 polyline paths clipped to the viewport. All coordinates are printed with a
 fixed decimal format, so equal inputs give byte-identical files.
+
+A scene is rendered in stacked passes, not conic by conic. One parameter
+pass (`geometry.ellipse_parameters_stack`) serves both the bounding box and
+the <ellipse> elements. The branches of the other conics are sampled, cut
+into runs and mapped to pixels as arrays, in chunks of `_CHUNK` conics.
+Every array expression is the per-conic expression in the same order, so
+the bytes are those of a conic-by-conic renderer (kept in the tests as the
+oracle).
 """
 from __future__ import annotations
 
@@ -11,13 +19,17 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .configuration import GeometricConfiguration
-from .geometry import Conic, ellipse_parameters
+from .geometry import ellipse_parameters_stack, forms_coeffs
 
 DEFAULT_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                    "#17becf", "#8c564b", "#e377c2")
 
 SAMPLES = 256
+_SCAN = np.arange(SAMPLES + 1)
+_CHUNK = 16     # conics per sampling pass: 66 kB per (C, 2, 257) array
 
 
 @dataclass(frozen=True)
@@ -43,21 +55,19 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _ellipse_bbox(conic: Conic):
-    center, a, b, ang = ellipse_parameters(conic)
-    dx = math.hypot(a * math.cos(ang), b * math.sin(ang))
-    dy = math.hypot(a * math.sin(ang), b * math.cos(ang))
-    return (center[0] - dx, center[1] - dy, center[0] + dx, center[1] + dy)
-
-
-def _world_bbox(G: GeometricConfiguration):
+def _world_bbox(points: np.ndarray, ellipses):
+    """Bounding box of the points and of the ellipses, whose parameters
+    `ellipses` are one `ellipse_parameters_stack` result."""
     boxes = []
-    if G.num_points:
-        xs, ys = G.points[:, 0], G.points[:, 1]
+    if len(points):
+        xs, ys = points[:, 0], points[:, 1]
         boxes.append((xs.min(), ys.min(), xs.max(), ys.max()))
-    for conic in G.conics:
-        if conic.kind == "ellipse":
-            boxes.append(_ellipse_bbox(conic))
+    centers, semi_a, semi_b, angles = ellipses
+    for (cx, cy), a, b, ang in zip(centers.tolist(), semi_a.tolist(),
+                                   semi_b.tolist(), angles):
+        dx = math.hypot(a * math.cos(ang), b * math.sin(ang))
+        dy = math.hypot(a * math.sin(ang), b * math.cos(ang))
+        boxes.append((cx - dx, cy - dy, cx + dx, cy + dy))
     if not boxes:
         return (0.0, 0.0, 1.0, 1.0)
     x0 = min(b[0] for b in boxes)
@@ -72,7 +82,8 @@ def _world_bbox(G: GeometricConfiguration):
 
 
 class _Mapper:
-    """World-to-pixel map: uniform scale, y flipped, centered with margin."""
+    """World-to-pixel map: uniform scale, y flipped, centered with margin.
+    Maps scalars or arrays, elementwise with the same arithmetic."""
 
     def __init__(self, bbox, canvas, margin):
         x0, y0, x1, y1 = bbox
@@ -89,53 +100,76 @@ class _Mapper:
                 self.py - (y - self.cy) * self.scale)
 
 
-def _sampled_branches(conic: Conic, bbox):
-    """Polyline branches of a non-ellipse conic inside the padded bbox.
+def _scan(forms: np.ndarray, bbox):
+    """Scan each non-ellipse form of a stack (C, 3, 3) along SAMPLES + 1
+    vertical lines across the padded bbox, solving its quadratic in y (or
+    the transpose when the y^2 coefficient vanishes).
 
-    Scans vertical lines and solves the conic's quadratic in y (or the
-    transpose when the y^2 coefficient vanishes), keeping the two roots in
-    separate branches and breaking them where they leave the reals.
-    """
-    a, b, c, d, e, f = conic.coeffs()
+    Returns the transposed flags (C,), the scan positions (C, SAMPLES + 1),
+    the lines with real roots (C, SAMPLES + 1), and the smaller and the
+    larger root with a mask of those inside the padded bbox (C, 2,
+    SAMPLES + 1) each."""
     x0, y0, x1, y1 = bbox
     pad_x = 0.25 * (x1 - x0)
     pad_y = 0.25 * (y1 - y0)
-    swap = abs(c) < 1e-12 * max(abs(a), abs(b), 1.0)
-    if swap:
-        a, c = c, a
-        d, e = e, d
-        x0, y0, x1, y1 = y0, x0, y1, x1
-        pad_x, pad_y = pad_y, pad_x
-    lo, hi = x0 - pad_x, x1 + pad_x
-    branches = [[], []]
-    out = []
+    a, b, c, d, e, f = forms_coeffs(forms).T
+    swap = np.abs(c) < 1e-12 * np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                                          1.0)
+    a, c = np.where(swap, c, a), np.where(swap, a, c)
+    d, e = np.where(swap, e, d), np.where(swap, d, e)
+    lo = np.where(swap, y0 - pad_y, x0 - pad_x)[:, None]
+    hi = np.where(swap, y1 + pad_y, x1 + pad_x)[:, None]
+    y_lo = np.where(swap, x0 - pad_x, y0 - pad_y)[:, None, None]
+    y_hi = np.where(swap, x1 + pad_x, y1 + pad_y)[:, None, None]
+    a, b, c, d, e, f = (v[:, None] for v in (a, b, c, d, e, f))
+    x = lo + (hi - lo) * _SCAN / SAMPLES
+    qb, qc = b * x + e, a * x * x + d * x + f
+    disc = qb * qb - 4 * c * qc
+    # A conic whose quadratic loses its leading coefficient draws nothing.
+    real = ~(disc < 0) & ~(np.abs(c) < 1e-300)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.sqrt(disc)
+        u, v = (-qb - r) / (2 * c), (-qb + r) / (2 * c)
+    y = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
+    inside = real[:, None] & (y_lo <= y) & (y <= y_hi)
+    return swap, x, real, y, inside
 
-    def flush():
-        for br in branches:
-            if len(br) > 1:
-                out.append(list(br))
-            br.clear()
 
-    for k in range(SAMPLES + 1):
-        x = lo + (hi - lo) * k / SAMPLES
-        qa, qb, qc = c, b * x + e, a * x * x + d * x + f
-        if abs(qa) < 1e-300:
-            flush()
-            continue
-        disc = qb * qb - 4 * qa * qc
-        if disc < 0:
-            flush()
-            continue
-        r = math.sqrt(disc)
-        ys = sorted(((-qb - r) / (2 * qa), (-qb + r) / (2 * qa)))
-        for br, yv in zip(branches, ys):
-            if y0 - pad_y <= yv <= y1 + pad_y:
-                br.append((yv, x) if swap else (x, yv))
-            elif br:
-                out.append(list(br))
-                br.clear()
-    flush()
-    return out
+def _branch_paths(forms: np.ndarray, to_px: _Mapper) -> list[list[str]]:
+    """Path data ("M x y L ...") of each conic's sampled branches, for a
+    stack of non-ellipse forms (C, 3, 3), clipped to the padded bbox.
+
+    The smaller and the larger root of each scan line make two branches. A
+    run of in-range roots closed by an out-of-range root is kept at any
+    length; one closed by a line without real roots, or by the end of the
+    scan, needs two points. Paths come in order of (closing sample, root
+    slot).
+    """
+    swap, x, real, y, inside = _scan(forms, to_px.bbox)
+    # Runs of `inside` along the scan: a run covers samples [start, end).
+    edges = np.diff(np.pad(inside, ((0, 0), (0, 0), (1, 1))).astype(np.int8))
+    conic, slot, start = np.nonzero(edges == 1)
+    end = np.nonzero(edges == -1)[2]
+    closed_out = (end <= SAMPLES) & real[conic, np.minimum(end, SAMPLES)]
+    keep = closed_out | (end - start >= 2)
+    conic, slot, start, end = (v[keep] for v in (conic, slot, start, end))
+    order = np.lexsort((slot, end, conic))
+    conic, slot, start, end = (v[order] for v in (conic, slot, start, end))
+    # Pixels of every kept sample, runs end to end.
+    length = end - start
+    offsets = np.cumsum(length) - length
+    k = np.repeat(start - offsets, length) + np.arange(length.sum())
+    run_conic = np.repeat(conic, length)
+    xk = x[run_conic, k]
+    yk = y[run_conic, np.repeat(slot, length), k]
+    flip = swap[run_conic]
+    px, py = to_px(np.where(flip, yk, xk), np.where(flip, xk, yk))
+    paths = [[] for _ in range(len(forms))]
+    for c, o, n in zip(conic.tolist(), offsets.tolist(), length.tolist()):
+        points = map("{:.3f} {:.3f}".format, px[o:o + n].tolist(),
+                     py[o:o + n].tolist())
+        paths[c].append("M " + " L ".join(points))
+    return paths
 
 
 def render_svg(G: GeometricConfiguration, style: SceneStyle | None = None,
@@ -143,37 +177,44 @@ def render_svg(G: GeometricConfiguration, style: SceneStyle | None = None,
     """Render the configuration; returns the SVG text, writing it if asked."""
     style = style or SceneStyle()
     W, H = style.canvas
-    to_px = _Mapper(_world_bbox(G), style.canvas, style.margin)
+    forms = np.array([c.form for c in G.conics]).reshape(-1, 3, 3)
+    is_ellipse = np.array([c.kind == "ellipse" for c in G.conics], bool)
+    ellipses = ellipse_parameters_stack(forms[is_ellipse])
+    to_px = _Mapper(_world_bbox(G.points, ellipses), style.canvas,
+                    style.margin)
+    attrs = [f'fill="none" stroke="{color}" '
+             f'stroke-width="{_fmt(style.stroke_width)}"'
+             for color in style.palette]
+    centers, semi_a, semi_b, angles = ellipses
+    cx, cy = to_px(centers[:, 0], centers[:, 1])
+    # Both are consumed in conic order, one item per ellipse or per other
+    # conic.
+    shapes = (
+        f'  <ellipse cx="{x:.3f}" cy="{y:.3f}" rx="{a * to_px.scale:.3f}" '
+        f'ry="{b * to_px.scale:.3f}" '
+        f'transform="rotate({-math.degrees(t):.3f} {x:.3f} {y:.3f})" '
+        for x, y, a, b, t in zip(cx.tolist(), cy.tolist(), semi_a.tolist(),
+                                 semi_b.tolist(), angles))
+    sampled = np.flatnonzero(~is_ellipse)
+    branches = (paths for s in range(0, len(sampled), _CHUNK)
+                for paths in _branch_paths(forms[sampled[s:s + _CHUNK]],
+                                           to_px))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
         f'viewBox="0 0 {W} {H}">',
         f'  <rect width="{W}" height="{H}" fill="{style.background}"/>',
     ]
-    for i, conic in enumerate(G.conics):
-        color = style.palette[i % len(style.palette)]
-        attrs = (f'fill="none" stroke="{color}" '
-                 f'stroke-width="{_fmt(style.stroke_width)}"')
-        if conic.kind == "ellipse":
-            center, a, b, ang = ellipse_parameters(conic)
-            cx, cy = to_px(center[0], center[1])
-            deg = -math.degrees(ang)
-            lines.append(
-                f'  <ellipse cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                f'rx="{_fmt(a * to_px.scale)}" ry="{_fmt(b * to_px.scale)}" '
-                f'transform="rotate({_fmt(deg)} {_fmt(cx)} {_fmt(cy)})" '
-                f'{attrs}/>')
+    for i, ellipse in enumerate(is_ellipse.tolist()):
+        attr = attrs[i % len(attrs)]
+        if ellipse:
+            lines.append(f"{next(shapes)}{attr}/>")
         else:
-            for branch in _sampled_branches(conic, to_px.bbox):
-                pts = " L ".join(
-                    f"{_fmt(px)} {_fmt(py)}"
-                    for px, py in (to_px(x, y) for x, y in branch))
-                lines.append(f'  <path d="M {pts}" {attrs}/>')
-    for x, y in G.points:
-        px, py = to_px(x, y)
-        lines.append(
-            f'  <circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
-            f'r="{_fmt(style.point_radius)}" fill="{style.point_color}"/>')
+            lines.extend(f'  <path d="{d}" {attr}/>' for d in next(branches))
+    px, py = to_px(G.points[:, 0], G.points[:, 1])
+    dot = f'r="{_fmt(style.point_radius)}" fill="{style.point_color}"/>'
+    lines.extend(f'  <circle cx="{x:.3f}" cy="{y:.3f}" {dot}'
+                 for x, y in zip(px.tolist(), py.tolist()))
     lines.append("</svg>")
     text = "\n".join(lines) + "\n"
     if path is not None:

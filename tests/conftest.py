@@ -16,6 +16,7 @@ from pointconic.geometry import (TOL_MERGE, Conic, GeometryError, cross2,
                                  ellipse_parameters)
 from pointconic.incidence import (IncidenceStructure, LeviGraph,
                                   new_incidence_structure)
+from pointconic.svg import SceneStyle
 
 
 def random_ellipse(rng, center_box: float = 1.0,
@@ -374,3 +375,149 @@ def residual_matrix_spurious(G) -> set:
         spurious.update((p, b) for p in np.flatnonzero(R <= 0.1 * G.tol)
                         .tolist() if (p, b) not in G.flags)
     return spurious
+
+
+# ---------------------------------------------------------------------------
+# Per-conic renderer: the oracle for svg.render_svg
+# ---------------------------------------------------------------------------
+# The conic-by-conic renderer, verbatim. svg.render_svg renders a scene in
+# stacked passes and must reproduce its bytes.
+
+_SVG_SAMPLES = 256
+
+
+def _scalar_ellipse_bbox(conic: Conic):
+    center, a, b, ang = ellipse_parameters(conic)
+    dx = math.hypot(a * math.cos(ang), b * math.sin(ang))
+    dy = math.hypot(a * math.sin(ang), b * math.cos(ang))
+    return (center[0] - dx, center[1] - dy, center[0] + dx, center[1] + dy)
+
+
+def _scalar_world_bbox(G):
+    boxes = []
+    if G.num_points:
+        xs, ys = G.points[:, 0], G.points[:, 1]
+        boxes.append((xs.min(), ys.min(), xs.max(), ys.max()))
+    for conic in G.conics:
+        if conic.kind == "ellipse":
+            boxes.append(_scalar_ellipse_bbox(conic))
+    if not boxes:
+        return (0.0, 0.0, 1.0, 1.0)
+    x0 = min(b[0] for b in boxes)
+    y0 = min(b[1] for b in boxes)
+    x1 = max(b[2] for b in boxes)
+    y1 = max(b[3] for b in boxes)
+    if x1 - x0 < 1e-12:
+        x0, x1 = x0 - 0.5, x1 + 0.5
+    if y1 - y0 < 1e-12:
+        y0, y1 = y0 - 0.5, y1 + 0.5
+    return (x0, y0, x1, y1)
+
+
+class _ScalarMapper:
+    """World-to-pixel map: uniform scale, y flipped, centered with margin."""
+
+    def __init__(self, bbox, canvas, margin):
+        x0, y0, x1, y1 = bbox
+        W, H = canvas
+        usable_w = W * (1 - 2 * margin)
+        usable_h = H * (1 - 2 * margin)
+        self.scale = min(usable_w / (x1 - x0), usable_h / (y1 - y0))
+        self.cx, self.cy = (x0 + x1) / 2, (y0 + y1) / 2
+        self.px, self.py = W / 2, H / 2
+        self.bbox = bbox
+
+    def __call__(self, x, y):
+        return (self.px + (x - self.cx) * self.scale,
+                self.py - (y - self.cy) * self.scale)
+
+
+def _sampled_branches(conic: Conic, bbox):
+    """Polyline branches of a non-ellipse conic inside the padded bbox.
+
+    Scans vertical lines and solves the conic's quadratic in y (or the
+    transpose when the y^2 coefficient vanishes), keeping the two roots in
+    separate branches and breaking them where they leave the reals.
+    """
+    a, b, c, d, e, f = conic.coeffs()
+    x0, y0, x1, y1 = bbox
+    pad_x = 0.25 * (x1 - x0)
+    pad_y = 0.25 * (y1 - y0)
+    swap = abs(c) < 1e-12 * max(abs(a), abs(b), 1.0)
+    if swap:
+        a, c = c, a
+        d, e = e, d
+        x0, y0, x1, y1 = y0, x0, y1, x1
+        pad_x, pad_y = pad_y, pad_x
+    lo, hi = x0 - pad_x, x1 + pad_x
+    branches = [[], []]
+    out = []
+
+    def flush():
+        for br in branches:
+            if len(br) > 1:
+                out.append(list(br))
+            br.clear()
+
+    for k in range(_SVG_SAMPLES + 1):
+        x = lo + (hi - lo) * k / _SVG_SAMPLES
+        qa, qb, qc = c, b * x + e, a * x * x + d * x + f
+        if abs(qa) < 1e-300:
+            flush()
+            continue
+        disc = qb * qb - 4 * qa * qc
+        if disc < 0:
+            flush()
+            continue
+        r = math.sqrt(disc)
+        ys = sorted(((-qb - r) / (2 * qa), (-qb + r) / (2 * qa)))
+        for br, yv in zip(branches, ys):
+            if y0 - pad_y <= yv <= y1 + pad_y:
+                br.append((yv, x) if swap else (x, yv))
+            elif br:
+                out.append(list(br))
+                br.clear()
+    flush()
+    return out
+
+
+def scalar_render_svg(G, style=None) -> str:
+    """The SVG text of `render_svg`, rendered conic by conic."""
+    def fmt(v):
+        return f"{v:.3f}"
+
+    style = style or SceneStyle()
+    W, H = style.canvas
+    to_px = _ScalarMapper(_scalar_world_bbox(G), style.canvas, style.margin)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
+        f'viewBox="0 0 {W} {H}">',
+        f'  <rect width="{W}" height="{H}" fill="{style.background}"/>',
+    ]
+    for i, conic in enumerate(G.conics):
+        color = style.palette[i % len(style.palette)]
+        attrs = (f'fill="none" stroke="{color}" '
+                 f'stroke-width="{fmt(style.stroke_width)}"')
+        if conic.kind == "ellipse":
+            center, a, b, ang = ellipse_parameters(conic)
+            cx, cy = to_px(center[0], center[1])
+            deg = -math.degrees(ang)
+            lines.append(
+                f'  <ellipse cx="{fmt(cx)}" cy="{fmt(cy)}" '
+                f'rx="{fmt(a * to_px.scale)}" ry="{fmt(b * to_px.scale)}" '
+                f'transform="rotate({fmt(deg)} {fmt(cx)} {fmt(cy)})" '
+                f'{attrs}/>')
+        else:
+            for branch in _sampled_branches(conic, to_px.bbox):
+                pts = " L ".join(
+                    f"{fmt(px)} {fmt(py)}"
+                    for px, py in (to_px(x, y) for x, y in branch))
+                lines.append(f'  <path d="M {pts}" {attrs}/>')
+    for x, y in G.points:
+        px, py = to_px(x, y)
+        lines.append(
+            f'  <circle cx="{fmt(px)}" cy="{fmt(py)}" '
+            f'r="{fmt(style.point_radius)}" fill="{style.point_color}"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

@@ -1,4 +1,6 @@
 """Unit tests for the geometric builders."""
+import math
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,9 @@ from pointconic.constructions import (ConstructionError, cell24,
                                       polygon_ring, prism_product, product,
                                       qcube_48, realize_by_conics,
                                       realize_lineal_by_circles,
-                                      richter_gebert)
-from pointconic.geometry import (GeometryError, carnot_product, classify,
+                                      richter_gebert, translate_conic)
+from pointconic.geometry import (AffineMap2, GeometryError, apply_affine,
+                                 apply_affine_point, carnot_product, classify,
                                  ellipse_parameters)
 from pointconic.incidence import (catalog, new_incidence_structure,
                                   signature)
@@ -189,6 +192,52 @@ class TestProduct:
             assert P.num_points == A.num_points * B.num_points
             assert P.num_conics == (A.num_points * B.num_conics
                                     + B.num_points * A.num_conics)
+
+
+def _product_by_conic(C1, C2, genericize=False, seed=0):
+    """Points, conics and flags of `product`, rebuilt one conic at a time
+    with `apply_affine` and `translate_conic`."""
+    if genericize:
+        ang = np.random.default_rng(seed).uniform(0.1, 1.0)
+        M = AffineMap2(np.array([[math.cos(ang), -math.sin(ang)],
+                                 [math.sin(ang), math.cos(ang)]]),
+                       np.zeros(2))
+        C2 = GeometricConfiguration(
+            np.array([apply_affine_point(M, p) for p in C2.points]),
+            tuple(apply_affine(M, c) for c in C2.conics), C2.flags, C2.tol)
+    n2 = C2.num_points
+    conics, flags = [], set()
+    for i1, v1 in enumerate(C1.points):
+        for b2, c in enumerate(C2.conics):
+            flags |= {(i1 * n2 + i2, len(conics))
+                      for i2 in C2.points_of_conic(b2)}
+            conics.append(translate_conic(c, v1))
+    for i2, v2 in enumerate(C2.points):
+        for b1, c in enumerate(C1.conics):
+            flags |= {(i1 * n2 + i2, len(conics))
+                      for i1 in C1.points_of_conic(b1)}
+            conics.append(translate_conic(c, v2))
+    pts = (C1.points[:, None] + C2.points[None]).reshape(-1, 2)
+    return pts, conics, flags
+
+
+class TestProductMatchesPerConicRebuild:
+    @pytest.mark.parametrize("factors, genericize, seed", [
+        ((crossed_ellipses, lambda: polygon_ring(3)), False, 0),
+        ((crossed_ellipses, crossed_ellipses), True, 1),
+        ((lambda: dipyramid_carnot(3, seed=0),
+          lambda: dipyramid_carnot(3, seed=0)), True, 1),
+        ((lambda: richter_gebert(seed=1), crossed_ellipses), True, 5)],
+        ids=["ring", "crossed", "square", "richter_gebert"])
+    def test_same_points_conics_flags(self, factors, genericize, seed):
+        A, B = (f() for f in factors)
+        P = product(A, B, genericize=genericize, seed=seed)
+        pts, conics, flags = _product_by_conic(A, B, genericize, seed)
+        assert P.points.tobytes() == pts.tobytes()
+        assert [c.kind for c in P.conics] == [c.kind for c in conics]
+        assert all(p.form.tobytes() == c.form.tobytes()
+                   for p, c in zip(P.conics, conics))
+        assert P.flags == flags
 
 
 class TestPmnAndCell24:

@@ -11,9 +11,10 @@ from conftest import (carnot_six_from_conic, random_ellipse, random_triangle,
 from pointconic.constructions import (cell24, crossed_ellipses,
                                       dipyramid_carnot, ellipse_conic, pmn,
                                       polygon_ring, product, qcube_48,
-                                      richter_gebert)
+                                      richter_gebert, translate_conic,
+                                      translate_conics)
 from pointconic.geometry import (AffineMap2, Conic, GeometryError,
-                                 Projection4to2, apply_affine,
+                                 Projection4to2, affine_images, apply_affine,
                                  apply_affine_point, carnot_product,
                                  carnot_solve_sixth, central_conic_from_pairs,
                                  classify, conic_conic_intersections,
@@ -21,6 +22,7 @@ from pointconic.geometry import (AffineMap2, Conic, GeometryError,
                                  conic_from_normalized_coeffs,
                                  conics_from_normalized_coeffs,
                                  dilation_to_circle, ellipse_parameters,
+                                 ellipse_parameters_stack, forms_coeffs,
                                  line_conic_intersections,
                                  pencil_intersections, point_on_conic,
                                  project, project_conic_plane, signed_ratio)
@@ -130,6 +132,106 @@ class TestStackedConics:
             conic_from_normalized_coeffs(bad)
         with pytest.raises(GeometryError, match="conic 1: .*not normalized"):
             conics_from_normalized_coeffs([good, bad])
+
+
+def _same_conics(got, want):
+    """Bit-identical forms (signs of zeros included) and equal kinds."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.kind == w.kind
+        assert g.form.tobytes() == w.form.tobytes()
+
+
+_scale = st.floats(-3, 3).map(lambda e: 10.0 ** e)
+_linear = st.lists(st.floats(-3, 3), min_size=4, max_size=4).map(
+    lambda v: np.reshape(v, (2, 2))).filter(
+    lambda L: abs(np.linalg.det(L)) > 1e-3)
+_shift = st.tuples(st.floats(-1, 1), st.floats(-1, 1), _scale).map(
+    lambda t: np.array(t[:2]) * t[2])
+
+
+class TestStackedAffineKernels:
+    """`affine_images` and `ellipse_parameters_stack` against the one-conic
+    calls `apply_affine`, `translate_conic` and `ellipse_parameters`."""
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @given(st.lists(_forms, min_size=1, max_size=8), _linear, _shift)
+    @settings(max_examples=200, deadline=None)
+    def test_one_map(self, forms, L, t):
+        conics = [Conic(M) for M in forms]
+        M = AffineMap2(L, t)
+        _same_conics(affine_images(M.homogeneous(),
+                                   [c.form for c in conics]),
+                     [apply_affine(M, c) for c in conics])
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @given(st.lists(st.tuples(_forms, _linear, _shift), min_size=1,
+                    max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_one_map_per_form(self, drawn):
+        conics = [Conic(M) for M, _, _ in drawn]
+        maps = [AffineMap2(L, t) for _, L, t in drawn]
+        _same_conics(affine_images(np.array([M.homogeneous() for M in maps]),
+                                   [c.form for c in conics]),
+                     [apply_affine(M, c) for M, c in zip(maps, conics)])
+
+    @given(st.integers(0, 10 ** 9), _scale)
+    @settings(max_examples=100, deadline=None)
+    def test_translates(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        conics = [random_ellipse(rng) for _ in range(6)]
+        shifts = rng.normal(size=(6, 2)) * scale
+        _same_conics(translate_conics(np.array([c.form for c in conics]),
+                                      shifts),
+                     [translate_conic(c, v) for c, v in zip(conics, shifts)])
+
+    def test_cube_translates(self):
+        d = dipyramid_carnot(3, seed=0)
+        sq = product(d, d, genericize=True, seed=1)
+        forms = np.array([c.form for c in d.conics] * sq.num_points)
+        shifts = np.repeat(sq.points, d.num_conics, axis=0)
+        _same_conics(translate_conics(forms, shifts),
+                     [translate_conic(c, v)
+                      for v in sq.points for c in d.conics])
+
+    def test_empty_stacks(self):
+        assert affine_images(np.eye(3), np.zeros((0, 3, 3))) == ()
+        centers, a, b, angles = ellipse_parameters_stack(np.zeros((0, 3, 3)))
+        assert centers.shape == (0, 2) and a.shape == b.shape == (0,)
+        assert angles == []
+
+    @given(st.integers(0, 10 ** 9), _scale)
+    @settings(max_examples=100, deadline=None)
+    def test_ellipse_parameters(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        conics = [ellipse_conic(rng.normal(size=2) * scale,
+                                scale * rng.uniform(0.5, 2),
+                                scale * rng.uniform(0.01, 0.5),
+                                rng.uniform(-math.pi, math.pi))
+                  for _ in range(8)]
+        # Far from unit scale the kind thresholds may call a thin ellipse
+        # a point; only ellipses have parameters.
+        self._check_parameters([c for c in conics if c.kind == "ellipse"]
+                               + [UNIT_CIRCLE])
+
+    @pytest.mark.parametrize("build", [qcube_48, cell24, crossed_ellipses],
+                             ids=["qcube_48", "cell24", "crossed_ellipses"])
+    def test_ellipse_parameters_of_builders(self, build):
+        self._check_parameters(build().conics)
+
+    @staticmethod
+    def _check_parameters(conics):
+        centers, a, b, angles = ellipse_parameters_stack(
+            [c.form for c in conics])
+        for k, c in enumerate(conics):
+            center, ak, bk, angle = ellipse_parameters(c)
+            assert centers[k].tobytes() == center.tobytes()
+            assert (a[k], b[k], angles[k]) == (ak, bk, angle)
+
+    def test_forms_coeffs(self):
+        G = richter_gebert(seed=1)
+        assert forms_coeffs([c.form for c in G.conics]).tolist() == \
+            [[float(v) for v in c.coeffs()] for c in G.conics]
 
 
 class TestFitting:

@@ -13,8 +13,10 @@ from conftest import (brute_force_biclique, nx_girth,
 from pointconic import incidence
 from pointconic.analysis import intersection_type_combinatorial
 from pointconic.constructions import (cell24, crossed_ellipses,
-                                      dipyramid_carnot, pmn, product,
-                                      qcube_48)
+                                      dipyramid_carnot, pmn, polygon_ring,
+                                      product, qcube_48, realize_by_conics,
+                                      realize_lineal_by_circles,
+                                      richter_gebert)
 from pointconic.incidence import (IncidenceError, catalog, catalog_names,
                                   cyclic_cascade, disjoint_union, dual,
                                   girth, has_biclique, incidence_switch,
@@ -348,6 +350,53 @@ class TestBicliques:
             + [(2, 0), (3, 1)])
         assert has_biclique(C, 2, 3)
         assert not has_biclique(C, 3, 2)
+
+
+def _predicates(C, biclique) -> tuple:
+    """The report's five biclique verdicts, asked one (s, t) at a time."""
+    circular = not biclique(C, 3, 2)
+    conical = not biclique(C, 5, 2)
+    return (not biclique(C, 2, 2), circular,
+            circular and not biclique(C, 2, 3), conical,
+            conical and not biclique(C, 2, 5))
+
+
+def _reported(C) -> tuple:
+    rep = property_report(C)
+    return (rep.lineal, rep.circular, rep.strongly_circular, rep.conical,
+            rep.strongly_conical)
+
+
+class TestPropertyReportPredicates:
+    """property_report reads each side's largest pair count once; its
+    verdicts must be those of has_biclique and of the brute-force search."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog(self, name):
+        C = catalog(name)
+        assert _reported(C) == _predicates(C, has_biclique) == \
+            _predicates(C, brute_force_biclique)
+
+    @pytest.mark.parametrize("build", [
+        crossed_ellipses, lambda: polygon_ring(5), qcube_48,
+        lambda: richter_gebert(seed=1), lambda: dipyramid_carnot(4, seed=3),
+        lambda: pmn(4, 6), cell24,
+        lambda: product(dipyramid_carnot(3, seed=0),
+                        dipyramid_carnot(3, seed=0), genericize=True, seed=1),
+        lambda: realize_lineal_by_circles(catalog("pappus"), seed=0),
+        lambda: realize_by_conics(catalog("miquel"), seed=0)],
+        ids=["crossed_ellipses", "polygon_ring", "qcube_48", "richter_gebert",
+             "dipyramid_carnot", "pmn", "cell24", "product",
+             "realize_lineal_by_circles", "realize_by_conics"])
+    def test_builders(self, build):
+        C = build().to_incidence_structure()
+        assert _reported(C) == _predicates(C, has_biclique)
+
+    @given(st.one_of(structures(), dense_structures(), sparse_structures()))
+    @settings(max_examples=200, deadline=None)
+    def test_random_structures(self, C):
+        assert _reported(C) == _predicates(C, has_biclique) == \
+            _predicates(C, brute_force_biclique)
 
 
 class TestGraphInvariants:

@@ -18,12 +18,18 @@ import pointconic
 from pointconic.cli import main
 from pointconic import io
 from pointconic.configuration import GeometricConfiguration
-from pointconic.constructions import (crossed_ellipses, pmn, polygon_ring,
-                                      product, realize_lineal_by_circles)
-from pointconic.geometry import GeometryError
+from conftest import scalar_render_svg
+from pointconic.constructions import (cell24, crossed_ellipses,
+                                      dipyramid_carnot, ellipse_conic,
+                                      parallelogram_ellipse_pair, pmn,
+                                      polygon_ring, product, qcube_48,
+                                      realize_by_conics,
+                                      realize_lineal_by_circles,
+                                      richter_gebert)
+from pointconic.geometry import Conic, GeometryError
 from pointconic.incidence import IncidenceError, catalog
-from pointconic.io import (InterfaceError, dumps_canonical, from_document,
-                           read_configuration, to_document,
+from pointconic.io import (InterfaceError, _dump_value, dumps_canonical,
+                           from_document, read_configuration, to_document,
                            write_configuration)
 from pointconic.svg import SceneStyle, render_svg
 
@@ -118,6 +124,59 @@ class TestValidation:
         G = crossed_ellipses()
         doc = json.loads(dumps_canonical(to_document(G)))
         assert doc["points"] == [[float(x), float(y)] for x, y in G.points]
+
+
+_SPECIAL_REALS = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 2.0,
+                  -3.0, 1e16, math.nan, math.inf, -math.inf]
+_reals = st.one_of(st.floats(), st.sampled_from(_SPECIAL_REALS))
+_scalars = st.one_of(_reals, st.integers(-10 ** 6, 10 ** 6), st.booleans(),
+                     st.none(), st.text(max_size=4))
+
+
+@st.composite
+def _rows(draw):
+    """Lists of equal-width rows: floats, ints or a mixture."""
+    width = draw(st.integers(0, 6))
+    cell = draw(st.sampled_from([_reals, st.integers(-10 ** 6, 10 ** 6),
+                                 _scalars]))
+    return draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                         max_size=6))
+
+
+_values = st.recursive(
+    st.one_of(_scalars, _rows()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=4)),
+    max_leaves=20)
+
+
+def _dumped(dump, doc):
+    try:
+        return dump(doc)
+    except InterfaceError as exc:
+        return f"InterfaceError: {exc}"
+
+
+class TestCanonicalRowsPass:
+    """dumps_canonical's one-pass numeric rows against the recursive
+    `_dump_value`."""
+
+    @given(st.dictionaries(st.text(max_size=6), _values, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_recursive_dump(self, doc):
+        assert _dumped(dumps_canonical, doc) == \
+            _dumped(lambda d: _dump_value(d) + "\n", doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_row_rejected(self, bad):
+        with pytest.raises(InterfaceError, match="non-finite real"):
+            dumps_canonical({"points": [[0.0, 1.0], [bad, 2.0]]})
+
+    def test_documents(self):
+        for obj in (pmn(4, 4), richter_gebert(seed=1), catalog("fano")):
+            doc = to_document(obj)
+            assert dumps_canonical(doc) == _dump_value(doc) + "\n"
 
 
 def _with_integral_float_indices(doc: dict) -> dict:
@@ -355,6 +414,136 @@ class TestSvg:
             SceneStyle(palette=())
         with pytest.raises(ValueError):
             SceneStyle(canvas=(0, 100))
+
+
+def _pair_scene(e_ac, e_bd, side):
+    return GeometricConfiguration(np.array(side), (e_ac, e_bd), frozenset(
+        (p, b) for p in range(4) for b in range(2)))
+
+
+# One scene per builder and realizer; the product is the Minkowski square.
+SVG_SCENES = {
+    "crossed_ellipses": crossed_ellipses,
+    "polygon_ring": lambda: polygon_ring(5),
+    "parallelogram_ellipse_pair": lambda: _pair_scene(
+        *parallelogram_ellipse_pair((0, 0), (2, 0), (2.5, 1), (0.5, 1))),
+    "qcube_48": qcube_48,
+    "richter_gebert": lambda: richter_gebert(seed=1),
+    "dipyramid_carnot": lambda: dipyramid_carnot(4, seed=3),
+    "pmn": lambda: pmn(4, 6),
+    "cell24": cell24,
+    "product": lambda: product(dipyramid_carnot(3, seed=0),
+                               dipyramid_carnot(3, seed=0),
+                               genericize=True, seed=1),
+    "realize_lineal_by_circles":
+        lambda: realize_lineal_by_circles(catalog("pappus"), seed=0),
+    "realize_by_conics": lambda: realize_by_conics(catalog("miquel"), seed=0),
+    "realize_by_conics_anti_miquel":
+        lambda: realize_by_conics(catalog("anti-miquel-small"), seed=1),
+}
+
+# Every Conic.kind, and the two scans the sampler treats apart: c = 0 (the
+# transposed scan) and a = c = 0 (a quadratic without leading coefficient).
+FUZZ_KINDS = ("ellipse", "hyperbola", "parabola", "pair-of-lines",
+              "double-line", "point", "empty", "c=0", "a=c=0")
+
+
+def _fuzz_conic(kind: str, rng, s: float, shift) -> Conic:
+    """A conic of the named kind near `shift` at scale `s`."""
+    if kind == "ellipse":
+        return ellipse_conic(shift + rng.normal(size=2) * s,
+                             s * rng.uniform(0.5, 2), s * rng.uniform(0.1, 0.5),
+                             rng.uniform(0, math.pi))
+    x0, y0 = shift + rng.normal(size=2) * s
+    # Forms in coordinates centred at (x0, y0) and scaled by s.
+    H = np.array([[1 / s, 0, -x0 / s], [0, 1 / s, -y0 / s], [0, 0, 1]])
+    if kind == "hyperbola":
+        A = np.diag([rng.uniform(0.2, 2), -rng.uniform(0.2, 2), 1.0])
+    elif kind == "parabola":
+        p, q = rng.normal(size=2)
+        A = np.array([[p * p, p * q, 0.5], [p * q, q * q, 0.3], [0.5, 0.3, 0]])
+    elif kind in ("pair-of-lines", "double-line"):
+        u = rng.normal(size=3)
+        v = rng.normal(size=3) if kind == "pair-of-lines" else u
+        A = np.outer(u, v) + np.outer(v, u)
+    elif kind == "point":
+        A = np.diag([rng.uniform(0.5, 2), rng.uniform(0.5, 2), 0.0])
+    elif kind == "empty":
+        A = np.diag([1.0, rng.uniform(0.5, 2), 1.0])
+    else:
+        A = rng.normal(size=(3, 3))
+        A = A + A.T
+        A[1, 1] = 0.0
+        if kind == "a=c=0":
+            A[0, 0] = 0.0
+    return Conic(H.T @ A @ H)
+
+
+def _fuzz_scene(seed: int, kinds, scale: float, num_points: int):
+    rng = np.random.default_rng(seed)
+    shift = rng.normal(size=2) * scale * rng.uniform(0, 3)
+    conics = []
+    for kind in kinds:
+        try:
+            conics.append(_fuzz_conic(kind, rng, scale, shift))
+        except GeometryError:
+            pass
+    pts = shift + rng.normal(size=(num_points, 2)) * scale
+    return GeometricConfiguration(pts, tuple(conics), frozenset())
+
+
+_styles = st.one_of(
+    st.none(),
+    st.builds(SceneStyle,
+              stroke_width=st.floats(0.1, 5), point_radius=st.floats(0.1, 5),
+              palette=st.sampled_from([("#000",), ("#123456", "#abcdef",
+                                                   "red")]),
+              canvas=st.tuples(st.integers(20, 1200), st.integers(20, 1200)),
+              margin=st.floats(0, 0.3), point_color=st.just("#00ff00"),
+              background=st.just("none")))
+
+
+class TestSvgMatchesScalarRenderer:
+    """render_svg's stacked passes against the conic-by-conic renderer
+    `scalar_render_svg`, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(SVG_SCENES))
+    def test_builders_and_realizers(self, name):
+        G = SVG_SCENES[name]()
+        assert render_svg(G) == scalar_render_svg(G)
+
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
+    def test_every_kind(self, kind):
+        G = _fuzz_scene(7, [kind] * 3, 1.0, 4)
+        if kind in pointconic.geometry.KINDS:
+            assert kind in {c.kind for c in G.conics}
+        assert render_svg(G) == scalar_render_svg(G)
+
+    def test_one_point_runs_closed_out_of_range(self):
+        # Steep lines through the origin: the scan's middle sample, x = 0,
+        # is the only one in range, so each root slot gives a one-point run
+        # that the next, out-of-range root closes.
+        lines = Conic(np.diag([-1e6, 1.0, 0.0]))
+        G = GeometricConfiguration(np.array([[-1.0, 0.0], [1.0, 1.0]]),
+                                   (lines,), frozenset())
+        svg = render_svg(G)
+        paths = [ln for ln in svg.splitlines() if "<path" in ln]
+        assert len(paths) == 2 and not any(" L " in ln for ln in paths)
+        assert svg == scalar_render_svg(G)
+
+    def test_empty_scene(self):
+        G = GeometricConfiguration(np.zeros((0, 2)), (), frozenset())
+        style = SceneStyle(canvas=(300, 200), margin=0.2)
+        assert render_svg(G, style) == scalar_render_svg(G, style)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kinds=st.lists(st.sampled_from(FUZZ_KINDS), max_size=6),
+           exponent=st.floats(-3, 3), num_points=st.integers(0, 5),
+           style=_styles)
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_scenes(self, seed, kinds, exponent, num_points, style):
+        G = _fuzz_scene(seed, kinds, 10.0 ** exponent, num_points)
+        assert render_svg(G, style) == scalar_render_svg(G, style)
 
 
 class TestCli:
