@@ -313,9 +313,15 @@ def central_conic_from_pairs(center, reps) -> Conic:
 _PENCIL_TS = np.array([0.0, 1.0, -1.0, 2.0])
 _PENCIL_VANDER = np.vander(_PENCIL_TS, 4)
 _MINOR_KEEP = ([1, 2], [0, 2], [0, 1])  # indices left after deleting k
-# Pairs per kernel pass: keeps the working set under 1 MB. One pass over
-# cell24's 4560 pairs needs ~20 MB more peak memory and is no faster.
+# Pairs per kernel pass: keeps the working set near 1 MB (1.3 MB traced
+# peak on cell24). One pass over cell24's 4560 pairs peaks at 7.7 MB and is
+# only ~10 % faster (47 vs 52 ms).
 _PAIR_CHUNK = 256
+_NEWTON_STEPS = 30
+# Newton steps run inside each chunk. On the polytope scenes 4 % of the
+# candidates still move after them and 1 % after all 30; their pairs wait,
+# so the remaining steps run once per call instead of once per chunk.
+_CHUNK_STEPS = 3
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -395,24 +401,27 @@ def _line_conic_complex(L: np.ndarray, A: np.ndarray):
 
 
 def _solve_or_nan(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Stacked 2x2 solves; a singular system gives a NaN solution."""
+    """Stacked 2x2 solves; a singular system gives a NaN solution. A stack
+    that raises is halved until each singular system stands alone, so every
+    other system still gets the stacked solve's LAPACK call."""
     try:
         return np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan)
-        for k in range(len(J)):
-            try:
-                out[k] = np.linalg.solve(J[k], rhs[k])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+        if len(J) == 1:
+            return np.full(rhs.shape, np.nan)
+        h = len(J) // 2
+        return np.concatenate([_solve_or_nan(J[:h], rhs[:h]),
+                               _solve_or_nan(J[h:], rhs[h:])])
 
 
 def _newton_polish(xy: np.ndarray, A: np.ndarray, B: np.ndarray,
-                   iters: int = 30) -> np.ndarray:
-    """Refine stacked common points (K, 2) of conic pairs (K, 3, 3) with 2D
-    Newton steps, clipped to length 0.1. A point stops once both residuals
-    are below 1e-16, or when its Jacobian is singular or its step not finite.
+                   iters: int):
+    """Refine stacked common points (K, 2) of conic pairs (K, 3, 3) with
+    `iters` 2D Newton steps, clipped to length 0.1. A point stops once both
+    residuals are below 1e-16, or when its Jacobian is singular or its step
+    not finite. Returns the points and the indices of those still moving,
+    which further steps continue exactly: a point's steps depend only on its
+    own state.
     """
     xy = xy.copy()
     live = np.arange(len(xy))
@@ -433,7 +442,7 @@ def _newton_polish(xy: np.ndarray, A: np.ndarray, B: np.ndarray,
         long = step > 0.1
         delta[long] *= (0.1 / step[long])[:, None]
         xy[live] += delta
-    return xy
+    return xy, live
 
 
 def _residuals(xy: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -470,12 +479,15 @@ def _pencil_candidates(MA: np.ndarray, MB: np.ndarray):
     return q[valid, :2].real, pair[valid]
 
 
-def _pencil_chunk(MA: np.ndarray, MB: np.ndarray, merge_tol: float):
-    """Each pair's distinct points, sorted into `points[k, :counts[k]]` of a
-    NaN-padded (P, >= 4, 2) array, for stacked pairs of forms (P, 3, 3)."""
-    P = len(MA)
-    xy, pair = _pencil_candidates(MA, MB)
-    xy = _newton_polish(xy, MA[pair], MB[pair])
+def _settle(forms: np.ndarray, pairs: np.ndarray, k: np.ndarray,
+            xy: np.ndarray, merge_tol: float):
+    """Each pair's distinct points from its polished candidates `xy` (K, 2),
+    whose pair indices `k` (K,) into `pairs` are grouped and ascending.
+    Returns the pairs present, their points sorted into `points[p, :n[p]]`
+    of a NaN-padded (U, >= 4, 2) array, and their counts n."""
+    present, pair = np.unique(k, return_inverse=True)
+    MA, MB = forms[pairs[present, 0]], forms[pairs[present, 1]]
+    P = len(present)
     tol = 10 * merge_tol
     # "Not above tol" lets a NaN residual pass, like the per-pair method's
     # `if residual > tol: skip`.
@@ -499,7 +511,34 @@ def _pencil_chunk(MA: np.ndarray, MB: np.ndarray, merge_tol: float):
     points = np.take_along_axis(cand, order[:, :, None], axis=1)
     counts = kept.sum(axis=1)
     points[np.arange(width) >= counts[:, None]] = np.nan
-    return points, counts
+    return present, points, counts
+
+
+def _boxes_apart(forms: np.ndarray, ellipse: np.ndarray,
+                 pairs: np.ndarray) -> np.ndarray:
+    """Mask of the pairs (P,) of ellipses whose axis-aligned boxes are
+    disjoint, so they cannot meet. An ellipse's box has the tangent lines
+    x = x0 and y = y0 as sides: the roots of l^T adj(A) l = 0 for
+    l = (1, 0, -x0) and (0, 1, -y0). Boxes are widened by 1e-6 of the
+    ellipses' joint extent, so ellipses tangent at their box edges are kept;
+    other conics get infinite boxes."""
+    if not ellipse.any():
+        return np.zeros(len(pairs), bool)
+    lo = np.full((len(forms), 2), -np.inf)
+    hi = np.full((len(forms), 2), np.inf)
+    F = forms[ellipse]
+    c00 = F[:, 1, 1] * F[:, 2, 2] - F[:, 1, 2] ** 2
+    c11 = F[:, 0, 0] * F[:, 2, 2] - F[:, 0, 2] ** 2
+    c22 = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] ** 2
+    c02 = F[:, 0, 1] * F[:, 1, 2] - F[:, 0, 2] * F[:, 1, 1]
+    c12 = F[:, 0, 1] * F[:, 0, 2] - F[:, 0, 0] * F[:, 1, 2]
+    center = np.stack([c02, c12], axis=1) / c22[:, None]
+    half = (np.sqrt(np.stack([c02 ** 2 - c00 * c22, c12 ** 2 - c11 * c22],
+                             axis=1)) / np.abs(c22)[:, None])
+    lo[ellipse], hi[ellipse] = center - half, center + half
+    margin = 1e-6 * np.max(hi[ellipse].max(axis=0) - lo[ellipse].min(axis=0))
+    i, j = pairs[:, 0], pairs[:, 1]
+    return ((lo[i] > hi[j] + margin) | (lo[j] > hi[i] + margin)).any(axis=1)
 
 
 def pencil_intersections(conics, pairs, merge_tol: float = TOL_MERGE):
@@ -511,9 +550,14 @@ def pencil_intersections(conics, pairs, merge_tol: float = TOL_MERGE):
     degenerate member of the pencil A + lambda*B is split into two lines,
     which are intersected with A; candidates are Newton-polished and kept
     if they lie on both conics, tangential ones once. Every pair is checked
-    first (degenerate or coincident conics raise), then all are solved in
-    fixed-size chunks. Raises when more than four distinct points of a pair
-    survive the merge, which two distinct conics cannot have.
+    first (degenerate or coincident conics raise). A broad phase then gives
+    count 0 to the pairs of ellipses whose boxes are disjoint, and the rest
+    are solved in fixed-size chunks. Each chunk runs the first Newton steps
+    of its candidates; the pairs with a point still moving wait, and their
+    points finish together in one call. The points are bit-identical to
+    solving every pair in one phase. Raises when more than four distinct
+    points of a pair survive the merge, which two distinct conics cannot
+    have.
     """
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
     points = np.full((len(pairs), 4, 2), np.nan)
@@ -527,17 +571,36 @@ def pencil_intersections(conics, pairs, merge_tol: float = TOL_MERGE):
            for c in chunks):
         raise GeometryError(
             "coincident conics: five or more common points force equality")
+    ellipse = np.array([c.kind == "ellipse" for c in conics], dtype=bool)
+    waiting = []  # (pair index, point, still moving) of the waiting pairs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for c in chunks:
-            pts, n = _pencil_chunk(forms[pairs[c, 0]], forms[pairs[c, 1]],
+        todo = np.flatnonzero(~_boxes_apart(forms, ellipse, pairs))
+        for s in range(0, len(todo), _PAIR_CHUNK):
+            idx = todo[s:s + _PAIR_CHUNK]
+            MA, MB = forms[pairs[idx, 0]], forms[pairs[idx, 1]]
+            xy, pair = _pencil_candidates(MA, MB)
+            xy, live = _newton_polish(xy, MA[pair], MB[pair], _CHUNK_STEPS)
+            moving = np.zeros(len(xy), bool)
+            moving[live] = True
+            wait = np.isin(pair, pair[live])
+            waiting.append((idx[pair[wait]], xy[wait], moving[wait]))
+            done, pts, n = _settle(forms, pairs, idx[pair[~wait]], xy[~wait],
                                    merge_tol)
-            if n.max() > 4:
-                i, j = pairs[c][int(np.argmax(n))]
-                raise GeometryError(
-                    f"conics {i} and {j} give {n.max()} distinct "
-                    "intersection points; two distinct conics share at "
-                    "most 4")
-            points[c], counts[c] = pts[:, :4], n
+            points[done], counts[done] = pts[:, :4], n
+        if waiting:
+            k, xy, moving = (np.concatenate(a) for a in zip(*waiting))
+            km = k[moving]
+            xy[moving] = _newton_polish(
+                xy[moving], forms[pairs[km, 0]], forms[pairs[km, 1]],
+                _NEWTON_STEPS - _CHUNK_STEPS)[0]
+            done, pts, n = _settle(forms, pairs, k, xy, merge_tol)
+            points[done], counts[done] = pts[:, :4], n
+    over = np.flatnonzero(counts > 4)
+    if len(over):
+        (i, j), n = pairs[over[0]], counts[over[0]]
+        raise GeometryError(
+            f"conics {i} and {j} give {n} distinct intersection points; two "
+            "distinct conics share at most 4")
     return points, counts
 
 

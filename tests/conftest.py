@@ -12,8 +12,9 @@ from networkx.algorithms.flow import build_residual_network
 
 from pointconic.analysis import SPURIOUS_REL
 from pointconic.constructions import ellipse_conic
-from pointconic.geometry import (TOL_MERGE, Conic, GeometryError, cross2,
-                                 ellipse_parameters)
+from pointconic.geometry import (TOL_MERGE, Conic, GeometryError, _coincident,
+                                 _norm, _pencil_candidates, _quadratic_form,
+                                 _residuals, cross2, ellipse_parameters)
 from pointconic.incidence import (IncidenceStructure, LeviGraph,
                                   new_incidence_structure)
 from pointconic.svg import SceneStyle
@@ -326,6 +327,112 @@ def scalar_conic_conic_intersections(A: Conic, B: Conic,
         points.append(p)
     points.sort(key=lambda p: (round(p[0], 9), round(p[1], 9)))
     return points[:4]
+
+
+# ---------------------------------------------------------------------------
+# One-phase chunked pencil kernel: the oracle for the two-phase, pruned one
+# ---------------------------------------------------------------------------
+# The stacked kernel before the broad phase and the two-phase polish,
+# verbatim: every pair is solved, and each chunk of pairs runs all 30 Newton
+# steps and falls back to per-matrix solves when a stacked solve is singular.
+# geometry.pencil_intersections must reproduce its points and counts, bit for
+# bit. Candidate generation and the residuals are shared, unchanged.
+
+ONE_PHASE_PAIR_CHUNK = 256
+
+
+def per_matrix_solve_or_nan(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked 2x2 solves; a singular system gives a NaN solution."""
+    try:
+        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for k in range(len(J)):
+            try:
+                out[k] = np.linalg.solve(J[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _stacked_newton_polish(xy: np.ndarray, A: np.ndarray, B: np.ndarray,
+                           iters: int = 30) -> np.ndarray:
+    xy = xy.copy()
+    live = np.arange(len(xy))
+    for _ in range(iters):
+        if not len(live):
+            break
+        v = np.column_stack([xy[live], np.ones(len(live))])
+        A_l, B_l = A[live], B[live]
+        fa = _quadratic_form(v, A_l, v)
+        fb = _quadratic_form(v, B_l, v)
+        go = ~(np.maximum(np.abs(fa), np.abs(fb)) < 1e-16)
+        J = 2 * np.stack([np.matmul(A_l[go, :2], v[go, :, None]),
+                          np.matmul(B_l[go, :2], v[go, :, None])], axis=1)
+        delta = per_matrix_solve_or_nan(
+            J[..., 0], -np.stack([fa[go], fb[go]], axis=1))
+        finite = np.isfinite(delta).all(axis=1)
+        delta, live = delta[finite], live[go][finite]
+        step = _norm(delta)
+        long = step > 0.1
+        delta[long] *= (0.1 / step[long])[:, None]
+        xy[live] += delta
+    return xy
+
+
+def _one_phase_chunk(MA: np.ndarray, MB: np.ndarray, merge_tol: float):
+    P = len(MA)
+    xy, pair = _pencil_candidates(MA, MB)
+    xy = _stacked_newton_polish(xy, MA[pair], MB[pair])
+    tol = 10 * merge_tol
+    on_both = (~(_residuals(xy, MA[pair]) > tol)
+               & ~(_residuals(xy, MB[pair]) > tol))
+    xy, pair = xy[on_both], pair[on_both]
+    per_pair = np.bincount(pair, minlength=P)
+    rank = np.arange(len(pair)) - (np.cumsum(per_pair) - per_pair)[pair]
+    width = max(4, int(per_pair.max(initial=0)))
+    cand = np.full((P, width, 2), np.nan)
+    cand[pair, rank] = xy
+    kept = np.zeros((P, width), bool)
+    kept[pair, rank] = True
+    for j in range(1, width):
+        near = _norm(cand[:, :j] - cand[:, j:j + 1]) < merge_tol
+        kept[:, j] &= ~(kept[:, :j] & near).any(axis=1)
+    order = np.lexsort((np.round(cand[:, :, 1], 9), np.round(cand[:, :, 0], 9),
+                        ~kept), axis=-1)
+    points = np.take_along_axis(cand, order[:, :, None], axis=1)
+    counts = kept.sum(axis=1)
+    points[np.arange(width) >= counts[:, None]] = np.nan
+    return points, counts
+
+
+def one_phase_pencil_intersections(conics, pairs, merge_tol: float = TOL_MERGE):
+    """`(points, counts)` of the conic pairs `pairs`, as
+    `geometry.pencil_intersections` returns them, from every pair."""
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    points = np.full((len(pairs), 4, 2), np.nan)
+    counts = np.zeros(len(pairs), dtype=int)
+    if any(conics[i].is_degenerate() for i in set(pairs.ravel().tolist())):
+        raise GeometryError("degenerate conic input")
+    forms = np.array([c.form for c in conics])
+    chunks = [slice(s, s + ONE_PHASE_PAIR_CHUNK)
+              for s in range(0, len(pairs), ONE_PHASE_PAIR_CHUNK)]
+    if any(_coincident(forms[pairs[c, 0]], forms[pairs[c, 1]], 1e-9).any()
+           for c in chunks):
+        raise GeometryError(
+            "coincident conics: five or more common points force equality")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for c in chunks:
+            pts, n = _one_phase_chunk(forms[pairs[c, 0]], forms[pairs[c, 1]],
+                                      merge_tol)
+            if n.max() > 4:
+                i, j = pairs[c][int(np.argmax(n))]
+                raise GeometryError(
+                    f"conics {i} and {j} give {n.max()} distinct "
+                    "intersection points; two distinct conics share at "
+                    "most 4")
+            points[c], counts[c] = pts[:, :4], n
+    return points, counts
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Unit tests for the planar conic kernel."""
+import functools
 import math
 
 import numpy as np
@@ -6,15 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (carnot_six_from_conic, random_ellipse, random_triangle,
+from conftest import (carnot_six_from_conic, one_phase_pencil_intersections,
+                      per_matrix_solve_or_nan, random_ellipse, random_triangle,
                       scalar_conic_conic_intersections, sweep_intersections)
+from pointconic import geometry
 from pointconic.constructions import (cell24, crossed_ellipses,
                                       dipyramid_carnot, ellipse_conic, pmn,
                                       polygon_ring, product, qcube_48,
                                       richter_gebert, translate_conic,
                                       translate_conics)
 from pointconic.geometry import (AffineMap2, Conic, GeometryError,
-                                 Projection4to2, affine_images, apply_affine,
+                                 Projection4to2, _boxes_apart, _solve_or_nan,
+                                 affine_images, apply_affine,
                                  apply_affine_point, carnot_product,
                                  carnot_solve_sixth, central_conic_from_pairs,
                                  classify, conic_conic_intersections,
@@ -500,6 +504,7 @@ class TestHypothesisProperties:
     from hypothesis import strategies as st
 
     @given(st.integers(min_value=0, max_value=10 ** 9))
+    @example(2)  # the two ellipses' boxes are disjoint: every pair skipped
     @settings(max_examples=60, deadline=None)
     def test_intersection_count_bounded(self, seed):
         rng = np.random.default_rng(seed)
@@ -626,3 +631,170 @@ class TestBatchedKernelAgainstScalarOracle:
     def test_no_pairs(self):
         points, counts = pencil_intersections((UNIT_CIRCLE,), [])
         assert points.shape == (0, 4, 2) and counts.shape == (0,)
+
+
+# Every scene the two-phase, pruned kernel must reproduce bit for bit.
+_ORACLE_SCENES = {
+    "pmn44": lambda: pmn(4, 4), "pmn46": lambda: pmn(4, 6),
+    "pmn66": lambda: pmn(6, 6), "pmn88": lambda: pmn(8, 8),
+    "qcube_48": qcube_48, "cell24": cell24,
+    **{f"dipyramid8-{s}": (lambda s=s: dipyramid_carnot(8, seed=s))
+       for s in range(3)},
+    **{f"richter_gebert-{s}": (lambda s=s: richter_gebert(seed=s))
+       for s in range(3)},
+}
+
+
+@functools.cache
+def _one_phase_scene(name):
+    conics = _ORACLE_SCENES[name]().conics
+    pairs = _all_pairs(conics)
+    return conics, pairs, one_phase_pencil_intersections(conics, pairs)
+
+
+def _same_as_one_phase(conics, pairs):
+    points, counts = pencil_intersections(conics, pairs)
+    want_points, want_counts = one_phase_pencil_intersections(conics, pairs)
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(points, want_points, equal_nan=True)
+    return points, counts
+
+
+def _apart(conics, pairs):
+    forms = np.array([c.form for c in conics])
+    ellipse = np.array([c.kind == "ellipse" for c in conics])
+    return _boxes_apart(forms, ellipse, np.asarray(pairs).reshape(-1, 2))
+
+
+class TestTwoPhaseKernelAgainstOnePhaseOracle:
+    """The broad phase, the two-phase polish and the bisected solve change
+    no point: `pencil_intersections` equals the one-phase chunked kernel in
+    conftest bit for bit, NaN padding included. Chunks of 1 and 7 pairs put
+    the pairs whose points still move after the chunk's Newton steps in
+    many chunks."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @pytest.mark.parametrize("name", list(_ORACLE_SCENES))
+    def test_every_pair_of_scene(self, name, chunk, monkeypatch):
+        conics, pairs, (want_points, want_counts) = _one_phase_scene(name)
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        points, counts = pencil_intersections(conics, pairs)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(points, want_points, equal_nan=True)
+
+    def test_one_pair_call(self):
+        conics, pairs, (want_points, want_counts) = _one_phase_scene("pmn44")
+        for k in range(0, len(pairs), 37):
+            got = conic_conic_intersections(*(conics[i] for i in pairs[k]))
+            assert np.array_equal(np.array(got).reshape(-1, 2),
+                                  want_points[k, :want_counts[k]])
+
+
+class TestSolveOrNan:
+    """The bisected fallback gives every system the stacked LAPACK solve's
+    bits, and NaN to the singular ones, like a loop over single solves."""
+
+    @staticmethod
+    def _stack(rng, n, singular=()):
+        J = rng.normal(size=(n, 2, 2))
+        for k in singular:
+            J[k] = [[1.0, 2.0], [0.5, 1.0]] if k % 2 else 0.0
+        return J, rng.normal(size=(n, 2))
+
+    @pytest.mark.parametrize("n, singular", [
+        (0, ()), (1, ()), (1, (0,)), (9, (0,)), (9, (4,)), (9, (8,)),
+        (9, (0, 3, 4, 8)), (9, range(9)), (64, (5, 6, 40))],
+        ids=["empty", "one", "one-singular", "first", "middle", "last",
+             "several", "all", "wide"])
+    def test_matches_per_matrix_loop(self, n, singular):
+        J, rhs = self._stack(np.random.default_rng(n), n, singular)
+        got = _solve_or_nan(J, rhs)
+        want = per_matrix_solve_or_nan(J, rhs)
+        assert got.shape == (n, 2)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[list(singular)]).all()
+        assert np.isfinite(np.delete(got, list(singular), axis=0)).all()
+
+    def test_non_finite_entries(self):
+        J, rhs = self._stack(np.random.default_rng(3), 8, (2, 6))
+        J[1, 0, 0], J[4, 1, 1], rhs[5, 0] = np.nan, np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            got = _solve_or_nan(J, rhs)
+            want = per_matrix_solve_or_nan(J, rhs)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def _circle(c, r):
+    return ellipse_conic(c, r, r, 0.0)
+
+
+class TestBroadPhase:
+    """Pairs of ellipses with disjoint boxes skip the kernel and get count
+    0; no pair the kernel finds a point for is skipped."""
+
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_random_ellipses(self, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10 ** rng.uniform(-3, 3)
+        shift = rng.uniform(-3, 3, size=2) * 10 ** rng.uniform(-3, 3)
+        conics = []
+        for _ in range(6):
+            center, a, b, ang = ellipse_parameters(
+                random_ellipse(rng, center_box=2.0))
+            conics.append(ellipse_conic(np.asarray(center) * scale + shift,
+                                        a * scale, b * scale, ang))
+        pairs = [(i, j) for i, j in _all_pairs(conics)
+                 if not conics[i].same_as(conics[j])]
+        try:
+            one_phase_pencil_intersections(conics, pairs)
+        except GeometryError:
+            with pytest.raises(GeometryError):
+                pencil_intersections(conics, pairs)
+            return
+        points, counts = _same_as_one_phase(conics, pairs)
+        assert not counts[_apart(conics, pairs)].any()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0])
+    def test_tangent_at_box_edges_kept(self, scale):
+        def at(c):
+            return np.asarray(c, float) * scale
+        conics = [_circle(at((0, 0)), 0.5 * scale),
+                  _circle(at((0.8, 0)), 0.3 * scale),
+                  _circle(at((0, -0.7)), 0.2 * scale),
+                  ellipse_conic(at((-0.9, 0)), 0.4 * scale, 0.1 * scale, 0.0),
+                  ellipse_conic(at((0, 0.75)), 0.6 * scale, 0.25 * scale,
+                                0.0)]
+        pairs = [(0, 1), (0, 2), (0, 3), (0, 4)]
+        assert not _apart(conics, pairs).any()
+        _same_as_one_phase(conics, pairs)
+
+    def test_qcube_48_pairs_tangent_at_box_edges(self):
+        # Their boxes touch: a strict test without the margin would skip
+        # these pairs, which meet in one point each.
+        conics = qcube_48().conics
+        pairs = [(19, 29), (21, 27)]
+        assert not _apart(conics, pairs).any()
+        points, counts = _same_as_one_phase(conics, pairs)
+        assert counts.tolist() == [1, 1]
+
+    def test_hyperbolas_and_parabolas_never_skipped(self):
+        far = _circle((8.0, 8.0), 0.5)
+        conics = [Conic.from_coeffs(1, 0, -1, 0, 0, -1),        # hyperbola
+                  Conic.from_coeffs(0, 1, 0, 0, 0, -1),         # xy = 1
+                  Conic.from_coeffs(1, 0, 0, 0, -0.5, 0),       # parabola
+                  Conic.from_coeffs(0, 0, 1, -0.5, 0, -3),      # parabola
+                  far, _circle((-6.0, 0.0), 0.3)]
+        assert [c.kind for c in conics[:4]] == ["hyperbola", "hyperbola",
+                                               "parabola", "parabola"]
+        pairs = [(i, j) for i, j in _all_pairs(conics) if i < 4]
+        assert not _apart(conics, pairs).any()
+        _same_as_one_phase(conics, pairs)
+
+    def test_every_pair_skipped(self):
+        conics = [_circle((3.0 * k, 0.0), 1.0) for k in range(4)]
+        pairs = [(0, 2), (0, 3), (1, 3)]
+        assert _apart(conics, pairs).all()
+        points, counts = _same_as_one_phase(conics, pairs)
+        assert points.shape == (3, 4, 2) and not counts.any()
+        assert np.isnan(points).all()
