@@ -1,7 +1,6 @@
 """Audits, intersection types and isometry checks for realized configurations."""
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -9,8 +8,8 @@ import numpy as np
 
 from . import geometry
 from .configuration import GeometricConfiguration
-from .geometry import (GeometryError, TOL_MERGE, affine_images,
-                       apply_affine_point, dilation_to_circle,
+from .geometry import (GeometryError, TOL_MERGE, _quadratic_form,
+                       affine_images, apply_affine_point, dilation_to_circle,
                        ellipse_parameters_stack, pencil_intersections)
 from .incidence import (IncidenceStructure, Signature, block_pair_counts,
                         signature)
@@ -107,38 +106,68 @@ def _spurious_scan(G: GeometricConfiguration) -> tuple[list, list]:
     return spurious, borderline
 
 
+def _near_pairs(values: np.ndarray, window: float):
+    """Index arrays (a, b) of every pair of entries of `values` that differ
+    by at most `window`, each pair once, from one sort: in sorted order,
+    an entry within `window` of the entry k places on is also within it of
+    every entry in between, so each pass over offset k keeps only the
+    entries that found a partner at offset k - 1."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    rows, k, a, b = np.arange(len(v)), 1, [], []
+    while True:
+        rows = rows[rows < len(v) - k]
+        rows = rows[v[rows + k] - v[rows] <= window]
+        if not len(rows):
+            break
+        a.append(order[rows])
+        b.append(order[rows + k])
+        k += 1
+    if not a:
+        return rows, rows
+    return np.concatenate(a), np.concatenate(b)
+
+
+# Fixed unit directions, away from the axes and from the symmetries of the
+# builders' scenes, onto which points and flattened forms are projected.
+_POINT_AXIS = np.array([np.cos(0.3), np.sin(0.3)])
+_FORM_AXIS = np.sqrt(np.arange(2.0, 11.0))
+_FORM_AXIS /= np.linalg.norm(_FORM_AXIS)
+
+
 def _duplicate_pairs(points: np.ndarray, tol: float) -> list:
-    """Grid-hash pass; O(n) for generic data, exact within the tolerance."""
-    cells = defaultdict(list)
-    inv = 1.0 / max(tol, 1e-300)
-    for i, (x, y) in enumerate(np.floor(points * inv).tolist()):
-        cells[(int(x), int(y))].append(i)
-    dupes = []
-    for (cx, cy), members in cells.items():
-        neigh = []
-        for dx in (0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy < 0:
-                    continue
-                neigh.extend(cells.get((cx + dx, cy + dy), ()))
-        for i in members:
-            for j in neigh:
-                if j > i and np.linalg.norm(points[i] - points[j]) < tol:
-                    dupes.append((i, j))
-    return sorted(set(dupes))
+    """Sorted pairs (i, j), i < j, of points closer than `tol`.
+
+    For a unit vector u, |u.(p - q)| <= |p - q|, so such a pair projects
+    to within `tol` on u, up to the rounding of the projections, which the
+    window covers. Neighbours in the sorted projection are the candidates;
+    O(n log n) for generic data, exact within the tolerance."""
+    if len(points) < 2:
+        return []
+    window = tol + 1e-14 * float(np.abs(points).max())
+    a, b = _near_pairs(points @ _POINT_AXIS, window)
+    close = np.linalg.norm(points[a] - points[b], axis=1) < tol
+    a, b = a[close], b[close]
+    return sorted(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
 def _coincident_pairs(conics, tol: float = 1e-9) -> list:
-    groups = defaultdict(list)
-    forms = np.array([c.form for c in conics]).reshape(-1, 9)
-    for i, key in enumerate(np.round(forms, 5).tolist()):
-        groups[tuple(key)].append(i)
-    out = []
-    for members in groups.values():
-        for i, j in combinations(members, 2):
-            if conics[i].same_as(conics[j], tol):
-                out.append((i, j))
-    return sorted(out)
+    """Sorted pairs (i, j), i < j, of conics that `Conic.same_as` calls
+    coincident at `tol`.
+
+    same_as compares the unit-norm forms F and G by |F - G| and |F + G|.
+    For a unit vector u, |u.(F -+ G)| <= |F -+ G|, so the projections of
+    every form and its negative place such a pair within `tol`; the window
+    of 2 `tol` covers their rounding. same_as decides each candidate."""
+    B = len(conics)
+    if B < 2:
+        return []
+    s = np.array([c.form for c in conics]).reshape(-1, 9) @ _FORM_AXIS
+    a, b = _near_pairs(np.concatenate([s, -s]), 2 * tol)
+    a, b = a % B, b % B
+    candidates = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+    return [(i, j) for (i, j) in sorted(candidates)
+            if i != j and conics[i].same_as(conics[j], tol)]
 
 
 def audit(G: GeometricConfiguration, spurious_scan: bool = True,
@@ -146,33 +175,31 @@ def audit(G: GeometricConfiguration, spurious_scan: bool = True,
     """Check every claimed incidence and scan for everything unclaimed.
 
     Flagged pairs must have an algebraic residual of at most `G.tol` (see
-    `AuditReport`). The spurious scan tests every unflagged pair by its
-    Sampson distance relative to the diameter of the point set, so its
-    verdict does not depend on the scene's position or size.
+    `AuditReport`). Their residuals come from one stacked pass over the
+    configuration's sorted flag array, and `missing_incidences` lists the
+    failing flags in that order. The spurious scan tests every unflagged
+    pair by its Sampson distance relative to the diameter of the point set,
+    so its verdict does not depend on the scene's position or size.
     `flag_sample` limits the flag-residual check to a random subset (for
     very large products); `spurious_scan=False` skips the exhaustive
     point-times-conic pass. Both defaults give the full audit.
     """
     tol = G.tol
-    flags = sorted(G.flags)
-    if flag_sample is not None and flag_sample < len(flags):
+    C = G.to_incidence_structure()
+    checked = C.flag_array
+    if flag_sample is not None and flag_sample < len(checked):
         rng = rng or np.random.default_rng(0)
-        idx = rng.choice(len(flags), size=flag_sample, replace=False)
-        checked = [flags[i] for i in idx]
-    else:
-        checked = flags
-    H = _homogenized(G.points)
-    max_res = 0.0
-    missing = []
-    for (p, b) in checked:
-        r = float(abs(H[p] @ G.conics[b].form @ H[p]))
-        max_res = max(max_res, r)
-        if r > tol:
-            missing.append((p, b))
+        checked = checked[rng.choice(len(checked), size=flag_sample,
+                                     replace=False)]
+    H = _homogenized(G.points)[checked[:, 0]]
+    forms = np.array([c.form for c in G.conics]).reshape(-1, 3, 3)
+    res = np.abs(_quadratic_form(H, forms[checked[:, 1]], H))
+    max_res = float(res.max(initial=0.0))
+    missing = list(map(tuple, checked[res > tol].tolist()))
     spurious, borderline = _spurious_scan(G) if spurious_scan else ([], [])
     duplicates = _duplicate_pairs(G.points, TOL_MERGE)
     coincident = _coincident_pairs(G.conics)
-    sig = signature(G.to_incidence_structure())
+    sig = signature(C)
     passed = (not spurious and not missing and not duplicates
               and not coincident and max_res <= tol)
     return AuditReport(sig, max_res, tuple(spurious), tuple(missing),
@@ -247,4 +274,6 @@ def strongly_isometric_to_circles(
     conics = affine_images(M.homogeneous(), [c.form for c in G.conics])
     prov = dict(G.provenance)
     prov["transform"] = "dilation-to-circles"
-    return GeometricConfiguration(pts, conics, G.flags, G.tol, prov)
+    return GeometricConfiguration(pts, conics,
+                                  G.to_incidence_structure().flag_array,
+                                  G.tol, prov)

@@ -3,12 +3,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .geometry import TOL_INCIDENCE, Conic, GeometryError
-from .incidence import IncidenceStructure
+from .incidence import (IncidenceStructure, _flag_rows, _sort_flags,
+                        _with_flag_array)
 
 
 @dataclass(frozen=True, eq=False)
@@ -17,7 +17,10 @@ class GeometricConfiguration:
 
     `flags` holds (point-index, conic-index) pairs; every flagged pair is
     supposed to satisfy the incidence predicate at `tol` (the audit in
-    `analysis` checks this, builders are responsible for it).
+    `analysis` checks this, builders are responsible for it). It may be
+    given as any collection of pairs or as an (F, 2) integer array; the
+    flags are range-checked in one array pass and shared, with their
+    sorted array, by `to_incidence_structure()`.
     """
 
     points: np.ndarray
@@ -34,14 +37,16 @@ class GeometricConfiguration:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "conics", tuple(self.conics))
-        object.__setattr__(self, "flags",
-                           frozenset(tuple(f) for f in self.flags))
         for c in self.conics:
             if not isinstance(c, Conic):
                 raise TypeError("conics must be Conic instances")
-        for (p, b) in self.flags:
-            if not (0 <= p < len(pts) and 0 <= b < len(self.conics)):
-                raise GeometryError(f"flag {(p, b)} out of range")
+        F, bad = _flag_rows(self.flags, len(pts), len(self.conics))
+        if bad is not None:
+            raise GeometryError(f"flag {bad} out of range")
+        incidence = _with_flag_array(len(pts), len(self.conics),
+                                     _sort_flags(F))
+        object.__setattr__(self, "flags", incidence.flags)
+        object.__setattr__(self, "_incidence", incidence)
 
     @property
     def num_points(self) -> int:
@@ -50,11 +55,6 @@ class GeometricConfiguration:
     @property
     def num_conics(self) -> int:
         return len(self.conics)
-
-    @cached_property
-    def _incidence(self) -> IncidenceStructure:
-        return IncidenceStructure(self.num_points, self.num_conics,
-                                  self.flags)
 
     def points_of_conic(self, b: int) -> frozenset:
         return self._incidence.points_of_block(b)

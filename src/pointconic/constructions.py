@@ -567,7 +567,8 @@ def product(C1: GeometricConfiguration, C2: GeometricConfiguration,
         C2 = GeometricConfiguration(
             np.array([apply_affine_point(M, p) for p in C2.points]),
             affine_images(M.homogeneous(), _forms(C2.conics)),
-            C2.flags, C2.tol, dict(C2.provenance))
+            C2.to_incidence_structure().flag_array, C2.tol,
+            dict(C2.provenance))
 
     P1, P2 = C1.points, C2.points
     n1, n2 = len(P1), len(P2)
@@ -577,31 +578,23 @@ def product(C1: GeometricConfiguration, C2: GeometricConfiguration,
             "Minkowski point collision; pre-transform a factor "
             "(genericize=True)")
 
-    def pt_index(i1, i2):
-        return i1 * n2 + i2
-
-    points_of_block_1 = C1.to_incidence_structure().block_point_sets
-    points_of_block_2 = C2.to_incidence_structure().block_point_sets
-
     # Translates of C2's conics by C1's points, then of C1's by C2's, in one
-    # stacked pass.
+    # stacked pass. Point (i1, i2) is i1 * n2 + i2; the translate of C2's
+    # conic b2 by point i1 is block i1 * nb2 + b2, and that of C1's conic b1
+    # by point i2 is block n1 * nb2 + i2 * nb1 + b1.
     nb1, nb2 = C1.num_conics, C2.num_conics
     conics = translate_conics(
         np.concatenate([np.tile(_forms(C2.conics), (n1, 1, 1)),
                         np.tile(_forms(C1.conics), (n2, 1, 1))]),
         np.concatenate([np.repeat(P1, nb2, axis=0),
                         np.repeat(P2, nb1, axis=0)]))
-    flags = set()
-    for i1 in range(n1):
-        for b2 in range(nb2):
-            b = i1 * nb2 + b2
-            for i2 in points_of_block_2[b2]:
-                flags.add((pt_index(i1, i2), b))
-    for i2 in range(n2):
-        for b1 in range(nb1):
-            b = n1 * nb2 + i2 * nb1 + b1
-            for i1 in points_of_block_1[b1]:
-                flags.add((pt_index(i1, i2), b))
+    F1 = C1.to_incidence_structure().flag_array
+    F2 = C2.to_incidence_structure().flag_array
+    i1, i2 = np.arange(n1)[:, None], np.arange(n2)[:, None]
+    flags = np.concatenate([
+        np.stack([i1 * n2 + F2[:, 0], i1 * nb2 + F2[:, 1]], -1).reshape(-1, 2),
+        np.stack([F1[:, 0] * n2 + i2, n1 * nb2 + i2 * nb1 + F1[:, 1]],
+                 -1).reshape(-1, 2)])
     if analysis._coincident_pairs(conics):
         raise ConstructionError(
             "translated conics coincide; pre-transform a factor "
@@ -854,7 +847,7 @@ def realize_lineal_by_circles(C: IncidenceStructure,
             *[pts[p] for p in sorted(C.points_of_block(b))])
             for b in range(C.num_blocks))
         G = GeometricConfiguration(
-            pts, conics, C.flags, tol=1e-8,
+            pts, conics, C.flag_array, tol=1e-8,
             provenance={"builder": "realize_lineal_by_circles",
                         "seed": seed})
         return _require_audit(G, "circle realization")
@@ -878,7 +871,7 @@ def realize_by_conics(C: IncidenceStructure,
             _conic_through_padded(rng, pts, sorted(C.points_of_block(b)))
             for b in range(C.num_blocks))
         G = GeometricConfiguration(
-            pts, conics, C.flags, tol=1e-8,
+            pts, conics, C.flag_array, tol=1e-8,
             provenance={"builder": "realize_by_conics", "seed": seed})
         return _require_audit(G, "conic realization")
     return _retry(attempt, RETRY_BUDGET, "conic realization")

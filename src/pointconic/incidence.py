@@ -1,17 +1,23 @@
 """Combinatorial incidence structures and their Levi graphs.
 
 Points and blocks are 0-based indices in disjoint namespaces; a flag is a
-(point, block) pair. Girth and vertex connectivity run on the structure's
-incidence index, read as the Levi graph's adjacency. networkx serves only
+(point, block) pair. Each structure keeps its flags once more as one sorted
+int64 array, which signatures, block-pair counts, audits, products and the
+writer read. Girth and vertex connectivity run on the structure's incidence
+index, read as the Levi graph's adjacency. networkx serves only
 `LeviGraph.graph` and `are_isomorphic`, and is imported there.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
+
+import numpy as np
+
+_INT64_END = 2 ** 63
 
 
 class IncidenceError(ValueError):
@@ -20,9 +26,22 @@ class IncidenceError(ValueError):
 
 @dataclass(frozen=True)
 class IncidenceStructure:
+    """`num_points` points, `num_blocks` blocks and their flags.
+
+    `flag_array` holds the same flags as a read-only (F, 2) int64 array of
+    distinct rows sorted by (point, block), so the rows of one point are
+    adjacent and ordered by block. It is built at most once, on first use,
+    or handed over by the code that validated the flags.
+    """
+
     num_points: int
     num_blocks: int
     flags: frozenset
+
+    @cached_property
+    def flag_array(self) -> np.ndarray:
+        return _sort_flags(np.array(list(self.flags), dtype=np.int64)
+                           .reshape(-1, 2))
 
     @cached_property
     def _index(self) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...]]:
@@ -49,6 +68,67 @@ class IncidenceStructure:
     @property
     def block_point_sets(self) -> list[frozenset]:
         return list(self._index[1])
+
+
+def _int64_rows(rows) -> np.ndarray | None:
+    """`rows` as an (F, 2) int64 array when each row is a pair of ints
+    within int64; None when some row is not."""
+    try:
+        if (set(map(len, rows)) <= {2}
+                and set(map(type, chain.from_iterable(rows))) <= {int}):
+            return np.fromiter(chain.from_iterable(rows), np.int64,
+                               2 * len(rows)).reshape(-1, 2)
+    except (TypeError, OverflowError):
+        pass
+    return None
+
+
+def _flag_rows(flags, num_points: int, num_blocks: int):
+    """(F, bad) for raw flag data: F the flags as an (F, 2) int64 array in
+    input order, or None when `bad`, the first flag in input order with an
+    index outside [0, num_points) x [0, num_blocks), is not None.
+
+    Integer arrays and pairs of ints are checked in one array pass; any
+    other data, such as ints beyond int64, one flag at a time. An index
+    beyond int64 counts as out of range."""
+    n, B = min(num_points, _INT64_END), min(num_blocks, _INT64_END)
+    if (isinstance(flags, np.ndarray) and flags.dtype.kind in "iu"
+            and flags.shape[1:] == (2,)):
+        F = flags
+    else:
+        rows = flags if isinstance(flags, (list, tuple)) else list(flags)
+        F = _int64_rows(rows)
+    if F is None:
+        rows = [tuple(f) for f in rows]
+        for (p, b) in rows:
+            if not (0 <= p < n and 0 <= b < B):
+                return None, (p, b)
+        F = np.array([[operator.index(p), operator.index(b)]
+                      for (p, b) in rows], dtype=np.int64)
+        return F.reshape(-1, 2), None
+    out = (F < 0).any(axis=1) | (F[:, 0] >= n) | (F[:, 1] >= B)
+    if out.any():
+        return None, tuple(F[int(np.argmax(out))].tolist())
+    return F.astype(np.int64, copy=False), None
+
+
+def _sort_flags(F: np.ndarray) -> np.ndarray:
+    """The distinct rows of the flag array F sorted by (point, block), as a
+    new read-only array."""
+    F = F[np.lexsort((F[:, 1], F[:, 0]))]
+    if len(F) > 1:
+        F = F[np.concatenate([[True], (F[1:] != F[:-1]).any(axis=1)])]
+    F.setflags(write=False)
+    return F
+
+
+def _with_flag_array(num_points: int, num_blocks: int,
+                     F: np.ndarray) -> IncidenceStructure:
+    """The structure whose `flag_array` is F, sorted and distinct."""
+    C = IncidenceStructure(num_points, num_blocks,
+                           frozenset(zip(*F.T.tolist())))
+    C.__dict__["flag_array"] = F
+    return C
 
 
 @dataclass(frozen=True)
@@ -123,16 +203,16 @@ class PropertyReport:
 def new_incidence_structure(num_points: int, num_blocks: int, flags,
                             strict: bool = False) -> IncidenceStructure:
     """Validated incidence structure from raw flag data."""
-    flags = [tuple(f) for f in flags]
-    for (p, b) in flags:
-        if not (0 <= p < num_points):
-            raise IncidenceError(f"point index {p} out of range")
-        if not (0 <= b < num_blocks):
-            raise IncidenceError(f"block index {b} out of range")
-    dedup = frozenset(flags)
-    if strict and len(dedup) != len(flags):
+    F, bad = _flag_rows(flags, num_points, num_blocks)
+    if bad is not None:
+        p, b = bad
+        what = (f"point index {p}" if not 0 <= p < num_points
+                else f"block index {b}")
+        raise IncidenceError(f"flag {bad}: {what} out of range")
+    S = _sort_flags(F)
+    if strict and len(S) != len(F):
         raise IncidenceError("duplicate flags in strict mode")
-    return IncidenceStructure(num_points, num_blocks, dedup)
+    return _with_flag_array(num_points, num_blocks, S)
 
 
 def levi_graph(C: IncidenceStructure) -> LeviGraph:
@@ -140,26 +220,60 @@ def levi_graph(C: IncidenceStructure) -> LeviGraph:
 
 
 def dual(C: IncidenceStructure) -> IncidenceStructure:
-    return IncidenceStructure(C.num_blocks, C.num_points,
-                              frozenset((b, p) for (p, b) in C.flags))
+    return _with_flag_array(C.num_blocks, C.num_points,
+                            _sort_flags(C.flag_array[:, ::-1]))
+
+
+def _common(degrees: np.ndarray) -> int | None:
+    """The degree all entries share, or None (also when there are none)."""
+    if len(degrees) and (degrees == degrees[0]).all():
+        return int(degrees[0])
+    return None
 
 
 def signature(C: IncidenceStructure) -> Signature:
-    blocks_of, points_of = C._index
-    pdeg = {len(bs) for bs in blocks_of}
-    bdeg = {len(ps) for ps in points_of}
-    q = pdeg.pop() if len(pdeg) == 1 else None
-    k = bdeg.pop() if len(bdeg) == 1 else None
-    return Signature(C.num_points, q, C.num_blocks, k)
+    F = C.flag_array
+    return Signature(C.num_points,
+                     _common(np.bincount(F[:, 0], minlength=C.num_points)),
+                     C.num_blocks,
+                     _common(np.bincount(F[:, 1], minlength=C.num_blocks)))
+
+
+def _block_pairs(F: np.ndarray, num_blocks: int):
+    """(keys, counts): the sorted keys i * num_blocks + j of the block
+    pairs i < j that share a point, and how many points each pair shares.
+
+    F is sorted by (point, block), so the flags of one point are adjacent
+    and ordered by block: row r pairs with row r + k exactly when both hold
+    the same point. A row that finds no partner at offset k finds none
+    further on, so each pass keeps only the rows that found one."""
+    p, b = F[:, 0], F[:, 1]
+    rows, k, keys = np.arange(len(F)), 1, []
+    while True:
+        rows = rows[rows < len(F) - k]
+        rows = rows[p[rows + k] == p[rows]]
+        if not len(rows):
+            break
+        keys.append(b[rows] * num_blocks + b[rows + k])
+        k += 1
+    if not keys:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    return np.unique(np.concatenate(keys), return_counts=True)
 
 
 def block_pair_counts(C: IncidenceStructure) -> dict:
     """Shared-point count of every block pair (i, j), i < j, that shares a
-    point, in sorted key order; O(sum of squared point degrees)."""
-    counts = Counter()
-    for blocks in C._index[0]:
-        counts.update(combinations(sorted(blocks), 2))
-    return dict(sorted(counts.items()))
+    point, in sorted key order.
+
+    The counts are the off-diagonal of M^T M for the point-by-block
+    incidence matrix M, found by sort and count rather than by a product
+    (Gustavson, ACM TOMS 4, 1978): one pass over the sorted flag array per
+    offset up to the largest point degree d collects the S = sum of
+    C(deg p, 2) pairs, in O(F d) time, and one sort of their keys counts
+    them, in O(S log S)."""
+    keys, counts = _block_pairs(C.flag_array, C.num_blocks)
+    i, j = np.divmod(keys, max(C.num_blocks, 1))
+    return dict(zip(zip(i.tolist(), j.tolist()), counts.tolist()))
 
 
 def has_biclique(C: IncidenceStructure, s: int, t: int) -> bool:
@@ -171,7 +285,7 @@ def has_biclique(C: IncidenceStructure, s: int, t: int) -> bool:
     if t > s:
         return has_biclique(dual(C), t, s)
     if t == 2:
-        return any(n >= s for n in block_pair_counts(C).values())
+        return bool((_block_pairs(C.flag_array, C.num_blocks)[1] >= s).any())
     sets = [ps for ps in C.block_point_sets if len(ps) >= s]
     for blocks in combinations(sets, t):
         common = frozenset.intersection(*blocks)
@@ -362,12 +476,13 @@ def property_report(C: IncidenceStructure) -> PropertyReport:
     # K_{s,2} exists iff two blocks share s points, and K_{2,t} iff two
     # points share t blocks: each side's largest pair count answers every
     # predicate (`has_biclique` asks the same question one (s, t) at a time).
-    shared_points = max(block_pair_counts(C).values(), default=0)
+    F = C.flag_array
+    shared_points = int(_block_pairs(F, C.num_blocks)[1].max(initial=0))
     lineal = shared_points < 2
     circular = shared_points < 3
     conical = shared_points < 5
-    shared_blocks = (max(block_pair_counts(dual(C)).values(), default=0)
-                     if conical else None)
+    shared_blocks = (int(_block_pairs(_sort_flags(F[:, ::-1]), C.num_points)[1]
+                         .max(initial=0)) if conical else None)
     strongly_circular = circular and shared_blocks < 3
     strongly_conical = conical and shared_blocks < 5
     L = levi_graph(C)

@@ -10,8 +10,9 @@ The reader validates every document against its published schema in
 `schemas/` with one structural pass that follows JSON Schema's rules
 (`bool` is no number, an integral float is an integer) and names the JSON
 path of the first violation. It also rejects non-finite reals, which the
-schemas allow. Validated integers come back as `int`, points and conics as
-one array each; the conics are built in one stacked pass.
+schemas allow. Validated integers come back as `int`, points, conics and
+flags as one array each; the conics are built in one stacked pass, and a
+flag list of plain non-negative ints is checked in one array pass.
 """
 from __future__ import annotations
 
@@ -27,7 +28,8 @@ import numpy as np
 from .configuration import GeometricConfiguration
 from .geometry import (GeometryError, conics_from_normalized_coeffs,
                        forms_coeffs)
-from .incidence import IncidenceStructure, new_incidence_structure
+from .incidence import (IncidenceStructure, _int64_rows,
+                        new_incidence_structure)
 
 
 class InterfaceError(ValueError):
@@ -123,18 +125,12 @@ def _plain(v):
 # Documents
 # ---------------------------------------------------------------------------
 
-def _sorted_flags(flags) -> list:
-    """The flags as [point, block] lists of ints, sorted."""
-    F = np.array(list(flags), dtype=np.int64).reshape(-1, 2)
-    return F[np.lexsort((F[:, 1], F[:, 0]))].tolist()
-
-
 def to_document(obj, name: str | None = None) -> dict:
     if isinstance(obj, IncidenceStructure):
         doc = {"kind": "combinatorial",
                "points": obj.num_points,
                "blocks": obj.num_blocks,
-               "flags": _sorted_flags(obj.flags)}
+               "flags": obj.flag_array.tolist()}
         if name is not None:
             doc["name"] = name
         return doc
@@ -143,7 +139,7 @@ def to_document(obj, name: str | None = None) -> dict:
         return {"kind": "geometric",
                 "points": obj.points.tolist(),
                 "conics": forms_coeffs(forms).tolist(),
-                "flags": _sorted_flags(obj.flags),
+                "flags": obj.to_incidence_structure().flag_array.tolist(),
                 "tol": float(obj.tol),
                 "provenance": _plain(obj.provenance)}
     raise InterfaceError(f"cannot serialize a {type(obj).__name__}")
@@ -198,11 +194,14 @@ def _array(doc: dict, key: str) -> list:
 def _reals(doc: dict, key: str, width: int) -> np.ndarray:
     """The rows of `doc[key]`, each `width` numbers, as one finite array."""
     rows = _array(doc, key)
-    for i, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == width
-                and all(map(_is_number, row))):
-            raise _bad_row(row, f"$.{key}[{i}]", width, _is_number,
-                           "a number")
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
+            and set(map(type, itertools.chain.from_iterable(rows)))
+            <= {float, int}):
+        for i, row in enumerate(rows):
+            if not (isinstance(row, list) and len(row) == width
+                    and all(map(_is_number, row))):
+                raise _bad_row(row, f"$.{key}[{i}]", width, _is_number,
+                               "a number")
     try:
         arr = np.asarray(rows, dtype=float).reshape(-1, width)
         finite = bool(np.isfinite(arr).all())
@@ -215,9 +214,17 @@ def _reals(doc: dict, key: str, width: int) -> np.ndarray:
     return arr
 
 
-def _flags(doc: dict) -> list:
+def _flags(doc: dict):
+    """The flags of `doc`: an (F, 2) int64 array when every row is a list
+    of two ints >= 0 within int64, else a list of int pairs from a check of
+    each row, which names the first violation."""
+    rows = _array(doc, "flags")
+    if set(map(type, rows)) <= {list}:
+        F = _int64_rows(rows)
+        if F is not None and not (F < 0).any():
+            return F
     flags = []
-    for i, row in enumerate(_array(doc, "flags")):
+    for i, row in enumerate(rows):
         if isinstance(row, list) and len(row) == 2:
             p, b = row
             if type(p) is not int or type(b) is not int or p < 0 or b < 0:

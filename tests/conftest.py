@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from itertools import combinations
 
 import networkx as nx
@@ -10,7 +11,7 @@ from networkx.algorithms.connectivity import (
     build_auxiliary_node_connectivity, local_node_connectivity)
 from networkx.algorithms.flow import build_residual_network
 
-from pointconic.analysis import SPURIOUS_REL
+from pointconic.analysis import SPURIOUS_REL, _homogenized
 from pointconic.constructions import ellipse_conic
 from pointconic.geometry import (TOL_MERGE, Conic, GeometryError, _coincident,
                                  _norm, _pencil_candidates, _quadratic_form,
@@ -164,6 +165,119 @@ def brute_force_biclique(C: IncidenceStructure, s: int, t: int) -> bool:
     sets = [scan_points_of_block(C, b) for b in range(C.num_blocks)]
     return any(len(frozenset.intersection(*blocks)) >= s
                for blocks in combinations(sets, t))
+
+
+# ---------------------------------------------------------------------------
+# Per-flag oracles for the flag-array paths: the former code, verbatim
+# ---------------------------------------------------------------------------
+# The signature, block-pair counts, audit flag check, product flags,
+# duplicate-point and coincident-conic searches before they moved onto the
+# sorted flag array and sorted projections.
+
+def counter_block_pair_counts(C: IncidenceStructure) -> dict:
+    """Shared-point count of every block pair (i, j), i < j, that shares a
+    point, in sorted key order, by a Counter over each point's blocks."""
+    counts = Counter()
+    for blocks in C._index[0]:
+        counts.update(combinations(sorted(blocks), 2))
+    return dict(sorted(counts.items()))
+
+
+def index_signature(C: IncidenceStructure) -> tuple:
+    """(p, q, n, k) of `incidence.signature`, from the degree sets."""
+    blocks_of, points_of = C._index
+    pdeg = {len(bs) for bs in blocks_of}
+    bdeg = {len(ps) for ps in points_of}
+    q = pdeg.pop() if len(pdeg) == 1 else None
+    k = bdeg.pop() if len(bdeg) == 1 else None
+    return (C.num_points, q, C.num_blocks, k)
+
+
+def per_flag_check(G, flag_sample=None, rng=None) -> tuple[float, list]:
+    """(max flag residual, missing flags) of `analysis.audit`, one flag at a
+    time over `sorted(G.flags)`."""
+    H = _homogenized(G.points)
+    flags = sorted(G.flags)
+    if flag_sample is not None and flag_sample < len(flags):
+        rng = rng or np.random.default_rng(0)
+        idx = rng.choice(len(flags), size=flag_sample, replace=False)
+        checked = [flags[i] for i in idx]
+    else:
+        checked = flags
+    max_res = 0.0
+    missing = []
+    for (p, b) in checked:
+        r = float(abs(H[p] @ G.conics[b].form @ H[p]))
+        max_res = max(max_res, r)
+        if r > G.tol:
+            missing.append((p, b))
+    return max_res, missing
+
+
+def nested_product_flags(C1, C2) -> set:
+    """The flags of `constructions.product(C1, C2)`, by nested loops."""
+    n1, n2 = C1.num_points, C2.num_points
+    nb1, nb2 = C1.num_conics, C2.num_conics
+    points_of_block_1 = C1.to_incidence_structure().block_point_sets
+    points_of_block_2 = C2.to_incidence_structure().block_point_sets
+    flags = set()
+    for i1 in range(n1):
+        for b2 in range(nb2):
+            b = i1 * nb2 + b2
+            for i2 in points_of_block_2[b2]:
+                flags.add((i1 * n2 + i2, b))
+    for i2 in range(n2):
+        for b1 in range(nb1):
+            b = n1 * nb2 + i2 * nb1 + b1
+            for i1 in points_of_block_1[b1]:
+                flags.add((i1 * n2 + i2, b))
+    return flags
+
+
+def grid_hash_duplicate_pairs(points: np.ndarray, tol: float) -> list:
+    """The former grid hash of `analysis._duplicate_pairs`. It keeps a pair
+    of adjacent cells only when the point in the lower cell has the lower
+    index, so it can miss pairs that straddle a cell edge; every pair it
+    reports is a true one."""
+    cells = defaultdict(list)
+    inv = 1.0 / max(tol, 1e-300)
+    for i, (x, y) in enumerate(np.floor(points * inv).tolist()):
+        cells[(int(x), int(y))].append(i)
+    dupes = []
+    for (cx, cy), members in cells.items():
+        neigh = []
+        for dx in (0, 1):
+            for dy in (-1, 0, 1):
+                if dx == 0 and dy < 0:
+                    continue
+                neigh.extend(cells.get((cx + dx, cy + dy), ()))
+        for i in members:
+            for j in neigh:
+                if j > i and np.linalg.norm(points[i] - points[j]) < tol:
+                    dupes.append((i, j))
+    return sorted(set(dupes))
+
+
+def brute_force_duplicate_pairs(points: np.ndarray, tol: float) -> list:
+    """Every pair (i, j), i < j, of points closer than `tol`, sorted."""
+    return [(i, j) for i, j in combinations(range(len(points)), 2)
+            if np.linalg.norm(points[i] - points[j]) < tol]
+
+
+def rounded_coincident_pairs(conics, tol: float = 1e-9) -> list:
+    """The former `analysis._coincident_pairs`: candidates share their forms
+    rounded to 5 decimals, so a pair straddling a rounding boundary is
+    missed. An oracle on generic scenes only."""
+    groups = defaultdict(list)
+    forms = np.array([c.form for c in conics]).reshape(-1, 9)
+    for i, key in enumerate(np.round(forms, 5).tolist()):
+        groups[tuple(key)].append(i)
+    out = []
+    for members in groups.values():
+        for i, j in combinations(members, 2):
+            if conics[i].same_as(conics[j], tol):
+                out.append((i, j))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_sampson_scan, random_ellipse,
-                      residual_matrix_spurious)
+from conftest import (brute_force_duplicate_pairs, dense_sampson_scan,
+                      grid_hash_duplicate_pairs, per_flag_check,
+                      random_ellipse, residual_matrix_spurious,
+                      rounded_coincident_pairs)
 from pointconic import analysis
 from pointconic.analysis import (SPURIOUS_REL, audit, geometric_meets,
                                  intersection_type,
@@ -142,6 +144,144 @@ class TestAudit:
             assert rep.spurious_incidences == ()
             assert rep.borderline_incidences == ()
             assert rep.passed
+
+
+def _offset(G, seed: int, share: float, scale: float):
+    """G with a `share` of its points moved by about `scale` in random
+    directions, so some of their flags fail at `G.tol`."""
+    rng = np.random.default_rng(seed)
+    moved = rng.random(G.num_points) < share
+    step = rng.normal(size=(G.num_points, 2)) * scale * moved[:, None]
+    return GeometricConfiguration(G.points + step, G.conics, G.flags, G.tol)
+
+
+# The residual |h^T A h| of a unit-norm homogenized point h and a unit-norm
+# form A is a sum of terms of size at most 1, so the stacked pass and the
+# per-flag loop may differ by a few units of rounding at that scale.
+_RESIDUAL_ULPS = 4 * np.finfo(float).eps
+
+
+class TestStackedFlagCheck:
+    """The audit's one stacked residual pass against the per-flag loop."""
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_builders_match_per_flag_loop(self, name):
+        G = _scene(name)
+        rep = audit(G, spurious_scan=False)
+        max_res, missing = per_flag_check(G)
+        assert list(rep.missing_incidences) == missing == []
+        assert abs(rep.max_flag_residual - max_res) <= _RESIDUAL_ULPS
+
+    @pytest.mark.parametrize("name", ["polygon_ring", "richter_gebert",
+                                      "pmn", "cell24", "product",
+                                      "realize_by_conics"])
+    @pytest.mark.parametrize("seed, scale", [(0, 1e-3), (1, 1e-7),
+                                             (2, 1e-9)])
+    def test_planted_offsets_match_per_flag_loop(self, name, seed, scale):
+        G = _offset(_scene(name), seed, 0.3, scale)
+        rep = audit(G, spurious_scan=False)
+        max_res, missing = per_flag_check(G)
+        assert list(rep.missing_incidences) == missing
+        assert abs(rep.max_flag_residual - max_res) <= _RESIDUAL_ULPS
+        if scale == 1e-3:
+            assert missing and not rep.passed
+
+    def test_flag_sample_picks_the_same_flags(self):
+        # Every flag fails once all points move, so `missing` lists exactly
+        # the sampled flags, in the order they were drawn.
+        G = _offset(_scene("pmn"), 3, 1.0, 0.05)
+        assert len(per_flag_check(G)[1]) == len(G.flags)
+        for seed in range(10):
+            rep = audit(G, spurious_scan=False, flag_sample=17,
+                        rng=np.random.default_rng(seed))
+            _, sampled = per_flag_check(G, 17, np.random.default_rng(seed))
+            assert len(sampled) == 17
+            assert list(rep.missing_incidences) == sampled
+
+
+class TestDuplicatesAndCoincidences:
+    """The projection searches for duplicate points and coincident conics
+    against brute force and the former grid hash and rounding."""
+
+    @staticmethod
+    def _check_points(points, tol):
+        got = analysis._duplicate_pairs(points, tol)
+        assert got == brute_force_duplicate_pairs(points, tol)
+        assert set(grid_hash_duplicate_pairs(points, tol)) <= set(got)
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_near_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        tol = 1e-3
+        base = rng.uniform(0, 1, size=(60, 2))
+        near = base[:20] + rng.normal(size=(20, 2)) * tol * rng.uniform(
+            0.1, 1.5, size=(20, 1))
+        points = rng.permutation(np.concatenate([base, near, base[:3]]))
+        assert self._check_points(points, tol)
+
+    def test_cell_corners_exactly_tol_apart(self):
+        tol = 2.0 ** -10
+        i, j = np.meshgrid(np.arange(-3, 4), np.arange(-3, 4))
+        lattice = np.column_stack([i.ravel(), j.ravel()]) * tol
+        # Lattice neighbours lie exactly tol apart, which is no duplicate.
+        assert self._check_points(lattice, tol) == []
+        halves = lattice[::5] + [tol / 2, 0.0]
+        rng = np.random.default_rng(0)
+        points = rng.permutation(np.concatenate([lattice, halves]))
+        got = self._check_points(points, tol)
+        assert len(got) == 2 * len(halves) - sum(
+            abs(x / tol) + 0.5 > 3 for x in halves[:, 0])
+
+    def test_pair_across_a_cell_edge(self):
+        # The grid hash missed this pair: the point in the lower cell has
+        # the higher index.
+        points = np.array([[0.5, 1.2], [0.5, 0.9]])
+        assert grid_hash_duplicate_pairs(points, 1.0) == []
+        assert analysis._duplicate_pairs(points, 1.0) == [(0, 1)]
+
+    def test_far_from_the_origin(self):
+        points = np.array([[1e7, 3e6], [2e7, 3e6], [1e7, 3e6],
+                           [-4e9, 1e9], [-4e9, 1e9 + 1e-6]])
+        assert self._check_points(points, 1e-9) == [(0, 2)]
+
+    @staticmethod
+    def _straddling_pair():
+        """Two conics whose forms differ by ~1e-11 while form[0, 0] rounds
+        to different 5-decimal values."""
+        def conic(c0):
+            return Conic.from_coeffs(c0, 0.2, 2, 0.3, -0.4, -1)
+        lo, hi = 0.5, 1.5
+        target = 0.403405
+        assert conic(lo).form[0, 0] < target < conic(hi).form[0, 0]
+        while hi - lo > 2e-11:
+            mid = 0.5 * (lo + hi)
+            if conic(mid).form[0, 0] < target:
+                lo = mid
+            else:
+                hi = mid
+        return conic(lo), conic(hi)
+
+    def test_coincident_pair_across_a_rounding_boundary(self):
+        a, b = self._straddling_pair()
+        assert np.linalg.norm(a.form - b.form) < 1e-10 and a.same_as(b)
+        assert round(a.form[0, 0], 5) != round(b.form[0, 0], 5)
+        assert rounded_coincident_pairs([a, b]) == []
+        c = ellipse_conic((0, 0), 1, 0.5, 0.2)
+        assert analysis._coincident_pairs([a, c, b]) == [(0, 2)]
+        rep = audit(GeometricConfiguration(np.zeros((0, 2)), (a, c, b),
+                                           frozenset(), 1e-8))
+        assert rep.coincident_conics == ((0, 2),) and not rep.passed
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_builders_match_rounding(self, name):
+        G = _scene(name)
+        conics = G.conics + G.conics[::3]
+        got = analysis._coincident_pairs(conics)
+        assert got == rounded_coincident_pairs(conics)
+        B = G.num_conics
+        assert set(got) >= {(i, B + k) for k, i in
+                            enumerate(range(0, B, 3))}
 
 
 class TestSpuriousScan:

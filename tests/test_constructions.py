@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import no_3_collinear, no_4_concyclic
+from conftest import nested_product_flags, no_3_collinear, no_4_concyclic
 from pointconic import analysis, constructions, io
 from pointconic.analysis import audit, intersection_type, isometry_check
 from pointconic.cli import main
@@ -238,6 +238,16 @@ class TestProductMatchesPerConicRebuild:
         assert all(p.form.tobytes() == c.form.tobytes()
                    for p, c in zip(P.conics, conics))
         assert P.flags == flags
+
+    def test_cube_flags_match_nested_loops(self):
+        # The flags come from the factors' flag arrays by broadcasting; the
+        # nested loops over the factors' blocks give the same set.
+        d = dipyramid_carnot(3, seed=0)
+        sq = product(d, d, genericize=True, seed=1)
+        assert sq.flags == nested_product_flags(d, d)
+        cube = product(sq, d, genericize=True, seed=2)
+        assert len(cube.flags) == 34992
+        assert cube.flags == nested_product_flags(sq, d)
 
 
 class TestPmnAndCell24:

@@ -2,13 +2,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_force_biclique, nx_girth,
-                      nx_local_connectivities, nx_vertex_connectivity,
-                      pairwise_block_meets,
+from conftest import (brute_force_biclique, counter_block_pair_counts,
+                      index_signature, nx_girth, nx_local_connectivities,
+                      nx_vertex_connectivity, pairwise_block_meets,
                       scan_blocks_of_point, scan_points_of_block)
 from pointconic import incidence
 from pointconic.analysis import intersection_type_combinatorial
@@ -161,6 +162,99 @@ class TestIndexedCore:
             assert G.points_of_conic(b) == scan_points_of_block(C, b)
         for p in range(G.num_points):
             assert G.conics_of_point(p) == scan_blocks_of_point(C, p)
+
+
+@st.composite
+def irregular_structures(draw):
+    """Structures with points of degree 0 and degrees that vary widely:
+    each block takes a random subset of the points, some of them empty."""
+    n = draw(st.integers(0, 14))
+    m = draw(st.integers(0, 8))
+    flags = [(p, b) for b in range(m)
+             for p in draw(st.sets(st.integers(0, n - 1), max_size=n)
+                           if n else st.just(set()))]
+    return new_incidence_structure(n, m, flags)
+
+
+_FIXED = {
+    "empty": lambda: new_incidence_structure(0, 0, []),
+    "no flags": lambda: new_incidence_structure(3, 2, []),
+    "single flag": lambda: new_incidence_structure(1, 1, [(0, 0)]),
+    "isolated points": lambda: new_incidence_structure(
+        5, 2, [(0, 0), (1, 0), (1, 1)]),
+    **{name: (lambda name=name: catalog(name)) for name in catalog_names()},
+}
+
+
+class TestFlagArray:
+    """The sorted flag array and the counts read off it, against the
+    per-flag code they replaced and against set scans."""
+
+    def _check(self, C):
+        F = C.flag_array
+        assert F.dtype == "int64" and F.shape == (len(C.flags), 2)
+        assert not F.flags.writeable
+        assert list(map(tuple, F.tolist())) == sorted(C.flags)
+        counts = incidence.block_pair_counts(C)
+        assert list(counts.items()) == \
+            list(counter_block_pair_counts(C).items())
+        assert list(counts.items()) == list(pairwise_block_meets(C).items())
+        sig = signature(C)
+        assert (sig.p, sig.q, sig.n, sig.k) == index_signature(C)
+        D = dual(C)
+        assert D.flags == frozenset((b, p) for (p, b) in C.flags)
+        assert list(map(tuple, D.flag_array.tolist())) == sorted(D.flags)
+
+    @pytest.mark.parametrize("name", sorted(_FIXED))
+    def test_fixed_structures(self, name):
+        self._check(_FIXED[name]())
+
+    @given(st.one_of(structures(), sparse_structures(),
+                     irregular_structures()))
+    @settings(max_examples=300, deadline=None)
+    def test_random_structures(self, C):
+        self._check(C)
+
+    def test_structure_built_from_a_frozenset(self):
+        C = catalog("pappus")
+        twin = incidence.IncidenceStructure(C.num_points, C.num_blocks,
+                                            frozenset(C.flags))
+        assert "flag_array" not in vars(twin)
+        assert (twin.flag_array == C.flag_array).all()
+        self._check(twin)
+
+    def test_array_built_once_and_shared(self):
+        G = crossed_ellipses()
+        C = G.to_incidence_structure()
+        F = C.flag_array
+        signature(C), incidence.block_pair_counts(C)
+        assert C.flag_array is F
+        assert G.flags is C.flags
+
+    @pytest.mark.parametrize("flag, what", [
+        ((-1, 0), "point index -1"), ((0, -3), "block index -3"),
+        ((4, 0), "point index 4"), ((0, 2), "block index 2"),
+        ((2 ** 63, 0), f"point index {2 ** 63}"),
+        ((0, 2 ** 70), f"block index {2 ** 70}")])
+    def test_raises_naming_the_flag(self, flag, what):
+        for flags in ([(0, 0), flag, (1, 1)], iter([(0, 0), flag])):
+            with pytest.raises(IncidenceError) as exc:
+                new_incidence_structure(4, 2, flags)
+            assert str(exc.value) == f"flag {flag}: {what} out of range"
+
+    def test_integer_arrays_and_mixed_ints(self):
+        C = catalog("fano")
+        rows = sorted(C.flags)
+        for flags in (np.array(rows, dtype=np.int32),
+                      np.array(rows, dtype=np.uint64),
+                      [(np.int64(p), b) for p, b in rows], rows[::-1]):
+            D = new_incidence_structure(7, 7, flags)
+            assert D == C and (D.flag_array == C.flag_array).all()
+        with pytest.raises(IncidenceError, match="point index"):
+            new_incidence_structure(7, 7, np.array([[2 ** 63, 0]],
+                                                   dtype=np.uint64))
+        with pytest.raises(TypeError):
+            new_incidence_structure(7, 7, [(0.5, 0)])
 
 
 def _cut_vertex_structure():

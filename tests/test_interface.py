@@ -120,6 +120,41 @@ class TestValidation:
         with pytest.raises(GeometryError, match="out of range"):
             GeometricConfiguration(np.zeros((1, 2)), (), [(0, 3)])
 
+    @pytest.mark.parametrize("flag", [(-1, 0), (0, -1), (2, 0), (0, 1),
+                                      (2 ** 63, 0), (0, 2 ** 70)])
+    def test_flag_out_of_range_named(self, flag):
+        conic = crossed_ellipses().conics[0]
+        for flags in ([(1, 0), flag], frozenset([(0, 0), flag])):
+            with pytest.raises(GeometryError,
+                               match=rf"^flag \({flag[0]}, {flag[1]}\) out "
+                                     "of range$"):
+                GeometricConfiguration(np.zeros((2, 2)), (conic,), flags)
+        if max(flag) < 2 ** 63:
+            with pytest.raises(GeometryError, match="out of range"):
+                GeometricConfiguration(np.zeros((2, 2)), (conic,),
+                                       np.array([(1, 0), flag]))
+
+    @pytest.mark.parametrize("index", [7, 2 ** 63, 2 ** 64, 2 ** 70])
+    def test_reader_flag_beyond_range(self, index):
+        doc = to_document(crossed_ellipses())
+        doc["flags"][1] = [0, index]
+        with pytest.raises(GeometryError, match=f"flag \\(0, {index}\\) out "):
+            from_document(doc)
+        C = to_document(catalog("fano"))
+        C["flags"][2] = [index, 0]
+        with pytest.raises(IncidenceError, match=f"point index {index} "):
+            from_document(C)
+
+    def test_reader_array_and_fallback_agree(self):
+        for obj in (crossed_ellipses(), pmn(4, 4), catalog("pappus")):
+            doc = to_document(obj)
+            fast = io._flags(doc)
+            assert isinstance(fast, np.ndarray) and fast.dtype == np.int64
+            doc["flags"] = [[float(p), b] for p, b in doc["flags"]]
+            slow = io._flags(doc)
+            assert isinstance(slow, list)
+            assert [tuple(f) for f in fast.tolist()] == slow
+
     def test_canonical_reals_survive(self):
         G = crossed_ellipses()
         doc = json.loads(dumps_canonical(to_document(G)))
@@ -616,6 +651,17 @@ class TestCli:
         assert main(["analyze", "-i", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "out of range" in err
+
+    @pytest.mark.parametrize("index", [7, 2 ** 70])
+    def test_flag_beyond_one_conic_exit_1(self, tmp_path, capsys, index):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "kind": "geometric", "points": [[1.189207115002721, 0.0]],
+            "conics": [[0.5, 0.0, 0.5, 0.0, 0.0, -0.7071067811865476]],
+            "flags": [[0, index]], "tol": 1e-8}))
+        assert main(["analyze", "-i", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: flag (0, {index}) out of range\n"
 
     def test_props_loads_neither_networkx_nor_scipy(self, tmp_path):
         doc = tmp_path / "pmn44.json"
