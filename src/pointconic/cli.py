@@ -16,52 +16,21 @@ from .io import InterfaceError, read_configuration, write_configuration
 from .svg import SceneStyle, render_svg
 
 
-def _build_crossed(args):
-    return constructions.crossed_ellipses()
-
-
-def _build_ring(args):
-    return constructions.polygon_ring(args.n, args.elongation, args.minor)
-
-
-def _build_qcube(args):
-    return constructions.qcube_48()
-
-
-def _build_rg(args):
-    return constructions.richter_gebert(seed=args.seed)
-
-
-def _build_dipyramid(args):
-    return constructions.dipyramid_carnot(args.n, seed=args.seed)
-
-
-def _build_pmn(args):
-    return constructions.pmn(args.m, args.n)
-
-
-def _build_cell24(args):
-    return constructions.cell24()
-
-
 BUILDERS = {
-    "crossed_ellipses": _build_crossed,
-    "polygon_ring": _build_ring,
-    "qcube_48": _build_qcube,
-    "richter_gebert": _build_rg,
-    "dipyramid_carnot": _build_dipyramid,
-    "pmn": _build_pmn,
-    "cell24": _build_cell24,
+    "crossed_ellipses": lambda args: constructions.crossed_ellipses(),
+    "polygon_ring": lambda args: constructions.polygon_ring(
+        args.n, args.elongation, args.minor),
+    "qcube_48": lambda args: constructions.qcube_48(),
+    "richter_gebert": lambda args: constructions.richter_gebert(
+        seed=args.seed),
+    "dipyramid_carnot": lambda args: constructions.dipyramid_carnot(
+        args.n, seed=args.seed),
+    "pmn": lambda args: constructions.pmn(args.m, args.n),
+    "cell24": lambda args: constructions.cell24(),
 }
 
 
-def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pointconic",
-        description="Point-conic configuration toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="run a geometric builder")
+def _build_args(p):
     p.add_argument("builder", choices=sorted(BUILDERS))
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--m", type=int, default=4)
@@ -70,22 +39,26 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("catalog", help="emit a catalogued structure")
+
+def _catalog_args(p):
     p.add_argument("name", choices=incidence.catalog_names())
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("realize", help="realize a combinatorial structure")
+
+def _realize_args(p):
     p.add_argument("mode", choices=["circles", "conics"])
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("analyze", help="audit a geometric configuration")
+
+def _analyze_args(p):
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--geometric", action="store_true",
                    help="also compute actual conic-conic meets")
 
-    p = sub.add_parser("render", help="render a configuration to SVG")
+
+def _render_args(p):
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--stroke-width", type=float, default=1.5)
@@ -93,9 +66,9 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--canvas", default="800x800")
     p.add_argument("--margin", type=float, default=0.06)
 
-    p = sub.add_parser("props", help="combinatorial property report")
+
+def _props_args(p):
     p.add_argument("-i", "--input", required=True)
-    return parser
 
 
 def _as_incidence(obj) -> IncidenceStructure:
@@ -187,24 +160,47 @@ def _cmd_props(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "build": _cmd_build,
-    "catalog": _cmd_catalog,
-    "realize": _cmd_realize,
-    "analyze": _cmd_analyze,
-    "render": _cmd_render,
-    "props": _cmd_props,
+# Each verb once: name -> (help, argument adder, handler).
+_VERBS = {
+    "build": ("run a geometric builder", _build_args, _cmd_build),
+    "catalog": ("emit a catalogued structure", _catalog_args, _cmd_catalog),
+    "realize": ("realize a combinatorial structure", _realize_args,
+                _cmd_realize),
+    "analyze": ("audit a geometric configuration", _analyze_args,
+                _cmd_analyze),
+    "render": ("render a configuration to SVG", _render_args, _cmd_render),
+    "props": ("combinatorial property report", _props_args, _cmd_props),
 }
 
 
+def _make_parser(verbs=tuple(_VERBS), metavar=None):
+    parser = argparse.ArgumentParser(
+        prog="pointconic",
+        description="Point-conic configuration toolkit")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in verbs:
+        help_, add_arguments, _ = _VERBS[name]
+        add_arguments(sub.add_parser(name, help=help_))
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _make_parser()
+    # A call builds the subparser of its verb only, with the full parser's
+    # usage line as metavar. --help, an empty argv and an unknown verb get
+    # the full parser, without a metavar: it would rename the "command"
+    # argument in their error messages.
+    verb = (sys.argv[1:] if argv is None else argv)[:1]
+    if verb and verb[0] in _VERBS:
+        parser = _make_parser(verb, "{" + ",".join(_VERBS) + "}")
+    else:
+        parser = _make_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _VERBS[args.command][2](args)
     except (InterfaceError, IncidenceError, GeometryError,
             constructions.ConstructionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

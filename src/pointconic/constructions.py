@@ -880,14 +880,14 @@ def realize_by_conics(C: IncidenceStructure,
 def _conic_through_padded(rng, pts, members) -> Conic:
     """Nondegenerate conic through the block's points, padded to five with
     fresh generic points; rejects conics grazing non-member points."""
-    others = [i for i in range(len(pts)) if i not in members]
+    others = pts[[i for i in range(len(pts)) if i not in members]]
 
     def attempt():
         aux = rng.uniform(-0.2, 1.2, size=(5 - len(members), 2))
-        conic = conic_from_5_points([pts[i] for i in members] + list(aux))
+        conic = conic_from_5_points(np.vstack([pts[members], aux]))
         if conic.is_degenerate():
             raise GeometryError("degenerate padded conic")
-        if any(conic.residual(pts[i]) <= 1e-7 for i in others):
+        if (geometry._residuals(others, conic.form) <= 1e-7).any():
             raise GeometryError("padded conic grazes a non-member point")
         return conic
     return _retry(attempt, 64, "padded conic fit")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -201,11 +202,13 @@ def cross2(u, v) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
-def _collinear(a, b, c, rel: float = 1e-10) -> bool:
+def _collinear(a, b, c, rel: float = 1e-10):
+    """Collinearity of stacked point triples (..., 2), one bool per triple:
+    the parallelogram area against `rel` times the two sides' lengths."""
     a, b, c = (np.asarray(v, float) for v in (a, b, c))
-    area = abs(cross2(b - a, c - a))
-    scale = max(np.linalg.norm(b - a) * np.linalg.norm(c - a), 1e-300)
-    return area <= rel * scale
+    u, v = b - a, c - a
+    area = np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+    return area <= rel * np.maximum(_norm(u) * _norm(v), 1e-300)
 
 
 def line_through(p, q) -> np.ndarray:
@@ -247,27 +250,34 @@ def line_conic_intersections(conic: Conic, p0, p1,
 # Fitting
 # ---------------------------------------------------------------------------
 
+_PAIRS_5 = np.array(list(combinations(range(5), 2))).T
+_TRIPLES_5 = np.array(list(combinations(range(5), 3))).T
+
+
 def conic_from_5_points(pts) -> Conic:
     """Unique conic through five points, no three collinear.
 
     Computed as the least-singular direction of the 5x6 design matrix in
-    the monomial basis (x^2, xy, y^2, xz, yz, z^2).
+    the monomial basis (x^2, xy, y^2, xz, yz, z^2). The duplicate and the
+    collinearity checks run over all pairs and triples at once and name the
+    first offender in lexicographic order.
     """
-    pts = [np.asarray(p, float) for p in pts]
-    if len(pts) != 5:
+    P = np.asarray(list(pts), dtype=float)
+    if len(P) != 5:
         raise GeometryError("exactly five points required")
-    for i in range(5):
-        for j in range(i + 1, 5):
-            if np.linalg.norm(pts[i] - pts[j]) < TOL_MERGE:
-                raise GeometryError(f"duplicate points at indices {i},{j}")
-    for i in range(5):
-        for j in range(i + 1, 5):
-            for k in range(j + 1, 5):
-                if _collinear(pts[i], pts[j], pts[k]):
-                    raise GeometryError(
-                        f"points {i},{j},{k} are collinear; conic not unique")
-    rows = [[x * x, x * y, y * y, x, y, 1.0] for x, y in pts]
-    D = np.array(rows)
+    i, j = _PAIRS_5
+    dup = _norm(P[i] - P[j]) < TOL_MERGE
+    if dup.any():
+        n = dup.argmax()
+        raise GeometryError(f"duplicate points at indices {i[n]},{j[n]}")
+    i, j, k = _TRIPLES_5
+    flat = _collinear(P[i], P[j], P[k])
+    if flat.any():
+        n = flat.argmax()
+        raise GeometryError(
+            f"points {i[n]},{j[n]},{k[n]} are collinear; conic not unique")
+    x, y = P.T
+    D = np.column_stack([x * x, x * y, y * y, x, y, np.ones(5)])
     _, s, Vt = np.linalg.svd(D)
     if s[4] > 0 and s[0] / s[4] > COND_WARN:
         warnings.warn("ill-conditioned five-point conic fit", RuntimeWarning)

@@ -125,12 +125,16 @@ def _scan(forms: np.ndarray, bbox):
     x = lo + (hi - lo) * _SCAN / SAMPLES
     qb, qc = b * x + e, a * x * x + d * x + f
     disc = qb * qb - 4 * c * qc
-    # A conic whose quadratic loses its leading coefficient draws nothing.
-    real = ~(disc < 0) & ~(np.abs(c) < 1e-300)
+    # A conic whose quadratic loses its leading coefficient (b xy + d x +
+    # e y + f, as xy = 1) has the one root -qc / qb, in the smaller slot.
+    linear = np.abs(c) < 1e-300
+    real = np.where(linear, qb != 0, ~(disc < 0))
     with np.errstate(invalid="ignore", divide="ignore"):
         r = np.sqrt(disc)
         u, v = (-qb - r) / (2 * c), (-qb + r) / (2 * c)
-    y = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
+        root = -qc / qb
+    y = np.stack([np.where(linear, root, np.minimum(u, v)),
+                  np.where(linear, np.nan, np.maximum(u, v))], axis=1)
     inside = real[:, None] & (y_lo <= y) & (y <= y_hi)
     return swap, x, real, y, inside
 
@@ -164,12 +168,17 @@ def _branch_paths(forms: np.ndarray, to_px: _Mapper) -> list[list[str]]:
     yk = y[run_conic, np.repeat(slot, length), k]
     flip = swap[run_conic]
     px, py = to_px(np.where(flip, yk, xk), np.where(flip, xk, yk))
+    xy = np.stack([px, py], axis=1).ravel()
     paths = [[] for _ in range(len(forms))]
     for c, o, n in zip(conic.tolist(), offsets.tolist(), length.tolist()):
-        points = map("{:.3f} {:.3f}".format, px[o:o + n].tolist(),
-                     py[o:o + n].tolist())
-        paths[c].append("M " + " L ".join(points))
+        paths[c].append(_path_data(xy[2 * o:2 * (o + n)].tolist()))
     return paths
+
+
+def _path_data(xy: list) -> str:
+    """"M x y L x y ..." of interleaved pixel coordinates, by one %-format:
+    "%.3f" prints the digits of "{:.3f}", -0.000 included."""
+    return ("M %.3f %.3f" + " L %.3f %.3f" * (len(xy) // 2 - 1)) % tuple(xy)
 
 
 def render_svg(G: GeometricConfiguration, style: SceneStyle | None = None,

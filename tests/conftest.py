@@ -1,7 +1,9 @@
 """Shared test helpers: random generators and brute-force oracles."""
 from __future__ import annotations
 
+import argparse
 import math
+import warnings
 from collections import Counter, defaultdict
 from itertools import combinations
 
@@ -11,11 +13,14 @@ from networkx.algorithms.connectivity import (
     build_auxiliary_node_connectivity, local_node_connectivity)
 from networkx.algorithms.flow import build_residual_network
 
+from pointconic import incidence
 from pointconic.analysis import SPURIOUS_REL, _homogenized
-from pointconic.constructions import ellipse_conic
-from pointconic.geometry import (TOL_MERGE, Conic, GeometryError, _coincident,
-                                 _norm, _pencil_candidates, _quadratic_form,
-                                 _residuals, cross2, ellipse_parameters)
+from pointconic.cli import BUILDERS
+from pointconic.constructions import _retry, ellipse_conic
+from pointconic.geometry import (COND_WARN, TOL_MERGE, Conic, GeometryError,
+                                 _coincident, _norm, _pencil_candidates,
+                                 _quadratic_form, _residuals, cross2,
+                                 ellipse_parameters)
 from pointconic.incidence import (IncidenceStructure, LeviGraph,
                                   new_incidence_structure)
 from pointconic.svg import SceneStyle
@@ -601,8 +606,10 @@ def residual_matrix_spurious(G) -> set:
 # ---------------------------------------------------------------------------
 # Per-conic renderer: the oracle for svg.render_svg
 # ---------------------------------------------------------------------------
-# The conic-by-conic renderer, verbatim. svg.render_svg renders a scene in
-# stacked passes and must reproduce its bytes.
+# The conic-by-conic renderer, verbatim but for one fix it shares with
+# svg._scan: a conic without x^2 and y^2 terms (xy = 1) is drawn from the
+# one root of its linear equation. svg.render_svg renders a scene in stacked
+# passes and must reproduce its bytes.
 
 _SVG_SAMPLES = 256
 
@@ -658,7 +665,9 @@ def _sampled_branches(conic: Conic, bbox):
 
     Scans vertical lines and solves the conic's quadratic in y (or the
     transpose when the y^2 coefficient vanishes), keeping the two roots in
-    separate branches and breaking them where they leave the reals.
+    separate branches and breaking them where they leave the reals. When
+    the x^2 coefficient vanishes too, the equation is linear in y and its
+    one root goes to the first branch.
     """
     a, b, c, d, e, f = conic.coeffs()
     x0, y0, x1, y1 = bbox
@@ -684,14 +693,18 @@ def _sampled_branches(conic: Conic, bbox):
         x = lo + (hi - lo) * k / _SVG_SAMPLES
         qa, qb, qc = c, b * x + e, a * x * x + d * x + f
         if abs(qa) < 1e-300:
-            flush()
-            continue
-        disc = qb * qb - 4 * qa * qc
-        if disc < 0:
-            flush()
-            continue
-        r = math.sqrt(disc)
-        ys = sorted(((-qb - r) / (2 * qa), (-qb + r) / (2 * qa)))
+            # Linear in y (both squares vanish, as xy = 1): one root.
+            if qb == 0:
+                flush()
+                continue
+            ys = [-qc / qb]
+        else:
+            disc = qb * qb - 4 * qa * qc
+            if disc < 0:
+                flush()
+                continue
+            r = math.sqrt(disc)
+            ys = sorted(((-qb - r) / (2 * qa), (-qb + r) / (2 * qa)))
         for br, yv in zip(branches, ys):
             if y0 - pad_y <= yv <= y1 + pad_y:
                 br.append((yv, x) if swap else (x, yv))
@@ -742,3 +755,111 @@ def scalar_render_svg(G, style=None) -> str:
             f'r="{fmt(style.point_radius)}" fill="{style.point_color}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The full CLI parser: the oracle for cli.main's one-verb parser
+# ---------------------------------------------------------------------------
+# All six verbs' subparsers in one parser, as cli.main built it for every
+# call. cli.main builds only the named verb's subparser and must give the
+# same exit codes, messages and namespaces.
+
+def full_make_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pointconic",
+        description="Point-conic configuration toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("build", help="run a geometric builder")
+    p.add_argument("builder", choices=sorted(BUILDERS))
+    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--elongation", type=float, default=0.15)
+    p.add_argument("--minor", type=float, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-o", "--output", required=True)
+
+    p = sub.add_parser("catalog", help="emit a catalogued structure")
+    p.add_argument("name", choices=incidence.catalog_names())
+    p.add_argument("-o", "--output", required=True)
+
+    p = sub.add_parser("realize", help="realize a combinatorial structure")
+    p.add_argument("mode", choices=["circles", "conics"])
+    p.add_argument("-i", "--input", required=True)
+    p.add_argument("-o", "--output", required=True)
+    p.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("analyze", help="audit a geometric configuration")
+    p.add_argument("-i", "--input", required=True)
+    p.add_argument("--geometric", action="store_true",
+                   help="also compute actual conic-conic meets")
+
+    p = sub.add_parser("render", help="render a configuration to SVG")
+    p.add_argument("-i", "--input", required=True)
+    p.add_argument("-o", "--output", required=True)
+    p.add_argument("--stroke-width", type=float, default=1.5)
+    p.add_argument("--point-radius", type=float, default=3.0)
+    p.add_argument("--canvas", default="800x800")
+    p.add_argument("--margin", type=float, default=0.06)
+
+    p = sub.add_parser("props", help="combinatorial property report")
+    p.add_argument("-i", "--input", required=True)
+    return parser
+
+
+# ---------------------------------------------------------------------------
+# Scalar five-point fit and grazing test: oracles for the stacked checks
+# ---------------------------------------------------------------------------
+# The pair-by-pair and triple-by-triple checks of geometry.conic_from_5_points
+# and the per-point grazing loop of constructions._conic_through_padded,
+# verbatim. The stacked checks must take the same decisions and give the
+# same conics.
+
+def scalar_collinear(a, b, c, rel: float = 1e-10) -> bool:
+    a, b, c = (np.asarray(v, float) for v in (a, b, c))
+    area = abs(cross2(b - a, c - a))
+    scale = max(np.linalg.norm(b - a) * np.linalg.norm(c - a), 1e-300)
+    return area <= rel * scale
+
+
+def scalar_conic_from_5_points(pts) -> Conic:
+    pts = [np.asarray(p, float) for p in pts]
+    if len(pts) != 5:
+        raise GeometryError("exactly five points required")
+    for i in range(5):
+        for j in range(i + 1, 5):
+            if np.linalg.norm(pts[i] - pts[j]) < TOL_MERGE:
+                raise GeometryError(f"duplicate points at indices {i},{j}")
+    for i in range(5):
+        for j in range(i + 1, 5):
+            for k in range(j + 1, 5):
+                if scalar_collinear(pts[i], pts[j], pts[k]):
+                    raise GeometryError(
+                        f"points {i},{j},{k} are collinear; conic not unique")
+    rows = [[x * x, x * y, y * y, x, y, 1.0] for x, y in pts]
+    D = np.array(rows)
+    _, s, Vt = np.linalg.svd(D)
+    if s[4] > 0 and s[0] / s[4] > COND_WARN:
+        warnings.warn("ill-conditioned five-point conic fit", RuntimeWarning)
+    a, b, c, d, e, f = Vt[-1]
+    return Conic.from_coeffs(a, b, c, d, e, f)
+
+
+def scalar_conic_through_padded(rng, pts, members) -> Conic:
+    others = [i for i in range(len(pts)) if i not in members]
+
+    def attempt():
+        aux = rng.uniform(-0.2, 1.2, size=(5 - len(members), 2))
+        conic = scalar_conic_from_5_points([pts[i] for i in members]
+                                           + list(aux))
+        if conic.is_degenerate():
+            raise GeometryError("degenerate padded conic")
+        if any(conic.residual(pts[i]) <= 1e-7 for i in others):
+            raise GeometryError("padded conic grazes a non-member point")
+        return conic
+    return _retry(attempt, 64, "padded conic fit")
+
+
+def format_path_data(px, py) -> str:
+    """Path data of pixel coordinates, one `str.format` per point."""
+    return "M " + " L ".join(map("{:.3f} {:.3f}".format, px, py))

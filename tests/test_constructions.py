@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import nested_product_flags, no_3_collinear, no_4_concyclic
+from conftest import (nested_product_flags, no_3_collinear, no_4_concyclic,
+                      random_conical_structure, scalar_conic_through_padded)
 from pointconic import analysis, constructions, io
 from pointconic.analysis import audit, intersection_type, isometry_check
 from pointconic.cli import main
@@ -22,8 +23,8 @@ from pointconic.constructions import (ConstructionError, cell24,
 from pointconic.geometry import (AffineMap2, GeometryError, apply_affine,
                                  apply_affine_point, carnot_product, classify,
                                  ellipse_parameters)
-from pointconic.incidence import (catalog, new_incidence_structure,
-                                  signature)
+from pointconic.incidence import (catalog, catalog_names,
+                                  new_incidence_structure, signature)
 
 
 class TestCrossedEllipses:
@@ -335,6 +336,49 @@ class TestRealizers:
         C = new_incidence_structure(6, 1, [(p, 0) for p in range(6)])
         with pytest.raises(ConstructionError, match="at most 5"):
             realize_by_conics(C)
+
+
+def _random_lineal(rng, num_points: int = 9, num_blocks: int = 7):
+    """Random triples, any two sharing at most one point."""
+    blocks = []
+    while len(blocks) < num_blocks:
+        blk = frozenset(rng.choice(num_points, size=3, replace=False).tolist())
+        if all(len(blk & other) <= 1 for other in blocks):
+            blocks.append(blk)
+    return new_incidence_structure(
+        num_points, num_blocks,
+        [(p, b) for b, blk in enumerate(blocks) for p in sorted(blk)])
+
+
+def _realized(realize, C, seed: int) -> str:
+    """The realization's document, or the error it raised."""
+    try:
+        return io.dumps_canonical(io.to_document(realize(C, seed=seed)))
+    except (ConstructionError, GeometryError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestRealizersMatchScalarFits:
+    """Both realizers give the documents of the oracle path, whose padded
+    conics come from the pair-by-pair and triple-by-triple five-point fit
+    and the per-point grazing loop (`scalar_conic_through_padded`)."""
+
+    STRUCTURES = ([catalog(name) for name in catalog_names()]
+                  + [random_conical_structure(np.random.default_rng(s))
+                     for s in range(10)]
+                  + [_random_lineal(np.random.default_rng(s))
+                     for s in range(10)])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_documents(self, seed, monkeypatch):
+        realizers = (realize_by_conics, realize_lineal_by_circles)
+        new = [_realized(r, C, seed) for r in realizers
+               for C in self.STRUCTURES]
+        monkeypatch.setattr(constructions, "_conic_through_padded",
+                            scalar_conic_through_padded)
+        assert [_realized(r, C, seed) for r in realizers
+                for C in self.STRUCTURES] == new
+        assert sum(doc.startswith("{") for doc in new) >= 30
 
 
 class TestDeterminism:

@@ -1,6 +1,8 @@
 """Unit tests for the planar conic kernel."""
 import functools
 import math
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,15 +11,17 @@ from hypothesis import strategies as st
 
 from conftest import (carnot_six_from_conic, one_phase_pencil_intersections,
                       per_matrix_solve_or_nan, random_ellipse, random_triangle,
-                      scalar_conic_conic_intersections, sweep_intersections)
+                      scalar_collinear, scalar_conic_conic_intersections,
+                      scalar_conic_from_5_points, sweep_intersections)
 from pointconic import geometry
 from pointconic.constructions import (cell24, crossed_ellipses,
                                       dipyramid_carnot, ellipse_conic, pmn,
                                       polygon_ring, product, qcube_48,
                                       richter_gebert, translate_conic,
                                       translate_conics)
-from pointconic.geometry import (AffineMap2, Conic, GeometryError,
-                                 Projection4to2, _boxes_apart, _solve_or_nan,
+from pointconic.geometry import (TOL_MERGE, AffineMap2, Conic, GeometryError,
+                                 Projection4to2, _boxes_apart, _collinear,
+                                 _residuals, _solve_or_nan,
                                  affine_images, apply_affine,
                                  apply_affine_point, carnot_product,
                                  carnot_solve_sixth, central_conic_from_pairs,
@@ -290,6 +294,126 @@ class TestFitting:
     def test_central_conic_degenerate(self):
         with pytest.raises(GeometryError):
             central_conic_from_pairs((0, 0), [(1, 0), (2, 0), (3, 0)])
+
+
+def _fit_outcome(fit, pts):
+    """Form bytes and warnings of a fit, or its GeometryError text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            form = fit(pts).form.tobytes()
+        except GeometryError as exc:
+            form = str(exc)
+    return form, [str(w.message) for w in caught]
+
+
+def _near_collinear(rng, rel):
+    """Points a, b, c with |cross(b - a, c - a)| = rel |b - a| |c - a|."""
+    a, c = rng.uniform(-1, 1, size=(2, 2)) * 10.0 ** rng.uniform(-2, 2)
+    t = rng.uniform(-0.5, 1.5)
+    L = np.linalg.norm(c - a)
+    normal = np.array([a[1] - c[1], c[0] - a[0]]) / L
+    h = rel * abs(t) * L / math.sqrt(1 - rel * rel)
+    return a, a + t * (c - a) + h * normal, c
+
+
+def _accepts(check, *args) -> bool:
+    """Whether `check` returns without a GeometryError."""
+    try:
+        check(*args)
+    except GeometryError:
+        return False
+    return True
+
+
+class TestFivePointChecksMatchScalar:
+    """conic_from_5_points' stacked duplicate and collinearity checks against
+    the pair-by-pair and triple-by-triple fit `scalar_conic_from_5_points`:
+    the same form bytes and warnings, or the same error text."""
+
+    def _agree(self, pts):
+        new = _fit_outcome(conic_from_5_points, pts)
+        assert new == _fit_outcome(scalar_conic_from_5_points, pts)
+        return isinstance(new[0], str)
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-4, 4)
+            self._agree(rng.normal(size=(5, 2)) * scale)
+
+    def test_on_conics_and_with_warnings(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            c, a, b = rng.normal(size=2), *rng.uniform(0.1, 2, size=2)
+            ts = rng.uniform(0, 2 * math.pi, size=5)
+            self._agree(c + np.column_stack([a * np.cos(ts),
+                                             b * np.sin(ts)]))
+        # Far from the origin the design matrix is ill-conditioned: the
+        # fit warns, and both warn alike.
+        pts = 1e4 + np.random.default_rng(0).normal(size=(5, 2))
+        assert not self._agree(pts)
+        assert _fit_outcome(conic_from_5_points, pts)[1]
+
+    @pytest.mark.parametrize("i,j", list(combinations(range(5), 2)))
+    def test_planted_duplicates(self, i, j):
+        rng = np.random.default_rng(100 + 5 * i + j)
+        raised = set()
+        for factor in (1 - 1e-6, 1 + 1e-6) * 10:
+            pts = rng.uniform(-1, 1, size=(5, 2))
+            ang = rng.uniform(0, 2 * math.pi)
+            pts[j] = pts[i] + TOL_MERGE * factor * np.array(
+                [math.cos(ang), math.sin(ang)])
+            raised.add(self._agree(pts))
+        assert raised == {False, True}
+
+    @pytest.mark.parametrize("i,j,k", list(combinations(range(5), 3)))
+    def test_planted_near_collinear(self, i, j, k):
+        rng = np.random.default_rng(200 + 25 * i + 5 * j + k)
+        raised = set()
+        for factor in (1 - 1e-6, 1 + 1e-6) * 10:
+            pts = rng.uniform(-1, 1, size=(5, 2))
+            pts[i], pts[j], pts[k] = _near_collinear(rng, 1e-10 * factor)
+            raised.add(self._agree(pts))
+        assert raised == {False, True}
+
+    def test_first_offender_named(self):
+        pts = [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]
+        with pytest.raises(GeometryError, match=r"^points 0,1,2 are"):
+            conic_from_5_points(pts)
+        pts = [(0, 0), (1, 0), (1, 0), (0, 1), (0, 1)]
+        with pytest.raises(GeometryError, match=r"indices 1,2$"):
+            conic_from_5_points(pts)
+
+    @pytest.mark.parametrize("rel", [1e-10, 1e-8, 1e-7])
+    def test_one_triple_callers(self, rel):
+        # signed_ratio (rel 1e-8) and the Carnot side check (rel 1e-7) call
+        # _collinear on one triple; it decides as the scalar predicate.
+        rng = np.random.default_rng(int(-math.log10(rel)))
+        seen = set()
+        for factor in np.geomspace(0.5, 2, 41):
+            a, b, c = _near_collinear(rng, rel * factor)
+            got = _collinear(a, b, c, rel=rel)
+            assert got == scalar_collinear(a, b, c, rel=rel)
+            seen.add(bool(got))
+            if rel == 1e-8:
+                assert _accepts(signed_ratio, a, b, c) == got
+            if rel == 1e-7:
+                # Side "a" of the triangle runs through its vertices a, c.
+                on_side = _accepts(geometry._check_carnot_point,
+                                   ((5.0, 5.0), a, c), "a", b)
+                assert on_side == scalar_collinear(a, c, b, rel=rel)
+        assert seen == {False, True}
+
+    def test_stacked_residuals_match_per_point(self):
+        # The padded-conic grazing test reads _residuals over all
+        # non-members; it rounds like Conic.residual point by point.
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            conic = scalar_conic_from_5_points(rng.uniform(0, 1, (5, 2)))
+            pts = rng.uniform(-0.5, 1.5, size=(40, 2))
+            per_point = [conic.residual(p) for p in pts]
+            assert _residuals(pts, conic.form).tolist() == per_point
 
 
 class TestIntersections:

@@ -1,4 +1,5 @@
 """Unit tests for JSON I/O, SVG rendering and the CLI."""
+import argparse
 import copy
 import hashlib
 import json
@@ -15,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pointconic
+from pointconic import cli
 from pointconic.cli import main
 from pointconic import io
 from pointconic.configuration import GeometricConfiguration
-from conftest import scalar_render_svg
+from conftest import format_path_data, full_make_parser, scalar_render_svg
 from pointconic.constructions import (cell24, crossed_ellipses,
                                       dipyramid_carnot, ellipse_conic,
                                       parallelogram_ellipse_pair, pmn,
@@ -26,12 +28,14 @@ from pointconic.constructions import (cell24, crossed_ellipses,
                                       realize_by_conics,
                                       realize_lineal_by_circles,
                                       richter_gebert)
-from pointconic.geometry import Conic, GeometryError
+from pointconic.geometry import (Conic, GeometryError,
+                                 ellipse_parameters_stack)
 from pointconic.incidence import IncidenceError, catalog
 from pointconic.io import (InterfaceError, _dump_value, dumps_canonical,
                            from_document, read_configuration, to_document,
                            write_configuration)
-from pointconic.svg import SceneStyle, render_svg
+from pointconic.svg import (SceneStyle, _Mapper, _path_data, _scan,
+                            _world_bbox, render_svg)
 
 
 class TestRoundTrip:
@@ -581,6 +585,115 @@ class TestSvgMatchesScalarRenderer:
         assert render_svg(G, style) == scalar_render_svg(G, style)
 
 
+# Pixel values whose formatting is easy to get wrong: signed zeros, values
+# that round to -0.000 or across a digit, and values near +-1e6.
+_PIXELS = (0.0, -0.0, -0.0004, -0.0005, 0.0005, -1e-12, 0.0015, 2.0005,
+           -2.5e-4, 999999.9995, -999999.9995, 1e6, -1e6, 123.4565)
+
+
+class TestBranchPathFormat:
+    """svg._path_data's one %-format against one str.format per point."""
+
+    @pytest.mark.parametrize("n", [1, 2, 257])
+    def test_edge_values(self, n):
+        rng = np.random.default_rng(n)
+        px = rng.choice(_PIXELS, size=n) * rng.choice([1, -1], size=n)
+        py = rng.choice(_PIXELS, size=n)
+        xy = np.stack([px, py], axis=1).ravel().tolist()
+        assert _path_data(xy) == format_path_data(px.tolist(), py.tolist())
+
+    @given(pixels=st.lists(st.tuples(
+               st.floats(-2e6, 2e6) | st.sampled_from(_PIXELS),
+               st.floats(-2e6, 2e6) | st.sampled_from(_PIXELS)),
+               min_size=1, max_size=257))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_pixels(self, pixels):
+        px, py = zip(*pixels)
+        xy = [v for pair in pixels for v in pair]
+        assert _path_data(xy) == format_path_data(px, py)
+
+
+def _relative_residual(conic: Conic, x, y):
+    """|q(x, y)| over the sum of its terms' magnitudes."""
+    terms = (np.array([x * x, x * y, y * y, x, y, np.ones_like(x)]).T
+             * np.array(conic.coeffs()))
+    return np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
+
+
+class TestLinearScan:
+    """Conics without x^2 and y^2 terms (b xy + d x + e y + f = 0) are
+    scanned by their one linear root per line."""
+
+    XY1 = Conic.from_coeffs(0, 1, 0, 0, 0, -1)
+
+    @staticmethod
+    def _bbox(G):
+        """The scene's bbox; its conics are no ellipses."""
+        return _world_bbox(G.points, ellipse_parameters_stack(
+            np.zeros((0, 3, 3))))
+
+    def _scanned(self, G):
+        """World points (X, Y) of each conic's in-range roots, and the
+        in-range mask (2, SAMPLES + 1) of its two root slots."""
+        forms = np.array([c.form for c in G.conics])
+        swap, x, real, y, inside = _scan(forms, self._bbox(G))
+        for c in range(len(forms)):
+            # Both squares vanish, so the scan is the transposed one.
+            assert swap[c]
+            scan = np.broadcast_to(x[c], y[c].shape)
+            yield y[c][inside[c]], scan[inside[c]], inside[c]
+
+    @pytest.mark.parametrize("pts", [[[1, 1], [2, 0.5], [-1, -1]],
+                                     [[-1, -1], [1, 1]]])
+    def test_hyperbola_xy_1(self, pts):
+        # The second scene's scan has a line at exactly y = 0, where the
+        # equation has no root.
+        G = GeometricConfiguration(np.array(pts, float), (self.XY1,),
+                                   frozenset())
+        svg = render_svg(G)
+        assert svg == scalar_render_svg(G)
+        for xs, ys, inside in self._scanned(G):
+            assert not inside[1].any()
+            assert (_relative_residual(self.XY1, xs, ys) <= 1e-9).all()
+        # Both branches, each a path of its own.
+        to_px = _Mapper(self._bbox(G), (800, 800), 0.06)
+        ox, _ = to_px(0.0, 0.0)
+        sides = []
+        for line in svg.splitlines():
+            if "<path" in line:
+                pxs = [float(v) for v in line.split('"')[1].split()[1::3]]
+                sides.append({px > ox for px in pxs})
+        assert sorted(map(sorted, sides)) == [[False], [True]]
+
+    def test_one_point_run_closed_by_rootless_line(self):
+        # xy = h with h the scan step: the scan over y in [-1.5, 1.5] has
+        # its only in-range root x = -1 at y = -h, and the next line, y = 0,
+        # has no root. Like a line with a negative discriminant, it drops
+        # the one-point run.
+        h = 3 / 256
+        conic = Conic.from_coeffs(0, 1, 0, 0, 0, -h)
+        G = GeometricConfiguration(np.array([[-2.625, -1.0], [-1.125, 1.0]]),
+                                   (conic,), frozenset())
+        ((xs, ys, inside),) = self._scanned(G)
+        assert xs.tolist() == [-1.0] and ys.tolist() == [-h]
+        svg = render_svg(G)
+        assert svg == scalar_render_svg(G) and "<path" not in svg
+
+    def test_random_linear_conics(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            b, d, e, f = rng.normal(size=4)
+            conic = Conic.from_coeffs(0, b, 0, d, e, f)
+            xs = rng.normal(size=3)
+            pts = np.column_stack([xs, -(d * xs + f) / (b * xs + e)])
+            G = GeometricConfiguration(pts, (conic,), frozenset())
+            svg = render_svg(G)
+            assert svg == scalar_render_svg(G)
+            assert "<path" in svg
+            for xs, ys, _ in self._scanned(G):
+                assert (_relative_residual(conic, xs, ys) <= 1e-9).all()
+
+
 class TestCli:
     def test_build_analyze_props(self, tmp_path, capsys):
         out = tmp_path / "q4.json"
@@ -841,3 +954,110 @@ class TestCli:
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, \
                 (mode, name, seed)
         capsys.readouterr()
+
+
+_VERBS = ("build", "catalog", "realize", "analyze", "render", "props")
+_RENDER = ["render", "-i", "s.json", "-o", "s.svg"]
+
+# Every verb with every option, help at both levels, and each kind of usage
+# error: no verb, unknown verb, unknown option, missing required option,
+# bad choice, bad int or float, stray argument.
+CLI_CORPUS = [
+    ["build", "pmn", "--n", "5", "--m", "3", "--elongation", "0.2",
+     "--minor", "0.1", "--seed", "3", "-o", "x.json"],
+    ["build", "crossed_ellipses", "--output", "x.json"],
+    ["catalog", "fano", "-o", "f.json"],
+    ["catalog", "anti-miquel-large", "--output", "f.json"],
+    ["realize", "conics", "-i", "a.json", "-o", "b.json", "--seed", "7"],
+    ["realize", "circles", "--input", "a.json", "--output", "b.json"],
+    ["analyze", "-i", "a.json", "--geometric"],
+    ["analyze", "--input", "a.json"],
+    _RENDER + ["--stroke-width", "2", "--point-radius", "1",
+               "--canvas", "300x200", "--margin", "0.1"],
+    ["render", "--input", "a.json", "--output", "b.svg"],
+    ["props", "-i", "a.json"],
+    ["props", "--input", "a.json"],
+    ["--help"], ["-h"], *([verb, "--help"] for verb in _VERBS),
+    ["props", "-i", "a.json", "-h"],
+    [], ["frobnicate"], ["frobnicate", "-i", "a.json"], ["--bogus"],
+    ["-i", "a.json", "props"], ["Props", "-i", "a.json"],
+    _RENDER + ["--bogus"], ["props", "--bogus"], ["analyze", "-i"],
+    ["build", "pmn"], ["build", "-o", "x.json"], ["catalog", "fano"],
+    ["realize", "conics", "-i", "a.json"], ["realize"], ["analyze"],
+    ["render", "-i", "a.json"], ["props"], ["build"],
+    ["build", "no_such_builder", "-o", "x.json"],
+    ["catalog", "nope", "-o", "x.json"],
+    ["realize", "lines", "-i", "a.json", "-o", "b.json"],
+    ["build", "pmn", "--n", "x", "-o", "y.json"],
+    ["build", "pmn", "--m", "2.5", "-o", "y.json"],
+    ["build", "pmn", "--seed", "", "-o", "y.json"],
+    ["build", "polygon_ring", "--elongation", "wide", "-o", "y.json"],
+    ["build", "polygon_ring", "--minor", "1e", "-o", "y.json"],
+    ["realize", "conics", "-i", "a.json", "-o", "b.json", "--seed", "z"],
+    _RENDER + ["--stroke-width", "thick"],
+    _RENDER + ["--point-radius", "r"],
+    _RENDER + ["--margin", "--canvas"],
+    ["props", "-i", "a.json", "extra"],
+    ["build", "pmn", "-o", "x.json", "pmn"],
+]
+
+
+class TestCliMatchesFullParser:
+    """cli.main builds only the named verb's parser; it must answer every
+    argv as the parser of all six verbs (`full_make_parser`) did."""
+
+    @pytest.mark.parametrize("argv", CLI_CORPUS, ids=" ".join)
+    def test_same_answer(self, argv, capsys, monkeypatch):
+        try:
+            expected = full_make_parser().parse_args(argv)
+            code = 0
+        except SystemExit as exc:
+            expected, code = None, int(exc.code or 0)
+        out, err = capsys.readouterr()
+        seen = []
+        for verb, (help_, add_arguments, _) in cli._VERBS.items():
+            monkeypatch.setitem(cli._VERBS, verb, (
+                help_, add_arguments, lambda args: seen.append(args) or 0))
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)
+        assert seen == ([] if expected is None else [expected])
+
+    def test_each_call_builds_its_own_parsers(self, tmp_path, monkeypatch,
+                                               capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        argv = ["catalog", "fano", "-o", str(tmp_path / "f.json")]
+        for calls in (1, 2):
+            assert main(argv) == 0
+            # The top-level parser and the one verb's.
+            assert len(built) == 2 * calls
+        assert len({id(p) for p in built}) == 4
+        assert main([]) == 2
+        assert len(built) == 4 + 1 + len(_VERBS)
+        capsys.readouterr()
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import pointconic.cli\n"
+            "assert not built, built\n")
+        src = str(Path(pointconic.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
