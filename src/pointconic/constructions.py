@@ -75,13 +75,9 @@ def circle_through_3_points(p, q, r) -> Conic:
     return Conic.from_coeffs(1, 0, 1, d, e, f)
 
 
-def translate_conic(conic: Conic, v) -> Conic:
-    return apply_affine(AffineMap2.translation_by(v), conic)
-
-
 def translate_conics(forms: np.ndarray, shifts: np.ndarray) -> tuple:
-    """`translate_conic` of each form (n, 3, 3) by its shift (n, 2), in one
-    stacked pass (`geometry.affine_images`); bit for bit the same conics."""
+    """Conics of the forms (n, 3, 3), or of one form (3, 3), translated by
+    the shifts (n, 2), in one stacked pass (`geometry.affine_images`)."""
     H = np.tile(np.eye(3), (len(shifts), 1, 1))
     H[:, :2, 2] = shifts
     return affine_images(H, forms)

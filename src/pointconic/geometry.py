@@ -34,34 +34,21 @@ KINDS = ("ellipse", "parabola", "hyperbola", "pair-of-lines", "double-line",
          "point", "empty")
 
 
-def _normalize_form(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    M = 0.5 * (M + M.T)
-    nrm = np.linalg.norm(M)
-    if nrm == 0.0:
-        raise GeometryError("zero conic form")
-    M = M / nrm
-    flat = M.reshape(-1)
-    for v in flat:
-        if abs(v) > 1e-14:
-            if v < 0:
-                M = -M
-            break
-    return M
-
-
 @dataclass(frozen=True)
 class Conic:
-    """A conic as a normalized symmetric 3x3 form."""
+    """A conic as a normalized symmetric 3x3 form.
+
+    Construction is the one-form call of the stacked `_normalized_forms`
+    and `_classify_forms`; the form is a read-only view of that stack."""
 
     form: np.ndarray
     kind: str = field(init=False)
 
     def __post_init__(self):
-        M = _normalize_form(self.form)
-        M.setflags(write=False)
-        object.__setattr__(self, "form", M)
-        object.__setattr__(self, "kind", classify_form(M))
+        M = _normalized_forms(np.asarray(self.form, dtype=float)
+                              .reshape(1, 3, 3))
+        object.__setattr__(self, "form", M[0])
+        object.__setattr__(self, "kind", _classify_forms(M)[0])
 
     @classmethod
     def from_coeffs(cls, a, b, c, d, e, f) -> "Conic":
@@ -71,15 +58,12 @@ class Conic:
                              [d / 2, e / 2, f]]))
 
     def coeffs(self) -> tuple[float, ...]:
-        M = self.form
-        return (M[0, 0], 2 * M[0, 1], M[1, 1], 2 * M[0, 2], 2 * M[1, 2],
-                M[2, 2])
+        return tuple(forms_coeffs(self.form)[0])
 
     def residual(self, p) -> float:
         """|p^T A p| for the unit-norm homogenization of the affine point."""
-        v = np.array([p[0], p[1], 1.0])
-        v /= np.linalg.norm(v)
-        return float(abs(v @ self.form @ v))
+        return float(_residuals(np.array([[p[0], p[1]]], dtype=float),
+                                self.form)[0])
 
     def is_degenerate(self) -> bool:
         return self.kind in ("pair-of-lines", "double-line", "point")
@@ -93,43 +77,33 @@ class Conic:
                                                            other.form)
 
     def __hash__(self):
-        return hash(self.form.tobytes())
-
-
-def conic_from_normalized_coeffs(coeffs) -> Conic:
-    """Rebuild a conic from coefficients of an already-normalized form.
-
-    Skips renormalization so that serialized conics round-trip bit-exactly;
-    rejects coefficient vectors that are not unit-norm to 1e-9 (and NaN)."""
-    a, b, c, d, e, f = (float(v) for v in coeffs)
-    M = np.array([[a, b / 2, d / 2],
-                  [b / 2, c, e / 2],
-                  [d / 2, e / 2, f]])
-    if not abs(np.linalg.norm(M) - 1.0) <= 1e-9:
-        raise GeometryError("conic coefficients are not normalized")
-    M.setflags(write=False)
-    return _conic_of(M, classify_form(M))
+        # Equal forms may differ in the signs of their zeros; adding 0.0
+        # makes every -0.0 a +0.0, so equal conics hash alike.
+        return hash((self.form + 0.0).tobytes())
 
 
 # Row-major 3x3 form entries as (coefficient index, scale): a, b/2, d/2, ...
 _FORM_FROM_COEFFS = np.array([0, 1, 3, 1, 2, 4, 3, 4, 5])
 _FORM_SCALE = np.array([1, .5, .5, .5, 1, .5, .5, .5, 1])
+# Coefficients as (row-major form entry, scale): a = A00, b = 2 A01, ...
+_COEFFS_FROM_FORM = np.array([0, 1, 4, 2, 5, 8])
+_COEFFS_SCALE = np.array([1., 2, 1, 2, 2, 1])
 
 
 def forms_coeffs(forms) -> np.ndarray:
     """`Conic.coeffs` of a stack of forms (B, 3, 3), as a (B, 6) array."""
-    M = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
-    return np.stack([M[:, 0, 0], 2 * M[:, 0, 1], M[:, 1, 1], 2 * M[:, 0, 2],
-                     2 * M[:, 1, 2], M[:, 2, 2]], axis=1)
+    M = np.asarray(forms, dtype=float).reshape(-1, 9)
+    return M[:, _COEFFS_FROM_FORM] * _COEFFS_SCALE
 
 
 def conics_from_normalized_coeffs(coeffs) -> tuple[Conic, ...]:
-    """`conic_from_normalized_coeffs` over a (B, 6) coefficient array.
+    """Conics of a (B, 6) array of coefficients of already-normalized forms.
 
-    One stacked pass: the unit-norm check and `classify_form`'s `det` and
-    `svd` run over the (B, 3, 3) stack. Forms and kinds are bit-identical
-    to the one-conic call; each conic's form is a read-only view of the
-    stack."""
+    Skips renormalization so that serialized conics round-trip bit-exactly;
+    rejects coefficient rows that are not unit-norm to 1e-9 (and NaN),
+    naming the first. One stacked pass: the unit-norm check and
+    `_classify_forms` run over the (B, 3, 3) stack; each conic's form is a
+    read-only view of the stack."""
     C = np.asarray(coeffs, dtype=float).reshape(-1, 6)
     M = (C[:, _FORM_FROM_COEFFS] * _FORM_SCALE).reshape(-1, 3, 3)
     off = ~(np.abs(np.sqrt(np.einsum("bij,bij->b", M, M)) - 1.0) <= 1e-9)
@@ -145,6 +119,24 @@ def _conic_of(M: np.ndarray, kind: str) -> Conic:
     object.__setattr__(conic, "form", M)
     object.__setattr__(conic, "kind", kind)
     return conic
+
+
+def _normalized_forms(M: np.ndarray) -> np.ndarray:
+    """Stacked forms (B, 3, 3) symmetrised, scaled to unit Frobenius norm
+    (through `_norm`, which rounds like `np.linalg.norm`) and signed so that
+    the first entry above 1e-14 in magnitude (row-major) is positive; a new
+    read-only stack. Raises on a zero form."""
+    M = 0.5 * (M + np.swapaxes(M, 1, 2))
+    flat = M.reshape(-1, 9)
+    nrm = _norm(flat)
+    if not nrm.all():
+        raise GeometryError("zero conic form")
+    flat /= nrm[:, None]
+    big = np.abs(flat) > 1e-14
+    first = flat[np.arange(len(flat)), big.argmax(axis=1)]
+    flat[big.any(axis=1) & (first < 0)] *= -1.0
+    M.setflags(write=False)
+    return M
 
 
 def _kind(det3, det2, trace2, second_singular_value) -> str:
@@ -163,23 +155,16 @@ def _kind(det3, det2, trace2, second_singular_value) -> str:
     return "parabola"
 
 
-def classify_form(M: np.ndarray) -> str:
-    return _kind(np.linalg.det(M), M[0, 0] * M[1, 1] - M[0, 1] ** 2,
-                 M[0, 0] + M[1, 1],
-                 lambda: np.linalg.svd(M, compute_uv=False)[1])
-
-
 def _classify_forms(M: np.ndarray) -> list[str]:
-    """`classify_form` over a (B, 3, 3) stack, bit for bit. `det` and `svd`
-    are the same LAPACK call per matrix. The 2x2 minor is formed in Python
-    floats: a numpy scalar's ``** 2`` is libm ``pow``, which differs from
-    an array's square in the last bit."""
+    """The kinds of a stack of normalized forms (B, 3, 3). `det` runs over
+    the stack; `svd` only on the forms with |det| below DEG_EPS, one at a
+    time. The 2x2 minor is formed in Python floats: their ``** 2`` is libm
+    ``pow``, which can differ from an array's square in the last bit and so
+    move a kind at the DEG_EPS thresholds."""
     det3 = np.linalg.det(M).tolist()
     m00, m01, m11 = (M[:, i, j].tolist() for i, j in ((0, 0), (0, 1), (1, 1)))
-    flat = [i for i, d in enumerate(det3) if abs(d) < DEG_EPS]
-    s1 = dict(zip(flat, np.linalg.svd(M[flat], compute_uv=False)[:, 1]
-                  .tolist()))
-    return [_kind(d3, a * c - b ** 2, a + c, lambda i=i: s1[i])
+    return [_kind(d3, a * c - b ** 2, a + c,
+                  lambda i=i: np.linalg.svd(M[i], compute_uv=False)[1])
             for i, (d3, a, b, c) in enumerate(zip(det3, m00, m01, m11))]
 
 
@@ -456,7 +441,8 @@ def _newton_polish(xy: np.ndarray, A: np.ndarray, B: np.ndarray,
 
 
 def _residuals(xy: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """`Conic.residual` of stacked points (K, 2) against forms (K, 3, 3)."""
+    """|p^T A p| for the unit-norm homogenizations p of stacked points
+    (K, 2), against forms (K, 3, 3) or one form (3, 3)."""
     v = np.column_stack([xy, np.ones(len(xy))])
     v /= _norm(v)[:, None]
     return np.abs(_quadratic_form(v, M, v))
@@ -720,9 +706,10 @@ def carnot_solve_sixth(tri, pts, side: str) -> np.ndarray:
 # Affine maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineMap2:
-    """Invertible planar affine map x -> linear @ x + translation."""
+    """Invertible planar affine map x -> linear @ x + translation. Maps
+    compare and hash by identity."""
 
     linear: np.ndarray
     translation: np.ndarray
@@ -757,32 +744,24 @@ def apply_affine_point(M: AffineMap2, p) -> np.ndarray:
 
 
 def apply_affine(M: AffineMap2, conic: Conic) -> Conic:
-    Hinv = np.linalg.inv(M.homogeneous())
-    return Conic(Hinv.T @ conic.form @ Hinv)
+    """The image of a conic under an affine map: the one-form call of
+    `affine_images`."""
+    return affine_images(M.homogeneous(), conic.form)[0]
 
 
 def affine_images(H: np.ndarray, forms: np.ndarray) -> tuple[Conic, ...]:
-    """`apply_affine` over a stack of forms (n, 3, 3), bit for bit, under one
-    homogeneous affine map H (3, 3) or one map per form (n, 3, 3).
+    """Images of a stack of forms (n, 3, 3) under one homogeneous affine
+    map H (3, 3) or one map per form (n, 3, 3): H^-T A H^-1, normalized and
+    classified as by `Conic`.
 
-    One stacked `inv` and two stacked products; then `_normalize_form`'s
-    symmetrise, norm (through `_norm`, which rounds like `np.linalg.norm`)
-    and sign steps, and `_classify_forms`. The maps are taken as given:
-    `AffineMap2` is where an affine map is checked for invertibility.
-    Each conic's form is a read-only view of one stack."""
+    One stacked `inv` and two stacked products, then `_normalized_forms`
+    and `_classify_forms`. The maps are taken as given: `AffineMap2` is
+    where an affine map is checked for invertibility. Each conic's form is
+    a read-only view of one stack."""
     forms = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
     Hinv = np.linalg.inv(H)
-    M = np.matmul(np.matmul(np.swapaxes(Hinv, -1, -2), forms), Hinv)
-    M = 0.5 * (M + np.swapaxes(M, 1, 2))
-    nrm = _norm(M.reshape(-1, 9))
-    if (nrm == 0.0).any():
-        raise GeometryError("zero conic form")
-    M /= nrm[:, None, None]
-    flat = M.reshape(-1, 9)
-    big = np.abs(flat) > 1e-14
-    first = flat[np.arange(len(flat)), big.argmax(axis=1)]
-    M[big.any(axis=1) & (first < 0)] *= -1.0
-    M.setflags(write=False)
+    M = _normalized_forms(np.matmul(np.matmul(np.swapaxes(Hinv, -1, -2),
+                                              forms), Hinv))
     return tuple(map(_conic_of, M, _classify_forms(M)))
 
 
@@ -797,32 +776,24 @@ def _axis_angle(x: float, y: float) -> float:
 
 
 def ellipse_parameters(conic: Conic):
-    """(center, semi_major, semi_minor, angle) of an ellipse conic.
+    """(center, semi_major, semi_minor, angle) of an ellipse conic: the
+    one-form call of `ellipse_parameters_stack`.
 
     `angle` is the direction of the major axis in (-pi/2, pi/2].
     """
     if conic.kind != "ellipse":
         raise GeometryError(f"not an ellipse: {conic.kind}")
-    M = conic.form
-    Q = M[:2, :2]
-    center = np.linalg.solve(Q, -M[:2, 2])
-    evals, evecs = np.linalg.eigh(Q)
-    k = -np.linalg.det(M) / np.linalg.det(Q)
-    axes = np.sqrt(k / evals)
-    order = np.argsort(-axes)
-    a, b = axes[order]
-    v = evecs[:, order[0]]
-    return center, float(a), float(b), _axis_angle(float(v[0]), float(v[1]))
+    centers, a, b, angles = ellipse_parameters_stack(conic.form)
+    return centers[0], float(a[0]), float(b[0]), angles[0]
 
 
 def ellipse_parameters_stack(forms: np.ndarray):
-    """`ellipse_parameters` over a stack of ellipse forms (E, 3, 3), bit for
-    bit: centers (E, 2), semi-major and semi-minor axes (E,) each, and the
-    angles as a list of floats. The caller checks the kinds.
+    """(center, semi_major, semi_minor, angle) of a stack of ellipse forms
+    (E, 3, 3): centers (E, 2), semi-major and semi-minor axes (E,) each,
+    and the angles as a list of floats. The caller checks the kinds.
 
-    One `solve`, one `eigh` and two `det` calls, each the same LAPACK
-    routine per matrix as in the one-conic call; the angle is `math.atan2`
-    on Python floats, as there."""
+    One `solve`, one `eigh` and two `det` calls over the stack; the angle
+    is `math.atan2` on Python floats."""
     M = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
     if not len(M):
         return np.zeros((0, 2)), np.zeros(0), np.zeros(0), []
@@ -855,9 +826,10 @@ def dilation_to_circle(conic: Conic) -> AffineMap2:
 # 4D -> 2D projection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projection4to2:
-    """Rank-2 linear map from E^4 to the plane."""
+    """Rank-2 linear map from E^4 to the plane. Projections compare and
+    hash by identity."""
 
     map: np.ndarray
 

@@ -17,10 +17,10 @@ from pointconic import incidence
 from pointconic.analysis import SPURIOUS_REL, _homogenized
 from pointconic.cli import BUILDERS
 from pointconic.constructions import _retry, ellipse_conic
-from pointconic.geometry import (COND_WARN, TOL_MERGE, Conic, GeometryError,
-                                 _coincident, _norm, _pencil_candidates,
-                                 _quadratic_form, _residuals, cross2,
-                                 ellipse_parameters)
+from pointconic.geometry import (COND_WARN, TOL_MERGE, AffineMap2, Conic,
+                                 GeometryError, _axis_angle, _coincident,
+                                 _conic_of, _kind, _norm, _pencil_candidates,
+                                 _quadratic_form, _residuals, cross2)
 from pointconic.incidence import (IncidenceStructure, LeviGraph,
                                   new_incidence_structure)
 from pointconic.svg import SceneStyle
@@ -46,7 +46,7 @@ def sweep_intersections(A: Conic, B: Conic, samples: int = 4096,
                         merge: float = 1e-9) -> list[np.ndarray]:
     """Brute-force intersection oracle: sample ellipse A parametrically,
     bisect the sign changes of B's form along it."""
-    center, a, b, ang = ellipse_parameters(A)
+    center, a, b, ang = scalar_ellipse_parameters(A)
     R = np.array([[math.cos(ang), -math.sin(ang)],
                   [math.sin(ang), math.cos(ang)]])
     M = B.form
@@ -439,7 +439,8 @@ def scalar_conic_conic_intersections(A: Conic, B: Conic,
     points = []
     for p in candidates:
         p = _newton_polish(p, MA, MB)
-        if A.residual(p) > 10 * merge_tol or B.residual(p) > 10 * merge_tol:
+        if (scalar_residual(A, p) > 10 * merge_tol
+                or scalar_residual(B, p) > 10 * merge_tol):
             continue
         if any(np.linalg.norm(p - q) < merge_tol for q in points):
             continue
@@ -615,7 +616,7 @@ _SVG_SAMPLES = 256
 
 
 def _scalar_ellipse_bbox(conic: Conic):
-    center, a, b, ang = ellipse_parameters(conic)
+    center, a, b, ang = scalar_ellipse_parameters(conic)
     dx = math.hypot(a * math.cos(ang), b * math.sin(ang))
     dy = math.hypot(a * math.sin(ang), b * math.cos(ang))
     return (center[0] - dx, center[1] - dy, center[0] + dx, center[1] + dy)
@@ -669,7 +670,7 @@ def _sampled_branches(conic: Conic, bbox):
     the x^2 coefficient vanishes too, the equation is linear in y and its
     one root goes to the first branch.
     """
-    a, b, c, d, e, f = conic.coeffs()
+    a, b, c, d, e, f = scalar_coeffs(conic)
     x0, y0, x1, y1 = bbox
     pad_x = 0.25 * (x1 - x0)
     pad_y = 0.25 * (y1 - y0)
@@ -734,7 +735,7 @@ def scalar_render_svg(G, style=None) -> str:
         attrs = (f'fill="none" stroke="{color}" '
                  f'stroke-width="{fmt(style.stroke_width)}"')
         if conic.kind == "ellipse":
-            center, a, b, ang = ellipse_parameters(conic)
+            center, a, b, ang = scalar_ellipse_parameters(conic)
             cx, cy = to_px(center[0], center[1])
             deg = -math.degrees(ang)
             lines.append(
@@ -854,7 +855,7 @@ def scalar_conic_through_padded(rng, pts, members) -> Conic:
                                            + list(aux))
         if conic.is_degenerate():
             raise GeometryError("degenerate padded conic")
-        if any(conic.residual(pts[i]) <= 1e-7 for i in others):
+        if any(scalar_residual(conic, pts[i]) <= 1e-7 for i in others):
             raise GeometryError("padded conic grazes a non-member point")
         return conic
     return _retry(attempt, 64, "padded conic fit")
@@ -863,3 +864,87 @@ def scalar_conic_through_padded(rng, pts, members) -> Conic:
 def format_path_data(px, py) -> str:
     """Path data of pixel coordinates, one `str.format` per point."""
     return "M " + " L ".join(map("{:.3f} {:.3f}".format, px, py))
+
+
+# ---------------------------------------------------------------------------
+# One-conic kernels: oracles for the stacked ones
+# ---------------------------------------------------------------------------
+# The one-conic bodies of Conic construction, apply_affine, translate_conic,
+# ellipse_parameters, conic_from_normalized_coeffs, Conic.residual and
+# Conic.coeffs, verbatim. Each public one-conic call is now the B = 1 call
+# of its stacked kernel and must give the same bytes, kinds and errors.
+
+def scalar_normalize_form(M: np.ndarray) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    M = 0.5 * (M + M.T)
+    nrm = np.linalg.norm(M)
+    if nrm == 0.0:
+        raise GeometryError("zero conic form")
+    M = M / nrm
+    flat = M.reshape(-1)
+    for v in flat:
+        if abs(v) > 1e-14:
+            if v < 0:
+                M = -M
+            break
+    return M
+
+
+def scalar_classify_form(M: np.ndarray) -> str:
+    return _kind(np.linalg.det(M), M[0, 0] * M[1, 1] - M[0, 1] ** 2,
+                 M[0, 0] + M[1, 1],
+                 lambda: np.linalg.svd(M, compute_uv=False)[1])
+
+
+def scalar_conic(M) -> Conic:
+    """`Conic(M)` through the one-form normalization and classification."""
+    M = scalar_normalize_form(M)
+    M.setflags(write=False)
+    return _conic_of(M, scalar_classify_form(M))
+
+
+def scalar_conic_from_normalized_coeffs(coeffs) -> Conic:
+    a, b, c, d, e, f = (float(v) for v in coeffs)
+    M = np.array([[a, b / 2, d / 2],
+                  [b / 2, c, e / 2],
+                  [d / 2, e / 2, f]])
+    if not abs(np.linalg.norm(M) - 1.0) <= 1e-9:
+        raise GeometryError("conic coefficients are not normalized")
+    M.setflags(write=False)
+    return _conic_of(M, scalar_classify_form(M))
+
+
+def scalar_apply_affine(M: AffineMap2, conic: Conic) -> Conic:
+    Hinv = np.linalg.inv(M.homogeneous())
+    return scalar_conic(Hinv.T @ conic.form @ Hinv)
+
+
+def scalar_translate_conic(conic: Conic, v) -> Conic:
+    return scalar_apply_affine(AffineMap2.translation_by(v), conic)
+
+
+def scalar_ellipse_parameters(conic: Conic):
+    if conic.kind != "ellipse":
+        raise GeometryError(f"not an ellipse: {conic.kind}")
+    M = conic.form
+    Q = M[:2, :2]
+    center = np.linalg.solve(Q, -M[:2, 2])
+    evals, evecs = np.linalg.eigh(Q)
+    k = -np.linalg.det(M) / np.linalg.det(Q)
+    axes = np.sqrt(k / evals)
+    order = np.argsort(-axes)
+    a, b = axes[order]
+    v = evecs[:, order[0]]
+    return center, float(a), float(b), _axis_angle(float(v[0]), float(v[1]))
+
+
+def scalar_residual(conic: Conic, p) -> float:
+    v = np.array([p[0], p[1], 1.0])
+    v /= np.linalg.norm(v)
+    return float(abs(v @ conic.form @ v))
+
+
+def scalar_coeffs(conic: Conic) -> tuple:
+    M = conic.form
+    return (M[0, 0], 2 * M[0, 1], M[1, 1], 2 * M[0, 2], 2 * M[1, 2],
+            M[2, 2])

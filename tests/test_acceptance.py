@@ -23,7 +23,7 @@ from pointconic.constructions import (cell24, crossed_ellipses,
                                       qcube_48,
                                       realize_by_conics,
                                       realize_lineal_by_circles,
-                                      richter_gebert, translate_conic)
+                                      richter_gebert, translate_conics)
 from pointconic.geometry import (apply_affine_point, carnot_product,
                                  conic_conic_intersections,
                                  conic_from_5_points, ellipse_parameters)
@@ -272,7 +272,7 @@ def test_criterion_13():
     rng = np.random.default_rng(13)
     base = ellipse_conic((0, 0), 0.9, 0.35, 0.8)
     shifts = rng.uniform(-2, 2, size=(6, 2))
-    conics = tuple(translate_conic(base, v) for v in shifts)
+    conics = translate_conics(base.form, shifts)
     center, a, b, ang = ellipse_parameters(base)
     R = np.array([[math.cos(ang), -math.sin(ang)],
                   [math.sin(ang), math.cos(ang)]])

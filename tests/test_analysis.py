@@ -24,7 +24,7 @@ from pointconic.constructions import (cell24, crossed_ellipses,
                                       polygon_ring, product, qcube_48,
                                       realize_by_conics,
                                       realize_lineal_by_circles,
-                                      richter_gebert, translate_conic)
+                                      richter_gebert, translate_conics)
 from pointconic.geometry import (AffineMap2, Conic, GeometryError,
                                  apply_affine, apply_affine_point,
                                  ellipse_parameters)
@@ -37,7 +37,7 @@ def _translate_family(num=5, seed=0):
     rng = np.random.default_rng(seed)
     base = ellipse_conic((0, 0), 0.8, 0.4, 0.6)
     shifts = rng.uniform(-2, 2, size=(num, 2))
-    conics = tuple(translate_conic(base, v) for v in shifts)
+    conics = translate_conics(base.form, shifts)
     center, a, b, ang = ellipse_parameters(base)
     R = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
     pts = np.array([shifts[i] + center

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (nested_product_flags, no_3_collinear, no_4_concyclic,
-                      random_conical_structure, scalar_conic_through_padded)
+                      random_conical_structure, scalar_apply_affine,
+                      scalar_conic_through_padded, scalar_translate_conic)
 from pointconic import analysis, constructions, io
 from pointconic.analysis import audit, intersection_type, isometry_check
 from pointconic.cli import main
@@ -19,8 +20,8 @@ from pointconic.constructions import (ConstructionError, cell24,
                                       polygon_ring, prism_product, product,
                                       qcube_48, realize_by_conics,
                                       realize_lineal_by_circles,
-                                      richter_gebert, translate_conic)
-from pointconic.geometry import (AffineMap2, GeometryError, apply_affine,
+                                      richter_gebert)
+from pointconic.geometry import (AffineMap2, GeometryError,
                                  apply_affine_point, carnot_product, classify,
                                  ellipse_parameters)
 from pointconic.incidence import (catalog, catalog_names,
@@ -197,7 +198,7 @@ class TestProduct:
 
 def _product_by_conic(C1, C2, genericize=False, seed=0):
     """Points, conics and flags of `product`, rebuilt one conic at a time
-    with `apply_affine` and `translate_conic`."""
+    with the one-conic bodies of `apply_affine` and `translate_conic`."""
     if genericize:
         ang = np.random.default_rng(seed).uniform(0.1, 1.0)
         M = AffineMap2(np.array([[math.cos(ang), -math.sin(ang)],
@@ -205,19 +206,20 @@ def _product_by_conic(C1, C2, genericize=False, seed=0):
                        np.zeros(2))
         C2 = GeometricConfiguration(
             np.array([apply_affine_point(M, p) for p in C2.points]),
-            tuple(apply_affine(M, c) for c in C2.conics), C2.flags, C2.tol)
+            tuple(scalar_apply_affine(M, c) for c in C2.conics), C2.flags,
+            C2.tol)
     n2 = C2.num_points
     conics, flags = [], set()
     for i1, v1 in enumerate(C1.points):
         for b2, c in enumerate(C2.conics):
             flags |= {(i1 * n2 + i2, len(conics))
                       for i2 in C2.points_of_conic(b2)}
-            conics.append(translate_conic(c, v1))
+            conics.append(scalar_translate_conic(c, v1))
     for i2, v2 in enumerate(C2.points):
         for b1, c in enumerate(C1.conics):
             flags |= {(i1 * n2 + i2, len(conics))
                       for i1 in C1.points_of_conic(b1)}
-            conics.append(translate_conic(c, v2))
+            conics.append(scalar_translate_conic(c, v2))
     pts = (C1.points[:, None] + C2.points[None]).reshape(-1, 2)
     return pts, conics, flags
 

@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 
 from conftest import (carnot_six_from_conic, one_phase_pencil_intersections,
                       per_matrix_solve_or_nan, random_ellipse, random_triangle,
-                      scalar_collinear, scalar_conic_conic_intersections,
-                      scalar_conic_from_5_points, sweep_intersections)
+                      scalar_apply_affine, scalar_coeffs, scalar_collinear,
+                      scalar_conic, scalar_conic_conic_intersections,
+                      scalar_conic_from_5_points,
+                      scalar_conic_from_normalized_coeffs,
+                      scalar_ellipse_parameters, scalar_residual,
+                      scalar_translate_conic, sweep_intersections)
 from pointconic import geometry
 from pointconic.constructions import (cell24, crossed_ellipses,
                                       dipyramid_carnot, ellipse_conic, pmn,
                                       polygon_ring, product, qcube_48,
-                                      richter_gebert, translate_conic,
-                                      translate_conics)
+                                      richter_gebert, translate_conics)
 from pointconic.geometry import (TOL_MERGE, AffineMap2, Conic, GeometryError,
                                  Projection4to2, _boxes_apart, _collinear,
                                  _residuals, _solve_or_nan,
@@ -27,7 +30,6 @@ from pointconic.geometry import (TOL_MERGE, AffineMap2, Conic, GeometryError,
                                  carnot_solve_sixth, central_conic_from_pairs,
                                  classify, conic_conic_intersections,
                                  conic_from_5_points,
-                                 conic_from_normalized_coeffs,
                                  conics_from_normalized_coeffs,
                                  dilation_to_circle, ellipse_parameters,
                                  ellipse_parameters_stack, forms_coeffs,
@@ -66,17 +68,25 @@ class TestConicBasics:
 
     def test_roundtrip_coeffs(self):
         c = ellipse_conic((0.3, -0.2), 0.7, 0.4, 0.5)
-        c2 = conic_from_normalized_coeffs(c.coeffs())
+        (c2,) = conics_from_normalized_coeffs([c.coeffs()])
         assert np.array_equal(c.form, c2.form)
         with pytest.raises(GeometryError):
-            conic_from_normalized_coeffs((5, 0, 5, 0, 0, -5))
+            conics_from_normalized_coeffs([(5, 0, 5, 0, 0, -5)])
+
+    def test_hash_agrees_with_eq_on_signed_zeros(self):
+        # The two forms differ only in the signs of their zero entries.
+        c1 = Conic.from_coeffs(1, 0, 1, 0, 0, -1)
+        c2 = Conic.from_coeffs(-1, 0, -1, 0, 0, 1)
+        assert c1.form.tobytes() != c2.form.tobytes()
+        assert c1 == c2 and hash(c1) == hash(c2)
+        assert len({c1, c2}) == 1
 
 
 def _assert_stacked_matches_one_conic(coeffs):
     stacked = conics_from_normalized_coeffs(coeffs)
     assert len(stacked) == len(coeffs)
     for c, s in zip(coeffs, stacked):
-        one = conic_from_normalized_coeffs(c)
+        one = scalar_conic_from_normalized_coeffs(c)
         assert s.form.tobytes() == one.form.tobytes()
         assert s.kind == one.kind
         assert not s.form.flags.writeable
@@ -105,7 +115,7 @@ _forms = st.one_of(
 
 
 class TestStackedConics:
-    """The stacked reader pass against the one-conic call, its oracle."""
+    """The stacked reader pass against the one-conic body, its oracle."""
 
     @pytest.mark.parametrize("build", [
         lambda: pmn(4, 4), qcube_48, cell24, crossed_ellipses,
@@ -115,7 +125,7 @@ class TestStackedConics:
     def test_builder_documents(self, build):
         G = build()
         stacked = _assert_stacked_matches_one_conic(
-            [c.coeffs() for c in G.conics])
+            [scalar_coeffs(c) for c in G.conics])
         assert stacked == G.conics
 
     # Tiny entries make LAPACK's LU of a singular form divide by zero in
@@ -127,7 +137,8 @@ class TestStackedConics:
               np.diag([1.0, 1, 0]), np.diag([1.0, 1, 1]),
               _symmetric((1, 0, 0, 0, -0.5, 0))])
     def test_drawn_forms(self, forms):
-        _assert_stacked_matches_one_conic([Conic(M).coeffs() for M in forms])
+        _assert_stacked_matches_one_conic(
+            [scalar_coeffs(scalar_conic(M)) for M in forms])
 
     def test_empty_stack(self):
         assert conics_from_normalized_coeffs(np.zeros((0, 6))) == ()
@@ -137,7 +148,7 @@ class TestStackedConics:
     def test_unnormalized_or_nan_rejected(self, bad):
         good = UNIT_CIRCLE.coeffs()
         with pytest.raises(GeometryError, match="not normalized"):
-            conic_from_normalized_coeffs(bad)
+            scalar_conic_from_normalized_coeffs(bad)
         with pytest.raises(GeometryError, match="conic 1: .*not normalized"):
             conics_from_normalized_coeffs([good, bad])
 
@@ -160,28 +171,28 @@ _shift = st.tuples(st.floats(-1, 1), st.floats(-1, 1), _scale).map(
 
 class TestStackedAffineKernels:
     """`affine_images` and `ellipse_parameters_stack` against the one-conic
-    calls `apply_affine`, `translate_conic` and `ellipse_parameters`."""
+    bodies of `apply_affine`, `translate_conic` and `ellipse_parameters`."""
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     @given(st.lists(_forms, min_size=1, max_size=8), _linear, _shift)
     @settings(max_examples=200, deadline=None)
     def test_one_map(self, forms, L, t):
-        conics = [Conic(M) for M in forms]
+        conics = [scalar_conic(M) for M in forms]
         M = AffineMap2(L, t)
         _same_conics(affine_images(M.homogeneous(),
                                    [c.form for c in conics]),
-                     [apply_affine(M, c) for c in conics])
+                     [scalar_apply_affine(M, c) for c in conics])
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     @given(st.lists(st.tuples(_forms, _linear, _shift), min_size=1,
                     max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_one_map_per_form(self, drawn):
-        conics = [Conic(M) for M, _, _ in drawn]
+        conics = [scalar_conic(M) for M, _, _ in drawn]
         maps = [AffineMap2(L, t) for _, L, t in drawn]
         _same_conics(affine_images(np.array([M.homogeneous() for M in maps]),
                                    [c.form for c in conics]),
-                     [apply_affine(M, c) for M, c in zip(maps, conics)])
+                     [scalar_apply_affine(M, c) for M, c in zip(maps, conics)])
 
     @given(st.integers(0, 10 ** 9), _scale)
     @settings(max_examples=100, deadline=None)
@@ -191,7 +202,8 @@ class TestStackedAffineKernels:
         shifts = rng.normal(size=(6, 2)) * scale
         _same_conics(translate_conics(np.array([c.form for c in conics]),
                                       shifts),
-                     [translate_conic(c, v) for c, v in zip(conics, shifts)])
+                     [scalar_translate_conic(c, v)
+                      for c, v in zip(conics, shifts)])
 
     def test_cube_translates(self):
         d = dipyramid_carnot(3, seed=0)
@@ -199,7 +211,7 @@ class TestStackedAffineKernels:
         forms = np.array([c.form for c in d.conics] * sq.num_points)
         shifts = np.repeat(sq.points, d.num_conics, axis=0)
         _same_conics(translate_conics(forms, shifts),
-                     [translate_conic(c, v)
+                     [scalar_translate_conic(c, v)
                       for v in sq.points for c in d.conics])
 
     def test_empty_stacks(self):
@@ -232,14 +244,58 @@ class TestStackedAffineKernels:
         centers, a, b, angles = ellipse_parameters_stack(
             [c.form for c in conics])
         for k, c in enumerate(conics):
-            center, ak, bk, angle = ellipse_parameters(c)
+            center, ak, bk, angle = scalar_ellipse_parameters(c)
             assert centers[k].tobytes() == center.tobytes()
             assert (a[k], b[k], angles[k]) == (ak, bk, angle)
 
     def test_forms_coeffs(self):
         G = richter_gebert(seed=1)
         assert forms_coeffs([c.form for c in G.conics]).tolist() == \
-            [[float(v) for v in c.coeffs()] for c in G.conics]
+            [[float(v) for v in scalar_coeffs(c)] for c in G.conics]
+
+
+def _outcome(call, *args):
+    """What a call gives, as comparable bytes and values, or its
+    GeometryError text."""
+    try:
+        got = call(*args)
+    except GeometryError as exc:
+        return "error", str(exc)
+    if isinstance(got, Conic):
+        return got.form.tobytes(), got.kind, got.form.flags.writeable
+    if isinstance(got, tuple) and len(got) == 4:  # ellipse parameters
+        return (got[0].tobytes(),) + got[1:]
+    return got, [type(v) for v in (got if isinstance(got, tuple) else [got])]
+
+
+_point = st.tuples(st.floats(-3, 3), st.floats(-3, 3))
+
+
+class TestOneConicCallsMatchOracles:
+    """Each public one-conic call is the B = 1 call of its stacked kernel;
+    the one-conic bodies in conftest are its oracles, errors included."""
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @given(_forms, _linear, _shift, _point)
+    @settings(max_examples=300, deadline=None)
+    @example(np.zeros((3, 3)), np.eye(2), np.zeros(2), (0.0, 0.0))
+    @example(np.diag([1.0, 1, -1]), np.eye(2), np.zeros(2), (1.0, 0.0))
+    @example(-np.diag([1.0, 1, 0]), np.eye(2), np.zeros(2), (0.0, 0.0))
+    def test_calls(self, M, L, t, p):
+        assert _outcome(Conic, M) == _outcome(scalar_conic, M)
+        if not np.any(M):
+            return
+        c, A = Conic(M), AffineMap2(L, t)
+        assert _outcome(apply_affine, A, c) == \
+            _outcome(scalar_apply_affine, A, c)
+        assert _outcome(ellipse_parameters, c) == \
+            _outcome(scalar_ellipse_parameters, c)
+        assert _outcome(c.residual, p) == _outcome(scalar_residual, c, p)
+        assert _outcome(c.coeffs) == _outcome(scalar_coeffs, c)
+        for tol in (1e-8, 0.0):
+            assert _outcome(point_on_conic, p, c, tol) == (
+                ("error", "tolerance must be positive") if tol <= 0
+                else (scalar_residual(c, p) <= tol, [bool]))
 
 
 class TestFitting:
@@ -407,12 +463,12 @@ class TestFivePointChecksMatchScalar:
 
     def test_stacked_residuals_match_per_point(self):
         # The padded-conic grazing test reads _residuals over all
-        # non-members; it rounds like Conic.residual point by point.
+        # non-members; it rounds like the one-point residual body.
         rng = np.random.default_rng(13)
         for _ in range(20):
             conic = scalar_conic_from_5_points(rng.uniform(0, 1, (5, 2)))
             pts = rng.uniform(-0.5, 1.5, size=(40, 2))
-            per_point = [conic.residual(p) for p in pts]
+            per_point = [scalar_residual(conic, p) for p in pts]
             assert _residuals(pts, conic.form).tolist() == per_point
 
 
@@ -580,6 +636,13 @@ class TestAffineMaps:
     def test_singular_rejected(self):
         with pytest.raises(GeometryError):
             AffineMap2(np.zeros((2, 2)), np.zeros(2))
+
+    def test_maps_and_projections_compare_by_identity(self):
+        M1, M2 = AffineMap2.identity(), AffineMap2.identity()
+        P = Projection4to2(np.array([[1, 0, 0, 0], [0, 1, 0, 0]], float))
+        assert M1 == M1 and M1 != M2 and P == P and P != M1
+        assert hash(M1) == hash(M1) and hash(P) == hash(P)
+        assert {M1: 1, M2: 2, P: 3}[M2] == 2
 
     def test_dilation_to_circle(self):
         rng = np.random.default_rng(12)
