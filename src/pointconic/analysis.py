@@ -8,9 +8,10 @@ import numpy as np
 
 from . import geometry
 from .configuration import GeometricConfiguration
-from .geometry import (GeometryError, TOL_MERGE, _quadratic_form,
-                       affine_images, apply_affine_point, dilation_to_circle,
-                       ellipse_parameters_stack, pencil_intersections)
+from .geometry import (GeometryError, TOL_MERGE, _coincident,
+                       _quadratic_form, affine_images, apply_affine_point,
+                       dilation_to_circle, ellipse_parameters_stack,
+                       pencil_intersections)
 from .incidence import (IncidenceStructure, Signature, block_pair_counts,
                         signature)
 
@@ -65,7 +66,7 @@ def _normalized_scene(G: GeometricConfiguration):
     c = P.mean(axis=0)
     D = float(np.hypot(*np.ptp(P, axis=0))) or 1.0
     T = np.array([[D, 0.0, c[0]], [0.0, D, c[1]], [0.0, 0.0, 1.0]])
-    A = T.T @ np.stack([cn.form for cn in G.conics]) @ T
+    A = T.T @ G.forms @ T
     A /= np.linalg.norm(A, axis=(1, 2), keepdims=True)
     return (P - c) / D, A
 
@@ -99,11 +100,14 @@ def _spurious_scan(G: GeometricConfiguration) -> tuple[list, list]:
     h = np.column_stack([Q[p], np.ones(len(p))])
     grad = 2 * np.linalg.norm(np.einsum("nij,nj->ni", A[b, :2], h), axis=1)
     dist = np.abs(f) / np.maximum(grad, np.finfo(float).tiny)
-    spurious, borderline = [], []
-    for bb, pp, d in zip(b.tolist(), p.tolist(), dist.tolist()):
-        if d <= band and (pp, bb) not in G.flags:
-            (spurious if d <= SPURIOUS_REL else borderline).append((pp, bb))
-    return spurious, borderline
+    # Flags are sorted by (point, conic), so their keys p * B + b are too.
+    F = G.to_incidence_structure().flag_array
+    keys, k = F[:, 0] * G.num_conics + F[:, 1], p * G.num_conics + b
+    flagged = np.append(keys, -1)[np.searchsorted(keys, k)] == k
+    near = (dist <= band) & ~flagged
+    spurious = near & (dist <= SPURIOUS_REL)
+    return tuple([*zip(p[m].tolist(), b[m].tolist())]
+                 for m in (spurious, near & ~spurious))
 
 
 def _near_pairs(values: np.ndarray, window: float):
@@ -151,23 +155,25 @@ def _duplicate_pairs(points: np.ndarray, tol: float) -> list:
     return sorted(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
-def _coincident_pairs(conics, tol: float = 1e-9) -> list:
-    """Sorted pairs (i, j), i < j, of conics that `Conic.same_as` calls
-    coincident at `tol`.
+def _coincident_pairs(forms: np.ndarray, tol: float = 1e-9) -> list:
+    """Sorted pairs (i, j), i < j, of a stack of normalized forms (B, 3, 3)
+    that `Conic.same_as` calls coincident at `tol`.
 
     same_as compares the unit-norm forms F and G by |F - G| and |F + G|.
     For a unit vector u, |u.(F -+ G)| <= |F -+ G|, so the projections of
     every form and its negative place such a pair within `tol`; the window
-    of 2 `tol` covers their rounding. same_as decides each candidate."""
-    B = len(conics)
+    of 2 `tol` covers their rounding. same_as's test, stacked, decides the
+    candidates."""
+    B = len(forms)
     if B < 2:
         return []
-    s = np.array([c.form for c in conics]).reshape(-1, 9) @ _FORM_AXIS
+    s = forms.reshape(-1, 9) @ _FORM_AXIS
     a, b = _near_pairs(np.concatenate([s, -s]), 2 * tol)
     a, b = a % B, b % B
-    candidates = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
-    return [(i, j) for (i, j) in sorted(candidates)
-            if i != j and conics[i].same_as(conics[j], tol)]
+    keys = np.sort(np.minimum(a, b) * B + np.maximum(a, b))
+    i, j = np.divmod(keys[np.diff(keys, prepend=-1) > 0], B)
+    keep = (i != j) & _coincident(forms[i], forms[j], tol)
+    return list(zip(i[keep].tolist(), j[keep].tolist()))
 
 
 def audit(G: GeometricConfiguration, spurious_scan: bool = True,
@@ -192,13 +198,12 @@ def audit(G: GeometricConfiguration, spurious_scan: bool = True,
         checked = checked[rng.choice(len(checked), size=flag_sample,
                                      replace=False)]
     H = _homogenized(G.points)[checked[:, 0]]
-    forms = np.array([c.form for c in G.conics]).reshape(-1, 3, 3)
-    res = np.abs(_quadratic_form(H, forms[checked[:, 1]], H))
+    res = np.abs(_quadratic_form(H, G.forms[checked[:, 1]], H))
     max_res = float(res.max(initial=0.0))
     missing = list(map(tuple, checked[res > tol].tolist()))
     spurious, borderline = _spurious_scan(G) if spurious_scan else ([], [])
     duplicates = _duplicate_pairs(G.points, TOL_MERGE)
-    coincident = _coincident_pairs(G.conics)
+    coincident = _coincident_pairs(G.forms)
     sig = signature(C)
     passed = (not spurious and not missing and not duplicates
               and not coincident and max_res <= tol)
@@ -233,7 +238,7 @@ def geometric_meets(G: GeometricConfiguration) -> dict:
     """
     config = intersection_type(G).per_pair
     pairs = list(combinations(range(G.num_conics), 2))
-    _, n = pencil_intersections(G.conics, pairs)
+    _, n = pencil_intersections(G.forms, G.kinds, pairs)
     counts = dict(zip(pairs, n.tolist()))
     excess = tuple(p for p in pairs if counts[p] > config.get(p, 0))
     return {"counts": counts, "excess": excess}
@@ -246,10 +251,10 @@ def isometry_check(G: GeometricConfiguration) -> str:
     """One of "not_isometric", "isometric", "strongly_isometric"."""
     if G.num_conics == 0:
         return "strongly_isometric"
-    for c in G.conics:
-        if c.kind != "ellipse":
-            raise GeometryError(f"isometry check requires ellipses, got {c.kind}")
-    _, aa, bb, angles = ellipse_parameters_stack([c.form for c in G.conics])
+    for kind in G.kinds:
+        if kind != "ellipse":
+            raise GeometryError(f"isometry check requires ellipses, got {kind}")
+    _, aa, bb, angles = ellipse_parameters_stack(G.forms)
     if np.ptp(aa) > AXIS_TOL or np.ptp(bb) > AXIS_TOL:
         return "not_isometric"
     if np.all(aa - bb <= AXIS_TOL):
@@ -271,9 +276,8 @@ def strongly_isometric_to_circles(
     M = dilation_to_circle(G.conics[0])
     pts = np.array([apply_affine_point(M, p) for p in G.points]) \
         if G.num_points else np.zeros((0, 2))
-    conics = affine_images(M.homogeneous(), [c.form for c in G.conics])
     prov = dict(G.provenance)
     prov["transform"] = "dilation-to-circles"
-    return GeometricConfiguration(pts, conics,
-                                  G.to_incidence_structure().flag_array,
-                                  G.tol, prov)
+    return GeometricConfiguration._of(
+        pts, *affine_images(M.homogeneous(), G.forms),
+        G.to_incidence_structure().flag_array, G.tol, prov)

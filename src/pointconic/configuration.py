@@ -1,52 +1,82 @@
-"""Realized planar configurations and 4-polytope scaffolding."""
+"""Realized planar configurations and 4-polytope scaffolding.
+
+A configuration is stored as arrays: its points, its conic forms and their
+kinds, and the sorted flag array of its incidence structure. Its `Conic`s
+and its flag frozenset are views built from them on first use.
+"""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import TOL_INCIDENCE, Conic, GeometryError
-from .incidence import (IncidenceStructure, _flag_rows, _sort_flags,
-                        _with_flag_array)
+from .geometry import TOL_INCIDENCE, Conic, GeometryError, _conic_of
+from .incidence import IncidenceStructure, _flag_rows
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GeometricConfiguration:
     """Planar points and conics with their incidence flags.
 
-    `flags` holds (point-index, conic-index) pairs; every flagged pair is
-    supposed to satisfy the incidence predicate at `tol` (the audit in
-    `analysis` checks this, builders are responsible for it). It may be
-    given as any collection of pairs or as an (F, 2) integer array; the
-    flags are range-checked in one array pass and shared, with their
-    sorted array, by `to_incidence_structure()`.
+    Stored: `points` (N, 2), `forms` (B, 3, 3), the read-only stack of the
+    unit-norm conic forms, their `kinds`, the incidence structure of the
+    flags (`to_incidence_structure()`), `tol` and `provenance`. `conics`
+    (views of `forms`) and `flags` ((point, conic) pairs) are built on first
+    use. The constructor stacks `Conic`s; readers and builders hand stacks
+    to `_of`. Flags are any collection of pairs or an (F, 2) integer array.
+    Every flagged pair is supposed to satisfy the incidence predicate at
+    `tol` (the audit in `analysis` checks this, builders ensure it).
     """
 
     points: np.ndarray
-    conics: tuple
-    flags: frozenset
-    tol: float = TOL_INCIDENCE
-    provenance: dict = field(default_factory=dict)
+    forms: np.ndarray
+    kinds: tuple
+    tol: float
+    provenance: dict
 
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
+    def __init__(self, points, conics, flags, tol: float = TOL_INCIDENCE,
+                 provenance: dict | None = None):
+        conics = tuple(conics)
+        if not all(isinstance(c, Conic) for c in conics):
+            raise TypeError("conics must be Conic instances")
+        self._set(points, np.array([conic.form for conic in conics]),
+                  [conic.kind for conic in conics], flags, tol, provenance)
+
+    @classmethod
+    def _of(cls, points, forms, kinds, flags, tol: float = TOL_INCIDENCE,
+            provenance: dict | None = None) -> GeometricConfiguration:
+        """The configuration of normalized forms (B, 3, 3) and their kinds,
+        without a `Conic` per form."""
+        G = object.__new__(cls)
+        G._set(points, forms, kinds, flags, tol, provenance)
+        return G
+
+    def _set(self, points, forms, kinds, flags, tol, provenance):
+        """Check `tol` and (in one array pass) the flags' range; store."""
+        if not (math.isfinite(tol) and tol > 0):
             raise GeometryError(f"tol must be positive and finite, "
-                                f"got {self.tol!r}")
-        pts = np.asarray(self.points, float).reshape(-1, 2).copy()
+                                f"got {tol!r}")
+        pts = np.asarray(points, float).reshape(-1, 2).copy()
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "conics", tuple(self.conics))
-        for c in self.conics:
-            if not isinstance(c, Conic):
-                raise TypeError("conics must be Conic instances")
-        F, bad = _flag_rows(self.flags, len(pts), len(self.conics))
+        forms = np.asarray(forms, float).reshape(-1, 3, 3)
+        forms.setflags(write=False)
+        F, bad = _flag_rows(flags, len(pts), len(forms))
         if bad is not None:
             raise GeometryError(f"flag {bad} out of range")
-        incidence = _with_flag_array(len(pts), len(self.conics),
-                                     _sort_flags(F))
-        object.__setattr__(self, "flags", incidence.flags)
-        object.__setattr__(self, "_incidence", incidence)
+        vars(self).update(
+            points=pts, forms=forms, kinds=tuple(kinds), tol=tol,
+            provenance={} if provenance is None else provenance,
+            _incidence=IncidenceStructure(len(pts), len(forms), F))
+
+    @cached_property
+    def conics(self) -> tuple[Conic, ...]:
+        return tuple(map(_conic_of, self.forms, self.kinds))
+
+    @property
+    def flags(self) -> frozenset:
+        return self._incidence.flags
 
     @property
     def num_points(self) -> int:
@@ -54,7 +84,7 @@ class GeometricConfiguration:
 
     @property
     def num_conics(self) -> int:
-        return len(self.conics)
+        return len(self.forms)
 
     def points_of_conic(self, b: int) -> frozenset:
         return self._incidence.points_of_block(b)

@@ -75,16 +75,13 @@ def circle_through_3_points(p, q, r) -> Conic:
     return Conic.from_coeffs(1, 0, 1, d, e, f)
 
 
-def translate_conics(forms: np.ndarray, shifts: np.ndarray) -> tuple:
-    """Conics of the forms (n, 3, 3), or of one form (3, 3), translated by
-    the shifts (n, 2), in one stacked pass (`geometry.affine_images`)."""
+def translate_conics(forms: np.ndarray, shifts: np.ndarray):
+    """(forms, kinds) of the forms (n, 3, 3), or of one form (3, 3),
+    translated by the shifts (n, 2), in one stacked pass
+    (`geometry.affine_images`)."""
     H = np.tile(np.eye(3), (len(shifts), 1, 1))
     H[:, :2, 2] = shifts
     return affine_images(H, forms)
-
-
-def _forms(conics) -> np.ndarray:
-    return np.array([c.form for c in conics]).reshape(-1, 3, 3)
 
 
 def _require_audit(G: GeometricConfiguration, context: str,
@@ -560,9 +557,9 @@ def product(C1: GeometricConfiguration, C2: GeometricConfiguration,
         R = np.array([[math.cos(ang), -math.sin(ang)],
                       [math.sin(ang), math.cos(ang)]])
         M = AffineMap2(R, np.zeros(2))
-        C2 = GeometricConfiguration(
+        C2 = GeometricConfiguration._of(
             np.array([apply_affine_point(M, p) for p in C2.points]),
-            affine_images(M.homogeneous(), _forms(C2.conics)),
+            *affine_images(M.homogeneous(), C2.forms),
             C2.to_incidence_structure().flag_array, C2.tol,
             dict(C2.provenance))
 
@@ -579,9 +576,9 @@ def product(C1: GeometricConfiguration, C2: GeometricConfiguration,
     # conic b2 by point i1 is block i1 * nb2 + b2, and that of C1's conic b1
     # by point i2 is block n1 * nb2 + i2 * nb1 + b1.
     nb1, nb2 = C1.num_conics, C2.num_conics
-    conics = translate_conics(
-        np.concatenate([np.tile(_forms(C2.conics), (n1, 1, 1)),
-                        np.tile(_forms(C1.conics), (n2, 1, 1))]),
+    forms, kinds = translate_conics(
+        np.concatenate([np.tile(C2.forms, (n1, 1, 1)),
+                        np.tile(C1.forms, (n2, 1, 1))]),
         np.concatenate([np.repeat(P1, nb2, axis=0),
                         np.repeat(P2, nb1, axis=0)]))
     F1 = C1.to_incidence_structure().flag_array
@@ -591,12 +588,12 @@ def product(C1: GeometricConfiguration, C2: GeometricConfiguration,
         np.stack([i1 * n2 + F2[:, 0], i1 * nb2 + F2[:, 1]], -1).reshape(-1, 2),
         np.stack([F1[:, 0] * n2 + i2, n1 * nb2 + i2 * nb1 + F1[:, 1]],
                  -1).reshape(-1, 2)])
-    if analysis._coincident_pairs(conics):
+    if analysis._coincident_pairs(forms):
         raise ConstructionError(
             "translated conics coincide; pre-transform a factor "
             "(genericize=True)")
-    return GeometricConfiguration(
-        pts, tuple(conics), flags, tol=max(C1.tol, C2.tol),
+    return GeometricConfiguration._of(
+        pts, forms, kinds, flags, tol=max(C1.tol, C2.tol),
         provenance={"builder": "product",
                     "factors": (C1.provenance.get("builder", "?"),
                                 C2.provenance.get("builder", "?"))})

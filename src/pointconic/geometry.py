@@ -32,6 +32,7 @@ class GeometryError(ValueError):
 
 KINDS = ("ellipse", "parabola", "hyperbola", "pair-of-lines", "double-line",
          "point", "empty")
+DEGENERATE_KINDS = ("pair-of-lines", "double-line", "point")
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class Conic:
                                 self.form)[0])
 
     def is_degenerate(self) -> bool:
-        return self.kind in ("pair-of-lines", "double-line", "point")
+        return self.kind in DEGENERATE_KINDS
 
     def same_as(self, other: "Conic", tol: float = 1e-9) -> bool:
         """Proportionality test on the normalized forms."""
@@ -96,14 +97,14 @@ def forms_coeffs(forms) -> np.ndarray:
     return M[:, _COEFFS_FROM_FORM] * _COEFFS_SCALE
 
 
-def conics_from_normalized_coeffs(coeffs) -> tuple[Conic, ...]:
-    """Conics of a (B, 6) array of coefficients of already-normalized forms.
+def conics_from_normalized_coeffs(coeffs) -> tuple[np.ndarray, list[str]]:
+    """(forms, kinds) of a (B, 6) array of coefficients of already-normalized
+    forms: a read-only (B, 3, 3) stack and its `_classify_forms` kinds.
 
     Skips renormalization so that serialized conics round-trip bit-exactly;
     rejects coefficient rows that are not unit-norm to 1e-9 (and NaN),
     naming the first. One stacked pass: the unit-norm check and
-    `_classify_forms` run over the (B, 3, 3) stack; each conic's form is a
-    read-only view of the stack."""
+    `_classify_forms` run over the stack, and no `Conic` is built."""
     C = np.asarray(coeffs, dtype=float).reshape(-1, 6)
     M = (C[:, _FORM_FROM_COEFFS] * _FORM_SCALE).reshape(-1, 3, 3)
     off = ~(np.abs(np.sqrt(np.einsum("bij,bij->b", M, M)) - 1.0) <= 1e-9)
@@ -111,10 +112,12 @@ def conics_from_normalized_coeffs(coeffs) -> tuple[Conic, ...]:
         raise GeometryError(f"conic {int(off.argmax())}: coefficients are "
                             f"not normalized")
     M.setflags(write=False)
-    return tuple(map(_conic_of, M, _classify_forms(M)))
+    return M, _classify_forms(M)
 
 
 def _conic_of(M: np.ndarray, kind: str) -> Conic:
+    """The `Conic` of a normalized, read-only form M of kind `kind`, with M
+    itself as its form."""
     conic = object.__new__(Conic)
     object.__setattr__(conic, "form", M)
     object.__setattr__(conic, "kind", kind)
@@ -125,7 +128,9 @@ def _normalized_forms(M: np.ndarray) -> np.ndarray:
     """Stacked forms (B, 3, 3) symmetrised, scaled to unit Frobenius norm
     (through `_norm`, which rounds like `np.linalg.norm`) and signed so that
     the first entry above 1e-14 in magnitude (row-major) is positive; a new
-    read-only stack. Raises on a zero form."""
+    read-only stack. Raises on a non-finite or a zero form."""
+    if not np.isfinite(M).all():
+        raise GeometryError("non-finite conic form")
     M = 0.5 * (M + np.swapaxes(M, 1, 2))
     flat = M.reshape(-1, 9)
     nrm = _norm(flat)
@@ -537,9 +542,10 @@ def _boxes_apart(forms: np.ndarray, ellipse: np.ndarray,
     return ((lo[i] > hi[j] + margin) | (lo[j] > hi[i] + margin)).any(axis=1)
 
 
-def pencil_intersections(conics, pairs, merge_tol: float = TOL_MERGE):
+def pencil_intersections(forms, kinds, pairs, merge_tol: float = TOL_MERGE):
     """Real affine intersection points of the conic pairs `pairs`, index
-    pairs (i, j) into `conics`.
+    pairs (i, j) into the stack of normalized forms `forms` (B, 3, 3) of
+    kinds `kinds`.
 
     Returns `(points, counts)`: pair k meets in `points[k, :counts[k]]`,
     sorted by rounded (x, y); the rest of the (P, 4, 2) array is NaN. Each
@@ -558,16 +564,16 @@ def pencil_intersections(conics, pairs, merge_tol: float = TOL_MERGE):
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
     points = np.full((len(pairs), 4, 2), np.nan)
     counts = np.zeros(len(pairs), dtype=int)
-    if any(conics[i].is_degenerate() for i in set(pairs.ravel().tolist())):
+    if any(kinds[i] in DEGENERATE_KINDS for i in set(pairs.ravel().tolist())):
         raise GeometryError("degenerate conic input")
-    forms = np.array([c.form for c in conics])
+    forms = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
     chunks = [slice(s, s + _PAIR_CHUNK)
               for s in range(0, len(pairs), _PAIR_CHUNK)]
     if any(_coincident(forms[pairs[c, 0]], forms[pairs[c, 1]], 1e-9).any()
            for c in chunks):
         raise GeometryError(
             "coincident conics: five or more common points force equality")
-    ellipse = np.array([c.kind == "ellipse" for c in conics], dtype=bool)
+    ellipse = np.array([k == "ellipse" for k in kinds], dtype=bool)
     waiting = []  # (pair index, point, still moving) of the waiting pairs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         todo = np.flatnonzero(~_boxes_apart(forms, ellipse, pairs))
@@ -606,7 +612,8 @@ def conic_conic_intersections(A: Conic, B: Conic,
     one-pair call of `pencil_intersections`. Points come sorted, tangential
     ones once. Raises on degenerate or coincident inputs, and when more than
     four distinct points survive the merge."""
-    points, counts = pencil_intersections((A, B), [(0, 1)], merge_tol)
+    points, counts = pencil_intersections(
+        np.stack([A.form, B.form]), (A.kind, B.kind), [(0, 1)], merge_tol)
     return list(points[0, :counts[0]])
 
 
@@ -746,23 +753,24 @@ def apply_affine_point(M: AffineMap2, p) -> np.ndarray:
 def apply_affine(M: AffineMap2, conic: Conic) -> Conic:
     """The image of a conic under an affine map: the one-form call of
     `affine_images`."""
-    return affine_images(M.homogeneous(), conic.form)[0]
+    forms, kinds = affine_images(M.homogeneous(), conic.form)
+    return _conic_of(forms[0], kinds[0])
 
 
-def affine_images(H: np.ndarray, forms: np.ndarray) -> tuple[Conic, ...]:
-    """Images of a stack of forms (n, 3, 3) under one homogeneous affine
-    map H (3, 3) or one map per form (n, 3, 3): H^-T A H^-1, normalized and
-    classified as by `Conic`.
+def affine_images(H: np.ndarray, forms: np.ndarray):
+    """(forms, kinds) of the images of a stack of forms (n, 3, 3) under one
+    homogeneous affine map H (3, 3) or one map per form (n, 3, 3):
+    H^-T A H^-1, normalized and classified as by `Conic`, as one read-only
+    (n, 3, 3) stack and a list of kinds.
 
     One stacked `inv` and two stacked products, then `_normalized_forms`
     and `_classify_forms`. The maps are taken as given: `AffineMap2` is
-    where an affine map is checked for invertibility. Each conic's form is
-    a read-only view of one stack."""
+    where an affine map is checked for invertibility."""
     forms = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
     Hinv = np.linalg.inv(H)
     M = _normalized_forms(np.matmul(np.matmul(np.swapaxes(Hinv, -1, -2),
                                               forms), Hinv))
-    return tuple(map(_conic_of, M, _classify_forms(M)))
+    return M, _classify_forms(M)
 
 
 def _axis_angle(x: float, y: float) -> float:

@@ -1,10 +1,11 @@
 """Combinatorial incidence structures and their Levi graphs.
 
 Points and blocks are 0-based indices in disjoint namespaces; a flag is a
-(point, block) pair. Each structure keeps its flags once more as one sorted
-int64 array, which signatures, block-pair counts, audits, products and the
-writer read. Girth and vertex connectivity run on the structure's incidence
-index, read as the Levi graph's adjacency. networkx serves only
+(point, block) pair. A structure stores its flags once, as one sorted int64
+array, which signatures, block-pair counts, audits, products and the writer
+read; the `flags` frozenset and the per-point and per-block sets are built
+from it on first use. Girth and vertex connectivity run on the structure's
+incidence index, read as the Levi graph's adjacency. networkx serves only
 `LeviGraph.graph` and `are_isomorphic`, and is imported there.
 """
 from __future__ import annotations
@@ -24,34 +25,59 @@ class IncidenceError(ValueError):
     """Raised on malformed incidence data or violated preconditions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class IncidenceStructure:
     """`num_points` points, `num_blocks` blocks and their flags.
 
-    `flag_array` holds the same flags as a read-only (F, 2) int64 array of
-    distinct rows sorted by (point, block), so the rows of one point are
-    adjacent and ordered by block. It is built at most once, on first use,
-    or handed over by the code that validated the flags.
+    The flags are stored once, as `flag_array`: a read-only (F, 2) int64
+    array of distinct rows sorted by (point, block). The constructor takes
+    any collection of (point, block) pairs or an (F, 2) integer array, and
+    raises `IncidenceError` on the first flag out of range. `flags`, the
+    frozenset of pairs, and the per-point and per-block sets are built on
+    first use. Structures compare and hash by counts and flag array.
     """
 
     num_points: int
     num_blocks: int
-    flags: frozenset
+    flag_array: np.ndarray
+
+    def __init__(self, num_points: int, num_blocks: int, flags):
+        F, bad = _flag_rows(flags, num_points, num_blocks)
+        if bad is not None:
+            p, b = bad
+            what = (f"point index {p}" if not 0 <= p < num_points
+                    else f"block index {b}")
+            raise IncidenceError(f"flag {bad}: {what} out of range")
+        vars(self).update(num_points=num_points, num_blocks=num_blocks,
+                          flag_array=_sort_flags(F))
+
+    def __eq__(self, other):
+        return (isinstance(other, IncidenceStructure)
+                and self.num_points == other.num_points
+                and self.num_blocks == other.num_blocks
+                and np.array_equal(self.flag_array, other.flag_array))
+
+    def __hash__(self):
+        return hash((self.num_points, self.num_blocks,
+                     self.flag_array.tobytes()))
 
     @cached_property
-    def flag_array(self) -> np.ndarray:
-        return _sort_flags(np.array(list(self.flags), dtype=np.int64)
-                           .reshape(-1, 2))
+    def flags(self) -> frozenset:
+        return frozenset(zip(*self.flag_array.T.tolist()))
 
     @cached_property
     def _index(self) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...]]:
-        """(blocks of each point, points of each block), from one flag pass."""
-        blocks = [[] for _ in range(self.num_points)]
-        points = [[] for _ in range(self.num_blocks)]
-        for (p, b) in self.flags:
-            blocks[p].append(b)
-            points[b].append(p)
-        return tuple(map(frozenset, blocks)), tuple(map(frozenset, points))
+        """(blocks of each point, points of each block): the block column of
+        the flag array cut at each point's offset, and the point column of
+        its dual's sort at each block's."""
+        def cut(F, n):
+            ends = np.searchsorted(F[:, 0], np.arange(1, n + 1)).tolist()
+            values = F[:, 1].tolist()
+            return tuple(frozenset(values[a:b])
+                         for a, b in zip([0] + ends, ends))
+        F = self.flag_array
+        return (cut(F, self.num_points),
+                cut(_sort_flags(F[:, ::-1]), self.num_blocks))
 
     def point_degree(self, p: int) -> int:
         return len(self._index[0][p])
@@ -122,15 +148,6 @@ def _sort_flags(F: np.ndarray) -> np.ndarray:
     return F
 
 
-def _with_flag_array(num_points: int, num_blocks: int,
-                     F: np.ndarray) -> IncidenceStructure:
-    """The structure whose `flag_array` is F, sorted and distinct."""
-    C = IncidenceStructure(num_points, num_blocks,
-                           frozenset(zip(*F.T.tolist())))
-    C.__dict__["flag_array"] = F
-    return C
-
-
 @dataclass(frozen=True)
 class LeviGraph:
     """Coloured bipartite incidence graph of `structure`; black = points
@@ -155,7 +172,7 @@ class LeviGraph:
         G.add_nodes_from(self.black, color="black")
         G.add_nodes_from(self.white, color="white")
         G.add_edges_from((("p", p), ("b", b))
-                         for (p, b) in self.structure.flags)
+                         for (p, b) in self.structure.flag_array.tolist())
         return G
 
     @cached_property
@@ -202,17 +219,15 @@ class PropertyReport:
 
 def new_incidence_structure(num_points: int, num_blocks: int, flags,
                             strict: bool = False) -> IncidenceStructure:
-    """Validated incidence structure from raw flag data."""
-    F, bad = _flag_rows(flags, num_points, num_blocks)
-    if bad is not None:
-        p, b = bad
-        what = (f"point index {p}" if not 0 <= p < num_points
-                else f"block index {b}")
-        raise IncidenceError(f"flag {bad}: {what} out of range")
-    S = _sort_flags(F)
-    if strict and len(S) != len(F):
+    """Validated incidence structure from raw flag data: the constructor,
+    which checks every index, and in `strict` mode a check that no flag
+    repeats."""
+    if strict and not isinstance(flags, np.ndarray):
+        flags = list(flags)
+    C = IncidenceStructure(num_points, num_blocks, flags)
+    if strict and len(C.flag_array) != len(flags):
         raise IncidenceError("duplicate flags in strict mode")
-    return _with_flag_array(num_points, num_blocks, S)
+    return C
 
 
 def levi_graph(C: IncidenceStructure) -> LeviGraph:
@@ -220,8 +235,8 @@ def levi_graph(C: IncidenceStructure) -> LeviGraph:
 
 
 def dual(C: IncidenceStructure) -> IncidenceStructure:
-    return _with_flag_array(C.num_blocks, C.num_points,
-                            _sort_flags(C.flag_array[:, ::-1]))
+    return IncidenceStructure(C.num_blocks, C.num_points,
+                              C.flag_array[:, ::-1])
 
 
 def _common(degrees: np.ndarray) -> int | None:
@@ -496,8 +511,8 @@ def property_report(C: IncidenceStructure) -> PropertyReport:
 
 def are_isomorphic(C1: IncidenceStructure, C2: IncidenceStructure) -> bool:
     """Colour-preserving isomorphism of the two Levi graphs."""
-    if (C1.num_points, C1.num_blocks, len(C1.flags)) != \
-            (C2.num_points, C2.num_blocks, len(C2.flags)):
+    if (C1.num_points, C1.num_blocks, len(C1.flag_array)) != \
+            (C2.num_points, C2.num_blocks, len(C2.flag_array)):
         return False
     import networkx as nx
     g1, g2 = levi_graph(C1).graph, levi_graph(C2).graph
@@ -511,28 +526,37 @@ def incidence_switch(C: IncidenceStructure, f1, f2) -> IncidenceStructure:
     f1, f2 = tuple(f1), tuple(f2)
     p1, b1 = f1
     p2, b2 = f2
+    F = C.flag_array.copy()
+
+    def present(f):
+        return bool((F == f).all(axis=1).any())
     for f in (f1, f2):
-        if f not in C.flags:
+        if not present(f):
             raise IncidenceError(f"flag {f} not present")
     if p1 == p2:
         raise IncidenceError(f"flags share point {p1}")
     if b1 == b2:
         raise IncidenceError(f"flags share block {b1}")
     for f in ((p1, b2), (p2, b1)):
-        if f in C.flags:
+        if present(f):
             raise IncidenceError(f"switch target flag {f} already present")
-    flags = set(C.flags) - {f1, f2} | {(p1, b2), (p2, b1)}
-    return IncidenceStructure(C.num_points, C.num_blocks, frozenset(flags))
+    F[(F == f1).all(axis=1), 1] = b2
+    F[(F == f2).all(axis=1), 1] = b1
+    return IncidenceStructure(C.num_points, C.num_blocks, F)
+
+
+def _offsets(parts) -> np.ndarray:
+    """The (point, block) offset of each part, and the totals last."""
+    return np.cumsum([(0, 0)] + [(c.num_points, c.num_blocks)
+                                 for c in parts], axis=0)
 
 
 def disjoint_union(parts) -> IncidenceStructure:
-    flags = set()
-    po = bo = 0
-    for part in parts:
-        flags |= {(p + po, b + bo) for (p, b) in part.flags}
-        po += part.num_points
-        bo += part.num_blocks
-    return IncidenceStructure(po, bo, frozenset(flags))
+    parts = list(parts)
+    shifts = _offsets(parts)
+    return IncidenceStructure(*shifts[-1].tolist(), np.concatenate(
+        [np.zeros((0, 2), np.int64)]
+        + [c.flag_array + s for c, s in zip(parts, shifts)]))
 
 
 def cyclic_cascade(parts, switch_spec) -> IncidenceStructure:
@@ -550,12 +574,7 @@ def cyclic_cascade(parts, switch_spec) -> IncidenceStructure:
     if len(switch_spec) != len(parts):
         raise IncidenceError("need exactly one switch pair per cyclic "
                              "adjacency of parts")
-    offsets = []
-    po = bo = 0
-    for part in parts:
-        offsets.append((po, bo))
-        po += part.num_points
-        bo += part.num_blocks
+    offsets = _offsets(parts).tolist()
     C = disjoint_union(parts)
     for i, (fa, fb) in enumerate(switch_spec):
         j = (i + 1) % len(parts)

@@ -11,8 +11,9 @@ The reader validates every document against its published schema in
 (`bool` is no number, an integral float is an integer) and names the JSON
 path of the first violation. It also rejects non-finite reals, which the
 schemas allow. Validated integers come back as `int`, points, conics and
-flags as one array each; the conics are built in one stacked pass, and a
-flag list of plain non-negative ints is checked in one array pass.
+flags as one array each: the conic forms are checked and classified in one
+stacked pass and handed to the configuration as a stack, and a flag list of
+plain non-negative ints is checked in one array pass.
 """
 from __future__ import annotations
 
@@ -135,10 +136,9 @@ def to_document(obj, name: str | None = None) -> dict:
             doc["name"] = name
         return doc
     if isinstance(obj, GeometricConfiguration):
-        forms = np.array([conic.form for conic in obj.conics])
         return {"kind": "geometric",
                 "points": obj.points.tolist(),
-                "conics": forms_coeffs(forms).tolist(),
+                "conics": forms_coeffs(obj.forms).tolist(),
                 "flags": obj.to_incidence_structure().flag_array.tolist(),
                 "tol": float(obj.tol),
                 "provenance": _plain(obj.provenance)}
@@ -287,11 +287,11 @@ def from_document(doc: dict):
     if not isinstance(provenance, dict):
         raise _violation("$.provenance", f"{provenance!r} is not an object")
     try:
-        conics = conics_from_normalized_coeffs(coeffs)
+        forms, kinds = conics_from_normalized_coeffs(coeffs)
     except GeometryError as exc:
         raise InterfaceError(str(exc)) from exc
-    return GeometricConfiguration(points, conics, flags, tol=float(tol),
-                                  provenance=provenance)
+    return GeometricConfiguration._of(points, forms, kinds, flags,
+                                      tol=float(tol), provenance=provenance)
 
 
 def write_configuration(obj, path, name: str | None = None) -> None:

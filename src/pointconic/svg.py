@@ -186,9 +186,8 @@ def render_svg(G: GeometricConfiguration, style: SceneStyle | None = None,
     """Render the configuration; returns the SVG text, writing it if asked."""
     style = style or SceneStyle()
     W, H = style.canvas
-    forms = np.array([c.form for c in G.conics]).reshape(-1, 3, 3)
-    is_ellipse = np.array([c.kind == "ellipse" for c in G.conics], bool)
-    ellipses = ellipse_parameters_stack(forms[is_ellipse])
+    is_ellipse = np.array([kind == "ellipse" for kind in G.kinds], bool)
+    ellipses = ellipse_parameters_stack(G.forms[is_ellipse])
     to_px = _Mapper(_world_bbox(G.points, ellipses), style.canvas,
                     style.margin)
     attrs = [f'fill="none" stroke="{color}" '
@@ -206,7 +205,7 @@ def render_svg(G: GeometricConfiguration, style: SceneStyle | None = None,
                                  semi_b.tolist(), angles))
     sampled = np.flatnonzero(~is_ellipse)
     branches = (paths for s in range(0, len(sampled), _CHUNK)
-                for paths in _branch_paths(forms[sampled[s:s + _CHUNK]],
+                for paths in _branch_paths(G.forms[sampled[s:s + _CHUNK]],
                                            to_px))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -42,6 +42,19 @@ def random_triangle(rng, min_area: float = 0.3) -> tuple:
             return tuple(tri)
 
 
+def stack_of(conics) -> tuple[np.ndarray, tuple]:
+    """(forms, kinds) of a sequence of conics: the stack that
+    `GeometricConfiguration` stores and the stacked kernels take."""
+    return (np.array([c.form for c in conics]).reshape(-1, 3, 3),
+            tuple(c.kind for c in conics))
+
+
+def conics_of(forms, kinds) -> tuple:
+    """The `Conic`s of a (forms, kinds) stack, each form a view of it, as
+    `GeometricConfiguration.conics` builds them."""
+    return tuple(map(_conic_of, forms, kinds))
+
+
 def sweep_intersections(A: Conic, B: Conic, samples: int = 4096,
                         merge: float = 1e-9) -> list[np.ndarray]:
     """Brute-force intersection oracle: sample ellipse A parametrically,
@@ -153,6 +166,17 @@ def scan_blocks_of_point(C: IncidenceStructure, p: int) -> frozenset:
     return frozenset(c for (q, c) in C.flags if q == p)
 
 
+def per_flag_index(C: IncidenceStructure) -> tuple:
+    """(blocks of each point, points of each block) as frozensets, from one
+    pass over the flag set: the structure's former `_index`."""
+    blocks = [[] for _ in range(C.num_points)]
+    points = [[] for _ in range(C.num_blocks)]
+    for (p, b) in C.flags:
+        blocks[p].append(b)
+        points[b].append(p)
+    return tuple(map(frozenset, blocks)), tuple(map(frozenset, points))
+
+
 def pairwise_block_meets(C: IncidenceStructure) -> dict:
     """Shared-point count of every block pair that shares a point, by
     pairwise set intersection, keyed (i, j) with i < j in sorted order."""
@@ -183,14 +207,14 @@ def counter_block_pair_counts(C: IncidenceStructure) -> dict:
     """Shared-point count of every block pair (i, j), i < j, that shares a
     point, in sorted key order, by a Counter over each point's blocks."""
     counts = Counter()
-    for blocks in C._index[0]:
+    for blocks in per_flag_index(C)[0]:
         counts.update(combinations(sorted(blocks), 2))
     return dict(sorted(counts.items()))
 
 
 def index_signature(C: IncidenceStructure) -> tuple:
     """(p, q, n, k) of `incidence.signature`, from the degree sets."""
-    blocks_of, points_of = C._index
+    blocks_of, points_of = per_flag_index(C)
     pdeg = {len(bs) for bs in blocks_of}
     bdeg = {len(ps) for ps in points_of}
     q = pdeg.pop() if len(pdeg) == 1 else None

@@ -11,7 +11,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (carnot_six_from_conic, no_3_collinear, no_4_concyclic,
+from conftest import (carnot_six_from_conic, conics_of, no_3_collinear,
+                      no_4_concyclic,
                       random_conical_structure, random_ellipse,
                       sweep_intersections)
 from pointconic.analysis import (audit, intersection_type, isometry_check,
@@ -272,7 +273,7 @@ def test_criterion_13():
     rng = np.random.default_rng(13)
     base = ellipse_conic((0, 0), 0.9, 0.35, 0.8)
     shifts = rng.uniform(-2, 2, size=(6, 2))
-    conics = translate_conics(base.form, shifts)
+    conics = conics_of(*translate_conics(base.form, shifts))
     center, a, b, ang = ellipse_parameters(base)
     R = np.array([[math.cos(ang), -math.sin(ang)],
                   [math.sin(ang), math.cos(ang)]])

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_force_duplicate_pairs, dense_sampson_scan,
+from conftest import (brute_force_duplicate_pairs, conics_of,
+                      dense_sampson_scan,
                       grid_hash_duplicate_pairs, per_flag_check,
                       random_ellipse, residual_matrix_spurious,
-                      rounded_coincident_pairs)
+                      rounded_coincident_pairs, stack_of)
 from pointconic import analysis
 from pointconic.analysis import (SPURIOUS_REL, audit, geometric_meets,
                                  intersection_type,
@@ -37,7 +38,7 @@ def _translate_family(num=5, seed=0):
     rng = np.random.default_rng(seed)
     base = ellipse_conic((0, 0), 0.8, 0.4, 0.6)
     shifts = rng.uniform(-2, 2, size=(num, 2))
-    conics = translate_conics(base.form, shifts)
+    conics = conics_of(*translate_conics(base.form, shifts))
     center, a, b, ang = ellipse_parameters(base)
     R = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
     pts = np.array([shifts[i] + center
@@ -268,7 +269,7 @@ class TestDuplicatesAndCoincidences:
         assert round(a.form[0, 0], 5) != round(b.form[0, 0], 5)
         assert rounded_coincident_pairs([a, b]) == []
         c = ellipse_conic((0, 0), 1, 0.5, 0.2)
-        assert analysis._coincident_pairs([a, c, b]) == [(0, 2)]
+        assert analysis._coincident_pairs(stack_of([a, c, b])[0]) == [(0, 2)]
         rep = audit(GeometricConfiguration(np.zeros((0, 2)), (a, c, b),
                                            frozenset(), 1e-8))
         assert rep.coincident_conics == ((0, 2),) and not rep.passed
@@ -277,7 +278,7 @@ class TestDuplicatesAndCoincidences:
     def test_builders_match_rounding(self, name):
         G = _scene(name)
         conics = G.conics + G.conics[::3]
-        got = analysis._coincident_pairs(conics)
+        got = analysis._coincident_pairs(stack_of(conics)[0])
         assert got == rounded_coincident_pairs(conics)
         B = G.num_conics
         assert set(got) >= {(i, B + k) for k, i in

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (carnot_six_from_conic, one_phase_pencil_intersections,
+from conftest import (carnot_six_from_conic, conics_of,
+                      one_phase_pencil_intersections,
                       per_matrix_solve_or_nan, random_ellipse, random_triangle,
                       scalar_apply_affine, scalar_coeffs, scalar_collinear,
                       scalar_conic, scalar_conic_conic_intersections,
                       scalar_conic_from_5_points,
                       scalar_conic_from_normalized_coeffs,
                       scalar_ellipse_parameters, scalar_residual,
-                      scalar_translate_conic, sweep_intersections)
+                      scalar_translate_conic, stack_of, sweep_intersections)
 from pointconic import geometry
 from pointconic.constructions import (cell24, crossed_ellipses,
                                       dipyramid_carnot, ellipse_conic, pmn,
@@ -68,10 +69,21 @@ class TestConicBasics:
 
     def test_roundtrip_coeffs(self):
         c = ellipse_conic((0.3, -0.2), 0.7, 0.4, 0.5)
-        (c2,) = conics_from_normalized_coeffs([c.coeffs()])
+        (c2,) = conics_of(*conics_from_normalized_coeffs([c.coeffs()]))
         assert np.array_equal(c.form, c2.form)
         with pytest.raises(GeometryError):
             conics_from_normalized_coeffs([(5, 0, 5, 0, 0, -5)])
+
+    @pytest.mark.parametrize("M", [np.full((3, 3), np.nan),
+                                   np.diag([np.inf, 1, 1]),
+                                   np.diag([1.0, 1, -np.inf])])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_forms_rejected(self, M):
+        # Once a NaN "parabola" and an SVD LinAlgError.
+        with pytest.raises(GeometryError, match="^non-finite conic form$"):
+            Conic(M)
+        with pytest.raises(GeometryError, match="^non-finite conic form$"):
+            affine_images(np.eye(3), np.stack([UNIT_CIRCLE.form, M]))
 
     def test_hash_agrees_with_eq_on_signed_zeros(self):
         # The two forms differ only in the signs of their zero entries.
@@ -83,7 +95,7 @@ class TestConicBasics:
 
 
 def _assert_stacked_matches_one_conic(coeffs):
-    stacked = conics_from_normalized_coeffs(coeffs)
+    stacked = conics_of(*conics_from_normalized_coeffs(coeffs))
     assert len(stacked) == len(coeffs)
     for c, s in zip(coeffs, stacked):
         one = scalar_conic_from_normalized_coeffs(c)
@@ -141,7 +153,8 @@ class TestStackedConics:
             [scalar_coeffs(scalar_conic(M)) for M in forms])
 
     def test_empty_stack(self):
-        assert conics_from_normalized_coeffs(np.zeros((0, 6))) == ()
+        forms, kinds = conics_from_normalized_coeffs(np.zeros((0, 6)))
+        assert forms.shape == (0, 3, 3) and kinds == []
 
     @pytest.mark.parametrize("bad", [(5, 0, 5, 0, 0, -5),
                                      (math.nan, 0, 1, 0, 0, 0)])
@@ -179,8 +192,8 @@ class TestStackedAffineKernels:
     def test_one_map(self, forms, L, t):
         conics = [scalar_conic(M) for M in forms]
         M = AffineMap2(L, t)
-        _same_conics(affine_images(M.homogeneous(),
-                                   [c.form for c in conics]),
+        _same_conics(conics_of(*affine_images(M.homogeneous(),
+                                              stack_of(conics)[0])),
                      [scalar_apply_affine(M, c) for c in conics])
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
@@ -190,8 +203,9 @@ class TestStackedAffineKernels:
     def test_one_map_per_form(self, drawn):
         conics = [scalar_conic(M) for M, _, _ in drawn]
         maps = [AffineMap2(L, t) for _, L, t in drawn]
-        _same_conics(affine_images(np.array([M.homogeneous() for M in maps]),
-                                   [c.form for c in conics]),
+        _same_conics(conics_of(*affine_images(
+                         np.array([M.homogeneous() for M in maps]),
+                         stack_of(conics)[0])),
                      [scalar_apply_affine(M, c) for M, c in zip(maps, conics)])
 
     @given(st.integers(0, 10 ** 9), _scale)
@@ -200,8 +214,8 @@ class TestStackedAffineKernels:
         rng = np.random.default_rng(seed)
         conics = [random_ellipse(rng) for _ in range(6)]
         shifts = rng.normal(size=(6, 2)) * scale
-        _same_conics(translate_conics(np.array([c.form for c in conics]),
-                                      shifts),
+        _same_conics(conics_of(*translate_conics(stack_of(conics)[0],
+                                                 shifts)),
                      [scalar_translate_conic(c, v)
                       for c, v in zip(conics, shifts)])
 
@@ -210,12 +224,13 @@ class TestStackedAffineKernels:
         sq = product(d, d, genericize=True, seed=1)
         forms = np.array([c.form for c in d.conics] * sq.num_points)
         shifts = np.repeat(sq.points, d.num_conics, axis=0)
-        _same_conics(translate_conics(forms, shifts),
+        _same_conics(conics_of(*translate_conics(forms, shifts)),
                      [scalar_translate_conic(c, v)
                       for v in sq.points for c in d.conics])
 
     def test_empty_stacks(self):
-        assert affine_images(np.eye(3), np.zeros((0, 3, 3))) == ()
+        forms, kinds = affine_images(np.eye(3), np.zeros((0, 3, 3)))
+        assert forms.shape == (0, 3, 3) and kinds == []
         centers, a, b, angles = ellipse_parameters_stack(np.zeros((0, 3, 3)))
         assert centers.shape == (0, 2) and a.shape == b.shape == (0,)
         assert angles == []
@@ -757,7 +772,7 @@ class TestBatchedKernelAgainstScalarOracle:
 
     @staticmethod
     def _check(conics, pairs, tol):
-        points, counts = pencil_intersections(conics, pairs)
+        points, counts = pencil_intersections(*stack_of(conics), pairs)
         for k, (i, j) in enumerate(pairs):
             want = scalar_conic_conic_intersections(conics[i], conics[j])
             assert counts[k] == len(want), (i, j)
@@ -813,10 +828,10 @@ class TestBatchedKernelAgainstScalarOracle:
             conic_conic_intersections(A, B)
         C = ellipse_conic((0, 0), 0.6, 0.3, 0.2)
         with pytest.raises(GeometryError, match="conics 1 and 2 give"):
-            pencil_intersections((C, A, B), [(0, 1), (1, 2)])
+            pencil_intersections(*stack_of((C, A, B)), [(0, 1), (1, 2)])
 
     def test_no_pairs(self):
-        points, counts = pencil_intersections((UNIT_CIRCLE,), [])
+        points, counts = pencil_intersections(*stack_of((UNIT_CIRCLE,)), [])
         assert points.shape == (0, 4, 2) and counts.shape == (0,)
 
 
@@ -840,7 +855,7 @@ def _one_phase_scene(name):
 
 
 def _same_as_one_phase(conics, pairs):
-    points, counts = pencil_intersections(conics, pairs)
+    points, counts = pencil_intersections(*stack_of(conics), pairs)
     want_points, want_counts = one_phase_pencil_intersections(conics, pairs)
     assert np.array_equal(counts, want_counts)
     assert np.array_equal(points, want_points, equal_nan=True)
@@ -865,7 +880,7 @@ class TestTwoPhaseKernelAgainstOnePhaseOracle:
     def test_every_pair_of_scene(self, name, chunk, monkeypatch):
         conics, pairs, (want_points, want_counts) = _one_phase_scene(name)
         monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
-        points, counts = pencil_intersections(conics, pairs)
+        points, counts = pencil_intersections(*stack_of(conics), pairs)
         assert np.array_equal(counts, want_counts)
         assert np.array_equal(points, want_points, equal_nan=True)
 
@@ -937,7 +952,7 @@ class TestBroadPhase:
             one_phase_pencil_intersections(conics, pairs)
         except GeometryError:
             with pytest.raises(GeometryError):
-                pencil_intersections(conics, pairs)
+                pencil_intersections(*stack_of(conics), pairs)
             return
         points, counts = _same_as_one_phase(conics, pairs)
         assert not counts[_apart(conics, pairs)].any()

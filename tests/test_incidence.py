@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import (brute_force_biclique, counter_block_pair_counts,
                       index_signature, nx_girth, nx_local_connectivities,
                       nx_vertex_connectivity, pairwise_block_meets,
-                      scan_blocks_of_point, scan_points_of_block)
+                      per_flag_index, scan_blocks_of_point,
+                      scan_points_of_block)
 from pointconic import incidence
 from pointconic.analysis import intersection_type_combinatorial
 from pointconic.constructions import (cell24, crossed_ellipses,
@@ -132,14 +133,23 @@ class TestIndexedCore:
     @given(structures())
     @settings(max_examples=200, deadline=None)
     def test_accessors_match_flag_scans(self, C):
+        # The index is cut from the sorted flag array at its offsets; the
+        # flag scans and the per-flag index it replaced are its oracles.
+        blocks_of, points_of = per_flag_index(C)
         for p in range(C.num_points):
             assert C.blocks_of_point(p) == scan_blocks_of_point(C, p)
+            assert C.blocks_of_point(p) == blocks_of[p]
             assert C.point_degree(p) == len(scan_blocks_of_point(C, p))
         for b in range(C.num_blocks):
             assert C.points_of_block(b) == scan_points_of_block(C, b)
+            assert C.points_of_block(b) == points_of[b]
             assert C.block_size(b) == len(scan_points_of_block(C, b))
         assert C.block_point_sets == [scan_points_of_block(C, b)
                                       for b in range(C.num_blocks)]
+        P = C.num_points
+        assert list(map(frozenset, levi_graph(C)._adjacency)) == (
+            [frozenset(P + b for b in bs) for bs in blocks_of]
+            + list(points_of))
 
     @given(structures())
     @settings(max_examples=200, deadline=None)
@@ -219,8 +229,11 @@ class TestFlagArray:
         C = catalog("pappus")
         twin = incidence.IncidenceStructure(C.num_points, C.num_blocks,
                                             frozenset(C.flags))
-        assert "flag_array" not in vars(twin)
+        # The sorted array is the stored state; the frozenset is built
+        # only when asked for.
+        assert set(vars(twin)) == {"num_points", "num_blocks", "flag_array"}
         assert (twin.flag_array == C.flag_array).all()
+        assert twin.flags == C.flags and "flags" in vars(twin)
         self._check(twin)
 
     def test_array_built_once_and_shared(self):
@@ -255,6 +268,36 @@ class TestFlagArray:
                                                    dtype=np.uint64))
         with pytest.raises(TypeError):
             new_incidence_structure(7, 7, [(0.5, 0)])
+
+    @pytest.mark.parametrize("flag", [(-1, 0), (0, -1), (5, 0), (0, 5),
+                                      (2 ** 63, 0)])
+    def test_constructor_checks_flags(self, flag):
+        # A negative index used to wrap and an index past the counts to
+        # break the accessors; the constructor now rejects both, with the
+        # message of new_incidence_structure.
+        with pytest.raises(IncidenceError) as want:
+            new_incidence_structure(2, 2, [flag])
+        for flags in (frozenset({flag}), [flag], [(0, 0), flag]):
+            with pytest.raises(IncidenceError) as got:
+                incidence.IncidenceStructure(2, 2, flags)
+            assert str(got.value) == str(want.value)
+
+    def test_equality_and_hash_across_routes(self):
+        C = catalog("pappus")
+        rows = sorted(C.flags)
+        twins = [incidence.IncidenceStructure(9, 9, frozenset(rows)),
+                 incidence.IncidenceStructure(9, 9, rows[::-1] + rows[:5]),
+                 incidence.IncidenceStructure(9, 9, np.array(rows)),
+                 new_incidence_structure(9, 9, rows),
+                 dual(dual(C))]
+        for D in twins:
+            assert D == C and hash(D) == hash(C)
+            assert D is not C
+        assert len({C: 0, **{D: k for k, D in enumerate(twins, 1)}}) == 1
+        other = incidence.IncidenceStructure(9, 9, rows[1:])
+        bigger = incidence.IncidenceStructure(10, 9, rows)
+        assert other != C and bigger != C and C != rows
+        assert len({C, other, bigger}) == 3
 
 
 def _cut_vertex_structure():

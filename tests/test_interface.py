@@ -16,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pointconic
-from pointconic import cli
+from pointconic import cli, geometry
+from pointconic.analysis import audit, intersection_type
 from pointconic.cli import main
 from pointconic import io
 from pointconic.configuration import GeometricConfiguration
-from conftest import format_path_data, full_make_parser, scalar_render_svg
+from conftest import (format_path_data, full_make_parser, scalar_render_svg,
+                      scalar_conic_from_normalized_coeffs)
 from pointconic.constructions import (cell24, crossed_ellipses,
                                       dipyramid_carnot, ellipse_conic,
                                       parallelogram_ellipse_pair, pmn,
@@ -82,6 +84,62 @@ class TestRoundTrip:
             jsonschema.validate(doc, io._SCHEMAS[doc["kind"]])
             assert doc.get("name") == name
             assert type(read_configuration(path)) is type(obj)
+
+
+class TestStoredArrays:
+    """A scene is stored as its point, form and flag arrays; the `Conic`s
+    and the flag frozenset are built only when asked for."""
+
+    def test_read_analyze_render_write_build_no_objects(self, tmp_path,
+                                                        monkeypatch):
+        d = dipyramid_carnot(3, seed=0)
+        cube = product(product(d, d, genericize=True, seed=1), d,
+                       genericize=True, seed=2)
+        path, back = tmp_path / "cube.json", tmp_path / "back.json"
+        write_configuration(cube, path)
+        built = []
+        original = geometry._conic_of
+
+        def counted(M, kind):
+            built.append(kind)
+            return original(M, kind)
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("pointconic")
+                    and getattr(mod, "_conic_of", None) is original):
+                monkeypatch.setattr(mod, "_conic_of", counted)
+        G = read_configuration(path)
+        C = G.to_incidence_structure()
+        assert intersection_type(G).types == {1, 2}
+        assert audit(G).signature == audit(cube).signature
+        render_svg(G, path=tmp_path / "cube.svg")
+        write_configuration(G, back)
+        assert back.read_bytes() == path.read_bytes()
+        assert built == []
+        assert "conics" not in vars(G) and "flags" not in vars(C)
+        # The views, built on first access.
+        coeffs = json.loads(path.read_text())["conics"]
+        assert len(G.conics) == len(built) == G.num_conics == 5832
+        for i, conic in enumerate(G.conics):
+            assert not conic.form.flags.writeable
+            assert np.shares_memory(conic.form, G.forms)
+            assert np.array_equal(conic.form, G.forms[i])
+            assert conic.kind == G.kinds[i] == \
+                scalar_conic_from_normalized_coeffs(coeffs[i]).kind
+        assert G.flags is C.flags and len(C.flags) == 34992
+        assert G.flags == cube.flags
+
+    def test_constructor_stacks_the_conics(self):
+        G = crossed_ellipses()
+        conics = G.conics
+        H = GeometricConfiguration(G.points, list(conics), list(G.flags),
+                                   G.tol)
+        assert not H.forms.flags.writeable and H.forms.shape == (2, 3, 3)
+        assert H.kinds == ("ellipse", "ellipse")
+        assert H.conics == conics and "flags" not in vars(
+            H.to_incidence_structure())
+        assert H.to_incidence_structure() == G.to_incidence_structure()
+        with pytest.raises(TypeError, match="Conic instances"):
+            GeometricConfiguration(G.points, [G.forms[0]], [], G.tol)
 
 
 class TestValidation:
