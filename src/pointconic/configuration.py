@@ -68,7 +68,7 @@ class GeometricConfiguration:
         vars(self).update(
             points=pts, forms=forms, kinds=tuple(kinds), tol=tol,
             provenance={} if provenance is None else provenance,
-            _incidence=IncidenceStructure(len(pts), len(forms), F))
+            _incidence=IncidenceStructure._of(len(pts), len(forms), F))
 
     @cached_property
     def conics(self) -> tuple[Conic, ...]:
@@ -125,5 +125,5 @@ class Polytope4:
                 raise IndexError(f"face {f} out of range")
 
     def edge_midpoints(self) -> np.ndarray:
-        V = self.vertices
-        return np.array([(V[i] + V[j]) / 2 for (i, j) in self.edges])
+        i, j = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        return (self.vertices[i] + self.vertices[j]) / 2

@@ -17,11 +17,10 @@ import numpy as np
 from . import analysis, geometry
 from .configuration import GeometricConfiguration, Polytope4
 from .geometry import (AffineMap2, Conic, GeometryError, Projection4to2,
-                       TOL_MERGE, affine_images, apply_affine,
-                       apply_affine_point,
+                       TOL_MERGE, _classify_forms, _norm, _normalized_forms,
+                       affine_images, apply_affine, apply_affine_point,
                        carnot_product, carnot_solve_sixth,
-                       central_conic_from_pairs, conic_conic_intersections,
-                       conic_from_5_points, cross2,
+                       conic_conic_intersections, conic_from_5_points, cross2,
                        line_conic_intersections)
 from .incidence import IncidenceError, IncidenceStructure, has_biclique
 
@@ -229,11 +228,12 @@ def generic_projection(seed: int = 12345) -> Projection4to2:
 
 
 def _with_default_projection(build):
-    """Run a projection-taking builder over a deterministic seed sequence.
+    """Run `build`, a function of a projection, over a deterministic seed
+    sequence of `generic_projection`s, up to 32 of them.
 
     A fixed projection can happen to be near-parallel to one of a polytope's
     hexagon planes; walking the seed sequence keeps default builds both
-    deterministic and generic."""
+    deterministic and generic. Builders pass only their projection step."""
     seeds = itertools.count(12345)
     return _retry(lambda: build(generic_projection(next(seeds))), 32,
                   "generic default projection")
@@ -613,210 +613,161 @@ def prism_product(m: int, n: int) -> Polytope4:
     """Cartesian product of regular m- and n-gons with unit edges."""
     pm, pn = _regular_polygon(m), _regular_polygon(n)
     verts = np.array([[*u, *w] for u in pm for w in pn])
-
-    def vid(i, j):
-        return (i % m) * n + (j % n)
-
-    edges = []
-    for i in range(m):
-        for j in range(n):
-            edges.append((vid(i, j), vid(i + 1, j)))   # type A
-            edges.append((vid(i, j), vid(i, j + 1)))   # type B
-    faces = [(vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
-             for i in range(m) for j in range(n)]
-    return Polytope4(verts, edges, faces)
+    # Vertex (i, j) has id i n + j; from it run a type A edge to (i+1, j)
+    # and a type B edge to (i, j+1).
+    ij = np.arange(m * n).reshape(m, n)
+    a, b = np.roll(ij, -1, axis=0), np.roll(ij, -1, axis=1)
+    edges = np.stack([ij, a, ij, b], axis=-1).reshape(-1, 2)
+    faces = np.stack([ij, a, np.roll(a, -1, axis=1), b], axis=-1)
+    return Polytope4(verts, edges.tolist(), faces.reshape(-1, 4).tolist())
 
 
-def _hexagons_in_prisms(m: int, n: int):
-    """Midpoint index scheme for the inscribed hexagons.
+def _hexagons_in_prisms(m: int, n: int) -> np.ndarray:
+    """The 2mn inscribed hexagons, each a 6-cycle of midpoint ids (planar
+    and centrally symmetric by construction), as a (2mn, 6) array.
 
-    Midpoint ids: ("A", i, j) is the midpoint of edge (u_i u_{i+1}) x w_j,
-    ("B", i, j) of u_i x (w_j w_{j+1}). Yields each hexagon as a 6-cycle of
-    midpoint ids (planar and centrally symmetric by construction).
+    A midpoint's id is its edge's index in `prism_product(m, n)`: ("A", i,
+    j), of edge (u_i u_{i+1}) x w_j, has id 2 (i n + j), and ("B", i, j),
+    of u_i x (w_j w_{j+1}), the next id. First come the
+    m-gonal prisms, one per n-gon edge j, with a hexagon pair per k < h =
+    m/2: ("B", k, j), ("A", k, j+1), ("A", k+h-1, j+1), ("B", k+h, j),
+    ("A", k+h, j), ("A", k-1, j), and its mirror image (k offsets 0, -1,
+    h, h, h-1, 0); then the n-gonal prisms, one per m-gon edge i, with the
+    roles of the two polygons, and of A and B, exchanged.
     """
-    h = m // 2
-    for j in range(n):            # m-gonal prisms, one per n-gon edge
-        for k in range(h):
-            for chirality in (1, -1):
-                if chirality == 1:
-                    yield (("B", k, j),
-                           ("A", k, j + 1),
-                           ("A", (k + h - 1) % m, j + 1),
-                           ("B", (k + h) % m, j),
-                           ("A", (k + h) % m, j),
-                           ("A", (k - 1) % m, j))
-                else:
-                    yield (("B", k, j),
-                           ("A", (k - 1) % m, j + 1),
-                           ("A", (k + h) % m, j + 1),
-                           ("B", (k + h) % m, j),
-                           ("A", (k + h - 1) % m, j),
-                           ("A", k, j))
-    hn = n // 2
-    for i in range(m):            # n-gonal prisms, one per m-gon edge
-        for k in range(hn):
-            for chirality in (1, -1):
-                if chirality == 1:
-                    yield (("A", i, k),
-                           ("B", i + 1, k),
-                           ("B", i + 1, (k + hn - 1) % n),
-                           ("A", i, (k + hn) % n),
-                           ("B", i, (k + hn) % n),
-                           ("B", i, (k - 1) % n))
-                else:
-                    yield (("A", i, k),
-                           ("B", i + 1, (k - 1) % n),
-                           ("B", i + 1, (k + hn) % n),
-                           ("A", i, (k + hn) % n),
-                           ("B", i, (k + hn - 1) % n),
-                           ("B", i, k))
+    families = []
+    # Per family, k runs around the p-gon of a prism and j over the q-gon.
+    for p, q, swap in ((m, n, 0), (n, m, 1)):
+        h = p // 2
+        k = (np.arange(h)[:, None, None]
+             + [[0, 0, h - 1, h, h, -1], [0, -1, h, h, h - 1, 0]]) % p
+        j = (np.arange(q)[:, None, None, None] + [0, 1, 1, 0, 0, 0]) % q
+        k, j = np.broadcast_arrays(k, j)
+        rows, cols = (j, k) if swap else (k, j)
+        families.append(2 * (rows * n + cols)
+                        + (np.array([1, 0, 0, 1, 0, 0]) ^ swap))
+    return np.concatenate(families, axis=None).reshape(-1, 6)
 
 
-def _check_hexagon(mids4: np.ndarray):
-    """Planarity and central symmetry of a 6-point cycle in E^4."""
-    c = mids4.mean(axis=0)
-    rel = mids4 - c
-    if np.linalg.norm(rel[0] + rel[3]) > 1e-10 or \
-            np.linalg.norm(rel[1] + rel[4]) > 1e-10 or \
-            np.linalg.norm(rel[2] + rel[5]) > 1e-10:
-        raise ConstructionError("hexagon is not centrally symmetric")
-    s = np.linalg.svd(rel, compute_uv=False)
-    if s.size > 2 and s[2] > 1e-10:
-        raise ConstructionError("hexagon is not planar")
-    return c
-
-
-def _hexagon_configuration(points4: np.ndarray, hexagons: list,
-                           proj: Projection4to2, tol: float,
-                           provenance: dict) -> GeometricConfiguration:
+def _hexagon_configuration(points4: np.ndarray, hexagons: np.ndarray,
+                           tol: float, provenance: dict,
+                           proj: Projection4to2 | None
+                           ) -> GeometricConfiguration:
     """Project hexagon vertex sets in E^4 and circumscribe planar conics.
 
-    `hexagons` holds index-6-tuples into `points4`; every hexagon must be
-    planar and centrally symmetric in E^4.
+    `hexagons` is an (H, 6) index array into `points4` (N, 4) of planar,
+    centrally symmetric hexagons. Their centers, checks, circumradii and
+    flags are found once; a projection is then one array pass (project,
+    `geometry.central_conic_forms`, normalize, classify, audit), the only
+    step retried over the default projections when `proj` is None. A
+    rejected projection raises the error of the first failing hexagon and
+    its first failing check: central symmetry, planarity, singular central
+    system, not an ellipse.
     """
-    pts2 = np.array([geometry.project(proj, p) for p in points4])
-    conics = []
-    flags = set()
-    radii = []
-    for hx in hexagons:
-        mids4 = points4[list(hx)]
-        c4 = _check_hexagon(mids4)
-        radii.append(np.linalg.norm(mids4 - c4, axis=1))
-        c2 = geometry.project(proj, c4)
-        conic = central_conic_from_pairs(c2, pts2[list(hx[:3])])
-        if conic.kind != "ellipse":
-            raise ConstructionError(
-                f"non-generic projection: hexagon gave {conic.kind}")
-        b = len(conics)
-        conics.append(conic)
-        flags |= {(p, b) for p in hx}
-    provenance = dict(provenance)
-    provenance["circumradii_4d"] = [float(r.min()) for r in radii], \
-                                   [float(r.max()) for r in radii]
-    G = GeometricConfiguration(pts2, tuple(conics), flags, tol=tol,
-                               provenance=provenance)
-    return _require_audit(G, provenance.get("builder", "hexagons"))
+    rel = points4[hexagons]
+    c4 = rel.mean(axis=1)
+    rel -= c4[:, None]
+    asymmetric = (_norm(rel[:, :3] + rel[:, 3:]) > 1e-10).any(axis=1)
+    warped = np.linalg.svd(rel, compute_uv=False)[:, 2] > 1e-10
+    radii = np.linalg.norm(rel, axis=2)
+    provenance = {**provenance, "circumradii_4d": (
+        radii.min(axis=1).tolist(), radii.max(axis=1).tolist())}
+    flags = np.column_stack([hexagons.ravel(),
+                             np.repeat(np.arange(len(hexagons)), 6)])
+
+    def build(proj: Projection4to2) -> GeometricConfiguration:
+        # A stacked matmul of (2, 4) by (4, 1) rounds like `project`.
+        pts2 = np.matmul(proj.map, points4[:, :, None])[:, :, 0]
+        c2 = np.matmul(proj.map, c4[:, :, None])[:, :, 0]
+        forms, singular = geometry.central_conic_forms(
+            c2, pts2[hexagons[:, :3]])
+        forms = _normalized_forms(forms)
+        kinds = _classify_forms(forms)
+        failed = np.array([asymmetric, warped, singular,
+                           [k != "ellipse" for k in kinds]])
+        if failed.any():
+            h = int(failed.any(axis=0).argmax())
+            raise [ConstructionError("hexagon is not centrally symmetric"),
+                   ConstructionError("hexagon is not planar"),
+                   GeometryError("degenerate hexagon: singular central "
+                                 "system"),
+                   ConstructionError(f"non-generic projection: hexagon gave "
+                                     f"{kinds[h]}")][failed[:, h].argmax()]
+        G = GeometricConfiguration._of(pts2, forms, kinds, flags, tol,
+                                       provenance)
+        return _require_audit(G, provenance.get("builder", "hexagons"))
+
+    return _with_default_projection(build) if proj is None else build(proj)
 
 
 def pmn(m: int, n: int,
         proj: Projection4to2 | None = None) -> GeometricConfiguration:
     """The ((2mn)_6) configuration from the prism product of two even
     regular polygons: points are projected edge midpoints, conics are the
-    circumscribed ellipses of the 2mn inscribed hexagons."""
+    circumscribed ellipses of the 2mn inscribed hexagons.
+
+    With `proj` None, only the projection step is retried; the prism
+    product, its midpoints and the hexagons are built once."""
     if m < 4 or n < 4 or m % 2 or n % 2:
         raise ConstructionError("pmn needs even m, n >= 4")
-    if proj is None:
-        return _with_default_projection(lambda p: pmn(m, n, p))
-    poly = prism_product(m, n)
-    mid_id = {}
-    mids4 = []
-    for i in range(m):
-        for j in range(n):
-            mid_id[("A", i, j)] = len(mids4)
-            mids4.append((poly.vertices[(i % m) * n + j]
-                          + poly.vertices[((i + 1) % m) * n + j]) / 2)
-            mid_id[("B", i, j)] = len(mids4)
-            mids4.append((poly.vertices[i * n + (j % n)]
-                          + poly.vertices[i * n + ((j + 1) % n)]) / 2)
-    hexagons = [tuple(mid_id[(t, a % m, b % n)] for (t, a, b) in hx)
-                for hx in _hexagons_in_prisms(m, n)]
     return _hexagon_configuration(
-        np.array(mids4), hexagons, proj, tol=1e-8,
-        provenance={"builder": "pmn", "params": {"m": m, "n": n}})
+        prism_product(m, n).edge_midpoints(), _hexagons_in_prisms(m, n),
+        1e-8, {"builder": "pmn", "params": {"m": m, "n": n}}, proj)
 
 
 def cell24(proj: Projection4to2 | None = None) -> GeometricConfiguration:
     """The (96_6) configuration from the regular 24-cell: 96 projected edge
     midpoints on the projections of 96 inscribed regular hexagons (circles
-    of radius sqrt(2)/2 before projection)."""
-    if proj is None:
-        return _with_default_projection(lambda p: cell24(p))
+    of radius sqrt(2)/2 before projection).
+
+    With `proj` None, only the projection step is retried; the 24-cell,
+    its midpoints and the hexagons are built once."""
     poly = cell24_polytope()
-    V = poly.vertices
-    mids4 = poly.edge_midpoints()
-    edge_index = {frozenset(e): k for k, e in enumerate(poly.edges)}
-    hexagons = []
-    for cell in poly.facets:
-        verts = list(cell)
-        centroid = V[verts].mean(axis=0)
-        # Axes: antipodal vertex pairs within the octahedron.
-        axes = []
-        used = set()
-        for a in verts:
-            if a in used:
-                continue
-            for b in verts:
-                if b != a and np.allclose(V[a] + V[b], 2 * centroid):
-                    axes.append((a, b))
-                    used |= {a, b}
-                    break
-        if len(axes) != 3:
-            raise ConstructionError("octahedral cell axes not found")
-        (a, abar), (b, bbar), (c, cbar) = axes
-        # One hexagon per opposite-face pair: sign patterns up to flip.
-        for sb in (0, 1):
-            for sc in (0, 1):
-                vb, vbbar = (b, bbar) if sb == 0 else (bbar, b)
-                vc, vcbar = (c, cbar) if sc == 0 else (cbar, c)
-                cycle_vertices = [(a, vbbar), (vbbar, vc), (vc, abar),
-                                  (abar, vb), (vb, vcbar), (vcbar, a)]
-                hexagons.append(tuple(edge_index[frozenset(e)]
-                                      for e in cycle_vertices))
-    return _hexagon_configuration(
-        mids4, hexagons, proj, tol=1e-8,
-        provenance={"builder": "cell24"})
+    cells = np.array(poly.facets)
+    W = poly.vertices[cells]
+    # Axes: the antipodal vertex pairs of each octahedral cell, for all
+    # cells in one comparison, each pair in the order of its first vertex.
+    close = (np.isclose(W[:, :, None] + W[:, None, :],
+                        2 * W.mean(axis=1)[:, None, None]).all(axis=3)
+             & ~np.eye(6, dtype=bool))
+    if not (close.sum(axis=2) == 1).all():
+        raise ConstructionError("octahedral cell axes not found")
+    partner = close.argmax(axis=2)
+    axes = np.stack([cells, np.take_along_axis(cells, partner, 1)], axis=-1)[
+        partner > np.arange(6)].reshape(-1, 3, 2)
+    # One hexagon per opposite-face pair: sign patterns (sb, sc) up to flip.
+    sb, sc = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
+    cycles = np.stack(np.broadcast_arrays(
+        axes[:, 0, :1], axes[:, 1, 1 - sb], axes[:, 2, sc],
+        axes[:, 0, 1:], axes[:, 1, sb], axes[:, 2, 1 - sc]), axis=-1)
+    i, j = np.array(poly.edges).T
+    edge = np.zeros((len(poly.vertices),) * 2, np.int64)
+    edge[i, j] = edge[j, i] = np.arange(len(i))
+    hexagons = edge[cycles, np.roll(cycles, -1, axis=-1)].reshape(-1, 6)
+    return _hexagon_configuration(poly.edge_midpoints(), hexagons, 1e-8,
+                                  {"builder": "cell24"}, proj)
 
 
 def cell24_polytope() -> Polytope4:
     """24-cell with vertices at all permutations of (+-1, +-1, 0, 0);
     facets list the 6-vertex octahedral cells."""
-    verts = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = np.zeros(4)
-                    v[i], v[j] = si, sj
-                    verts.append(v)
-    V = np.array(verts)
-    edges = [(i, j) for i in range(24) for j in range(i + 1, 24)
-             if abs(np.sum((V[i] - V[j]) ** 2) - 2.0) < 1e-9]
-    centers = []
-    for k in range(4):
-        for s in (1, -1):
-            c = np.zeros(4)
-            c[k] = s
-            centers.append(c)
-    for signs in np.ndindex(2, 2, 2, 2):
-        centers.append(np.array([0.5 if s == 0 else -0.5 for s in signs]))
-    facets = []
-    for c in centers:
-        dots = V @ c
-        cell = tuple(int(i) for i in np.nonzero(dots > dots.max() - 1e-9)[0])
-        if len(cell) != 6:
-            raise ConstructionError("24-cell enumeration failed")
-        facets.append(cell)
-    return Polytope4(V, edges, facets=facets)
+    V = np.zeros((24, 4))
+    for k, ((i, j), (si, sj)) in enumerate(itertools.product(
+            itertools.combinations(range(4), 2),
+            itertools.product((1, -1), repeat=2))):
+        V[k, i], V[k, j] = si, sj
+    near = np.abs(((V[:, None] - V) ** 2).sum(axis=2) - 2.0) < 1e-9
+    edges = np.argwhere(np.triu(near, 1))
+    # Cell centers: +-e_k, then (+-1/2, +-1/2, +-1/2, +-1/2); each cell is
+    # the six vertices furthest along its center.
+    centers = np.vstack([np.kron(np.eye(4), [[1], [-1]]),
+                         0.5 - np.array(list(np.ndindex(2, 2, 2, 2)))])
+    dots = V @ centers.T
+    cells = dots > dots.max(axis=0) - 1e-9
+    if not (cells.sum(axis=0) == 6).all():
+        raise ConstructionError("24-cell enumeration failed")
+    facets = np.nonzero(cells.T)[1].reshape(-1, 6)
+    return Polytope4(V, edges.tolist(), facets=facets.tolist())
 
 
 # ---------------------------------------------------------------------------

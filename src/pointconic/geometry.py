@@ -201,11 +201,6 @@ def _collinear(a, b, c, rel: float = 1e-10):
     return area <= rel * np.maximum(_norm(u) * _norm(v), 1e-300)
 
 
-def line_through(p, q) -> np.ndarray:
-    """Homogeneous line through two affine points."""
-    return np.cross(np.array([p[0], p[1], 1.0]), np.array([q[0], q[1], 1.0]))
-
-
 def line_conic_intersections(conic: Conic, p0, p1,
                              tol: float = 1e-12) -> list[np.ndarray]:
     """Real intersections of the line through p0, p1 with a conic.
@@ -275,29 +270,41 @@ def conic_from_5_points(pts) -> Conic:
     return Conic.from_coeffs(a, b, c, d, e, f)
 
 
-def central_conic_from_pairs(center, reps) -> Conic:
-    """Conic symmetric about `center` through three representative points.
+def central_conic_forms(centers, reps) -> tuple[np.ndarray, np.ndarray]:
+    """Forms (B, 3, 3), not normalized, of the conics symmetric about
+    `centers` (B, 2) through three representatives each, `reps` (B, 3, 2),
+    and the mask (B,) of the singular central systems, whose rows hold a
+    finite placeholder. A representative stands for an antipodal pair, so
+    a conic passes through the six vertices of its centrally symmetric
+    hexagon. One stacked `det` and `solve` fit the conics centered at the
+    origin; one stacked H^-T M0 H^-1 moves them to their centers."""
+    centers = np.asarray(centers, float).reshape(-1, 2)
+    d = np.asarray(reps, float).reshape(-1, 3, 2) - centers[:, None]
+    x, y = d[..., 0], d[..., 1]
+    M = np.stack([x * x, x * y, y * y], axis=-1)
+    singular = (np.abs(np.linalg.det(M))
+                < 1e-14 * np.maximum(_norm(M.reshape(-1, 9)), 1.0) ** 3)
+    M[singular] = np.eye(3)
+    a, b, c = np.linalg.solve(M, np.ones((len(M), 3, 1)))[..., 0].T
+    M0 = np.zeros((len(M), 3, 3))
+    M0[:, 0, 0], M0[:, 1, 1], M0[:, 2, 2] = a, c, -1.0
+    M0[:, 0, 1] = M0[:, 1, 0] = b / 2
+    Hinv = np.tile(np.eye(3), (len(M), 1, 1))
+    Hinv[:, :2, 2] = -centers
+    return (np.matmul(np.matmul(np.swapaxes(Hinv, 1, 2), M0), Hinv),
+            singular)
 
-    Each representative stands for an antipodal pair, so the conic contains
-    all six vertices of the centrally symmetric hexagon they define.
-    """
-    center = np.asarray(center, float)
-    reps = [np.asarray(r, float) for r in reps]
+
+def central_conic_from_pairs(center, reps) -> Conic:
+    """Conic symmetric about `center` through three representative points:
+    the one-conic call of `central_conic_forms`."""
+    reps = np.asarray(reps, float)
     if len(reps) != 3:
         raise GeometryError("exactly three representatives required")
-    rows = []
-    for r in reps:
-        x, y = r - center
-        rows.append([x * x, x * y, y * y])
-    M = np.array(rows)
-    if abs(np.linalg.det(M)) < 1e-14 * max(np.linalg.norm(M), 1.0) ** 3:
+    forms, singular = central_conic_forms(center, reps)
+    if singular[0]:
         raise GeometryError("degenerate hexagon: singular central system")
-    a, b, c = np.linalg.solve(M, np.ones(3))
-    # Form centered at the origin, then translated to `center`.
-    M0 = np.array([[a, b / 2, 0.0], [b / 2, c, 0.0], [0.0, 0.0, -1.0]])
-    cx, cy = center
-    Hinv = np.array([[1.0, 0.0, -cx], [0.0, 1.0, -cy], [0.0, 0.0, 1.0]])
-    return Conic(Hinv.T @ M0 @ Hinv)
+    return Conic(forms[0])
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,17 @@ class IncidenceStructure:
             what = (f"point index {p}" if not 0 <= p < num_points
                     else f"block index {b}")
             raise IncidenceError(f"flag {bad}: {what} out of range")
-        vars(self).update(num_points=num_points, num_blocks=num_blocks,
-                          flag_array=_sort_flags(F))
+        vars(self).update(vars(self._of(num_points, num_blocks, F)))
+
+    @classmethod
+    def _of(cls, num_points: int, num_blocks: int,
+            F: np.ndarray) -> IncidenceStructure:
+        """The structure of an (F, 2) int64 flag array whose range the
+        caller has checked (`_flag_rows`)."""
+        C = object.__new__(cls)
+        vars(C).update(num_points=num_points, num_blocks=num_blocks,
+                       flag_array=_sort_flags(F))
+        return C
 
     def __eq__(self, other):
         return (isinstance(other, IncidenceStructure)
@@ -286,8 +295,12 @@ def block_pair_counts(C: IncidenceStructure) -> dict:
     offset up to the largest point degree d collects the S = sum of
     C(deg p, 2) pairs, in O(F d) time, and one sort of their keys counts
     them, in O(S log S)."""
-    keys, counts = _block_pairs(C.flag_array, C.num_blocks)
-    i, j = np.divmod(keys, max(C.num_blocks, 1))
+    return _pair_dict(*_block_pairs(C.flag_array, C.num_blocks), C.num_blocks)
+
+
+def _pair_dict(keys: np.ndarray, counts: np.ndarray, num_blocks: int) -> dict:
+    """{(i, j): count} of the block-pair keys i * num_blocks + j."""
+    i, j = np.divmod(keys, max(num_blocks, 1))
     return dict(zip(zip(i.tolist(), j.tolist()), counts.tolist()))
 
 

@@ -16,11 +16,16 @@ from networkx.algorithms.flow import build_residual_network
 from pointconic import incidence
 from pointconic.analysis import SPURIOUS_REL, _homogenized
 from pointconic.cli import BUILDERS
-from pointconic.constructions import _retry, ellipse_conic
+from pointconic.configuration import GeometricConfiguration
+from pointconic.constructions import (ConstructionError, _require_audit,
+                                      _retry,
+                                      _with_default_projection,
+                                      cell24_polytope, ellipse_conic,
+                                      prism_product)
 from pointconic.geometry import (COND_WARN, TOL_MERGE, AffineMap2, Conic,
                                  GeometryError, _axis_angle, _coincident,
                                  _conic_of, _kind, _norm, _pencil_candidates,
-                                 _quadratic_form, _residuals, cross2)
+                                 _quadratic_form, _residuals, cross2, project)
 from pointconic.incidence import (IncidenceStructure, LeviGraph,
                                   new_incidence_structure)
 from pointconic.svg import SceneStyle
@@ -972,3 +977,175 @@ def scalar_coeffs(conic: Conic) -> tuple:
     M = conic.form
     return (M[0, 0], 2 * M[0, 1], M[1, 1], 2 * M[0, 2], 2 * M[1, 2],
             M[2, 2])
+
+
+def scalar_central_conic_from_pairs(center, reps) -> Conic:
+    """The one-hexagon central fit the stacked `central_conic_forms`
+    replaced: its own `det`, `solve` and `Conic`."""
+    center = np.asarray(center, float)
+    reps = [np.asarray(r, float) for r in reps]
+    if len(reps) != 3:
+        raise GeometryError("exactly three representatives required")
+    rows = []
+    for r in reps:
+        x, y = r - center
+        rows.append([x * x, x * y, y * y])
+    M = np.array(rows)
+    if abs(np.linalg.det(M)) < 1e-14 * max(np.linalg.norm(M), 1.0) ** 3:
+        raise GeometryError("degenerate hexagon: singular central system")
+    a, b, c = np.linalg.solve(M, np.ones(3))
+    M0 = np.array([[a, b / 2, 0.0], [b / 2, c, 0.0], [0.0, 0.0, -1.0]])
+    cx, cy = center
+    Hinv = np.array([[1.0, 0.0, -cx], [0.0, 1.0, -cy], [0.0, 0.0, 1.0]])
+    return Conic(Hinv.T @ M0 @ Hinv)
+
+
+def check_hexagon(mids4: np.ndarray):
+    """Planarity and central symmetry of a 6-point cycle in E^4."""
+    c = mids4.mean(axis=0)
+    rel = mids4 - c
+    if np.linalg.norm(rel[0] + rel[3]) > 1e-10 or \
+            np.linalg.norm(rel[1] + rel[4]) > 1e-10 or \
+            np.linalg.norm(rel[2] + rel[5]) > 1e-10:
+        raise ConstructionError("hexagon is not centrally symmetric")
+    s = np.linalg.svd(rel, compute_uv=False)
+    if s.size > 2 and s[2] > 1e-10:
+        raise ConstructionError("hexagon is not planar")
+    return c
+
+
+def loop_hexagon_configuration(points4, hexagons, proj, tol: float,
+                               provenance: dict):
+    """The one-hexagon-at-a-time builder step that the stacked
+    `constructions._hexagon_configuration` replaced: a check, a fit and a
+    `Conic` per hexagon, raising at the first hexagon that fails."""
+    pts2 = np.array([project(proj, p) for p in points4])
+    conics = []
+    flags = set()
+    radii = []
+    for hx in hexagons:
+        mids4 = points4[list(hx)]
+        c4 = check_hexagon(mids4)
+        radii.append(np.linalg.norm(mids4 - c4, axis=1))
+        c2 = project(proj, c4)
+        conic = scalar_central_conic_from_pairs(c2, pts2[list(hx[:3])])
+        if conic.kind != "ellipse":
+            raise ConstructionError(
+                f"non-generic projection: hexagon gave {conic.kind}")
+        b = len(conics)
+        conics.append(conic)
+        flags |= {(p, b) for p in hx}
+    provenance = dict(provenance)
+    provenance["circumradii_4d"] = [float(r.min()) for r in radii], \
+                                   [float(r.max()) for r in radii]
+    G = GeometricConfiguration(pts2, tuple(conics), flags, tol=tol,
+                               provenance=provenance)
+    return _require_audit(G, provenance.get("builder", "hexagons"))
+
+
+def symbolic_hexagons_in_prisms(m: int, n: int):
+    """The inscribed hexagons of the prism product as symbolic midpoint
+    ids, the scheme that `constructions._hexagons_in_prisms` turns into an
+    index array.
+
+    Midpoint ids: ("A", i, j) is the midpoint of edge (u_i u_{i+1}) x w_j,
+    ("B", i, j) of u_i x (w_j w_{j+1}). Yields each hexagon as a 6-cycle of
+    midpoint ids (planar and centrally symmetric by construction).
+    """
+    h = m // 2
+    for j in range(n):            # m-gonal prisms, one per n-gon edge
+        for k in range(h):
+            for chirality in (1, -1):
+                if chirality == 1:
+                    yield (("B", k, j),
+                           ("A", k, j + 1),
+                           ("A", (k + h - 1) % m, j + 1),
+                           ("B", (k + h) % m, j),
+                           ("A", (k + h) % m, j),
+                           ("A", (k - 1) % m, j))
+                else:
+                    yield (("B", k, j),
+                           ("A", (k - 1) % m, j + 1),
+                           ("A", (k + h) % m, j + 1),
+                           ("B", (k + h) % m, j),
+                           ("A", (k + h - 1) % m, j),
+                           ("A", k, j))
+    hn = n // 2
+    for i in range(m):            # n-gonal prisms, one per m-gon edge
+        for k in range(hn):
+            for chirality in (1, -1):
+                if chirality == 1:
+                    yield (("A", i, k),
+                           ("B", i + 1, k),
+                           ("B", i + 1, (k + hn - 1) % n),
+                           ("A", i, (k + hn) % n),
+                           ("B", i, (k + hn) % n),
+                           ("B", i, (k - 1) % n))
+                else:
+                    yield (("A", i, k),
+                           ("B", i + 1, (k - 1) % n),
+                           ("B", i + 1, (k + hn) % n),
+                           ("A", i, (k + hn) % n),
+                           ("B", i, (k + hn - 1) % n),
+                           ("B", i, k))
+
+
+def loop_pmn(m: int, n: int, proj=None):
+    """`pmn` as it was: the whole builder, polytope included, runs again
+    on every default projection tried."""
+    if proj is None:
+        return _with_default_projection(lambda p: loop_pmn(m, n, p))
+    poly = prism_product(m, n)
+    mid_id = {}
+    mids4 = []
+    for i in range(m):
+        for j in range(n):
+            mid_id[("A", i, j)] = len(mids4)
+            mids4.append((poly.vertices[(i % m) * n + j]
+                          + poly.vertices[((i + 1) % m) * n + j]) / 2)
+            mid_id[("B", i, j)] = len(mids4)
+            mids4.append((poly.vertices[i * n + (j % n)]
+                          + poly.vertices[i * n + ((j + 1) % n)]) / 2)
+    hexagons = [tuple(mid_id[(t, a % m, b % n)] for (t, a, b) in hx)
+                for hx in symbolic_hexagons_in_prisms(m, n)]
+    return loop_hexagon_configuration(
+        np.array(mids4), hexagons, proj, tol=1e-8,
+        provenance={"builder": "pmn", "params": {"m": m, "n": n}})
+
+
+def loop_cell24(proj=None):
+    """`cell24` as it was: an `np.allclose` per vertex pair in the axis
+    search, and the whole builder run again on every default projection."""
+    if proj is None:
+        return _with_default_projection(lambda p: loop_cell24(p))
+    poly = cell24_polytope()
+    V = poly.vertices
+    mids4 = poly.edge_midpoints()
+    edge_index = {frozenset(e): k for k, e in enumerate(poly.edges)}
+    hexagons = []
+    for cell in poly.facets:
+        verts = list(cell)
+        centroid = V[verts].mean(axis=0)
+        axes = []
+        used = set()
+        for a in verts:
+            if a in used:
+                continue
+            for b in verts:
+                if b != a and np.allclose(V[a] + V[b], 2 * centroid):
+                    axes.append((a, b))
+                    used |= {a, b}
+                    break
+        if len(axes) != 3:
+            raise ConstructionError("octahedral cell axes not found")
+        (a, abar), (b, bbar), (c, cbar) = axes
+        for sb in (0, 1):
+            for sc in (0, 1):
+                vb, vbbar = (b, bbar) if sb == 0 else (bbar, b)
+                vc, vcbar = (c, cbar) if sc == 0 else (cbar, c)
+                cycle_vertices = [(a, vbbar), (vbbar, vc), (vc, abar),
+                                  (abar, vb), (vb, vcbar), (vcbar, a)]
+                hexagons.append(tuple(edge_index[frozenset(e)]
+                                      for e in cycle_vertices))
+    return loop_hexagon_configuration(
+        mids4, hexagons, proj, tol=1e-8, provenance={"builder": "cell24"})

@@ -14,7 +14,7 @@ from conftest import (brute_force_duplicate_pairs, conics_of,
                       grid_hash_duplicate_pairs, per_flag_check,
                       random_ellipse, residual_matrix_spurious,
                       rounded_coincident_pairs, stack_of)
-from pointconic import analysis
+from pointconic import analysis, io
 from pointconic.analysis import (SPURIOUS_REL, audit, geometric_meets,
                                  intersection_type,
                                  intersection_type_combinatorial,
@@ -29,7 +29,9 @@ from pointconic.constructions import (cell24, crossed_ellipses,
 from pointconic.geometry import (AffineMap2, Conic, GeometryError,
                                  apply_affine, apply_affine_point,
                                  ellipse_parameters)
-from pointconic.incidence import catalog, new_incidence_structure
+from pointconic.cli import main
+from pointconic.incidence import (block_pair_counts, catalog,
+                                  new_incidence_structure)
 
 
 def _translate_family(num=5, seed=0):
@@ -456,6 +458,27 @@ class TestIntersectionType:
         # are disjoint.
         assert len(t.per_pair) == 12
         assert set(t.per_pair.values()) == {2}
+
+    def test_analyze_builds_no_pair_dict(self, tmp_path, capsys):
+        # analyze prints the type set only, which comes from the count
+        # array; the 78,732-entry per-pair dict of the seed-0 cube is built
+        # only when read.
+        d = dipyramid_carnot(3, seed=0)
+        cube = product(product(d, d, genericize=True, seed=1), d,
+                       genericize=True, seed=2)
+        path = tmp_path / "cube.json"
+        io.write_configuration(cube, path)
+        with mock.patch.object(analysis, "_pair_dict",
+                               side_effect=AssertionError) as pair_dict:
+            assert main(["analyze", "-i", str(path)]) == 0
+            t = intersection_type(cube)
+        assert pair_dict.call_count == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "signature (5832_6)", "intersection type {1,2}"]
+        C = cube.to_incidence_structure()
+        assert t.per_pair == block_pair_counts(C)
+        assert len(t.per_pair) == 78732 and t.per_pair is t.per_pair
+        assert t == intersection_type_combinatorial(C)
 
     def test_affine_invariance(self):
         G = polygon_ring(4)

@@ -1,12 +1,16 @@
 """Unit tests for the geometric builders."""
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import (nested_product_flags, no_3_collinear, no_4_concyclic,
+from conftest import (loop_cell24, loop_hexagon_configuration, loop_pmn,
+                      nested_product_flags, no_3_collinear, no_4_concyclic,
                       random_conical_structure, scalar_apply_affine,
-                      scalar_conic_through_padded, scalar_translate_conic)
+                      scalar_conic_through_padded, scalar_translate_conic,
+                      symbolic_hexagons_in_prisms)
 from pointconic import analysis, constructions, io
 from pointconic.analysis import audit, intersection_type, isometry_check
 from pointconic.cli import main
@@ -21,7 +25,7 @@ from pointconic.constructions import (ConstructionError, cell24,
                                       qcube_48, realize_by_conics,
                                       realize_lineal_by_circles,
                                       richter_gebert)
-from pointconic.geometry import (AffineMap2, GeometryError,
+from pointconic.geometry import (AffineMap2, Conic, GeometryError,
                                  apply_affine_point, carnot_product, classify,
                                  ellipse_parameters)
 from pointconic.incidence import (catalog, catalog_names,
@@ -288,6 +292,121 @@ class TestPmnAndCell24:
         assert len(P.edges) == 96
         norms = np.linalg.norm(P.vertices, axis=1)
         assert np.allclose(norms, np.sqrt(2))
+
+
+def _build_outcome(build):
+    """The canonical JSON of a build, or the type and text of its error."""
+    try:
+        G = build()
+    except (ConstructionError, GeometryError) as exc:
+        return type(exc), str(exc)
+    return io.dumps_canonical(io.to_document(G))
+
+
+class TestStackedHexagonBuilders:
+    """pmn and cell24 build their polytope once and fit every hexagon in one
+    array pass per projection; the one-hexagon loop in conftest is the
+    oracle, for the bytes and for the error of a rejected projection."""
+
+    # pmn(4, 50) exhausts its default projections.
+    PMN = ([(m, m) for m in range(4, 24, 2)]
+           + [(4, n) for n in range(6, 68, 2) if n != 50])
+    SEEDS = (None, 12345, 12346)
+
+    def test_hexagon_ids_match_symbolic_scheme(self):
+        for m, n in itertools.product(range(4, 26, 2), repeat=2):
+            ids = {("A", i, j): 2 * (i * n + j) for i in range(m)
+                   for j in range(n)}
+            ids.update({("B", i, j): 2 * (i * n + j) + 1 for i in range(m)
+                        for j in range(n)})
+            assert constructions._hexagons_in_prisms(m, n).tolist() == [
+                [ids[(t, a % m, b % n)] for (t, a, b) in hx]
+                for hx in symbolic_hexagons_in_prisms(m, n)], (m, n)
+
+    @pytest.mark.parametrize("m, n", PMN)
+    def test_pmn_matches_loop(self, m, n):
+        for seed in self.SEEDS:
+            proj = None if seed is None else generic_projection(seed)
+            assert _build_outcome(lambda: pmn(m, n, proj)) == \
+                _build_outcome(lambda: loop_pmn(m, n, proj)), seed
+
+    def test_cell24_matches_loop(self):
+        for seed in self.SEEDS:
+            proj = None if seed is None else generic_projection(seed)
+            assert _build_outcome(lambda: cell24(proj)) == \
+                _build_outcome(lambda: loop_cell24(proj)), seed
+
+    def test_rejected_projection_error(self):
+        for seed in (12345, 12346):
+            proj = generic_projection(seed)
+            with pytest.raises(ConstructionError,
+                               match="non-generic projection: hexagon gave "
+                                     "point"):
+                cell24(proj)
+            assert _build_outcome(lambda: cell24(proj)) == \
+                _build_outcome(lambda: loop_cell24(proj))
+
+    def test_first_failing_hexagon_and_check(self):
+        # Hexagons with known defects, appended to pmn(4, 4)'s in every
+        # order: the error is that of the first failing hexagon, and of its
+        # first failing check, as in the loop.
+        u, v, w = np.eye(4)[:3]
+        c = np.array([3.0, 1.0, 2.0, 0.5])
+        rng = np.random.default_rng(5)
+        shapes = {
+            "asymmetric": rng.normal(size=(6, 4)),
+            "warped": [u, v, w, -u, -v, -w],
+            "asymmetric and warped": [u, v, w, -u, -v, 2 * w],
+            "singular": [u, 2 * u, v, -u, -2 * u, -v],
+        }
+        good = constructions._hexagons_in_prisms(4, 4).tolist()
+        points4 = np.vstack([prism_product(4, 4).edge_midpoints()]
+                            + [c + np.asarray(p, float)
+                               for p in shapes.values()])
+        extra = [list(range(32 + 6 * k, 38 + 6 * k))
+                 for k in range(len(shapes))]
+        proj = generic_projection(12347)
+        seen = set()
+        for order in itertools.permutations(range(len(shapes))):
+            hexagons = np.array(good[:3] + [extra[k] for k in order]
+                                + good[3:])
+            outcome = _build_outcome(
+                lambda: constructions._hexagon_configuration(
+                    points4, hexagons, 1e-8, {"builder": "pmn"}, proj))
+            assert outcome == _build_outcome(
+                lambda: loop_hexagon_configuration(
+                    points4, hexagons, proj, 1e-8, {"builder": "pmn"}))
+            seen.add(outcome)
+        assert {text for _, text in seen} == {
+            "hexagon is not centrally symmetric", "hexagon is not planar",
+            "degenerate hexagon: singular central system"}
+
+    def test_polytope_built_once_per_default_build(self):
+        for builder, polytope, build, tried in (
+                ("pmn", "prism_product", lambda: pmn(8, 8), 2),
+                ("cell24", "cell24_polytope", cell24, 3)):
+            with mock.patch.object(
+                    constructions, polytope,
+                    wraps=getattr(constructions, polytope)) as poly, \
+                    mock.patch.object(
+                        constructions, "generic_projection",
+                        wraps=generic_projection) as projections:
+                build()
+            assert poly.call_count == 1, builder
+            assert projections.call_count == tried, builder
+
+    def test_no_conic_objects_built(self):
+        for build, loop in ((lambda: pmn(10, 10), lambda: loop_pmn(10, 10)),
+                            (cell24, loop_cell24)):
+            with mock.patch.object(Conic, "__post_init__", autospec=True,
+                                   side_effect=Conic.__post_init__) as post:
+                G = build()
+            assert post.call_count == 0
+            assert "conics" not in vars(G)
+            with mock.patch.object(Conic, "__post_init__", autospec=True,
+                                   side_effect=Conic.__post_init__) as post:
+                loop()
+            assert post.call_count >= G.num_conics
 
 
 class TestRealizers:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import (carnot_six_from_conic, conics_of,
                       one_phase_pencil_intersections,
                       per_matrix_solve_or_nan, random_ellipse, random_triangle,
-                      scalar_apply_affine, scalar_coeffs, scalar_collinear,
+                      scalar_apply_affine, scalar_central_conic_from_pairs,
+                      scalar_coeffs, scalar_collinear,
                       scalar_conic, scalar_conic_conic_intersections,
                       scalar_conic_from_5_points,
                       scalar_conic_from_normalized_coeffs,
@@ -365,6 +366,42 @@ class TestFitting:
     def test_central_conic_degenerate(self):
         with pytest.raises(GeometryError):
             central_conic_from_pairs((0, 0), [(1, 0), (2, 0), (3, 0)])
+
+    # A hexagon: its center, two representatives and a third that is
+    # either free or a multiple of the first about the center (a singular
+    # central system).
+    _hexagon = st.tuples(_point, _point, _point, st.one_of(
+        _point, st.floats(-3, 3).map(lambda t: ("scaled", t))))
+
+    @given(st.lists(_hexagon, min_size=1, max_size=6))
+    @example([((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0))])
+    def test_central_conic_is_its_stacked_row(self, hexagons):
+        # The one-conic call is the B = 1 call of central_conic_forms; each
+        # row of a stacked fit gives the same form, or the same error, as
+        # the call on that hexagon alone and as the one-hexagon oracle.
+        centers, reps = [], []
+        for center, r1, r2, r3 in hexagons:
+            if r3[0] == "scaled":
+                r3 = tuple(c + r3[1] * (r - c) for c, r in zip(center, r1))
+            centers.append(center)
+            reps.append([r1, r2, r3])
+        forms, singular = geometry.central_conic_forms(centers, reps)
+        assert forms.shape == (len(hexagons), 3, 3)
+        for k, (center, row) in enumerate(zip(centers, reps)):
+            outcomes = []
+            for fit in (central_conic_from_pairs,
+                        scalar_central_conic_from_pairs):
+                try:
+                    outcomes.append(fit(center, row).form.tobytes())
+                except GeometryError as exc:
+                    outcomes.append(str(exc))
+            if singular[k]:
+                want = "degenerate hexagon: singular central system"
+            elif np.isfinite(forms[k]).all():
+                want = geometry._normalized_forms(forms[k:k + 1])[0].tobytes()
+            else:
+                want = "non-finite conic form"
+            assert outcomes == [want, want]
 
 
 def _fit_outcome(fit, pts):

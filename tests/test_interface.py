@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pointconic
-from pointconic import cli, geometry
+from pointconic import cli, configuration, geometry, incidence
 from pointconic.analysis import audit, intersection_type
 from pointconic.cli import main
 from pointconic import io
@@ -195,6 +196,22 @@ class TestValidation:
             with pytest.raises(GeometryError, match="out of range"):
                 GeometricConfiguration(np.zeros((2, 2)), (conic,),
                                        np.array([(1, 0), flag]))
+
+    def test_flag_range_checked_once(self):
+        # The configuration checks its flags' range; its structure is built
+        # from the checked array, while the public structure constructor
+        # still checks and raises IncidenceError.
+        G = crossed_ellipses()
+        with mock.patch.object(configuration, "_flag_rows",
+                               wraps=incidence._flag_rows) as in_config, \
+                mock.patch.object(incidence, "_flag_rows",
+                                  wraps=incidence._flag_rows) as in_structure:
+            H = GeometricConfiguration(G.points, G.conics, list(G.flags))
+            assert (in_config.call_count, in_structure.call_count) == (1, 0)
+            with pytest.raises(IncidenceError, match="out of range"):
+                incidence.IncidenceStructure(2, 2, [(0, 2)])
+            assert in_structure.call_count == 1
+        assert H.to_incidence_structure() == G.to_incidence_structure()
 
     @pytest.mark.parametrize("index", [7, 2 ** 63, 2 ** 64, 2 ** 70])
     def test_reader_flag_beyond_range(self, index):
