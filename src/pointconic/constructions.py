@@ -322,6 +322,12 @@ def _edge_point(rng, U, V, taken=None, margin=0.12):
     return _retry(draw, 64, "generic edge point")
 
 
+def _two_edge_points(rng, U, V) -> list[np.ndarray]:
+    """Two free random points on the line UV, clear of each other."""
+    p = _edge_point(rng, U, V)
+    return [p, _edge_point(rng, U, V, taken=p)]
+
+
 def _fit_face_conic(pts6, tol: float) -> Conic:
     conic = conic_from_5_points(pts6[:5])
     if conic.residual(pts6[5]) > tol:
@@ -329,6 +335,22 @@ def _fit_face_conic(pts6, tol: float) -> Conic:
     if conic.is_degenerate():
         raise GeometryError("degenerate face conic")
     return conic
+
+
+def _carnot_scene(edge_pts, faces, tol: float, provenance: dict,
+                  context: str) -> GeometricConfiguration:
+    """The audited scene of a Carnot construction. Edge e holds the point
+    pair `edge_pts[e]`, which become points 2e and 2e + 1; face f's conic
+    is fitted through, and flagged on, the points of its side edges
+    `faces[f]`, given in Carnot order a, b, c."""
+    points = np.reshape(edge_pts, (-1, 2))
+    slots = (2 * np.asarray(faces)[:, :, None] + [0, 1]).reshape(-1, 6)
+    conics = tuple(_fit_face_conic(points[s], tol) for s in slots)
+    flags = np.column_stack([slots.ravel(),
+                             np.repeat(np.arange(len(slots)), 6)])
+    G = GeometricConfiguration(points, conics, flags, tol=tol,
+                               provenance=provenance)
+    return _require_audit(G, context)
 
 
 def richter_gebert(seed: int = 0) -> GeometricConfiguration:
@@ -354,74 +376,38 @@ def _richter_gebert_once(rng) -> GeometricConfiguration:
             raise GeometryError("tetrahedron drawing too flat")
         return base
     A, B, C, D = _retry(draw_base, 64, "generic tetrahedron drawing")
-    edge_pts: dict[frozenset, list] = {}
 
-    def edge(u, v):
-        return frozenset((u, v))
-
-    # Face ABC: six points cut from a random conic.
+    # Face ABC: six points cut from a random conic, on BC, CA and AB.
     pts6 = _retry(lambda: _sample_6_on_conic(_random_ellipse(rng), (A, B, C)),
                   64, "transversal conic for the first face")
-    edge_pts[edge(1, 2)] = pts6[0:2]   # on BC
-    edge_pts[edge(2, 0)] = pts6[2:4]   # on CA
-    edge_pts[edge(0, 1)] = pts6[4:6]   # on AB
+    bc, ca, ab = pts6[0:2], pts6[2:4], pts6[4:6]
 
     # Face ABD (A, B, D): sides a=BD, b=DA, c=AB. AB known; place BD fully
     # and one DA point, solve the second DA point.
-    bd = [_edge_point(rng, B, D), None]
-    bd[1] = _edge_point(rng, B, D, taken=bd[0])
-    da0 = _edge_point(rng, D, A)
-    known = bd + [da0] + edge_pts[edge(0, 1)]
-    da1 = carnot_solve_sixth((A, B, D), known, side="b")
-    edge_pts[edge(1, 3)] = bd
-    edge_pts[edge(3, 0)] = [da0, da1]
+    bd = _two_edge_points(rng, B, D)
+    da = [_edge_point(rng, D, A)]
+    da.append(carnot_solve_sixth((A, B, D), bd + da + ab, side="b"))
 
     # Face ACD (A, C, D): sides a=CD, b=DA, c=AC. DA and AC known; place one
     # CD point, solve the other.
-    cd0 = _edge_point(rng, C, D)
-    known = [cd0] + edge_pts[edge(3, 0)] + edge_pts[edge(2, 0)]
-    cd1 = carnot_solve_sixth((A, C, D), known, side="a")
-    edge_pts[edge(2, 3)] = [cd0, cd1]
+    cd = [_edge_point(rng, C, D)]
+    cd.append(carnot_solve_sixth((A, C, D), cd + da + ca, side="a"))
 
-    # Face BCD closes automatically; verify before fitting.
-    tri_bcd = (B, C, D)
-    pts_bcd = (edge_pts[edge(2, 3)]          # on CD (side a of BCD)
-               + edge_pts[edge(1, 3)]        # on DB (side b)
-               + edge_pts[edge(1, 2)])       # on BC (side c)
-    closure = carnot_product(tri_bcd, pts_bcd)
+    # Face BCD (B, C, D): sides a=CD, b=DB, c=BC. It closes automatically;
+    # verify before fitting.
+    closure = carnot_product((B, C, D), cd + bd + bc)
     if abs(closure - 1.0) > 1e-7:
         raise GeometryError(f"closure product off by {closure - 1.0:.2e}")
 
-    faces = [((A, B, C), [(1, 2), (2, 0), (0, 1)]),
-             ((A, B, D), [(1, 3), (3, 0), (0, 1)]),
-             ((A, C, D), [(2, 3), (3, 0), (2, 0)]),
-             ((B, C, D), [(2, 3), (1, 3), (1, 2)])]
-    point_index = {}
-    points = []
-    for e, pts in sorted(edge_pts.items(), key=lambda kv: sorted(kv[0])):
-        for s, p in enumerate(pts):
-            point_index[(e, s)] = len(points)
-            points.append(p)
-    conics = []
-    flags = set()
-    for tri, edges in faces:
-        face_pts = []
-        for (u, v) in edges:
-            face_pts.extend(edge_pts[edge(u, v)])
-        conic = _fit_face_conic(face_pts, tol=1e-7)
-        b = len(conics)
-        conics.append(conic)
-        for (u, v) in edges:
-            for s in range(2):
-                flags.add((point_index[(edge(u, v), s)], b))
-    G = GeometricConfiguration(
-        np.array(points), tuple(conics), flags, tol=1e-7,
-        provenance={"builder": "richter_gebert",
-                    "closure_residual": abs(closure - 1.0),
-                    "type": "(12_2,4_6)",
-                    "type_note": "also quoted as (12_6,4_3); the 24 flags "
-                                 "force (12_2,4_6)"})
-    return _require_audit(G, "richter_gebert")
+    # Edges AB, AC, AD, BC, BD, CD are 0-5; faces ABC, ABD, ACD, BCD.
+    return _carnot_scene(
+        [ab, ca, da, bc, bd, cd], [[3, 1, 0], [4, 2, 0], [5, 2, 1], [5, 4, 3]],
+        1e-7, {"builder": "richter_gebert",
+               "closure_residual": abs(closure - 1.0),
+               "type": "(12_2,4_6)",
+               "type_note": "also quoted as (12_6,4_3); the 24 flags "
+                            "force (12_2,4_6)"},
+        "richter_gebert")
 
 
 def dipyramid_carnot(n: int, seed: int = 0) -> GeometricConfiguration:
@@ -456,10 +442,6 @@ def _dipyramid_once(rng, n: int) -> GeometricConfiguration:
     up_pts = [None] * n      # points on spoke (north, v_i)
     lo_pts = [None] * n      # points on spoke (south, v_i)
 
-    def two_free(U, V):
-        p = _edge_point(rng, U, V)
-        return [p, _edge_point(rng, U, V, taken=p)]
-
     closure_residuals = []
     # Upper faces U_i = (north, v_i, v_{i+1}); sides: a = ring edge i,
     # b = spoke i+1, c = spoke i.
@@ -467,9 +449,9 @@ def _dipyramid_once(rng, n: int) -> GeometricConfiguration:
         j = (i + 1) % n
         tri = (north, ring[i], ring[j])
         if up_pts[i] is None:
-            up_pts[i] = two_free(north, ring[i])
+            up_pts[i] = _two_edge_points(rng, north, ring[i])
         if up_pts[j] is None:
-            up_pts[j] = two_free(north, ring[j])
+            up_pts[j] = _two_edge_points(rng, north, ring[j])
         r0 = _edge_point(rng, ring[i], ring[j])
         known = [r0] + up_pts[j] + up_pts[i]
         r1 = carnot_solve_sixth(tri, known, side="a")
@@ -479,7 +461,7 @@ def _dipyramid_once(rng, n: int) -> GeometricConfiguration:
         j = (i + 1) % n
         tri = (south, ring[i], ring[j])
         if lo_pts[i] is None:
-            lo_pts[i] = two_free(south, ring[i])
+            lo_pts[i] = _two_edge_points(rng, south, ring[i])
         if lo_pts[j] is None:
             if i == n - 1:
                 raise GeometryError("face ordering broke")
@@ -496,46 +478,24 @@ def _dipyramid_once(rng, n: int) -> GeometricConfiguration:
                     f"closing face residual {closure_residuals[-1]:.2e}")
 
     all_pts = ring_pts + up_pts + lo_pts
-    for pair in all_pts:
-        for p in pair:
-            if np.max(np.abs(p)) > 50:
-                raise GeometryError("runaway solved point")
-    points = []
-    index = {}
-    for e, pair in enumerate(all_pts):
-        for s, p in enumerate(pair):
-            index[(e, s)] = len(points)
-            points.append(p)
-
-    conics = []
-    flags = set()
-    face_triangles = []
-    face_points = []
-    for i in range(n):
-        j = (i + 1) % n
-        for apex, apex_pts, apex_off in ((north, up_pts, n),
-                                         (south, lo_pts, 2 * n)):
-            face_pts = ring_pts[i] + apex_pts[j] + apex_pts[i]
-            conic = _fit_face_conic(face_pts, tol=1e-6)
-            b = len(conics)
-            conics.append(conic)
-            slots = ([(i, 0), (i, 1)]
-                     + [(apex_off + j, 0), (apex_off + j, 1)]
-                     + [(apex_off + i, 0), (apex_off + i, 1)])
-            for (e, s) in slots:
-                flags.add((index[(e, s)], b))
-            # Slot order matches the canonical Carnot sides (a, a, b, b, c, c)
-            # of the face triangle (apex, v_i, v_j).
-            face_triangles.append([apex, ring[i], ring[j]])
-            face_points.append([index[es] for es in slots])
-    G = GeometricConfiguration(
-        np.array(points), tuple(conics), flags, tol=1e-6,
-        provenance={"builder": "dipyramid_carnot",
-                    "params": {"n": n},
-                    "max_closure_residual": max(closure_residuals),
-                    "face_triangles": face_triangles,
-                    "face_points": face_points})
-    return _require_audit(G, f"dipyramid_carnot({n})")
+    if np.max(np.abs(all_pts)) > 50:
+        raise GeometryError("runaway solved point")
+    # Edges: ring edge i is i, spoke (north, v_i) n + i, spoke (south, v_i)
+    # 2n + i. Face (apex, v_i, v_j) has the sides (a, b, c) = (ring edge i,
+    # spoke j, spoke i), so its slot order matches the canonical Carnot sides
+    # (a, a, b, b, c, c) of the face triangle (apex, v_i, v_j).
+    faces = [[i, off + (i + 1) % n, off + i]
+             for i in range(n) for off in (n, 2 * n)]
+    return _carnot_scene(
+        all_pts, faces, 1e-6,
+        {"builder": "dipyramid_carnot",
+         "params": {"n": n},
+         "max_closure_residual": max(closure_residuals),
+         "face_triangles": [[apex, ring[i], ring[(i + 1) % n]]
+                            for i in range(n) for apex in (north, south)],
+         "face_points": [[2 * e + s for e in face for s in (0, 1)]
+                         for face in faces]},
+        f"dipyramid_carnot({n})")
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +734,23 @@ def cell24_polytope() -> Polytope4:
 # Generic realizers
 # ---------------------------------------------------------------------------
 
+def _realize(C: IncidenceStructure, seed: int, fit, builder: str,
+             what: str) -> GeometricConfiguration:
+    """Points drawn in the unit square and the conic `fit(rng, pts,
+    members)` of each block, audited; redrawn up to RETRY_BUDGET times."""
+    rng = np.random.default_rng(seed)
+
+    def attempt():
+        pts = rng.uniform(0, 1, size=(C.num_points, 2))
+        conics = tuple(fit(rng, pts, sorted(C.points_of_block(b)))
+                       for b in range(C.num_blocks))
+        G = GeometricConfiguration(pts, conics, C.flag_array, tol=1e-8,
+                                   provenance={"builder": builder,
+                                               "seed": seed})
+        return _require_audit(G, what)
+    return _retry(attempt, RETRY_BUDGET, what)
+
+
 def realize_lineal_by_circles(C: IncidenceStructure,
                               seed: int = 0) -> GeometricConfiguration:
     """Realize a lineal 3-configuration by points in general position and
@@ -783,19 +760,10 @@ def realize_lineal_by_circles(C: IncidenceStructure,
         raise ConstructionError("all block sizes must be 3")
     if has_biclique(C, 2, 2):
         raise ConstructionError("structure is not lineal")
-    rng = np.random.default_rng(seed)
-
-    def attempt():
-        pts = rng.uniform(0, 1, size=(C.num_points, 2))
-        conics = tuple(circle_through_3_points(
-            *[pts[p] for p in sorted(C.points_of_block(b))])
-            for b in range(C.num_blocks))
-        G = GeometricConfiguration(
-            pts, conics, C.flag_array, tol=1e-8,
-            provenance={"builder": "realize_lineal_by_circles",
-                        "seed": seed})
-        return _require_audit(G, "circle realization")
-    return _retry(attempt, RETRY_BUDGET, "circle realization")
+    return _realize(C, seed,
+                    lambda rng, pts, members: circle_through_3_points(
+                        *pts[members]),
+                    "realize_lineal_by_circles", "circle realization")
 
 
 def realize_by_conics(C: IncidenceStructure,
@@ -807,18 +775,8 @@ def realize_by_conics(C: IncidenceStructure,
         raise ConstructionError("structure has a K_{5,2}; not conical")
     if any(C.block_size(b) > 5 for b in range(C.num_blocks)):
         raise ConstructionError("block sizes must be at most 5")
-    rng = np.random.default_rng(seed)
-
-    def attempt():
-        pts = rng.uniform(0, 1, size=(C.num_points, 2))
-        conics = tuple(
-            _conic_through_padded(rng, pts, sorted(C.points_of_block(b)))
-            for b in range(C.num_blocks))
-        G = GeometricConfiguration(
-            pts, conics, C.flag_array, tol=1e-8,
-            provenance={"builder": "realize_by_conics", "seed": seed})
-        return _require_audit(G, "conic realization")
-    return _retry(attempt, RETRY_BUDGET, "conic realization")
+    return _realize(C, seed, _conic_through_padded, "realize_by_conics",
+                    "conic realization")
 
 
 def _conic_through_padded(rng, pts, members) -> Conic:

@@ -319,7 +319,9 @@ def central_conic_from_pairs(center, reps) -> Conic:
 
 _PENCIL_TS = np.array([0.0, 1.0, -1.0, 2.0])
 _PENCIL_VANDER = np.vander(_PENCIL_TS, 4)
-_MINOR_KEEP = ([1, 2], [0, 2], [0, 1])  # indices left after deleting k
+# Indices left after deleting k, and the cofactor signs (-1) ** (i + j).
+_MINOR_KEEP = np.array([[1, 2], [0, 2], [0, 1]])
+_COFACTOR_SIGN = (-1) ** np.add.outer(np.arange(3), np.arange(3))
 # Pairs per kernel pass: keeps the working set near 1 MB (1.3 MB traced
 # peak on cell24). One pass over cell24's 4560 pairs peaks at 7.7 MB and is
 # only ~10 % faster (47 vs 52 ms).
@@ -360,11 +362,9 @@ def _split_degenerate(C: np.ndarray) -> np.ndarray:
     """
     C = C.astype(complex)
     rows = np.arange(len(C))
-    adj = np.empty_like(C)
-    for i, keep_i in enumerate(_MINOR_KEEP):
-        for j, keep_j in enumerate(_MINOR_KEEP):
-            minor = C[:, keep_i][:, :, keep_j]
-            adj[:, j, i] = np.linalg.det(minor) * (-1) ** (i + j)
+    # Minor (i, j) of C, (R, 3, 3, 2, 2); adj is the transposed cofactors.
+    minors = C[:, _MINOR_KEEP[:, None, :, None], _MINOR_KEEP[None, :, None, :]]
+    adj = (np.linalg.det(minors) * _COFACTOR_SIGN).transpose(0, 2, 1)
     i = np.argmax(np.abs(np.diagonal(adj, axis1=1, axis2=2)), axis=1)
     beta = np.sqrt(-adj[rows, i, i] + 0j)
     p = adj[rows, :, i] / beta[:, None]
@@ -642,27 +642,32 @@ def signed_ratio(X, Z, Y) -> float:
 
 # Slot layout for Carnot data: (A1, A2, B1, B2, C1, C2); side "a" points lie
 # on line BC, "b" on CA, "c" on AB.
-_CARNOT_SIDES = ("a", "a", "b", "b", "c", "c")
-
-
-def _carnot_ratio(tri, side: str, p) -> float:
-    A, B, C = tri
-    if side == "a":     # BA_i / A_iC
-        return signed_ratio(B, p, C)
-    if side == "b":     # CB_i / B_iA
-        return signed_ratio(C, p, A)
-    return signed_ratio(A, p, B)  # AC_i / C_iB
+_CARNOT_SIDES = "aabbcc"
+# The vertices (U, V) of each side of a triangle (A, B, C); a point P on it
+# has the ratio UP / PV: BA_i / A_iC, CB_i / B_iA and AC_i / C_iB.
+_SIDE_ENDS = {"a": (1, 2), "b": (2, 0), "c": (0, 1)}
 
 
 def _check_carnot_point(tri, side: str, p, vertex_eps: float = 1e-9):
-    A, B, C = (np.asarray(v, float) for v in tri)
-    ends = {"a": (B, C), "b": (C, A), "c": (A, B)}[side]
+    U, V = (tri[k] for k in _SIDE_ENDS[side])
     p = np.asarray(p, float)
-    if not _collinear(ends[0], ends[1], p, rel=1e-7):
+    if not _collinear(U, V, p, rel=1e-7):
         raise GeometryError(f"point {p} not on side line '{side}'")
-    for v in (A, B, C):
+    for v in tri:
         if np.linalg.norm(p - v) < vertex_eps:
             raise GeometryError("side point coincides with a triangle vertex")
+
+
+def _carnot_ratios(tri, pts, sides) -> float:
+    """Product of the signed ratios of the points `pts` on their `sides`,
+    in order; each point is checked on its side line and off the vertices
+    before its ratio is taken."""
+    prod = 1.0
+    for p, side in zip(pts, sides):
+        _check_carnot_point(tri, side, p)
+        U, V = (tri[k] for k in _SIDE_ENDS[side])
+        prod *= signed_ratio(U, p, V)
+    return prod
 
 
 def carnot_product(tri, pts) -> float:
@@ -675,11 +680,7 @@ def carnot_product(tri, pts) -> float:
     pts = [np.asarray(p, float) for p in pts]
     if len(pts) != 6:
         raise GeometryError("exactly six side points required")
-    prod = 1.0
-    for p, side in zip(pts, _CARNOT_SIDES):
-        _check_carnot_point(tri, side, p)
-        prod *= _carnot_ratio(tri, side, p)
-    return prod
+    return _carnot_ratios(tri, pts, _CARNOT_SIDES)
 
 
 def carnot_solve_sixth(tri, pts, side: str) -> np.ndarray:
@@ -695,20 +696,11 @@ def carnot_solve_sixth(tri, pts, side: str) -> np.ndarray:
     pts = [np.asarray(p, float) for p in pts]
     if len(pts) != 5:
         raise GeometryError("exactly five placed points required")
-    missing = {"a": 1, "b": 3, "c": 5}[side]
-    slots = list(pts)
-    slots.insert(missing, None)
-    prod = 1.0
-    for p, s in zip(slots, _CARNOT_SIDES):
-        if p is None:
-            continue
-        _check_carnot_point(tri, s, p)
-        prod *= _carnot_ratio(tri, s, p)
+    prod = _carnot_ratios(tri, pts, _CARNOT_SIDES.replace(side, "", 1))
     if abs(prod) < 1e-300 or not math.isfinite(prod):
         raise GeometryError("required ratio is 0 or infinite")
     r = 1.0 / prod
-    A, B, C = tri
-    U, V = {"a": (B, C), "b": (C, A), "c": (A, B)}[side]
+    U, V = (tri[k] for k in _SIDE_ENDS[side])
     if abs(1.0 + r) < 1e-9:
         raise GeometryError("solved point lies at infinity")
     p = (U + r * V) / (1.0 + r)

@@ -51,7 +51,15 @@ _SCHEMAS = {kind: _load_schema(kind) for kind in ("combinatorial",
 # Canonical JSON emission
 # ---------------------------------------------------------------------------
 
+# The one %-format of a row's cells, by the one type all cells share.
+_ROW_SPECS = {frozenset({int}): "%d", frozenset({float}): "%.17g"}
+
+
 def _dump_value(v) -> str:
+    """Canonical JSON text of `v`. A nonempty list of equal-width, nonempty
+    rows (lists) of only floats or only ints (points, conics, flags) is
+    printed by one %-format, after one finiteness check for floats; other
+    lists and tuples recurse."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -68,43 +76,25 @@ def _dump_value(v) -> str:
                  for k, val in v.items())
         return "{" + ", ".join(items) + "}"
     if isinstance(v, (list, tuple)) or isinstance(v, np.ndarray):
+        rows = type(v) is list and set(map(type, v)) == {list}
+        widths = set(map(len, v)) if rows else {0}
+        if len(widths) == 1 and 0 not in widths:
+            flat = tuple(itertools.chain.from_iterable(v))
+            spec = _ROW_SPECS.get(frozenset(map(type, flat)))
+            if spec == "%.17g" and not np.isfinite(flat).all():
+                raise InterfaceError("non-finite real in document")
+            if spec:
+                row = "[" + ", ".join([spec] * widths.pop()) + "]"
+                return ("[" + ", ".join([row] * len(v)) + "]") % flat
         return "[" + ", ".join(_dump_value(x) for x in v) + "]"
     if v is None:
         return "null"
     raise InterfaceError(f"unserializable value of type {type(v).__name__}")
 
 
-def _dump_rows(rows) -> str | None:
-    """`_dump_value(rows)` for a nonempty list of equal-length rows that
-    hold only floats or only ints, in one formatting pass (after one
-    finiteness check for floats); None for any other value, which takes
-    the recursive path."""
-    if type(rows) is not list or set(map(type, rows)) != {list}:
-        return None
-    widths = set(map(len, rows))
-    if len(widths) != 1 or 0 in widths:
-        return None
-    width = widths.pop()
-    flat = list(itertools.chain.from_iterable(rows))
-    types = set(map(type, flat))
-    if types == {int}:
-        return str(rows)        # a list of int lists prints canonically
-    if types != {float}:
-        return None
-    if not np.isfinite(flat).all():
-        raise InterfaceError("non-finite real in document")
-    row = "[" + ", ".join(["{:.17g}"] * width) + "]"
-    return "[" + ", ".join(map(row.format, *zip(*rows))) + "]"
-
-
 def dumps_canonical(doc: dict) -> str:
-    """The canonical text of a document: `_dump_value`, with the numeric
-    rows of a top-level key (points, conics, flags) formatted in one pass."""
-    if not isinstance(doc, dict):
-        return _dump_value(doc) + "\n"
-    items = (f"{json.dumps(str(k))}: {_dump_rows(v) or _dump_value(v)}"
-             for k, v in doc.items())
-    return "{" + ", ".join(items) + "}\n"
+    """The canonical text of a document: `_dump_value`, newline-ended."""
+    return _dump_value(doc) + "\n"
 
 
 def _plain(v):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import warnings
 from collections import Counter, defaultdict
@@ -28,6 +29,7 @@ from pointconic.geometry import (COND_WARN, TOL_MERGE, AffineMap2, Conic,
                                  _quadratic_form, _residuals, cross2, project)
 from pointconic.incidence import (IncidenceStructure, LeviGraph,
                                   new_incidence_structure)
+from pointconic.io import InterfaceError
 from pointconic.svg import SceneStyle
 
 
@@ -785,6 +787,34 @@ def scalar_render_svg(G, style=None) -> str:
             f'r="{fmt(style.point_radius)}" fill="{style.point_color}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The element-by-element writer: the oracle for io._dump_value's rows
+# ---------------------------------------------------------------------------
+
+def recursive_dump_value(v) -> str:
+    """Canonical JSON text of `v`, every list printed element by element."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        v = float(v)
+        if v != v or v in (float("inf"), float("-inf")):
+            raise InterfaceError("non-finite real in document")
+        return format(v, ".17g")
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, dict):
+        items = (f"{json.dumps(str(k))}: {recursive_dump_value(val)}"
+                 for k, val in v.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(v, (list, tuple)) or isinstance(v, np.ndarray):
+        return "[" + ", ".join(recursive_dump_value(x) for x in v) + "]"
+    if v is None:
+        return "null"
+    raise InterfaceError(f"unserializable value of type {type(v).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -660,6 +660,72 @@ class TestSignedRatioAndCarnot:
             carnot_product(tri, pts)
 
 
+_TRI = (np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+def _on_side(side: str, t: float) -> np.ndarray:
+    """The point of signed ratio t on side a (BC), b (CA) or c (AB) of
+    _TRI = (A, B, C)."""
+    U, V = (_TRI[k] for k in {"a": (1, 2), "b": (2, 0), "c": (0, 1)}[side])
+    return (U + t * V) / (1 + t)
+
+
+_MID = {side: _on_side(side, 1.0) for side in "abc"}
+_OFF = np.array([0.1, 0.5])     # on no side line
+_SIX = [_MID["a"], _on_side("a", 3.0), _MID["b"], _on_side("b", 3.0),
+        _MID["c"], _on_side("c", 3.0)]
+_NOT_ON = "point {} not on side line '{}'"
+_VERTEX = "side point coincides with a triangle vertex"
+
+
+class TestCarnotErrors:
+    """Every reachable error of carnot_product and carnot_solve_sixth, by
+    its exact message: the count (and side) first, then the points in slot
+    order, each checked on its side line, off the vertices, then by its
+    ratio's own collinearity test."""
+
+    @pytest.mark.parametrize("pts, message", [
+        (_SIX[:5], "exactly six side points required"),
+        (_SIX + [_MID["a"]], "exactly six side points required"),
+        ([_OFF] * 5, "exactly six side points required"),
+        (_SIX[:2] + [_OFF] + _SIX[3:], _NOT_ON.format(_OFF, "b")),
+        (_SIX[:4] + [_TRI[0]] + _SIX[5:], _VERTEX),
+        ([_MID["a"], _TRI[2], _OFF] + _SIX[3:], _VERTEX),
+        ([_TRI[0]] + _SIX[1:], _NOT_ON.format(_TRI[0], "a")),
+        (_SIX[:4] + [np.array([0.5, 3e-8])] + _SIX[5:],
+         "signed_ratio requires collinear points"),
+    ], ids=["five", "seven", "count-first", "off-line", "vertex",
+            "slot-order", "line-before-vertex", "ratio-collinearity"])
+    def test_product(self, pts, message):
+        with pytest.raises(GeometryError) as exc:
+            carnot_product(_TRI, pts)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("pts, side, message", [
+        (_SIX[:5], "d", "unknown side 'd'"),
+        (_SIX[:3], "d", "unknown side 'd'"),
+        (_SIX[:4], "c", "exactly five placed points required"),
+        (_SIX, "c", "exactly five placed points required"),
+        # With side a's second slot omitted, pts[1] is the first b point.
+        ([_MID["a"], _OFF] + _SIX[3:], "a", _NOT_ON.format(_OFF, "b")),
+        (_SIX[:3] + [_TRI[0], _MID["c"]], "c", _VERTEX),
+        (_SIX[:2] + [np.array([3e-8, 0.5])] + _SIX[3:5], "c",
+         "signed_ratio requires collinear points"),
+        # Ratios 1, 1, 1, -1/2, 2: the sixth must be -1, a point at infinity.
+        (_SIX[:1] + [_MID["a"], _MID["b"], _on_side("b", -0.5),
+                     _on_side("c", 2.0)], "c",
+         "solved point lies at infinity"),
+        # Ratios 1e6, 1e6, 1, 1, 1: the sixth, 1e-12, puts it on vertex A.
+        ([_on_side("a", 1e6)] * 2 + [_MID["b"]] * 2 + [_MID["c"]], "c",
+         _VERTEX),
+    ], ids=["unknown-side", "side-first", "four", "six", "off-line",
+            "vertex", "ratio-collinearity", "at-infinity", "solved-vertex"])
+    def test_solve_sixth(self, pts, side, message):
+        with pytest.raises(GeometryError) as exc:
+            carnot_solve_sixth(_TRI, pts, side)
+        assert str(exc.value) == message
+
+
 class TestAffineMaps:
     def test_identity(self):
         c = random_ellipse(np.random.default_rng(0))

@@ -22,7 +22,8 @@ from pointconic.analysis import audit, intersection_type
 from pointconic.cli import main
 from pointconic import io
 from pointconic.configuration import GeometricConfiguration
-from conftest import (format_path_data, full_make_parser, scalar_render_svg,
+from conftest import (format_path_data, full_make_parser,
+                      recursive_dump_value, scalar_render_svg,
                       scalar_conic_from_normalized_coeffs)
 from pointconic.constructions import (cell24, crossed_ellipses,
                                       dipyramid_carnot, ellipse_conic,
@@ -273,14 +274,20 @@ def _dumped(dump, doc):
 
 
 class TestCanonicalRowsPass:
-    """dumps_canonical's one-pass numeric rows against the recursive
-    `_dump_value`."""
+    """The writer's one-format numeric rows against the element-by-element
+    `recursive_dump_value`."""
 
     @given(st.dictionaries(st.text(max_size=6), _values, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_matches_recursive_dump(self, doc):
         assert _dumped(dumps_canonical, doc) == \
-            _dumped(lambda d: _dump_value(d) + "\n", doc)
+            _dumped(lambda d: recursive_dump_value(d) + "\n", doc)
+
+    @given(_values)
+    @settings(max_examples=200, deadline=None)
+    def test_nested_values_match_recursive_dump(self, value):
+        assert _dumped(_dump_value, value) == \
+            _dumped(recursive_dump_value, value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_row_rejected(self, bad):
@@ -288,9 +295,10 @@ class TestCanonicalRowsPass:
             dumps_canonical({"points": [[0.0, 1.0], [bad, 2.0]]})
 
     def test_documents(self):
-        for obj in (pmn(4, 4), richter_gebert(seed=1), catalog("fano")):
+        for obj in (pmn(4, 4), richter_gebert(seed=1), catalog("fano"),
+                    dipyramid_carnot(3, seed=0)):
             doc = to_document(obj)
-            assert dumps_canonical(doc) == _dump_value(doc) + "\n"
+            assert dumps_canonical(doc) == recursive_dump_value(doc) + "\n"
 
 
 def _with_integral_float_indices(doc: dict) -> dict:
