@@ -246,10 +246,10 @@ def geometric_meets(G: GeometricConfiguration) -> dict:
     `geometry.pencil_intersections`: it checks every pair for degenerate
     or coincident conics before solving any, and raises when a pair gives
     more than four distinct points. Its broad phase counts 0 for the pairs
-    of ellipses whose bounding boxes are disjoint without solving them; the
-    rest are solved in fixed-size chunks, and the few points still moving
-    after a chunk's first Newton steps finish together in one call. The
-    counts are the same, bit for bit, as solving every pair in one phase.
+    of ellipses that a line separates without solving them; the rest are
+    solved in fixed-size chunks. Its candidates keep the per-pair pencil
+    method's bits and only the polish after them rounds differently, so
+    the counts are the per-pair method's.
     """
     config = intersection_type(G).per_pair
     pairs = list(combinations(range(G.num_conics), 2))

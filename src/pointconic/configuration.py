@@ -116,13 +116,13 @@ class Polytope4:
                            tuple(tuple(f) for f in self.faces2))
         object.__setattr__(self, "facets",
                            tuple(tuple(f) for f in self.facets))
-        n = len(V)
-        for e in self.edges:
-            if not all(0 <= i < n for i in e):
-                raise IndexError(f"edge {e} out of range")
-        for f in self.faces2:
-            if not all(0 <= i < n for i in f):
-                raise IndexError(f"face {f} out of range")
+        for what, items in (("edge", self.edges), ("face", self.faces2)):
+            flat = np.array([i for t in items for i in t], float)
+            out = ~((flat >= 0) & (flat < len(V)))
+            if out.any():
+                ends = np.cumsum([len(t) for t in items])
+                k = int(np.searchsorted(ends, out.argmax(), side="right"))
+                raise IndexError(f"{what} {items[k]} out of range")
 
     def edge_midpoints(self) -> np.ndarray:
         i, j = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T

@@ -20,6 +20,7 @@ TOL_INCIDENCE = 1e-8    # default point-on-conic tolerance
 TOL_MERGE = 1e-7        # distance below which two points are "the same"
 DEG_EPS = 1e-10         # determinant threshold for degeneracy decisions
 COND_WARN = 1e12        # design-matrix condition number warning threshold
+_NORM_MIN = math.sqrt(np.finfo(float).tiny)  # squares below it underflow
 
 
 class GeometryError(ValueError):
@@ -128,14 +129,21 @@ def _normalized_forms(M: np.ndarray) -> np.ndarray:
     """Stacked forms (B, 3, 3) symmetrised, scaled to unit Frobenius norm
     (through `_norm`, which rounds like `np.linalg.norm`) and signed so that
     the first entry above 1e-14 in magnitude (row-major) is positive; a new
-    read-only stack. Raises on a non-finite or a zero form."""
+    read-only stack, forms whose squares would leave the normal range first
+    divided by their largest |entry|. Raises on non-finite or zero forms."""
     if not np.isfinite(M).all():
         raise GeometryError("non-finite conic form")
     M = 0.5 * (M + np.swapaxes(M, 1, 2))
     flat = M.reshape(-1, 9)
-    nrm = _norm(flat)
-    if not nrm.all():
-        raise GeometryError("zero conic form")
+    with np.errstate(over="ignore"):
+        nrm = _norm(flat)
+    off = ~((nrm >= _NORM_MIN) & (nrm < np.inf))
+    if off.any():
+        big = np.abs(flat[off]).max(axis=1)
+        if not big.all():
+            raise GeometryError("zero conic form")
+        flat[off] /= big[:, None]
+        nrm[off] = _norm(flat[off])
     flat /= nrm[:, None]
     big = np.abs(flat) > 1e-14
     first = flat[np.arange(len(flat)), big.argmax(axis=1)]
@@ -310,26 +318,24 @@ def central_conic_from_pairs(center, reps) -> Conic:
 # ---------------------------------------------------------------------------
 # Conic-conic intersection via the pencil
 # ---------------------------------------------------------------------------
-# One kernel, on stacks of conic pairs. Each stage runs the per-pair pencil
-# method's arithmetic with the same numpy/LAPACK routines, so a pair gets the
-# same points in any batch. Small inner products use stacked `np.matmul`,
-# which rounds like `@` and `np.linalg.norm` on one vector; `einsum` or
-# explicit sums round differently, which the ill-conditioned line bases of
-# symmetric scenes turn into different counts.
+# One kernel, on stacks of conic pairs. Candidates use the per-pair pencil
+# method's numpy/LAPACK routines, so a pair gets the same bits in any batch:
+# stacked `np.matmul` rounds like `@` and `np.linalg.norm` on one vector, but
+# `einsum` or explicit sums do not, and the ill-conditioned line bases of
+# symmetric scenes turn that into different counts. The polish and merge
+# after them are elementwise and round differently, with the same counts.
 
 _PENCIL_TS = np.array([0.0, 1.0, -1.0, 2.0])
 _PENCIL_VANDER = np.vander(_PENCIL_TS, 4)
 # Indices left after deleting k, and the cofactor signs (-1) ** (i + j).
 _MINOR_KEEP = np.array([[1, 2], [0, 2], [0, 1]])
 _COFACTOR_SIGN = (-1) ** np.add.outer(np.arange(3), np.arange(3))
-# Pairs per kernel pass: keeps the working set near 1 MB (1.3 MB traced
-# peak on cell24). One pass over cell24's 4560 pairs peaks at 7.7 MB and is
-# only ~10 % faster (47 vs 52 ms).
+# Pairs per kernel pass: the traced peak stays near 1.3 MB on cell24; twice
+# as many raise the benchmark's peak RSS by 0.9 MB.
 _PAIR_CHUNK = 256
 _NEWTON_STEPS = 30
-# Newton steps run inside each chunk. On the polytope scenes 4 % of the
-# candidates still move after them and 1 % after all 30; their pairs wait,
-# so the remaining steps run once per call instead of once per chunk.
+# Newton steps run inside each chunk: 6 % of the polytope scenes' candidates
+# still move after them, 1 % after all 30; their pairs finish together.
 _CHUNK_STEPS = 3
 
 
@@ -389,8 +395,11 @@ def _line_conic_complex(L: np.ndarray, A: np.ndarray):
     A line is parametrized by the first two of cross(line, e_k) that are not
     negligible; a line with fewer has no points.
     """
-    v = [np.cross(L, e) for e in np.eye(3)]
-    usable = [_norm(vk) > 1e-12 * (_norm(L) + 1) for vk in v]
+    a0, a1, a2 = L[..., 0], L[..., 1], L[..., 2]  # np.cross's bits, cheaper
+    v = [np.stack([a1 * e2 - a2 * e1, a2 * e0 - a0 * e2, a0 * e1 - a1 * e0],
+                  axis=-1) for e0, e1, e2 in np.eye(3, dtype=complex)]
+    small = 1e-12 * (_norm(L) + 1)
+    usable = [_norm(vk) > small for vk in v]
     p0 = np.where(usable[0][..., None], v[0], v[1])
     p1 = np.where((usable[0] & usable[1])[..., None], v[1], v[2])
     a = _quadratic_form(p1, A, p1)
@@ -407,48 +416,36 @@ def _line_conic_complex(L: np.ndarray, A: np.ndarray):
     return np.stack([first, second], axis=-2), valid
 
 
-def _solve_or_nan(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Stacked 2x2 solves; a singular system gives a NaN solution. A stack
-    that raises is halved until each singular system stands alone, so every
-    other system still gets the stacked solve's LAPACK call."""
-    try:
-        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        if len(J) == 1:
-            return np.full(rhs.shape, np.nan)
-        h = len(J) // 2
-        return np.concatenate([_solve_or_nan(J[:h], rhs[:h]),
-                               _solve_or_nan(J[h:], rhs[h:])])
+def _value_and_gradient(x: np.ndarray, y: np.ndarray, c: np.ndarray):
+    """f = v^T A v at v = (x, y, 1) and half its gradient, elementwise, from
+    the entries c (6, K) A00, A01, A11, A02, A12, A22 (`_COEFFS_FROM_FORM`)."""
+    gx = c[0] * x + c[1] * y + c[3]
+    gy = c[1] * x + c[2] * y + c[4]
+    return x * gx + y * gy + (c[3] * x + c[4] * y + c[5]), gx, gy
 
 
-def _newton_polish(xy: np.ndarray, A: np.ndarray, B: np.ndarray,
+def _newton_polish(xy: np.ndarray, entries: np.ndarray, pairs: np.ndarray,
                    iters: int):
-    """Refine stacked common points (K, 2) of conic pairs (K, 3, 3) with
-    `iters` 2D Newton steps, clipped to length 0.1. A point stops once both
-    residuals are below 1e-16, or when its Jacobian is singular or its step
-    not finite. Returns the points and the indices of those still moving,
-    which further steps continue exactly: a point's steps depend only on its
-    own state.
-    """
-    xy = xy.copy()
-    live = np.arange(len(xy))
+    """Refine common points (K, 2) of the conic pairs (K, 2) with `iters`
+    Newton steps by Cramer's rule, clipped to length 0.1. A point stops once
+    both residuals are below 1e-16 or its step is not finite (a singular
+    Jacobian). Returns the points and the indices of those still moving:
+    a point's steps depend only on its own state."""
+    c, xy, live = entries.take(pairs.T, axis=1), xy.copy(), np.arange(len(xy))
+    x, y = xy[:, 0], xy[:, 1]
     for _ in range(iters):
         if not len(live):
             break
-        v = np.column_stack([xy[live], np.ones(len(live))])
-        A_l, B_l = A[live], B[live]
-        fa = _quadratic_form(v, A_l, v)
-        fb = _quadratic_form(v, B_l, v)
-        go = ~(np.maximum(np.abs(fa), np.abs(fb)) < 1e-16)
-        J = 2 * np.stack([np.matmul(A_l[go, :2], v[go, :, None]),
-                          np.matmul(B_l[go, :2], v[go, :, None])], axis=1)
-        delta = _solve_or_nan(J[..., 0], -np.stack([fa[go], fb[go]], axis=1))
-        finite = np.isfinite(delta).all(axis=1)
-        delta, live = delta[finite], live[go][finite]
-        step = _norm(delta)
-        long = step > 0.1
-        delta[long] *= (0.1 / step[long])[:, None]
-        xy[live] += delta
+        fa, ax, ay = _value_and_gradient(x, y, c[:, 0])
+        fb, bx, by = _value_and_gradient(x, y, c[:, 1])
+        det = 2 * (ax * by - ay * bx)
+        dx, dy = (fb * ay - fa * by) / det, (fa * bx - fb * ax) / det
+        step = np.hypot(dx, dy)
+        go = (np.maximum(np.abs(fa), np.abs(fb)) >= 1e-16) & np.isfinite(step)
+        scale = np.minimum(0.1 / step, 1.0)
+        x, y = (x + dx * scale)[go], (y + dy * scale)[go]
+        c, live = c[..., go], live[go]
+        xy[live, 0], xy[live, 1] = x, y
     return xy, live
 
 
@@ -460,14 +457,15 @@ def _residuals(xy: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.abs(_quadratic_form(v, M, v))
 
 
-def _pencil_candidates(MA: np.ndarray, MB: np.ndarray):
+def _pencil_candidates(MA: np.ndarray, MB: np.ndarray, det_a: np.ndarray):
     """Unpolished real affine candidates (K, 2) of stacked pairs of forms
     (P, 3, 3), with the pair of each, in the per-pair order root, line, slot.
-    """
+    `det_a` (P,) holds det(MA), the cubic's value at t = 0."""
     P = len(MA)
     # det(MA + t*MB) is a cubic in t; recover it from four evaluations and
     # find its roots as the eigenvalues of the companion matrix (np.roots).
-    vals = np.linalg.det(MA[:, None] + _PENCIL_TS[:, None, None] * MB[:, None])
+    vals = np.column_stack([det_a, np.linalg.det(
+        MA[:, None] + _PENCIL_TS[1:, None, None] * MB[:, None])])
     coeffs = np.linalg.solve(np.broadcast_to(_PENCIL_VANDER, (P, 4, 4)),
                              vals[:, :, None])[:, :, 0]
     companion = np.zeros((P, 3, 3))
@@ -487,66 +485,71 @@ def _pencil_candidates(MA: np.ndarray, MB: np.ndarray):
     return q[valid, :2].real, pair[valid]
 
 
-def _settle(forms: np.ndarray, pairs: np.ndarray, k: np.ndarray,
-            xy: np.ndarray, merge_tol: float):
-    """Each pair's distinct points from its polished candidates `xy` (K, 2),
-    whose pair indices `k` (K,) into `pairs` are grouped and ascending.
-    Returns the pairs present, their points sorted into `points[p, :n[p]]`
-    of a NaN-padded (U, >= 4, 2) array, and their counts n."""
-    present, pair = np.unique(k, return_inverse=True)
-    MA, MB = forms[pairs[present, 0]], forms[pairs[present, 1]]
+def _settle(k: np.ndarray, xy: np.ndarray, entries: np.ndarray,
+            pairs: np.ndarray, merge_tol: float):
+    """The distinct points of the pairs `k` (K,), grouped and ascending, from
+    their polished candidates `xy` (K, 2): the pairs present, their sorted
+    points[p, :n[p]] in a NaN-padded (U, >= 4, 2) array, and their counts n."""
+    c = entries.take(pairs[k].T, axis=1)
+    first = np.diff(k, prepend=-1) != 0
+    present, pair = k[first], np.cumsum(first) - 1
     P = len(present)
-    tol = 10 * merge_tol
-    # "Not above tol" lets a NaN residual pass, like the per-pair method's
-    # `if residual > tol: skip`.
-    on_both = (~(_residuals(xy, MA[pair]) > tol)
-               & ~(_residuals(xy, MB[pair]) > tol))
+    x, y = xy[:, 0], xy[:, 1]
+    # On both conics: |f| / |(x, y, 1)|^2 not above 10 * merge_tol, or NaN.
+    tol = 10 * merge_tol * (x * x + y * y + 1)
+    on_both = ~((np.abs(_value_and_gradient(x, y, c[:, 0])[0]) > tol)
+                | (np.abs(_value_and_gradient(x, y, c[:, 1])[0]) > tol))
     xy, pair = xy[on_both], pair[on_both]
-    # Merge: a candidate is dropped when it lies within merge_tol of an
-    # earlier kept candidate of its pair.
+    # Drop what lies within merge_tol of an earlier kept point of its pair.
     per_pair = np.bincount(pair, minlength=P)
     rank = np.arange(len(pair)) - (np.cumsum(per_pair) - per_pair)[pair]
     width = max(4, int(per_pair.max(initial=0)))
-    cand = np.full((P, width, 2), np.nan)
-    cand[pair, rank] = xy
-    kept = np.zeros((P, width), bool)
-    kept[pair, rank] = True
+    cx, cy = np.full((2, width, P), np.nan)
+    cx[rank, pair], cy[rank, pair] = xy[:, 0], xy[:, 1]
+    kept = np.zeros((width, P), bool)
+    kept[rank, pair] = True
     for j in range(1, width):
-        near = _norm(cand[:, :j] - cand[:, j:j + 1]) < merge_tol
-        kept[:, j] &= ~(kept[:, :j] & near).any(axis=1)
-    order = np.lexsort((np.round(cand[:, :, 1], 9), np.round(cand[:, :, 0], 9),
-                        ~kept), axis=-1)
-    points = np.take_along_axis(cand, order[:, :, None], axis=1)
-    counts = kept.sum(axis=1)
-    points[np.arange(width) >= counts[:, None]] = np.nan
+        dx, dy = cx[:j] - cx[j], cy[:j] - cy[j]
+        kept[j] &= ~(kept[:j] & (dx * dx + dy * dy < merge_tol ** 2)).any(0)
+    # Kept points by pair, then rounded (x, y); equal keys keep their order.
+    order = np.lexsort((np.round(xy[:, 1], 9), np.round(xy[:, 0], 9), pair))
+    order = order[kept[rank, pair][order]]
+    xy, pair = xy[order], pair[order]
+    counts = np.bincount(pair, minlength=P)
+    slot = np.arange(len(pair)) - (np.cumsum(counts) - counts)[pair]
+    points = np.full((P, max(4, int(counts.max(initial=0))), 2), np.nan)
+    points[pair, slot] = xy
     return present, points, counts
 
 
-def _boxes_apart(forms: np.ndarray, ellipse: np.ndarray,
-                 pairs: np.ndarray) -> np.ndarray:
-    """Mask of the pairs (P,) of ellipses whose axis-aligned boxes are
-    disjoint, so they cannot meet. An ellipse's box has the tangent lines
-    x = x0 and y = y0 as sides: the roots of l^T adj(A) l = 0 for
-    l = (1, 0, -x0) and (0, 1, -y0). Boxes are widened by 1e-6 of the
-    ellipses' joint extent, so ellipses tangent at their box edges are kept;
-    other conics get infinite boxes."""
+def _ellipses_apart(forms: np.ndarray, ellipse: np.ndarray,
+                    pairs: np.ndarray) -> np.ndarray:
+    """Mask of the pairs (P,) of ellipses that a line separates: their boxes
+    or their projections on the line through their centres are disjoint.
+    An ellipse reaches sqrt(u^T S u) from its centre along a unit vector u,
+    S from the adjugate (tangents l: l^T adj(A) l = 0). Reaches are widened
+    by 1e-6 of the ellipses' joint extent, so ellipses that touch are kept."""
     if not ellipse.any():
         return np.zeros(len(pairs), bool)
-    lo = np.full((len(forms), 2), -np.inf)
-    hi = np.full((len(forms), 2), np.inf)
-    F = forms[ellipse]
-    c00 = F[:, 1, 1] * F[:, 2, 2] - F[:, 1, 2] ** 2
-    c11 = F[:, 0, 0] * F[:, 2, 2] - F[:, 0, 2] ** 2
-    c22 = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] ** 2
-    c02 = F[:, 0, 1] * F[:, 1, 2] - F[:, 0, 2] * F[:, 1, 1]
-    c12 = F[:, 0, 1] * F[:, 0, 2] - F[:, 0, 0] * F[:, 1, 2]
-    center = np.stack([c02, c12], axis=1) / c22[:, None]
-    half = (np.sqrt(np.stack([c02 ** 2 - c00 * c22, c12 ** 2 - c11 * c22],
-                             axis=1)) / np.abs(c22)[:, None])
-    lo[ellipse], hi[ellipse] = center - half, center + half
+    centre = np.full((len(forms), 2), np.nan)
+    S = np.full((len(forms), 3), np.nan)
+    A00, A01, A11, A02, A12, A22 = (forms[ellipse].reshape(-1, 9)
+                                    [:, _COEFFS_FROM_FORM].T)
+    c00, c11 = A11 * A22 - A12 ** 2, A00 * A22 - A02 ** 2  # cofactors
+    c22, c01 = A00 * A11 - A01 ** 2, A02 * A12 - A01 * A22
+    c02, c12 = A01 * A12 - A02 * A11, A01 * A02 - A00 * A12
+    centre[ellipse] = np.stack([c02, c12], axis=1) / c22[:, None]
+    S[ellipse] = np.stack([c02 ** 2 - c00 * c22, c02 * c12 - c01 * c22,
+                           c12 ** 2 - c11 * c22], axis=1) / (c22 ** 2)[:, None]
+    lo, hi = centre - np.sqrt(S[:, ::2]), centre + np.sqrt(S[:, ::2])
     margin = 1e-6 * np.max(hi[ellipse].max(axis=0) - lo[ellipse].min(axis=0))
-    i, j = pairs[:, 0], pairs[:, 1]
-    return ((lo[i] > hi[j] + margin) | (lo[j] > hi[i] + margin)).any(axis=1)
+    i, j = pairs.T
+    boxes = ((lo[i] > hi[j] + margin) | (lo[j] > hi[i] + margin)).any(axis=1)
+    dist = np.hypot(*(centre[j] - centre[i]).T)
+    u = (centre[j] - centre[i]) / dist[:, None]
+    reach = [np.sqrt(S[k, 0] * u[:, 0] ** 2 + 2 * S[k, 1] * u[:, 0] * u[:, 1]
+                     + S[k, 2] * u[:, 1] ** 2) for k in (i, j)]
+    return boxes | (dist > reach[0] + reach[1] + margin)
 
 
 def pencil_intersections(forms, kinds, pairs, merge_tol: float = TOL_MERGE):
@@ -559,14 +562,13 @@ def pencil_intersections(forms, kinds, pairs, merge_tol: float = TOL_MERGE):
     degenerate member of the pencil A + lambda*B is split into two lines,
     which are intersected with A; candidates are Newton-polished and kept
     if they lie on both conics, tangential ones once. Every pair is checked
-    first (degenerate or coincident conics raise). A broad phase then gives
-    count 0 to the pairs of ellipses whose boxes are disjoint, and the rest
-    are solved in fixed-size chunks. Each chunk runs the first Newton steps
-    of its candidates; the pairs with a point still moving wait, and their
-    points finish together in one call. The points are bit-identical to
-    solving every pair in one phase. Raises when more than four distinct
-    points of a pair survive the merge, which two distinct conics cannot
-    have.
+    first (degenerate or coincident conics raise). A broad phase gives
+    count 0 to ellipse pairs that a line separates; the rest are solved in
+    chunks. Against the per-pair method (the tests' oracle) candidates are
+    bit-identical and counts equal; a point lies within 100 forward error
+    bounds u |v|^T |A| |v| ||J|| / |det J| of the oracle's (J: the Newton
+    Jacobian at v = (x, y, 1)), a tangent one within merge_tol of the
+    touching point. Raises if more than 4 distinct points survive.
     """
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
     points = np.full((len(pairs), 4, 2), np.nan)
@@ -574,35 +576,33 @@ def pencil_intersections(forms, kinds, pairs, merge_tol: float = TOL_MERGE):
     if any(kinds[i] in DEGENERATE_KINDS for i in set(pairs.ravel().tolist())):
         raise GeometryError("degenerate conic input")
     forms = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
-    chunks = [slice(s, s + _PAIR_CHUNK)
-              for s in range(0, len(pairs), _PAIR_CHUNK)]
-    if any(_coincident(forms[pairs[c, 0]], forms[pairs[c, 1]], 1e-9).any()
-           for c in chunks):
+    if any(_coincident(*forms[pairs[s:s + _PAIR_CHUNK].T], 1e-9).any()
+           for s in range(0, len(pairs), _PAIR_CHUNK)):
         raise GeometryError(
             "coincident conics: five or more common points force equality")
     ellipse = np.array([k == "ellipse" for k in kinds], dtype=bool)
+    entries = forms.reshape(-1, 9)[:, _COEFFS_FROM_FORM].T
+    det = np.linalg.det(forms)
     waiting = []  # (pair index, point, still moving) of the waiting pairs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        todo = np.flatnonzero(~_boxes_apart(forms, ellipse, pairs))
+        todo = np.flatnonzero(~_ellipses_apart(forms, ellipse, pairs))
         for s in range(0, len(todo), _PAIR_CHUNK):
             idx = todo[s:s + _PAIR_CHUNK]
-            MA, MB = forms[pairs[idx, 0]], forms[pairs[idx, 1]]
-            xy, pair = _pencil_candidates(MA, MB)
-            xy, live = _newton_polish(xy, MA[pair], MB[pair], _CHUNK_STEPS)
-            moving = np.zeros(len(xy), bool)
-            moving[live] = True
-            wait = np.isin(pair, pair[live])
-            waiting.append((idx[pair[wait]], xy[wait], moving[wait]))
-            done, pts, n = _settle(forms, pairs, idx[pair[~wait]], xy[~wait],
+            i, j = pairs[idx].T
+            xy, pair = _pencil_candidates(forms[i], forms[j], det[i])
+            k = idx[pair]
+            xy, live = _newton_polish(xy, entries, pairs[k], _CHUNK_STEPS)
+            moving = np.bincount(live, minlength=len(xy)) > 0
+            wait = np.bincount(pair[live], minlength=len(idx))[pair] > 0
+            waiting.append((k[wait], xy[wait], moving[wait]))
+            done, pts, n = _settle(k[~wait], xy[~wait], entries, pairs,
                                    merge_tol)
             points[done], counts[done] = pts[:, :4], n
         if waiting:
             k, xy, moving = (np.concatenate(a) for a in zip(*waiting))
-            km = k[moving]
-            xy[moving] = _newton_polish(
-                xy[moving], forms[pairs[km, 0]], forms[pairs[km, 1]],
-                _NEWTON_STEPS - _CHUNK_STEPS)[0]
-            done, pts, n = _settle(forms, pairs, k, xy, merge_tol)
+            xy[moving] = _newton_polish(xy[moving], entries, pairs[k[moving]],
+                                        _NEWTON_STEPS - _CHUNK_STEPS)[0]
+            done, pts, n = _settle(k, xy, entries, pairs, merge_tol)
             points[done], counts[done] = pts[:, :4], n
     over = np.flatnonzero(counts > 4)
     if len(over):
@@ -616,9 +616,9 @@ def pencil_intersections(forms, kinds, pairs, merge_tol: float = TOL_MERGE):
 def conic_conic_intersections(A: Conic, B: Conic,
                               merge_tol: float = TOL_MERGE) -> list[np.ndarray]:
     """All real affine intersection points of two nondegenerate conics: the
-    one-pair call of `pencil_intersections`. Points come sorted, tangential
-    ones once. Raises on degenerate or coincident inputs, and when more than
-    four distinct points survive the merge."""
+    one-pair call of `pencil_intersections`, so the per-pair method's count
+    and its points to within their forward error bounds, sorted, tangential
+    ones once. Raises on degenerate or coincident inputs, or > 4 points."""
     points, counts = pencil_intersections(
         np.stack([A.form, B.form]), (A.kind, B.kind), [(0, 1)], merge_tol)
     return list(points[0, :counts[0]])

@@ -25,8 +25,7 @@ from pointconic.constructions import (ConstructionError, _require_audit,
                                       prism_product)
 from pointconic.geometry import (COND_WARN, TOL_MERGE, AffineMap2, Conic,
                                  GeometryError, _axis_angle, _coincident,
-                                 _conic_of, _kind, _norm, _pencil_candidates,
-                                 _quadratic_form, _residuals, cross2, project)
+                                 _conic_of, _kind, cross2, project)
 from pointconic.incidence import (IncidenceStructure, LeviGraph,
                                   new_incidence_structure)
 from pointconic.io import InterfaceError
@@ -352,8 +351,9 @@ def nx_local_connectivities(L: LeviGraph) -> dict:
 # Per-pair pencil kernel: the oracle for geometry.pencil_intersections
 # ---------------------------------------------------------------------------
 # The per-pair pencil kernel, verbatim. geometry.pencil_intersections runs
-# the same algorithm on stacks of pairs and must reproduce its counts and
-# points.
+# the same algorithm on stacks of pairs: it must reproduce its counts, and
+# its points to within 100 forward error bounds, 2 * merge_tol at a
+# tangency (see `_assert_matches` in test_geometry.py).
 
 def _split_degenerate(C: np.ndarray) -> list[np.ndarray]:
     """Split a (near-)rank-2 symmetric form into its two lines.
@@ -481,13 +481,133 @@ def scalar_conic_conic_intersections(A: Conic, B: Conic,
 
 
 # ---------------------------------------------------------------------------
+# Stacked pencil candidates: the pin for geometry._pencil_candidates
+# ---------------------------------------------------------------------------
+# The stacked candidate stage and the residuals, verbatim but for the names,
+# from the kernel whose points were bit-identical to the per-pair oracle.
+# geometry._pencil_candidates must return the same bits: the benchmark's
+# excess pins move with the last bit of a candidate. The one-phase oracle
+# below runs on these.
+
+_PENCIL_TS = np.array([0.0, 1.0, -1.0, 2.0])
+_PENCIL_VANDER = np.vander(_PENCIL_TS, 4)
+# Indices left after deleting k, and the cofactor signs (-1) ** (i + j).
+_MINOR_KEEP = np.array([[1, 2], [0, 2], [0, 1]])
+_COFACTOR_SIGN = (-1) ** np.add.outer(np.arange(3), np.arange(3))
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of stacked real or complex vectors (last axis)."""
+    def sq(u):
+        return np.matmul(u[..., None, :], u[..., :, None])[..., 0, 0]
+    return np.sqrt(sq(v.real) + sq(v.imag) if np.iscomplexobj(v) else sq(v))
+
+
+def _quadratic_form(p: np.ndarray, A: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p^T A q for stacked vectors (..., 3) and broadcastable forms
+    (..., 3, 3)."""
+    return np.matmul(np.matmul(p[..., None, :], A), q[..., :, None])[..., 0, 0]
+
+
+def stacked_split_degenerate(C: np.ndarray) -> np.ndarray:
+    """Split stacked (near-)rank-2 symmetric forms (R, 3, 3) into two lines
+    each, (R, 2, 3) complex; callers filter for real results.
+
+    The adjugate gives the singular point, which reduces the form to a
+    rank-1 matrix whose rows/columns are the lines. A form of rank <= 1 is
+    a double line, given twice.
+    """
+    C = C.astype(complex)
+    rows = np.arange(len(C))
+    # Minor (i, j) of C, (R, 3, 3, 2, 2); adj is the transposed cofactors.
+    minors = C[:, _MINOR_KEEP[:, None, :, None], _MINOR_KEEP[None, :, None, :]]
+    adj = (np.linalg.det(minors) * _COFACTOR_SIGN).transpose(0, 2, 1)
+    i = np.argmax(np.abs(np.diagonal(adj, axis1=1, axis2=2)), axis=1)
+    beta = np.sqrt(-adj[rows, i, i] + 0j)
+    p = adj[rows, :, i] / beta[:, None]
+    skew = np.zeros_like(C)
+    skew[:, 0, 1], skew[:, 0, 2] = p[:, 2], -p[:, 1]
+    skew[:, 1, 0], skew[:, 1, 2] = -p[:, 2], p[:, 0]
+    skew[:, 2, 0], skew[:, 2, 1] = p[:, 1], -p[:, 0]
+    M = C + skew
+    r, c = np.divmod(np.argmax(np.abs(M).reshape(-1, 9), axis=1), 3)
+    lines = np.stack([M[rows, r, :], M[rows, :, c]], axis=1)
+    double = np.abs(adj[rows, i, i]) < 1e-14
+    heaviest = C[rows, np.argmax(np.abs(C).sum(axis=2), axis=1)]
+    lines[double] = heaviest[double, None, :]
+    return lines
+
+
+def stacked_line_conic_complex(L: np.ndarray, A: np.ndarray):
+    """Homogeneous complex intersections of stacked lines (..., 3) with
+    broadcastable conics (..., 3, 3): points (..., 2, 3) and a mask (..., 2)
+    of the slots that hold one.
+
+    A line is parametrized by the first two of cross(line, e_k) that are not
+    negligible; a line with fewer has no points.
+    """
+    v = [np.cross(L, e) for e in np.eye(3)]
+    usable = [_norm(vk) > 1e-12 * (_norm(L) + 1) for vk in v]
+    p0 = np.where(usable[0][..., None], v[0], v[1])
+    p1 = np.where((usable[0] & usable[1])[..., None], v[1], v[2])
+    a = _quadratic_form(p1, A, p1)
+    b = _quadratic_form(p0, A, p1)
+    c = _quadratic_form(p0, A, p0)
+    linear = np.abs(a) < 1e-16 * (np.abs(b) + np.abs(c) + 1)
+    r = np.sqrt(b * b - a * c + 0j)
+    first = np.where(linear[..., None], p0 - (c / (2 * b))[..., None] * p1,
+                     p0 + ((-b + r) / a)[..., None] * p1)
+    second = p0 + ((-b - r) / a)[..., None] * p1
+    has_basis = sum(u.astype(int) for u in usable) >= 2
+    valid = np.stack([has_basis & (~linear | (np.abs(b) > 1e-300)),
+                      has_basis & ~linear], axis=-1)
+    return np.stack([first, second], axis=-2), valid
+
+
+def residuals(xy: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """|p^T A p| for the unit-norm homogenizations p of stacked points
+    (K, 2), against forms (K, 3, 3) or one form (3, 3)."""
+    v = np.column_stack([xy, np.ones(len(xy))])
+    v /= _norm(v)[:, None]
+    return np.abs(_quadratic_form(v, M, v))
+
+
+def pencil_candidates(MA: np.ndarray, MB: np.ndarray):
+    """Unpolished real affine candidates (K, 2) of stacked pairs of forms
+    (P, 3, 3), with the pair of each, in the per-pair order root, line, slot.
+    """
+    P = len(MA)
+    # det(MA + t*MB) is a cubic in t; recover it from four evaluations and
+    # find its roots as the eigenvalues of the companion matrix (np.roots).
+    vals = np.linalg.det(MA[:, None] + _PENCIL_TS[:, None, None] * MB[:, None])
+    coeffs = np.linalg.solve(np.broadcast_to(_PENCIL_VANDER, (P, 4, 4)),
+                             vals[:, :, None])[:, :, 0]
+    companion = np.zeros((P, 3, 3))
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    pair, k = np.nonzero(np.abs(roots.imag) <= 1e-8 * (1 + np.abs(roots.real)))
+    lam = roots.real[pair, k]
+    lines = stacked_split_degenerate(MA[pair] + lam[:, None, None] * MB[pair])
+    q, valid = stacked_line_conic_complex(lines, MA[pair, None].astype(complex))
+    q, valid, pair = q.reshape(-1, 3), valid.reshape(-1), np.repeat(pair, 4)
+    nrm = _norm(q)
+    valid &= ~((nrm == 0) | (np.abs(q[:, 2]) < 1e-10 * nrm))  # at infinity
+    q = q / q[:, 2:]
+    valid &= ~(np.maximum(np.abs(q[:, 0].imag), np.abs(q[:, 1].imag))
+               > 1e-6 * (1 + np.abs(q[:, 0].real) + np.abs(q[:, 1].real)))
+    return q[valid, :2].real, pair[valid]
+
+
+# ---------------------------------------------------------------------------
 # One-phase chunked pencil kernel: the oracle for the two-phase, pruned one
 # ---------------------------------------------------------------------------
 # The stacked kernel before the broad phase and the two-phase polish,
 # verbatim: every pair is solved, and each chunk of pairs runs all 30 Newton
-# steps and falls back to per-matrix solves when a stacked solve is singular.
-# geometry.pencil_intersections must reproduce its points and counts, bit for
-# bit. Candidate generation and the residuals are shared, unchanged.
+# steps (stacked LAPACK solves) and falls back to per-matrix solves when a
+# stacked solve is singular. geometry.pencil_intersections must reproduce its
+# counts, and its points within the per-pair oracle's tolerance. It runs on
+# the candidate and residual copies above.
 
 ONE_PHASE_PAIR_CHUNK = 256
 
@@ -533,11 +653,11 @@ def _stacked_newton_polish(xy: np.ndarray, A: np.ndarray, B: np.ndarray,
 
 def _one_phase_chunk(MA: np.ndarray, MB: np.ndarray, merge_tol: float):
     P = len(MA)
-    xy, pair = _pencil_candidates(MA, MB)
+    xy, pair = pencil_candidates(MA, MB)
     xy = _stacked_newton_polish(xy, MA[pair], MB[pair])
     tol = 10 * merge_tol
-    on_both = (~(_residuals(xy, MA[pair]) > tol)
-               & ~(_residuals(xy, MB[pair]) > tol))
+    on_both = (~(residuals(xy, MA[pair]) > tol)
+               & ~(residuals(xy, MB[pair]) > tol))
     xy, pair = xy[on_both], pair[on_both]
     per_pair = np.bincount(pair, minlength=P)
     rank = np.arange(len(pair)) - (np.cumsum(per_pair) - per_pair)[pair]

@@ -14,7 +14,7 @@ from conftest import (loop_cell24, loop_hexagon_configuration, loop_pmn,
 from pointconic import analysis, constructions, io
 from pointconic.analysis import audit, intersection_type, isometry_check
 from pointconic.cli import main
-from pointconic.configuration import GeometricConfiguration
+from pointconic.configuration import GeometricConfiguration, Polytope4
 from pointconic.constructions import (ConstructionError, cell24,
                                       cell24_polytope, crossed_ellipses,
                                       dipyramid_carnot, ellipse_conic,
@@ -262,6 +262,20 @@ class TestPmnAndCell24:
         Q = prism_product(4, 4)
         assert len(Q.vertices) == 16
         assert len(Q.edges) == 32
+
+    @pytest.mark.parametrize("edges, faces, message", [
+        ([(0, 1), (1, 4), (-1, 2)], [], "edge (1, 4) out of range"),
+        ([(0, 1)], [(0, 1, 2), (0, -1, 2, 3), (4, 0, 1)],
+         "face (0, -1, 2, 3) out of range"),
+        ([(0, 1)], [(0, 1, 2, 3), (1, 2, 3, 0, 2 ** 70)],
+         f"face (1, 2, 3, 0, {2 ** 70}) out of range")],
+        ids=["edge", "face", "ragged-face-beyond-int64"])
+    def test_polytope_indices_out_of_range(self, edges, faces, message):
+        # The first offender in order is named, edges before faces.
+        with pytest.raises(IndexError) as exc:
+            Polytope4(np.zeros((4, 4)), edges, faces)
+        assert str(exc.value) == message
+        Polytope4(np.zeros((4, 4)), [(0, 1), (3, 2)], [(0, 1, 2, 3), (1, 2)])
 
     def test_pmn44(self):
         G = pmn(4, 4)

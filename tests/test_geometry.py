@@ -10,14 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (carnot_six_from_conic, conics_of,
-                      one_phase_pencil_intersections,
-                      per_matrix_solve_or_nan, random_ellipse, random_triangle,
+                      one_phase_pencil_intersections, pencil_candidates,
+                      random_ellipse, random_triangle,
                       scalar_apply_affine, scalar_central_conic_from_pairs,
                       scalar_coeffs, scalar_collinear,
                       scalar_conic, scalar_conic_conic_intersections,
                       scalar_conic_from_5_points,
                       scalar_conic_from_normalized_coeffs,
-                      scalar_ellipse_parameters, scalar_residual,
+                      scalar_ellipse_parameters, scalar_normalize_form,
+                      scalar_residual,
                       scalar_translate_conic, stack_of, sweep_intersections)
 from pointconic import geometry
 from pointconic.constructions import (cell24, crossed_ellipses,
@@ -25,8 +26,8 @@ from pointconic.constructions import (cell24, crossed_ellipses,
                                       polygon_ring, product, qcube_48,
                                       richter_gebert, translate_conics)
 from pointconic.geometry import (TOL_MERGE, AffineMap2, Conic, GeometryError,
-                                 Projection4to2, _boxes_apart, _collinear,
-                                 _residuals, _solve_or_nan,
+                                 Projection4to2, _collinear, _ellipses_apart,
+                                 _pencil_candidates, _residuals,
                                  affine_images, apply_affine,
                                  apply_affine_point, carnot_product,
                                  carnot_solve_sixth, central_conic_from_pairs,
@@ -85,6 +86,28 @@ class TestConicBasics:
             Conic(M)
         with pytest.raises(GeometryError, match="^non-finite conic form$"):
             affine_images(np.eye(3), np.stack([UNIT_CIRCLE.form, M]))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300, 1e-170])
+    def test_extreme_scales_normalize(self, scale):
+        # Squaring the entries once overflowed to an all-zero "double-line"
+        # (1e160, 1e300) or underflowed to a "zero conic form" (1e-170).
+        c = Conic(UNIT_CIRCLE.form * scale)
+        assert c.kind == "ellipse"
+        assert np.array_equal(c.form, UNIT_CIRCLE.form)
+        assert c == Conic(UNIT_CIRCLE.form * -scale)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e150])
+    def test_form_in_range_keeps_its_bits(self, scale):
+        # Only forms whose sum of squares leaves the normal range are
+        # rescaled first; every other form takes the unscaled path.
+        M = np.array([[1.0, 0.3, 0.1], [0.3, 2.0, -0.2],
+                      [0.1, -0.2, -1.0]]) * -scale
+        assert (Conic(M).form.tobytes()
+                == scalar_normalize_form(M).tobytes())
+
+    def test_zero_form_raises(self):
+        with pytest.raises(GeometryError, match="^zero conic form$"):
+            Conic(np.zeros((3, 3)))
 
     def test_hash_agrees_with_eq_on_signed_zeros(self):
         # The two forms differ only in the signs of their zero entries.
@@ -869,22 +892,82 @@ def _tangent_family():
     return out
 
 
+def _error_bounds(forms, pairs, points):
+    """A forward error bound for each point (P, n, 2) as a root of its
+    pair's two equations, NaN where the point is NaN: the unit roundoff
+    times N = the larger |v|^T |A| |v| at v = (x, y, 1), which bounds the
+    rounding of f there (Higham 2002, section 3.1), times ||J||_F / |det J|,
+    which bounds ||J^-1|| for the Newton Jacobian J (rows grad f_A, grad
+    f_B)."""
+    v = np.concatenate([points, np.ones(points.shape[:-1] + (1,))], axis=-1)
+    F = forms[pairs.T]  # (2, P, 3, 3)
+    N = np.einsum("pni,kpij,pnj->kpn", np.abs(v), np.abs(F), np.abs(v))
+    g = 2 * np.einsum("kpij,pnj->kpni", F[:, :, :2], v)
+    det = g[0, ..., 0] * g[1, ..., 1] - g[0, ..., 1] * g[1, ..., 0]
+    J = np.sqrt((g ** 2).sum(axis=(0, -1)))
+    return np.finfo(float).eps / 2 * N.max(axis=0) * J / np.abs(det)
+
+
+def _assert_matches(conics, pairs, got, want, merge_tol=TOL_MERGE):
+    """The kernel's contract against an oracle's `(points, counts)`: the
+    same counts and NaN padding, and each point within 100 times the
+    forward error bound of the oracle's point (`_error_bounds`; on every
+    scene and random suite here the two differ by at most 6.1 bounds). At
+    a tangency det J vanishes and Newton converges only linearly: it stops
+    within merge_tol of the touching point, possibly on the other side of
+    it from the oracle's point, so there the bound is 2 * merge_tol."""
+    (points, counts), (want_points, want_counts) = got, want
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(np.isnan(points), np.isnan(want_points))
+    if not want_counts.any():
+        return
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    forms = np.array([c.form for c in conics])
+    with np.errstate(divide="ignore"):
+        tol = np.minimum(100 * _error_bounds(forms, pairs, want_points),
+                         2 * merge_tol)
+    err = np.linalg.norm(points - want_points, axis=-1)
+    bad = err > tol
+    assert not bad.any(), (pairs[bad.any(axis=1)][:3], err[bad][:3],
+                           tol[bad][:3])
+
+
+def _scalar_results(conics, pairs):
+    """`(points, counts)` of the per-pair oracle, padded like the kernel's."""
+    points = np.full((len(pairs), 4, 2), np.nan)
+    counts = np.zeros(len(pairs), dtype=int)
+    for k, (i, j) in enumerate(pairs):
+        want = scalar_conic_conic_intersections(conics[i], conics[j])
+        counts[k] = len(want)
+        points[k, :len(want)] = np.reshape(want, (-1, 2))
+    return points, counts
+
+
+def _assert_candidates_pinned(conics, pairs):
+    """`_pencil_candidates` gives the verbatim candidate stage's bits."""
+    forms = np.array([c.form for c in conics])
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    det = np.linalg.det(forms)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s in range(0, len(pairs), 256):
+            i, j = pairs[s:s + 256].T
+            got = _pencil_candidates(forms[i], forms[j], det[i])
+            want = pencil_candidates(forms[i], forms[j])
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+
 class TestBatchedKernelAgainstScalarOracle:
     """`pencil_intersections` runs the scalar kernel's algorithm on stacks of
-    pairs; the scalar kernel in conftest is its oracle."""
+    pairs; the scalar kernel in conftest is its oracle for counts, and for
+    points within the contract's tolerance. The candidates before the polish
+    are bit-identical to the verbatim candidate stage."""
 
     @staticmethod
-    def _check(conics, pairs, tol):
-        points, counts = pencil_intersections(*stack_of(conics), pairs)
-        for k, (i, j) in enumerate(pairs):
-            want = scalar_conic_conic_intersections(conics[i], conics[j])
-            assert counts[k] == len(want), (i, j)
-            got = points[k, :counts[k]]
-            assert np.all(np.isnan(points[k, counts[k]:]))
-            if tol == 0:
-                assert np.array_equal(got, np.array(want).reshape(-1, 2))
-            elif want:
-                assert np.max(np.abs(got - np.array(want))) <= tol, (i, j)
+    def _check(conics, pairs):
+        got = pencil_intersections(*stack_of(conics), pairs)
+        _assert_matches(conics, pairs, got, _scalar_results(conics, pairs))
 
     @pytest.mark.parametrize("build", [
         lambda: pmn(4, 4), qcube_48,
@@ -895,13 +978,15 @@ class TestBatchedKernelAgainstScalarOracle:
             "richter_gebert-2"])
     def test_every_pair_of_scene(self, build):
         conics = build().conics
-        self._check(conics, _all_pairs(conics), 1e-14)
+        self._check(conics, _all_pairs(conics))
 
     def test_bit_identical_on_builder_and_tangent_pairs(self):
         for G in (crossed_ellipses(), *(polygon_ring(n) for n in range(3, 9))):
-            self._check(G.conics, _all_pairs(G.conics), 0)
+            self._check(G.conics, _all_pairs(G.conics))
+            _assert_candidates_pinned(G.conics, _all_pairs(G.conics))
         conics = _tangent_family()
-        self._check(conics, [(k, k + 1) for k in range(0, len(conics), 2)], 0)
+        self._check(conics, [(k, k + 1) for k in range(0, len(conics), 2)])
+        _assert_candidates_pinned(conics, _all_pairs(conics))
 
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -913,11 +998,14 @@ class TestBatchedKernelAgainstScalarOracle:
         conics = [random_ellipse(rng) for _ in range(5)]
         pairs = [(i, j) for i, j in _all_pairs(conics)
                  if not conics[i].same_as(conics[j])]
-        self._check(conics, pairs, 0)
+        self._check(conics, pairs)
+        _assert_candidates_pinned(conics, pairs)
         for i, j in pairs[:2]:
             got = conic_conic_intersections(conics[i], conics[j])
-            want = scalar_conic_conic_intersections(conics[i], conics[j])
-            assert np.array_equal(np.array(got), np.array(want))
+            points = np.full((1, 4, 2), np.nan)
+            points[0, :len(got)] = np.reshape(got, (-1, 2))
+            _assert_matches(conics, [(i, j)], (points, np.array([len(got)])),
+                            _scalar_results(conics, [(i, j)]))
 
     def test_more_than_four_points_raise(self):
         # xy = 1 and xy + x = 2 meet at (1, 1) and, along their shared
@@ -938,7 +1026,8 @@ class TestBatchedKernelAgainstScalarOracle:
         assert points.shape == (0, 4, 2) and counts.shape == (0,)
 
 
-# Every scene the two-phase, pruned kernel must reproduce bit for bit.
+# Every scene the two-phase, pruned kernel must reproduce, and on which its
+# candidates are pinned bit for bit.
 _ORACLE_SCENES = {
     "pmn44": lambda: pmn(4, 4), "pmn46": lambda: pmn(4, 6),
     "pmn66": lambda: pmn(6, 6), "pmn88": lambda: pmn(8, 8),
@@ -957,98 +1046,85 @@ def _one_phase_scene(name):
     return conics, pairs, one_phase_pencil_intersections(conics, pairs)
 
 
-def _same_as_one_phase(conics, pairs):
-    points, counts = pencil_intersections(*stack_of(conics), pairs)
-    want_points, want_counts = one_phase_pencil_intersections(conics, pairs)
-    assert np.array_equal(counts, want_counts)
-    assert np.array_equal(points, want_points, equal_nan=True)
-    return points, counts
+def _matches_one_phase(conics, pairs):
+    got = pencil_intersections(*stack_of(conics), pairs)
+    want = one_phase_pencil_intersections(conics, pairs)
+    _assert_matches(conics, pairs, got, want)
+    return want
 
 
 def _apart(conics, pairs):
     forms = np.array([c.form for c in conics])
     ellipse = np.array([c.kind == "ellipse" for c in conics])
-    return _boxes_apart(forms, ellipse, np.asarray(pairs).reshape(-1, 2))
+    return _ellipses_apart(forms, ellipse, np.asarray(pairs).reshape(-1, 2))
+
+
+class TestPencilCandidatesPinned:
+    """`_pencil_candidates` returns the verbatim stacked candidate stage's
+    bits (conftest), signed zeros included, on every oracle scene; the
+    builder, tangent and random pairs are pinned in
+    `TestBatchedKernelAgainstScalarOracle`. Everything after the candidates
+    may round differently, but the benchmark's excess pins move with the
+    last bit of a candidate."""
+
+    @pytest.mark.parametrize("name", list(_ORACLE_SCENES))
+    def test_every_pair_of_scene(self, name):
+        conics = _ORACLE_SCENES[name]().conics
+        _assert_candidates_pinned(conics, _all_pairs(conics))
 
 
 class TestTwoPhaseKernelAgainstOnePhaseOracle:
-    """The broad phase, the two-phase polish and the bisected solve change
-    no point: `pencil_intersections` equals the one-phase chunked kernel in
-    conftest bit for bit, NaN padding included. Chunks of 1 and 7 pairs put
-    the pairs whose points still move after the chunk's Newton steps in
-    many chunks."""
+    """The broad phase, the two-phase polish and the closed-form Newton
+    steps change no count: `pencil_intersections` gives the one-phase
+    chunked kernel's counts and NaN padding, and its points within the
+    contract's tolerance. Chunks of 1 and 7 pairs put the pairs whose
+    points still move after the chunk's Newton steps in many chunks."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 256])
     @pytest.mark.parametrize("name", list(_ORACLE_SCENES))
     def test_every_pair_of_scene(self, name, chunk, monkeypatch):
-        conics, pairs, (want_points, want_counts) = _one_phase_scene(name)
+        conics, pairs, want = _one_phase_scene(name)
         monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
-        points, counts = pencil_intersections(*stack_of(conics), pairs)
-        assert np.array_equal(counts, want_counts)
-        assert np.array_equal(points, want_points, equal_nan=True)
+        got = pencil_intersections(*stack_of(conics), pairs)
+        _assert_matches(conics, pairs, got, want)
 
     def test_one_pair_call(self):
         conics, pairs, (want_points, want_counts) = _one_phase_scene("pmn44")
         for k in range(0, len(pairs), 37):
             got = conic_conic_intersections(*(conics[i] for i in pairs[k]))
-            assert np.array_equal(np.array(got).reshape(-1, 2),
-                                  want_points[k, :want_counts[k]])
-
-
-class TestSolveOrNan:
-    """The bisected fallback gives every system the stacked LAPACK solve's
-    bits, and NaN to the singular ones, like a loop over single solves."""
-
-    @staticmethod
-    def _stack(rng, n, singular=()):
-        J = rng.normal(size=(n, 2, 2))
-        for k in singular:
-            J[k] = [[1.0, 2.0], [0.5, 1.0]] if k % 2 else 0.0
-        return J, rng.normal(size=(n, 2))
-
-    @pytest.mark.parametrize("n, singular", [
-        (0, ()), (1, ()), (1, (0,)), (9, (0,)), (9, (4,)), (9, (8,)),
-        (9, (0, 3, 4, 8)), (9, range(9)), (64, (5, 6, 40))],
-        ids=["empty", "one", "one-singular", "first", "middle", "last",
-             "several", "all", "wide"])
-    def test_matches_per_matrix_loop(self, n, singular):
-        J, rhs = self._stack(np.random.default_rng(n), n, singular)
-        got = _solve_or_nan(J, rhs)
-        want = per_matrix_solve_or_nan(J, rhs)
-        assert got.shape == (n, 2)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.isnan(got[list(singular)]).all()
-        assert np.isfinite(np.delete(got, list(singular), axis=0)).all()
-
-    def test_non_finite_entries(self):
-        J, rhs = self._stack(np.random.default_rng(3), 8, (2, 6))
-        J[1, 0, 0], J[4, 1, 1], rhs[5, 0] = np.nan, np.inf, -np.inf
-        with np.errstate(invalid="ignore"):
-            got = _solve_or_nan(J, rhs)
-            want = per_matrix_solve_or_nan(J, rhs)
-        assert np.array_equal(got, want, equal_nan=True)
+            points = np.full((1, 4, 2), np.nan)
+            points[0, :len(got)] = np.reshape(got, (-1, 2))
+            _assert_matches(conics, [pairs[k]], (points, np.array([len(got)])),
+                            (want_points[k:k + 1], want_counts[k:k + 1]))
 
 
 def _circle(c, r):
     return ellipse_conic(c, r, r, 0.0)
 
 
+def _scaled_ellipses(rng, n):
+    """n random ellipses scaled by 10^U(-3, 3) and shifted as far."""
+    scale = 10 ** rng.uniform(-3, 3)
+    shift = rng.uniform(-3, 3, size=2) * 10 ** rng.uniform(-3, 3)
+    conics = []
+    for _ in range(n):
+        center, a, b, ang = ellipse_parameters(
+            random_ellipse(rng, center_box=2.0))
+        conics.append(ellipse_conic(np.asarray(center) * scale + shift,
+                                    a * scale, b * scale, ang))
+    return conics
+
+
 class TestBroadPhase:
-    """Pairs of ellipses with disjoint boxes skip the kernel and get count
-    0; no pair the kernel finds a point for is skipped."""
+    """Pairs of ellipses that a line separates (their boxes, or their
+    projections on the line through their centres, are disjoint) skip the
+    kernel and get count 0. No pair the oracle finds a point for is
+    skipped: not at any scale, not when tangent, not when nested."""
 
     @given(st.integers(min_value=0, max_value=10 ** 9))
     @settings(max_examples=60, deadline=None)
     def test_scaled_random_ellipses(self, seed):
-        rng = np.random.default_rng(seed)
-        scale = 10 ** rng.uniform(-3, 3)
-        shift = rng.uniform(-3, 3, size=2) * 10 ** rng.uniform(-3, 3)
-        conics = []
-        for _ in range(6):
-            center, a, b, ang = ellipse_parameters(
-                random_ellipse(rng, center_box=2.0))
-            conics.append(ellipse_conic(np.asarray(center) * scale + shift,
-                                        a * scale, b * scale, ang))
+        conics = _scaled_ellipses(np.random.default_rng(seed), 6)
         pairs = [(i, j) for i, j in _all_pairs(conics)
                  if not conics[i].same_as(conics[j])]
         try:
@@ -1057,8 +1133,58 @@ class TestBroadPhase:
             with pytest.raises(GeometryError):
                 pencil_intersections(*stack_of(conics), pairs)
             return
-        points, counts = _same_as_one_phase(conics, pairs)
+        points, counts = _matches_one_phase(conics, pairs)
         assert not counts[_apart(conics, pairs)].any()
+
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    @settings(max_examples=40, deadline=None)
+    def test_externally_tangent_pairs_kept(self, seed):
+        # The second ellipse touches the first from outside at the point
+        # where the first's outward normal has a random angle.
+        rng = np.random.default_rng(seed)
+        scale = 10 ** rng.uniform(-3, 3)
+        center = rng.uniform(-2, 2, size=2) * scale
+        a, b = np.sort(rng.uniform(0.1, 1, size=2))[::-1] * scale
+        ang, phi = rng.uniform(0, 2 * math.pi, size=2)
+        A = ellipse_conic(center, a, b, ang)
+        rot = np.array([[math.cos(ang), -math.sin(ang)],
+                        [math.sin(ang), math.cos(ang)]])
+        touch = center + rot @ (a * math.cos(phi), b * math.sin(phi))
+        normal = rot @ (b * math.cos(phi), a * math.sin(phi))
+        normal /= np.linalg.norm(normal)
+        r = rng.uniform(0.05, 1) * scale
+        B = ellipse_conic(touch + r * normal, r, r * rng.uniform(0.3, 1),
+                          math.atan2(normal[1], normal[0]))
+        assert not _apart([A, B], [(0, 1)]).any()
+
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    @settings(max_examples=40, deadline=None)
+    def test_nested_pairs_kept(self, seed):
+        # An ellipse inside another meets it nowhere, but no line
+        # separates them.
+        rng = np.random.default_rng(seed)
+        scale = 10 ** rng.uniform(-3, 3)
+        center = rng.uniform(-2, 2, size=2) * scale
+        outer = _circle(center, scale)
+        inner = ellipse_conic(center + rng.uniform(-0.3, 0.3, size=2) * scale,
+                              0.5 * scale, rng.uniform(0.1, 0.5) * scale,
+                              rng.uniform(0, math.pi))
+        assert not _apart([outer, inner], [(0, 1)]).any()
+        # At small scales a thin ellipse far from the origin can take
+        # another kind (the absolute DEG_EPS); only ellipses are solved here.
+        if outer.kind == inner.kind == "ellipse":
+            points, counts = _matches_one_phase([outer, inner], [(0, 1)])
+            assert counts.tolist() == [0]
+
+    def test_centre_line_separates_what_boxes_do_not(self):
+        # Along the diagonal the boxes overlap, but the projections on the
+        # line through the centres do not.
+        conics = [_circle((0.0, 0.0), 1.0), _circle((1.6, 1.6), 1.0),
+                  _circle((1.4, 1.4), 1.0)]
+        pairs = [(0, 1), (0, 2)]
+        assert _apart(conics, pairs).tolist() == [True, False]
+        points, counts = _matches_one_phase(conics, pairs)
+        assert counts.tolist() == [0, 2]
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0])
     def test_tangent_at_box_edges_kept(self, scale):
@@ -1072,7 +1198,7 @@ class TestBroadPhase:
                                 0.0)]
         pairs = [(0, 1), (0, 2), (0, 3), (0, 4)]
         assert not _apart(conics, pairs).any()
-        _same_as_one_phase(conics, pairs)
+        _matches_one_phase(conics, pairs)
 
     def test_qcube_48_pairs_tangent_at_box_edges(self):
         # Their boxes touch: a strict test without the margin would skip
@@ -1080,7 +1206,7 @@ class TestBroadPhase:
         conics = qcube_48().conics
         pairs = [(19, 29), (21, 27)]
         assert not _apart(conics, pairs).any()
-        points, counts = _same_as_one_phase(conics, pairs)
+        points, counts = _matches_one_phase(conics, pairs)
         assert counts.tolist() == [1, 1]
 
     def test_hyperbolas_and_parabolas_never_skipped(self):
@@ -1094,12 +1220,13 @@ class TestBroadPhase:
                                                "parabola", "parabola"]
         pairs = [(i, j) for i, j in _all_pairs(conics) if i < 4]
         assert not _apart(conics, pairs).any()
-        _same_as_one_phase(conics, pairs)
+        _matches_one_phase(conics, pairs)
 
     def test_every_pair_skipped(self):
         conics = [_circle((3.0 * k, 0.0), 1.0) for k in range(4)]
         pairs = [(0, 2), (0, 3), (1, 3)]
         assert _apart(conics, pairs).all()
-        points, counts = _same_as_one_phase(conics, pairs)
+        points, counts = pencil_intersections(*stack_of(conics), pairs)
         assert points.shape == (3, 4, 2) and not counts.any()
         assert np.isnan(points).all()
+        _matches_one_phase(conics, pairs)
