@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -14,7 +13,7 @@ from .geometry import (GeometryError, TOL_MERGE, _coincident,
                        dilation_to_circle, ellipse_parameters_stack,
                        pencil_intersections)
 from .incidence import (IncidenceStructure, Signature, _block_pairs,
-                        _pair_dict, signature)
+                        _near_pairs, _pair_dict, signature)
 
 
 @dataclass(frozen=True)
@@ -124,28 +123,6 @@ def _spurious_scan(G: GeometricConfiguration) -> tuple[list, list]:
                  for m in (spurious, near & ~spurious))
 
 
-def _near_pairs(values: np.ndarray, window: float):
-    """Index arrays (a, b) of every pair of entries of `values` that differ
-    by at most `window`, each pair once, from one sort: in sorted order,
-    an entry within `window` of the entry k places on is also within it of
-    every entry in between, so each pass over offset k keeps only the
-    entries that found a partner at offset k - 1."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    rows, k, a, b = np.arange(len(v)), 1, [], []
-    while True:
-        rows = rows[rows < len(v) - k]
-        rows = rows[v[rows + k] - v[rows] <= window]
-        if not len(rows):
-            break
-        a.append(order[rows])
-        b.append(order[rows + k])
-        k += 1
-    if not a:
-        return rows, rows
-    return np.concatenate(a), np.concatenate(b)
-
-
 # Fixed unit directions, away from the axes and from the symmetries of the
 # builders' scenes, onto which points and flattened forms are projected.
 _POINT_AXIS = np.array([np.cos(0.3), np.sin(0.3)])
@@ -242,21 +219,22 @@ def geometric_meets(G: GeometricConfiguration) -> dict:
     Returns {"counts": {(i, j): n}, "excess": pairs}. "counts" holds all
     C(B, 2) pairs (i < j), disjoint ones with n = 0; "excess" is the sorted
     tuple of pairs that meet in more points than they share as
-    configuration points. All pairs go through the batched pencil kernel
-    `geometry.pencil_intersections`: it checks every pair for degenerate
-    or coincident conics before solving any, and raises when a pair gives
-    more than four distinct points. Its broad phase counts 0 for the pairs
-    of ellipses that a line separates without solving them; the rest are
-    solved in fixed-size chunks. Its candidates keep the per-pair pencil
-    method's bits and only the polish after them rounds differently, so
-    the counts are the per-pair method's.
+    configuration points. All pairs go through one call of the batched
+    pencil kernel `geometry.pencil_intersections`, which raises on
+    degenerate or coincident conics and on more than four distinct points,
+    and gives the per-pair pencil method's counts. The excess pairs are
+    one comparison with the shared-point counts of `intersection_type`.
     """
-    config = intersection_type(G).per_pair
-    pairs = list(combinations(range(G.num_conics), 2))
-    _, n = pencil_intersections(G.forms, G.kinds, pairs)
-    counts = dict(zip(pairs, n.tolist()))
-    excess = tuple(p for p in pairs if counts[p] > config.get(p, 0))
-    return {"counts": counts, "excess": excess}
+    B = G.num_conics
+    i, j = np.triu_indices(B, 1)
+    _, n = pencil_intersections(G.forms, G.kinds, np.column_stack([i, j]))
+    # The keys i * B + j of the pairs ascend and hold every shared key.
+    t = intersection_type(G)
+    shared = np.zeros_like(n)
+    shared[np.searchsorted(i * B + j, t.keys)] = t.counts
+    excess = n > shared
+    return {"counts": dict(zip(zip(i.tolist(), j.tolist()), n.tolist())),
+            "excess": tuple(zip(i[excess].tolist(), j[excess].tolist()))}
 
 
 AXIS_TOL = 1e-8

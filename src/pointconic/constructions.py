@@ -3,6 +3,10 @@
 Every builder returns a GeometricConfiguration that has passed
 `analysis.audit`; the audit is the gate, so builders do not pre-check what it
 checks (duplicate points, missing or spurious incidences, coincident conics).
+Every builder and realizer makes its scene in one stacked step: it fits a
+stack of forms, checks them in array passes and hands points, forms, kinds
+and flags to `GeometricConfiguration._of`. No `Conic` is built on the way,
+apart from the transversal ellipse that richter_gebert draws.
 Builders that draw random data are pure functions of (parameters, seed). They
 resample through one helper, `_retry`: a rejected draw raises GeometryError or
 ConstructionError, and `_retry` draws again up to an explicit budget.
@@ -16,12 +20,13 @@ import numpy as np
 
 from . import analysis, geometry
 from .configuration import GeometricConfiguration, Polytope4
-from .geometry import (AffineMap2, Conic, GeometryError, Projection4to2,
-                       TOL_MERGE, _classify_forms, _norm, _normalized_forms,
-                       affine_images, apply_affine, apply_affine_point,
+from .geometry import (DEGENERATE_KINDS, AffineMap2, Conic, GeometryError,
+                       Projection4to2, TOL_MERGE, _classify_forms, _conic_of,
+                       _five_point_faults, _norm, _normalized_forms,
+                       _residuals, affine_images, apply_affine_point,
                        carnot_product, carnot_solve_sixth,
-                       conic_conic_intersections, conic_from_5_points, cross2,
-                       line_conic_intersections)
+                       conic_forms_from_5_points, cross2,
+                       line_conic_intersections, pencil_intersections)
 from .incidence import IncidenceError, IncidenceStructure, has_biclique
 
 RETRY_BUDGET = 1000
@@ -55,23 +60,48 @@ def _retry(attempt, budget: int, what: str):
 # Small planar helpers
 # ---------------------------------------------------------------------------
 
+_UNIT_CIRCLE = _normalized_forms(np.diag([1.0, 1.0, -1.0])[None])
+
+
+def _ellipse_forms(centers, a: float, b: float, angles):
+    """(forms, kinds) of the unit circle's images under x -> R(angle)
+    diag(a, b) x + center for the centers (n, 2) and `angles` (n floats),
+    maps built and checked as `AffineMap2` does, in one `affine_images`."""
+    cos, sin = (np.array([f(t) for t in angles]) for f in (math.cos, math.sin))
+    H = np.tile(np.eye(3), (len(cos), 1, 1))
+    H[:, :2, :2] = np.matmul(np.stack([cos, -sin, sin, cos], axis=1)
+                             .reshape(-1, 2, 2), np.diag([a, b]))
+    H[:, :2, 2] = centers
+    if (np.abs(np.linalg.det(H[:, :2, :2])) < 1e-12).any():
+        raise GeometryError("affine map is singular")
+    return affine_images(H, _UNIT_CIRCLE)
+
+
 def ellipse_conic(center, a: float, b: float, angle: float) -> Conic:
-    """Ellipse with the given center, semi-axes and major-axis direction."""
-    R = np.array([[math.cos(angle), -math.sin(angle)],
-                  [math.sin(angle), math.cos(angle)]])
-    M = AffineMap2(R @ np.diag([a, b]), np.asarray(center, float))
-    return apply_affine(M, Conic.from_coeffs(1, 0, 1, 0, 0, -1))
+    """Ellipse with the given center, semi-axes and major-axis direction:
+    the one-ellipse call of `_ellipse_forms`."""
+    forms, kinds = _ellipse_forms(np.reshape(center, (1, 2)), a, b, [angle])
+    return _conic_of(forms[0], kinds[0])
 
 
-def circle_through_3_points(p, q, r) -> Conic:
-    """Circle x^2 + y^2 + dx + ey + f = 0 through three points."""
-    A = np.array([[p[0], p[1], 1.0], [q[0], q[1], 1.0], [r[0], r[1], 1.0]])
-    rhs = -np.array([p[0] ** 2 + p[1] ** 2, q[0] ** 2 + q[1] ** 2,
-                     r[0] ** 2 + r[1] ** 2])
-    if abs(np.linalg.det(A)) < 1e-12:
+def _circle_forms(P: np.ndarray) -> np.ndarray:
+    """Normalized forms of the circles x^2 + y^2 + dx + ey + f = 0 through
+    the point triples P (B, 3, 2), by one stacked `det` and `solve`; squares
+    of Python floats are libm ``pow``, as a numpy scalar's square is."""
+    sq = np.array([x ** 2 + y ** 2 for x, y in P.reshape(-1, 2).tolist()])
+    A = np.concatenate([P, np.ones((len(P), 3, 1))], axis=2)
+    if (np.abs(np.linalg.det(A)) < 1e-12).any():
         raise GeometryError("collinear points have no circumscribed circle")
-    d, e, f = np.linalg.solve(A, rhs)
-    return Conic.from_coeffs(1, 0, 1, d, e, f)
+    M = np.tile(np.diag([1.0, 1.0, 0.0]), (len(P), 1, 1))
+    M[:, 2] = M[:, :, 2] = (np.linalg.solve(A, -sq.reshape(-1, 3, 1))[..., 0]
+                            * [0.5, 0.5, 1.0])
+    return _normalized_forms(M)
+
+
+def _flags_of(members: np.ndarray) -> np.ndarray:
+    """Flags (point, block) of the point rows `members` (B, k) of B blocks."""
+    return np.column_stack([members.ravel(),
+                            np.arange(members.size) // members.shape[1]])
 
 
 def translate_conics(forms: np.ndarray, shifts: np.ndarray):
@@ -103,15 +133,14 @@ def _require_audit(G: GeometricConfiguration, context: str,
 
 def crossed_ellipses() -> GeometricConfiguration:
     """Two congruent perpendicular ellipses meeting in four points: (4_2, 2_4)."""
-    a, b = 0.6, 0.25
-    e1 = ellipse_conic((0, 0), a, b, 0.0)
-    e2 = ellipse_conic((0, 0), a, b, math.pi / 2)
-    pts = conic_conic_intersections(e1, e2)
-    if len(pts) != 4:
+    forms, kinds = _ellipse_forms(np.zeros((2, 2)), 0.6, 0.25,
+                                  [0.0, math.pi / 2])
+    pts, counts = pencil_intersections(forms, kinds, [(0, 1)])
+    if counts[0] != 4:
         raise ConstructionError("crossed ellipses failed to meet in 4 points")
-    flags = {(i, 0) for i in range(4)} | {(i, 1) for i in range(4)}
-    G = GeometricConfiguration(np.array(pts), (e1, e2), flags, tol=1e-9,
-                               provenance={"builder": "crossed_ellipses"})
+    G = GeometricConfiguration._of(
+        pts[0], forms, kinds, _flags_of(np.tile(np.arange(4), (2, 1))),
+        tol=1e-9, provenance={"builder": "crossed_ellipses"})
     return _require_audit(G, "crossed_ellipses")
 
 
@@ -127,31 +156,20 @@ def polygon_ring(n: int, elongation: float = 0.15,
         raise ConstructionError("polygon ring needs n >= 3")
     if minor is None:
         minor = 0.5 * elongation
-    R = 0.5 / math.sin(math.pi / n)
-    verts = [R * np.array([math.cos(2 * math.pi * k / n),
-                           math.sin(2 * math.pi * k / n)])
-             for k in range(n)]
-    conics = []
-    for k in range(n):
-        v0, v1 = verts[k], verts[(k + 1) % n]
-        center = (v0 + v1) / 2
-        ang = math.atan2(*(v1 - v0)[::-1])
-        conics.append(ellipse_conic(center, 0.5 + elongation, minor, ang))
-    points = []
-    flags = set()
-    for k in range(n):
-        j = (k + 1) % n
-        pts = conic_conic_intersections(conics[k], conics[j])
-        if len(pts) != 4:
-            raise ConstructionError(
-                f"ellipses {k},{j} meet in {len(pts)} points, need 4; "
-                f"adjust elongation/minor (got {elongation}, {minor})")
-        for p in pts:
-            idx = len(points)
-            points.append(p)
-            flags |= {(idx, k), (idx, j)}
-    G = GeometricConfiguration(
-        np.array(points), tuple(conics), flags, tol=1e-9,
+    V = np.array(_regular_polygon(n))
+    W = np.roll(V, -1, axis=0)
+    forms, kinds = _ellipse_forms((V + W) / 2, 0.5 + elongation, minor, [
+        math.atan2(y, x) for x, y in (W - V).tolist()])
+    pairs = np.column_stack([np.arange(n), np.roll(np.arange(n), -1)])
+    pts, counts = pencil_intersections(forms, kinds, pairs)
+    if (counts != 4).any():
+        k = int((counts != 4).argmax())
+        raise ConstructionError(
+            f"ellipses {k},{pairs[k, 1]} meet in {counts[k]} points, need 4; "
+            f"adjust elongation/minor (got {elongation}, {minor})")
+    G = GeometricConfiguration._of(
+        pts.reshape(-1, 2), forms, kinds,
+        _flags_of(np.repeat(pairs, 4, axis=0))[:, ::-1], tol=1e-9,
         provenance={"builder": "polygon_ring",
                     "params": {"n": n, "elongation": elongation,
                                "minor": minor}})
@@ -170,44 +188,54 @@ def parallelogram_ellipse_pair(A, B, C, D, t: float = 0.5):
     symmetric parameter on BC and DA. Returns (conic_AC, conic_BD,
     [P_AB, P_BC, P_CD, P_DA]).
     """
-    A, B, C, D = (np.asarray(v, float) for v in (A, B, C, D))
-    scale = max(np.linalg.norm(B - A), np.linalg.norm(D - A), 1e-300)
-    if np.linalg.norm((A + C) - (B + D)) > 1e-10 * scale:
-        raise GeometryError("ABCD is not a parallelogram")
+    forms, kinds, side, errors = _parallelogram_forms(
+        np.array([A, B, C, D], float)[None], t)
+    if errors[0]:
+        raise GeometryError(errors[0])
+    return (_conic_of(forms[0], kinds[0]), _conic_of(forms[1], kinds[1]),
+            list(side[0]))
+
+
+def _parallelogram_forms(Q: np.ndarray, t: float):
+    """`parallelogram_ellipse_pair` of the parallelograms Q (F, 4, 2) in
+    one pass: forms (2F, 3, 3) and kinds (AC, then BD, of each), side points
+    (F, 4, 2) and per face its first failed check's message or None (the
+    parallelogram, the two five-point sets, the two closures, in order).
+    A bad `t` raises after the first face's parallelogram check."""
+    A, B, C, D = np.moveaxis(Q, 1, 0)
+    scale = np.maximum(np.maximum(_norm(B - A), _norm(D - A)), 1e-300)
+    skew = (_norm((A + C) - (B + D)) > 1e-10 * scale).tolist()
     if not 0.0 < t < 1.0:
-        raise GeometryError("side parameter t must lie strictly in (0, 1)")
-    p_ab = A + t * (B - A)
-    p_cd = C + t * (D - C)
-    p_bc = B + t * (C - B)
-    p_da = D + t * (A - D)
-    side = [p_ab, p_bc, p_cd, p_da]
-    e_ac = conic_from_5_points(side + [A])
-    e_bd = conic_from_5_points(side + [B])
-    for conic, extra in ((e_ac, C), (e_bd, D)):
-        if conic.residual(extra) > 1e-8:
-            raise GeometryError("central-symmetry closure failed for the "
-                                "parallelogram ellipse pair")
-    return e_ac, e_bd, side
+        raise GeometryError("ABCD is not a parallelogram" if skew[0] else
+                            "side parameter t must lie strictly in (0, 1)")
+    side = Q + t * (np.roll(Q, -1, axis=1) - Q)
+    sets = np.concatenate([np.repeat(side[:, None], 2, axis=1),
+                           Q[:, :2, None]], axis=2).reshape(-1, 5, 2)
+    fits = _five_point_faults(sets)
+    # A failed set is fitted as a regular pentagon, a finite placeholder.
+    sets[[bool(f) for f in fits]] = _regular_polygon(5)
+    forms, kinds = conic_forms_from_5_points(sets)
+    gaps = (_residuals(Q[:, 2:].reshape(-1, 2), forms) > 1e-8).reshape(-1, 2)
+    return forms, kinds, side, [
+        "ABCD is not a parallelogram" if bad else ac or bd or (
+            "central-symmetry closure failed for the parallelogram ellipse "
+            "pair" if gap else None) for bad, ac, bd, gap in zip(
+                skew, fits[::2], fits[1::2], gaps.any(axis=1).tolist())]
 
 
 def hypercube() -> Polytope4:
     """The 4-cube with unit edges centered at the origin."""
-    verts = [np.array(bits, float) - 0.5
-             for bits in np.ndindex(2, 2, 2, 2)]
-    V = np.array(verts)
+    V = np.array(list(np.ndindex(2, 2, 2, 2)), float) - 0.5
     edges = [(i, j) for i in range(16) for j in range(i + 1, 16)
              if np.sum(np.abs(V[i] - V[j])) == 1.0]
     faces = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            others = [k for k in range(4) if k not in (i, j)]
-            for a in (-0.5, 0.5):
-                for b in (-0.5, 0.5):
-                    cell = [v for v in range(16)
-                            if V[v][others[0]] == a and V[v][others[1]] == b]
-                    # order the 4 vertices into a cycle around the square
-                    cell.sort(key=lambda v: math.atan2(V[v][j], V[v][i]))
-                    faces.append(tuple(cell))
+    for i, j in itertools.combinations(range(4), 2):
+        k, m = (k for k in range(4) if k not in (i, j))
+        for a, b in itertools.product((-0.5, 0.5), repeat=2):
+            cell = [v for v in range(16) if V[v][k] == a and V[v][m] == b]
+            # order the 4 vertices into a cycle around the square
+            cell.sort(key=lambda v: math.atan2(V[v][j], V[v][i]))
+            faces.append(tuple(cell))
     return Polytope4(V, edges, faces)
 
 
@@ -248,35 +276,27 @@ def qcube_48(proj: Projection4to2 | None = None) -> GeometricConfiguration:
     same vertex of it also share that edge's midpoint."""
     proj = proj or octagonal_projection()
     poly = hypercube()
-    V2 = np.array([geometry.project(proj, v) for v in poly.vertices])
-    mid4 = poly.edge_midpoints()
-    M2 = np.array([geometry.project(proj, m) for m in mid4])
-    points = np.vstack([V2, M2])
-    edge_index = {frozenset(e): 16 + k for k, e in enumerate(poly.edges)}
-    conics = []
-    flags = set()
-    for face in poly.faces2:
-        a, b, c, d = face
-        try:
-            e_ac, e_bd, _ = parallelogram_ellipse_pair(
-                V2[a], V2[b], V2[c], V2[d], t=0.5)
-        except GeometryError as exc:
-            raise ConstructionError(
-                f"non-generic projection: face {face}: {exc}") from exc
-        for conic in (e_ac, e_bd):
-            if conic.kind != "ellipse":
-                raise ConstructionError(
-                    f"non-generic projection: face {face} gave {conic.kind}")
-        mids = [edge_index[frozenset((face[k], face[(k + 1) % 4]))]
-                for k in range(4)]
-        i_ac = len(conics)
-        conics.append(e_ac)
-        flags |= {(p, i_ac) for p in mids} | {(a, i_ac), (c, i_ac)}
-        i_bd = len(conics)
-        conics.append(e_bd)
-        flags |= {(p, i_bd) for p in mids} | {(b, i_bd), (d, i_bd)}
-    G = GeometricConfiguration(points, tuple(conics), flags, tol=1e-8,
-                               provenance={"builder": "qcube_48"})
+    # A stacked matmul of (2, 4) by (4, 1) rounds like `project`.
+    points = np.matmul(proj.map, np.vstack([
+        poly.vertices, poly.edge_midpoints()])[:, :, None])[:, :, 0]
+    faces = np.array(poly.faces2)
+    forms, kinds, _, errors = _parallelogram_forms(points[faces], 0.5)
+    for face, error, *pair in zip(poly.faces2, errors, kinds[::2],
+                                  kinds[1::2]):
+        gave = [kind for kind in pair if kind != "ellipse"]
+        if error or gave:
+            raise ConstructionError(f"non-generic projection: face {face}" + (
+                f": {error}" if error else f" gave {gave[0]}"))
+    # Point 16 + e is the midpoint of edge e; a face's conics pass through
+    # its four edge midpoints and the vertices A, C or B, D.
+    i, j = np.array(poly.edges).T
+    edge = np.zeros((16, 16), np.int64)
+    edge[i, j] = edge[j, i] = 16 + np.arange(len(i))
+    mids = np.repeat(edge[faces, np.roll(faces, -1, axis=1)], 2, axis=0)
+    G = GeometricConfiguration._of(
+        points, forms, kinds, _flags_of(np.column_stack(
+            [mids, faces[:, [0, 2, 1, 3]].reshape(-1, 2)])), tol=1e-8,
+        provenance={"builder": "qcube_48"})
     return _require_audit(G, "qcube_48")
 
 
@@ -328,28 +348,20 @@ def _two_edge_points(rng, U, V) -> list[np.ndarray]:
     return [p, _edge_point(rng, U, V, taken=p)]
 
 
-def _fit_face_conic(pts6, tol: float) -> Conic:
-    conic = conic_from_5_points(pts6[:5])
-    if conic.residual(pts6[5]) > tol:
-        raise GeometryError("six points are not coconical at tolerance")
-    if conic.is_degenerate():
-        raise GeometryError("degenerate face conic")
-    return conic
-
-
 def _carnot_scene(edge_pts, faces, tol: float, provenance: dict,
                   context: str) -> GeometricConfiguration:
     """The audited scene of a Carnot construction. Edge e holds the point
-    pair `edge_pts[e]`, which become points 2e and 2e + 1; face f's conic
-    is fitted through, and flagged on, the points of its side edges
-    `faces[f]`, given in Carnot order a, b, c."""
+    pair `edge_pts[e]`, which become points 2e and 2e + 1; face f's conic,
+    fitted with all others in one call, passes through the first five
+    points of its side edges `faces[f]` (Carnot order a, b, c) and is
+    flagged on all six: the audit's flag check tests the sixth at `tol`."""
     points = np.reshape(edge_pts, (-1, 2))
     slots = (2 * np.asarray(faces)[:, :, None] + [0, 1]).reshape(-1, 6)
-    conics = tuple(_fit_face_conic(points[s], tol) for s in slots)
-    flags = np.column_stack([slots.ravel(),
-                             np.repeat(np.arange(len(slots)), 6)])
-    G = GeometricConfiguration(points, conics, flags, tol=tol,
-                               provenance=provenance)
+    forms, kinds = conic_forms_from_5_points(points[slots[:, :5]])
+    if any(kind in DEGENERATE_KINDS for kind in kinds):
+        raise GeometryError("degenerate face conic")
+    G = GeometricConfiguration._of(points, forms, kinds, _flags_of(slots),
+                                   tol, provenance)
     return _require_audit(G, context)
 
 
@@ -438,44 +450,29 @@ def _dipyramid_once(rng, n: int) -> GeometricConfiguration:
             if area < 0.05:
                 raise GeometryError("degenerate face in planar drawing")
 
-    ring_pts = [None] * n    # points on ring edge (v_i, v_{i+1})
-    up_pts = [None] * n      # points on spoke (north, v_i)
-    lo_pts = [None] * n      # points on spoke (south, v_i)
-
-    closure_residuals = []
-    # Upper faces U_i = (north, v_i, v_{i+1}); sides: a = ring edge i,
-    # b = spoke i+1, c = spoke i.
+    # Points on ring edge (v_i, v_{i+1}) and on the spokes (north, v_i) and
+    # (south, v_i). Upper faces U_i = (north, v_i, v_{i+1}) have the sides
+    # a = ring edge i, b = spoke i+1, c = spoke i.
+    ring_pts, up_pts = [], [_two_edge_points(rng, north, ring[0])]
     for i in range(n):
         j = (i + 1) % n
-        tri = (north, ring[i], ring[j])
-        if up_pts[i] is None:
-            up_pts[i] = _two_edge_points(rng, north, ring[i])
-        if up_pts[j] is None:
-            up_pts[j] = _two_edge_points(rng, north, ring[j])
+        if j:
+            up_pts.append(_two_edge_points(rng, north, ring[j]))
         r0 = _edge_point(rng, ring[i], ring[j])
-        known = [r0] + up_pts[j] + up_pts[i]
-        r1 = carnot_solve_sixth(tri, known, side="a")
-        ring_pts[i] = [r0, r1]
+        ring_pts.append([r0, carnot_solve_sixth(
+            (north, ring[i], ring[j]), [r0] + up_pts[j] + up_pts[i], "a")])
     # Lower faces L_i = (south, v_i, v_{i+1}); ring points already fixed.
-    for i in range(n):
-        j = (i + 1) % n
-        tri = (south, ring[i], ring[j])
-        if lo_pts[i] is None:
-            lo_pts[i] = _two_edge_points(rng, south, ring[i])
-        if lo_pts[j] is None:
-            if i == n - 1:
-                raise GeometryError("face ordering broke")
-            p0 = _edge_point(rng, south, ring[j])
-            known = ring_pts[i] + [p0] + lo_pts[i]
-            p1 = carnot_solve_sixth(tri, known, side="b")
-            lo_pts[j] = [p0, p1]
-        else:
-            # Fully determined face: the closure that must come for free.
-            prod = carnot_product(tri, ring_pts[i] + lo_pts[j] + lo_pts[i])
-            closure_residuals.append(abs(prod - 1.0))
-            if closure_residuals[-1] > 1e-6:
-                raise GeometryError(
-                    f"closing face residual {closure_residuals[-1]:.2e}")
+    lo_pts = [_two_edge_points(rng, south, ring[0])]
+    for i in range(n - 1):
+        p0 = _edge_point(rng, south, ring[i + 1])
+        lo_pts.append([p0, carnot_solve_sixth(
+            (south, ring[i], ring[i + 1]), ring_pts[i] + [p0] + lo_pts[i],
+            "b")])
+    # The last lower face is fully determined: its closure comes for free.
+    closure = abs(carnot_product((south, ring[-1], ring[0]),
+                                 ring_pts[-1] + lo_pts[0] + lo_pts[-1]) - 1.0)
+    if closure > 1e-6:
+        raise GeometryError(f"closing face residual {closure:.2e}")
 
     all_pts = ring_pts + up_pts + lo_pts
     if np.max(np.abs(all_pts)) > 50:
@@ -490,7 +487,7 @@ def _dipyramid_once(rng, n: int) -> GeometricConfiguration:
         all_pts, faces, 1e-6,
         {"builder": "dipyramid_carnot",
          "params": {"n": n},
-         "max_closure_residual": max(closure_residuals),
+         "max_closure_residual": closure,
          "face_triangles": [[apex, ring[i], ring[(i + 1) % n]]
                             for i in range(n) for apex in (north, south)],
          "face_points": [[2 * e + s for e in face for s in (0, 1)]
@@ -632,8 +629,7 @@ def _hexagon_configuration(points4: np.ndarray, hexagons: np.ndarray,
     radii = np.linalg.norm(rel, axis=2)
     provenance = {**provenance, "circumradii_4d": (
         radii.min(axis=1).tolist(), radii.max(axis=1).tolist())}
-    flags = np.column_stack([hexagons.ravel(),
-                             np.repeat(np.arange(len(hexagons)), 6)])
+    flags = _flags_of(hexagons)
 
     def build(proj: Projection4to2) -> GeometricConfiguration:
         # A stacked matmul of (2, 4) by (4, 1) rounds like `project`.
@@ -736,17 +732,16 @@ def cell24_polytope() -> Polytope4:
 
 def _realize(C: IncidenceStructure, seed: int, fit, builder: str,
              what: str) -> GeometricConfiguration:
-    """Points drawn in the unit square and the conic `fit(rng, pts,
-    members)` of each block, audited; redrawn up to RETRY_BUDGET times."""
+    """Points drawn in the unit square and the normalized forms `fit(rng,
+    pts)` of the blocks, audited; redrawn up to RETRY_BUDGET times."""
     rng = np.random.default_rng(seed)
 
     def attempt():
         pts = rng.uniform(0, 1, size=(C.num_points, 2))
-        conics = tuple(fit(rng, pts, sorted(C.points_of_block(b)))
-                       for b in range(C.num_blocks))
-        G = GeometricConfiguration(pts, conics, C.flag_array, tol=1e-8,
-                                   provenance={"builder": builder,
-                                               "seed": seed})
+        forms = fit(rng, pts)
+        G = GeometricConfiguration._of(
+            pts, forms, _classify_forms(forms), C.flag_array, 1e-8,
+            {"builder": builder, "seed": seed})
         return _require_audit(G, what)
     return _retry(attempt, RETRY_BUDGET, what)
 
@@ -760,9 +755,9 @@ def realize_lineal_by_circles(C: IncidenceStructure,
         raise ConstructionError("all block sizes must be 3")
     if has_biclique(C, 2, 2):
         raise ConstructionError("structure is not lineal")
-    return _realize(C, seed,
-                    lambda rng, pts, members: circle_through_3_points(
-                        *pts[members]),
+    F = C.flag_array
+    triples = F[np.lexsort(F.T), 0].reshape(-1, 3)  # by block, then point
+    return _realize(C, seed, lambda rng, pts: _circle_forms(pts[triples]),
                     "realize_lineal_by_circles", "circle realization")
 
 
@@ -775,21 +770,25 @@ def realize_by_conics(C: IncidenceStructure,
         raise ConstructionError("structure has a K_{5,2}; not conical")
     if any(C.block_size(b) > 5 for b in range(C.num_blocks)):
         raise ConstructionError("block sizes must be at most 5")
-    return _realize(C, seed, _conic_through_padded, "realize_by_conics",
-                    "conic realization")
+    blocks = [sorted(members) for members in C.block_point_sets]
+    return _realize(C, seed, lambda rng, pts: np.reshape(
+        [_conic_through_padded(rng, pts, m) for m in blocks], (-1, 3, 3)),
+        "realize_by_conics", "conic realization")
 
 
-def _conic_through_padded(rng, pts, members) -> Conic:
-    """Nondegenerate conic through the block's points, padded to five with
-    fresh generic points; rejects conics grazing non-member points."""
-    others = pts[[i for i in range(len(pts)) if i not in members]]
+def _conic_through_padded(rng, pts, members) -> np.ndarray:
+    """Form of a nondegenerate conic through the block's points, padded to
+    five with fresh generic points; rejects conics grazing non-member
+    points."""
+    others = np.delete(pts, members, axis=0)
 
     def attempt():
         aux = rng.uniform(-0.2, 1.2, size=(5 - len(members), 2))
-        conic = conic_from_5_points(np.vstack([pts[members], aux]))
-        if conic.is_degenerate():
+        forms, kinds = conic_forms_from_5_points(
+            np.vstack([pts[members], aux])[None])
+        if kinds[0] in DEGENERATE_KINDS:
             raise GeometryError("degenerate padded conic")
-        if (geometry._residuals(others, conic.form) <= 1e-7).any():
+        if (_residuals(others, forms[0]) <= 1e-7).any():
             raise GeometryError("padded conic grazes a non-member point")
-        return conic
+        return forms[0]
     return _retry(attempt, 64, "padded conic fit")

@@ -129,11 +129,12 @@ def _normalized_forms(M: np.ndarray) -> np.ndarray:
     """Stacked forms (B, 3, 3) symmetrised, scaled to unit Frobenius norm
     (through `_norm`, which rounds like `np.linalg.norm`) and signed so that
     the first entry above 1e-14 in magnitude (row-major) is positive; a new
-    read-only stack, forms whose squares would leave the normal range first
-    divided by their largest |entry|. Raises on non-finite or zero forms."""
+    read-only C-ordered stack, so every layout of M rounds alike, forms
+    whose squares would leave the normal range first divided by their
+    largest |entry|. Raises on non-finite or zero forms."""
     if not np.isfinite(M).all():
         raise GeometryError("non-finite conic form")
-    M = 0.5 * (M + np.swapaxes(M, 1, 2))
+    M = np.ascontiguousarray(0.5 * (M + np.swapaxes(M, 1, 2)))
     flat = M.reshape(-1, 9)
     with np.errstate(over="ignore"):
         nrm = _norm(flat)
@@ -245,37 +246,52 @@ def line_conic_intersections(conic: Conic, p0, p1,
 
 _PAIRS_5 = np.array(list(combinations(range(5), 2))).T
 _TRIPLES_5 = np.array(list(combinations(range(5), 3))).T
+_FIVE_POINT_FAULTS = ([f"duplicate points at indices {i},{j}"
+                       for i, j in _PAIRS_5.T.tolist()]
+                      + [f"points {i},{j},{k} are collinear; conic not unique"
+                         for i, j, k in _TRIPLES_5.T.tolist()])
+
+
+def _five_point_faults(P: np.ndarray) -> list:
+    """Per set of the five-point sets P (B, 5, 2), the message of its first
+    failed check (duplicates, then collinear triples, each in lexicographic
+    order) or None; every check runs over all sets at once."""
+    i, j = _PAIRS_5
+    a, b, c = _TRIPLES_5
+    fault = np.concatenate([_norm(P[:, i] - P[:, j]) < TOL_MERGE,
+                            _collinear(P[:, a], P[:, b], P[:, c])], axis=1)
+    return [_FIVE_POINT_FAULTS[k] if bad else None
+            for k, bad in zip(fault.argmax(axis=1).tolist(),
+                              fault.any(axis=1).tolist())]
+
+
+def conic_forms_from_5_points(P) -> tuple[np.ndarray, list[str]]:
+    """(forms, kinds) of the unique conics through the five-point sets P
+    (B, 5, 2), no three points of a set collinear: each the least-singular
+    direction of its 5x6 design matrix in the monomial basis (x^2, xy, y^2,
+    x, y, 1), from one stacked `svd`. Raises the first failed check of the
+    first failing set before any fit."""
+    P = np.asarray(P, dtype=float)
+    if P.shape[1:] != (5, 2):
+        raise GeometryError("exactly five points required")
+    fault = next(filter(None, _five_point_faults(P)), None)
+    if fault:
+        raise GeometryError(fault)
+    x, y = P[..., 0], P[..., 1]
+    _, s, Vt = np.linalg.svd(np.stack([x * x, x * y, y * y, x, y,
+                                       np.ones_like(x)], axis=-1))
+    if (s[:, 0] / np.where(s[:, 4] > 0, s[:, 4], np.inf) > COND_WARN).any():
+        warnings.warn("ill-conditioned five-point conic fit", RuntimeWarning)
+    M = _normalized_forms((Vt[:, -1][:, _FORM_FROM_COEFFS] * _FORM_SCALE)
+                          .reshape(-1, 3, 3))
+    return M, _classify_forms(M)
 
 
 def conic_from_5_points(pts) -> Conic:
-    """Unique conic through five points, no three collinear.
-
-    Computed as the least-singular direction of the 5x6 design matrix in
-    the monomial basis (x^2, xy, y^2, xz, yz, z^2). The duplicate and the
-    collinearity checks run over all pairs and triples at once and name the
-    first offender in lexicographic order.
-    """
-    P = np.asarray(list(pts), dtype=float)
-    if len(P) != 5:
-        raise GeometryError("exactly five points required")
-    i, j = _PAIRS_5
-    dup = _norm(P[i] - P[j]) < TOL_MERGE
-    if dup.any():
-        n = dup.argmax()
-        raise GeometryError(f"duplicate points at indices {i[n]},{j[n]}")
-    i, j, k = _TRIPLES_5
-    flat = _collinear(P[i], P[j], P[k])
-    if flat.any():
-        n = flat.argmax()
-        raise GeometryError(
-            f"points {i[n]},{j[n]},{k[n]} are collinear; conic not unique")
-    x, y = P.T
-    D = np.column_stack([x * x, x * y, y * y, x, y, np.ones(5)])
-    _, s, Vt = np.linalg.svd(D)
-    if s[4] > 0 and s[0] / s[4] > COND_WARN:
-        warnings.warn("ill-conditioned five-point conic fit", RuntimeWarning)
-    a, b, c, d, e, f = Vt[-1]
-    return Conic.from_coeffs(a, b, c, d, e, f)
+    """Unique conic through five points, no three collinear: the one-set
+    call of `conic_forms_from_5_points`."""
+    forms, kinds = conic_forms_from_5_points(np.array([list(pts)], float))
+    return _conic_of(forms[0], kinds[0])
 
 
 def central_conic_forms(centers, reps) -> tuple[np.ndarray, np.ndarray]:

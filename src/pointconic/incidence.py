@@ -263,26 +263,32 @@ def signature(C: IncidenceStructure) -> Signature:
                      _common(np.bincount(F[:, 1], minlength=C.num_blocks)))
 
 
+def _near_pairs(values: np.ndarray, window: float):
+    """Index arrays (a, b) of every pair of entries of `values` that differ
+    by at most `window`, each pair once, from one sort: in sorted order,
+    an entry within `window` of the entry k places on is also within it of
+    every entry in between, so each pass over offset k keeps only the
+    entries that found a partner at offset k - 1."""
+    order = np.argsort(values, kind="stable")
+    v, rows, k = values[order], np.arange(len(values)), 1
+    a, b = [order[:0]], [order[:0]]
+    while len(rows):
+        rows = rows[rows < len(v) - k]
+        rows = rows[v[rows + k] - v[rows] <= window]
+        a.append(order[rows])
+        b.append(order[rows + k])
+        k += 1
+    return np.concatenate(a), np.concatenate(b)
+
+
 def _block_pairs(F: np.ndarray, num_blocks: int):
     """(keys, counts): the sorted keys i * num_blocks + j of the block
     pairs i < j that share a point, and how many points each pair shares.
 
-    F is sorted by (point, block), so the flags of one point are adjacent
-    and ordered by block: row r pairs with row r + k exactly when both hold
-    the same point. A row that finds no partner at offset k finds none
-    further on, so each pass keeps only the rows that found one."""
-    p, b = F[:, 0], F[:, 1]
-    rows, k, keys = np.arange(len(F)), 1, []
-    while True:
-        rows = rows[rows < len(F) - k]
-        rows = rows[p[rows + k] == p[rows]]
-        if not len(rows):
-            break
-        keys.append(b[rows] * num_blocks + b[rows + k])
-        k += 1
-    if not keys:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    return np.unique(np.concatenate(keys), return_counts=True)
+    F is sorted by (point, block), so the block pairs are the pairs of
+    rows with equal points: the offset sweep `_near_pairs` at window 0."""
+    a, b = _near_pairs(F[:, 0], 0)
+    return np.unique(F[a, 1] * num_blocks + F[b, 1], return_counts=True)
 
 
 def block_pair_counts(C: IncidenceStructure) -> dict:

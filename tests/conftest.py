@@ -15,17 +15,20 @@ from networkx.algorithms.connectivity import (
 from networkx.algorithms.flow import build_residual_network
 
 from pointconic import incidence
-from pointconic.analysis import SPURIOUS_REL, _homogenized
+from pointconic.analysis import (SPURIOUS_REL, _homogenized,
+                                 intersection_type)
 from pointconic.cli import BUILDERS
 from pointconic.configuration import GeometricConfiguration
 from pointconic.constructions import (ConstructionError, _require_audit,
                                       _retry,
                                       _with_default_projection,
                                       cell24_polytope, ellipse_conic,
+                                      hypercube, octagonal_projection,
                                       prism_product)
 from pointconic.geometry import (COND_WARN, TOL_MERGE, AffineMap2, Conic,
                                  GeometryError, _axis_angle, _coincident,
-                                 _conic_of, _kind, cross2, project)
+                                 _conic_of, _kind, conic_conic_intersections,
+                                 cross2, pencil_intersections, project)
 from pointconic.incidence import (IncidenceStructure, LeviGraph,
                                   new_incidence_structure)
 from pointconic.io import InterfaceError
@@ -1025,7 +1028,9 @@ def scalar_conic_from_5_points(pts) -> Conic:
     return Conic.from_coeffs(a, b, c, d, e, f)
 
 
-def scalar_conic_through_padded(rng, pts, members) -> Conic:
+def scalar_conic_through_padded(rng, pts, members) -> np.ndarray:
+    """The padded fit through `scalar_conic_from_5_points` and the
+    per-point grazing loop; the form of its conic, as the realizer takes."""
     others = [i for i in range(len(pts)) if i not in members]
 
     def attempt():
@@ -1036,7 +1041,7 @@ def scalar_conic_through_padded(rng, pts, members) -> Conic:
             raise GeometryError("degenerate padded conic")
         if any(scalar_residual(conic, pts[i]) <= 1e-7 for i in others):
             raise GeometryError("padded conic grazes a non-member point")
-        return conic
+        return conic.form
     return _retry(attempt, 64, "padded conic fit")
 
 
@@ -1299,3 +1304,157 @@ def loop_cell24(proj=None):
                                       for e in cycle_vertices))
     return loop_hexagon_configuration(
         mids4, hexagons, proj, tol=1e-8, provenance={"builder": "cell24"})
+
+
+# ---------------------------------------------------------------------------
+# One-conic builder steps: oracles for the stacked scene steps
+# ---------------------------------------------------------------------------
+# The builders and realizer fits as they were before every scene was made
+# in one stacked step: one `Conic` at a time, through the one-conic fits
+# above, handed to the public `GeometricConfiguration` constructor. The
+# stacked steps must give the same documents and the same errors.
+
+def scalar_ellipse_conic(center, a: float, b: float, angle: float) -> Conic:
+    R = np.array([[math.cos(angle), -math.sin(angle)],
+                  [math.sin(angle), math.cos(angle)]])
+    M = AffineMap2(R @ np.diag([a, b]), np.asarray(center, float))
+    return scalar_apply_affine(M, Conic.from_coeffs(1, 0, 1, 0, 0, -1))
+
+
+def circle_through_3_points(p, q, r) -> Conic:
+    """Circle x^2 + y^2 + dx + ey + f = 0 through three points."""
+    A = np.array([[p[0], p[1], 1.0], [q[0], q[1], 1.0], [r[0], r[1], 1.0]])
+    rhs = -np.array([p[0] ** 2 + p[1] ** 2, q[0] ** 2 + q[1] ** 2,
+                     r[0] ** 2 + r[1] ** 2])
+    if abs(np.linalg.det(A)) < 1e-12:
+        raise GeometryError("collinear points have no circumscribed circle")
+    d, e, f = np.linalg.solve(A, rhs)
+    return Conic.from_coeffs(1, 0, 1, d, e, f)
+
+
+def scalar_parallelogram_ellipse_pair(A, B, C, D, t: float = 0.5):
+    A, B, C, D = (np.asarray(v, float) for v in (A, B, C, D))
+    scale = max(np.linalg.norm(B - A), np.linalg.norm(D - A), 1e-300)
+    if np.linalg.norm((A + C) - (B + D)) > 1e-10 * scale:
+        raise GeometryError("ABCD is not a parallelogram")
+    if not 0.0 < t < 1.0:
+        raise GeometryError("side parameter t must lie strictly in (0, 1)")
+    p_ab = A + t * (B - A)
+    p_cd = C + t * (D - C)
+    p_bc = B + t * (C - B)
+    p_da = D + t * (A - D)
+    side = [p_ab, p_bc, p_cd, p_da]
+    e_ac = scalar_conic_from_5_points(side + [A])
+    e_bd = scalar_conic_from_5_points(side + [B])
+    for conic, extra in ((e_ac, C), (e_bd, D)):
+        if scalar_residual(conic, extra) > 1e-8:
+            raise GeometryError("central-symmetry closure failed for the "
+                                "parallelogram ellipse pair")
+    return e_ac, e_bd, side
+
+
+def loop_qcube_48(proj=None) -> GeometricConfiguration:
+    proj = proj or octagonal_projection()
+    poly = hypercube()
+    V2 = np.array([project(proj, v) for v in poly.vertices])
+    mid4 = poly.edge_midpoints()
+    M2 = np.array([project(proj, m) for m in mid4])
+    points = np.vstack([V2, M2])
+    edge_index = {frozenset(e): 16 + k for k, e in enumerate(poly.edges)}
+    conics = []
+    flags = set()
+    for face in poly.faces2:
+        a, b, c, d = face
+        try:
+            e_ac, e_bd, _ = scalar_parallelogram_ellipse_pair(
+                V2[a], V2[b], V2[c], V2[d], t=0.5)
+        except GeometryError as exc:
+            raise ConstructionError(
+                f"non-generic projection: face {face}: {exc}") from exc
+        for conic in (e_ac, e_bd):
+            if conic.kind != "ellipse":
+                raise ConstructionError(
+                    f"non-generic projection: face {face} gave {conic.kind}")
+        mids = [edge_index[frozenset((face[k], face[(k + 1) % 4]))]
+                for k in range(4)]
+        i_ac = len(conics)
+        conics.append(e_ac)
+        flags |= {(p, i_ac) for p in mids} | {(a, i_ac), (c, i_ac)}
+        i_bd = len(conics)
+        conics.append(e_bd)
+        flags |= {(p, i_bd) for p in mids} | {(b, i_bd), (d, i_bd)}
+    G = GeometricConfiguration(points, tuple(conics), flags, tol=1e-8,
+                               provenance={"builder": "qcube_48"})
+    return _require_audit(G, "qcube_48")
+
+
+def loop_polygon_ring(n: int, elongation: float = 0.15,
+                      minor: float | None = None) -> GeometricConfiguration:
+    if n < 3:
+        raise ConstructionError("polygon ring needs n >= 3")
+    if minor is None:
+        minor = 0.5 * elongation
+    R = 0.5 / math.sin(math.pi / n)
+    verts = [R * np.array([math.cos(2 * math.pi * k / n),
+                           math.sin(2 * math.pi * k / n)])
+             for k in range(n)]
+    conics = []
+    for k in range(n):
+        v0, v1 = verts[k], verts[(k + 1) % n]
+        center = (v0 + v1) / 2
+        ang = math.atan2(*(v1 - v0)[::-1])
+        conics.append(scalar_ellipse_conic(center, 0.5 + elongation, minor,
+                                           ang))
+    points = []
+    flags = set()
+    for k in range(n):
+        j = (k + 1) % n
+        pts = conic_conic_intersections(conics[k], conics[j])
+        if len(pts) != 4:
+            raise ConstructionError(
+                f"ellipses {k},{j} meet in {len(pts)} points, need 4; "
+                f"adjust elongation/minor (got {elongation}, {minor})")
+        for p in pts:
+            idx = len(points)
+            points.append(p)
+            flags |= {(idx, k), (idx, j)}
+    G = GeometricConfiguration(
+        np.array(points), tuple(conics), flags, tol=1e-9,
+        provenance={"builder": "polygon_ring",
+                    "params": {"n": n, "elongation": elongation,
+                               "minor": minor}})
+    return _require_audit(G, f"polygon_ring({n})")
+
+
+def _fit_face_conic(pts6, tol: float) -> Conic:
+    conic = scalar_conic_from_5_points(pts6[:5])
+    if scalar_residual(conic, pts6[5]) > tol:
+        raise GeometryError("six points are not coconical at tolerance")
+    if conic.is_degenerate():
+        raise GeometryError("degenerate face conic")
+    return conic
+
+
+def loop_carnot_scene(edge_pts, faces, tol: float, provenance: dict,
+                      context: str) -> GeometricConfiguration:
+    """`constructions._carnot_scene` with a fit and a sixth-point test per
+    face."""
+    points = np.reshape(edge_pts, (-1, 2))
+    slots = (2 * np.asarray(faces)[:, :, None] + [0, 1]).reshape(-1, 6)
+    conics = tuple(_fit_face_conic(points[s], tol) for s in slots)
+    flags = np.column_stack([slots.ravel(),
+                             np.repeat(np.arange(len(slots)), 6)])
+    G = GeometricConfiguration(points, conics, flags, tol=tol,
+                               provenance=provenance)
+    return _require_audit(G, context)
+
+
+def list_geometric_meets(G) -> dict:
+    """`analysis.geometric_meets` over a list of C(B, 2) index tuples, with
+    the counts dict and the excess tuple built pair by pair."""
+    config = intersection_type(G).per_pair
+    pairs = list(combinations(range(G.num_conics), 2))
+    _, n = pencil_intersections(G.forms, G.kinds, pairs)
+    counts = dict(zip(pairs, n.tolist()))
+    excess = tuple(p for p in pairs if counts[p] > config.get(p, 0))
+    return {"counts": counts, "excess": excess}

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_force_duplicate_pairs, conics_of,
-                      dense_sampson_scan,
-                      grid_hash_duplicate_pairs, per_flag_check,
+                      dense_sampson_scan, grid_hash_duplicate_pairs,
+                      list_geometric_meets, per_flag_check,
                       random_ellipse, residual_matrix_spurious,
                       rounded_coincident_pairs, stack_of)
 from pointconic import analysis, io
@@ -517,6 +517,17 @@ class TestGeometricMeets:
         n = G.num_conics
         assert len(res["counts"]) == n * (n - 1) // 2
         assert len(res["excess"]) == excess
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_matches_pair_list_oracle(self, name):
+        # The counts dict (keys in combinations order, int values) and the
+        # excess tuple, against the pair-list and per-pair-loop original.
+        G = _scene(name)
+        got, want = geometric_meets(G), list_geometric_meets(G)
+        assert got == want
+        assert list(got["counts"].items()) == list(want["counts"].items())
+        assert all(type(n) is int for n in got["counts"].values())
+        assert all(type(i) is int for p in got["excess"] for i in p)
 
     def test_no_runtime_warnings(self):
         for G in (qcube_48(), cell24()):

@@ -1,17 +1,20 @@
 """Unit tests for the geometric builders."""
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import (loop_cell24, loop_hexagon_configuration, loop_pmn,
-                      nested_product_flags, no_3_collinear, no_4_concyclic,
+from conftest import (circle_through_3_points, loop_carnot_scene,
+                      loop_cell24, loop_hexagon_configuration, loop_pmn,
+                      loop_polygon_ring, loop_qcube_48, nested_product_flags,
+                      no_3_collinear, no_4_concyclic,
                       random_conical_structure, scalar_apply_affine,
-                      scalar_conic_through_padded, scalar_translate_conic,
-                      symbolic_hexagons_in_prisms)
-from pointconic import analysis, constructions, io
+                      scalar_conic_through_padded, scalar_ellipse_conic,
+                      scalar_translate_conic, symbolic_hexagons_in_prisms)
+from pointconic import analysis, constructions, geometry, io
 from pointconic.analysis import audit, intersection_type, isometry_check
 from pointconic.cli import main
 from pointconic.configuration import GeometricConfiguration, Polytope4
@@ -26,8 +29,8 @@ from pointconic.constructions import (ConstructionError, cell24,
                                       realize_lineal_by_circles,
                                       richter_gebert)
 from pointconic.geometry import (AffineMap2, Conic, GeometryError,
-                                 apply_affine_point, carnot_product, classify,
-                                 ellipse_parameters)
+                                 Projection4to2, apply_affine_point,
+                                 carnot_product, classify, ellipse_parameters)
 from pointconic.incidence import (catalog, catalog_names,
                                   new_incidence_structure, signature)
 
@@ -570,3 +573,160 @@ class TestRetry:
         assert len(calls) == 200 and not out.exists()
         assert "dipyramid_carnot(4): retry budget of 200 exhausted" in \
             capsys.readouterr().err
+
+
+def _bits(forms) -> bytes:
+    return np.ascontiguousarray(forms, float).tobytes()
+
+
+class TestStackedSceneSteps:
+    """Every builder and realizer makes its scene in one stacked step; the
+    one-conic-at-a-time builders and fits in conftest are the oracles, for
+    the bytes and for the errors."""
+
+    def test_ellipse_forms_match_one_ellipse_fit(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 7, 50):
+            centers = rng.normal(size=(n, 2)) * 10 ** rng.uniform(-2, 2)
+            a, b = rng.uniform(0.05, 3, size=2)
+            angles = rng.choice([0.0, math.pi / 2, math.pi, -1.3, 2.9],
+                                size=n).tolist()
+            forms, kinds = constructions._ellipse_forms(centers, a, b, angles)
+            want = [scalar_ellipse_conic(c, a, b, t)
+                    for c, t in zip(centers, angles)]
+            assert _bits(forms) == _bits([c.form for c in want])
+            assert kinds == [c.kind for c in want]
+            one = [ellipse_conic(c, a, b, t) for c, t in zip(centers, angles)]
+            assert _bits([c.form for c in one]) == _bits(forms)
+        with pytest.raises(GeometryError, match="^affine map is singular$"):
+            ellipse_conic((0, 0), 0.0, 1.0, 0.3)
+
+    def test_circle_forms_match_one_triple_fit(self):
+        # An array's x ** 2 and a numpy scalar's can differ in the last bit;
+        # the stacked fit squares as the one-triple fit does.
+        P = np.random.default_rng(1).uniform(0, 1, size=(10000, 3, 2))
+        want = [circle_through_3_points(*p) for p in P]
+        forms = constructions._circle_forms(P)
+        assert _bits(forms) == _bits([c.form for c in want])
+        assert not forms.flags.writeable
+        with pytest.raises(GeometryError, match="^collinear points have no "
+                                                "circumscribed circle$"):
+            constructions._circle_forms(np.array([P[0], [[0, 0], [1, 1],
+                                                         [2, 2]]]))
+
+    @pytest.mark.parametrize("proj", [
+        None, "octagonal", 12345, 12346, 12347, 7,
+        [[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 1, 0], [0, 1, 1e-6, 1]],
+        [[1, 0, 0.3, 1e-5], [0, 1, 0.7, 0]]])
+    def test_qcube_48_matches_one_face_loop(self, proj):
+        if proj == "octagonal":
+            proj = octagonal_projection()
+        elif isinstance(proj, int):
+            proj = generic_projection(proj)
+        elif proj is not None:
+            proj = Projection4to2(np.array(proj, float))
+        assert _build_outcome(lambda: qcube_48(proj)) == \
+            _build_outcome(lambda: loop_qcube_48(proj))
+
+    @pytest.mark.parametrize("args", [
+        (3,), (4,), (5,), (8,), (12,), (5, 0.4), (6, 0.3, 0.2),
+        (4, 0.02, 0.5), (5, 0.01, 0.05), (8, 0.05, 0.2), (5, 0.15, 0.0)])
+    def test_polygon_ring_matches_one_pair_loop(self, args):
+        assert _build_outcome(lambda: polygon_ring(*args)) == \
+            _build_outcome(lambda: loop_polygon_ring(*args))
+
+    def test_carnot_builders_match_one_face_fits(self, monkeypatch):
+        # The per-face sixth-point test is gone: the audit checks the sixth
+        # point's flag at the same tol, so the same draws pass.
+        builds = ([lambda s=s: richter_gebert(s) for s in range(20)]
+                  + [lambda n=n, s=s: dipyramid_carnot(n, seed=s)
+                     for n in range(3, 8) for s in range(4)])
+        new = [_build_outcome(build) for build in builds]
+        monkeypatch.setattr(constructions, "_carnot_scene", loop_carnot_scene)
+        assert [_build_outcome(build) for build in builds] == new
+        assert all(isinstance(doc, str) for doc in new)
+
+
+class TestStackedStepErrors:
+    """The exact message of every reachable error of the stacked scene
+    steps, the same as the one-conic builders gave."""
+
+    @pytest.mark.parametrize("quad,t,message", [
+        (((0, 0), (1, 0), (1, 1), (0.2, 1.1)), 0.5,
+         "ABCD is not a parallelogram"),
+        # The parallelogram check comes before the check of t.
+        (((0, 0), (1, 0), (1, 1), (0.2, 1.1)), 0.0,
+         "ABCD is not a parallelogram"),
+        (((0, 0), (1, 0), (1, 1), (0, 1)), 0.0,
+         "side parameter t must lie strictly in (0, 1)"),
+        (((0, 0), (1, 0), (1, 1), (0, 1)), 1.0,
+         "side parameter t must lie strictly in (0, 1)"),
+        (((0, 0), (1, 0), (1, 1), (0, 1)), float("nan"),
+         "side parameter t must lie strictly in (0, 1)"),
+        (((0, 0), (0, 0), (1, 1), (1, 1)), 0.5,
+         "duplicate points at indices 0,4"),
+        (((0, 0), (2, 0), (2, 0), (0, 0)), 0.5,
+         "duplicate points at indices 0,2"),
+        (((0, 0), (1, 0), (2, 0), (1, 0)), 0.25,
+         "points 0,1,2 are collinear; conic not unique"),
+    ])
+    def test_parallelogram_pair(self, quad, t, message):
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            parallelogram_ellipse_pair(*quad, t=t)
+
+    def test_parallelogram_pair_closure(self, monkeypatch):
+        # A parallelogram's closure holds to rounding, so the failure is
+        # forced: every residual reads 1. The fits run first.
+        def ones(xy, M):
+            return np.ones(len(xy))
+        monkeypatch.setattr(geometry, "_residuals", ones)
+        monkeypatch.setattr(constructions, "_residuals", ones, raising=False)
+        with pytest.raises(GeometryError, match=r"^duplicate points"):
+            parallelogram_ellipse_pair((0, 0), (0, 0), (1, 1), (1, 1))
+        with pytest.raises(GeometryError, match="^central-symmetry closure "
+                           "failed for the parallelogram ellipse pair$"):
+            parallelogram_ellipse_pair((0, 0), (1, 0), (1, 1), (0, 1))
+
+    @pytest.mark.parametrize("proj,message", [
+        ([[1, 0, 0, 0], [0, 1, 0, 0]],
+         "face (0, 8, 10, 2): duplicate points at indices 0,2"),
+        ([[1, 0, 0.3, 1e-5], [0, 1, 0.7, 0]],
+         "face (0, 8, 9, 1): points 0,1,2 are collinear; conic not unique"),
+        ([[-4.046253302752933e-11, -6.063618037243099e-11,
+           0.10299372841831503, 0.9133640677489127],
+          [4.357076378759239e-11, -8.65061238882869e-12,
+           0.47280843541992373, 0.19030823340241707]],
+         "face (0, 8, 12, 4): ABCD is not a parallelogram"),
+        ([[0.6030426718220758, 0.23980165192999542, -1.2223425516465942,
+           5.19622702830867e-05],
+          [0.030602333879575103, -2.060745958940829, 1.0952735981631325,
+           6.628818110024697e-05]],
+         "face (0, 8, 9, 1) gave point"),
+        # Face 4 gives double lines; faces 16-19 collapse to segments and
+        # fail their fits. The first failing face names the error.
+        ([[1, 0, 1, 0], [0, 1, 1e-6, 1]], "face (0, 8, 10, 2) gave double-line"),
+    ])
+    def test_qcube_48_degenerate_projection(self, proj, message):
+        with pytest.raises(ConstructionError,
+                           match=f"^non-generic projection: "
+                                 f"{re.escape(message)}$"):
+            qcube_48(Projection4to2(np.array(proj, float)))
+
+    @pytest.mark.parametrize("args,pair,meets", [
+        ((4, 0.02, 0.5), "0,1", 2),
+        ((8, 0.05, 0.2), "0,1", 0),
+        # Ring pairs are congruent; here only the closing pair counts a
+        # tangency three times (the tangency count hangs on rounding).
+        ((5, 0.01, 0.05), "4,0", 3),
+    ])
+    def test_polygon_ring_too_few_meets(self, args, pair, meets):
+        message = (f"ellipses {pair} meet in {meets} points, need 4; adjust "
+                   f"elongation/minor (got {args[1]}, {args[2]})")
+        with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+            polygon_ring(*args)
+
+    def test_polygon_ring_degenerate_ellipses(self):
+        with pytest.raises(GeometryError, match="^affine map is singular$"):
+            polygon_ring(5, 0.15, 0.0)
+        with pytest.raises(GeometryError, match="^degenerate conic input$"):
+            polygon_ring(5, 0.05, 0.001)

@@ -32,6 +32,7 @@ from pointconic.geometry import (TOL_MERGE, AffineMap2, Conic, GeometryError,
                                  apply_affine_point, carnot_product,
                                  carnot_solve_sixth, central_conic_from_pairs,
                                  classify, conic_conic_intersections,
+                                 _normalized_forms, conic_forms_from_5_points,
                                  conic_from_5_points,
                                  conics_from_normalized_coeffs,
                                  dilation_to_circle, ellipse_parameters,
@@ -1230,3 +1231,71 @@ class TestBroadPhase:
         assert points.shape == (3, 4, 2) and not counts.any()
         assert np.isnan(points).all()
         _matches_one_phase(conics, pairs)
+
+
+class TestNormalizedFormsLayout:
+    """`_normalized_forms` rounds the same in every memory layout of its
+    stack: its norms come from a matmul, which rounds a non-C-contiguous
+    stack differently, so the stack is made C-ordered first."""
+
+    def test_layouts_match_one_form_calls(self):
+        rng = np.random.default_rng(4)
+        M = rng.normal(size=(4000, 3, 3)) * 10.0 ** rng.uniform(
+            -3, 3, size=(4000, 1, 1))
+        want = b"".join(_normalized_forms(m[None]).tobytes() for m in M)
+        flat = rng.normal(size=(4000, 6))
+        gathered = flat[:, ::-1][:, [0, 1, 3, 1, 2, 4, 3, 4, 5]]
+        layouts = {
+            "C": M, "F": np.asfortranarray(M),
+            "batch-fastest": np.moveaxis(np.moveaxis(M, 0, -1).copy(), -1, 0),
+            "strided": np.repeat(M, 2, axis=0)[::2]}
+        for name, stack in layouts.items():
+            got = _normalized_forms(stack)
+            assert got.flags.c_contiguous and not got.flags.writeable, name
+            assert got.tobytes() == want, name
+        # A gather from a strided view, as a fit's last singular vectors.
+        G = gathered.reshape(-1, 3, 3)
+        assert _normalized_forms(G).tobytes() == b"".join(
+            _normalized_forms(g[None]).tobytes() for g in G)
+
+
+class TestStackedFivePointFits:
+    """`conic_forms_from_5_points` against its B = 1 call and against the
+    pair-by-pair and triple-by-triple fit `scalar_conic_from_5_points`:
+    the same form bytes and kinds, and the first failing set's message."""
+
+    def test_stack_matches_one_set_fits(self):
+        rng = np.random.default_rng(21)
+        P = rng.normal(size=(300, 5, 2)) * 10.0 ** rng.uniform(
+            -3, 3, size=(300, 1, 1))
+        forms, kinds = conic_forms_from_5_points(P)
+        assert not forms.flags.writeable
+        one = [conic_from_5_points(p) for p in P]
+        scalar = [scalar_conic_from_5_points(p) for p in P]
+        for i in range(len(P)):
+            assert forms[i].tobytes() == one[i].form.tobytes() == \
+                scalar[i].form.tobytes()
+            assert kinds[i] == one[i].kind == scalar[i].kind
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_failing_set_named(self, seed):
+        rng = np.random.default_rng(30 + seed)
+        P = rng.uniform(-1, 1, size=(12, 5, 2))
+        bad = sorted(rng.choice(12, size=2, replace=False))
+        for b in bad:
+            i, j, k = rng.choice(5, size=3, replace=False)
+            if rng.uniform() < 0.5:
+                P[b, j] = P[b, i]
+            else:
+                P[b, k] = P[b, i] + 0.5 * (P[b, j] - P[b, i])
+        with pytest.raises(GeometryError) as raised:
+            conic_forms_from_5_points(P)
+        assert str(raised.value) == _fit_outcome(
+            scalar_conic_from_5_points, P[bad[0]])[0]
+
+    @pytest.mark.parametrize("pts", [[], [(0, 0), (1, 0)], [(0, 0)] * 6])
+    def test_five_points_required(self, pts):
+        for fit in (conic_from_5_points, scalar_conic_from_5_points):
+            with pytest.raises(GeometryError,
+                               match="^exactly five points required$"):
+                fit(pts)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pointconic
-from pointconic import cli, configuration, geometry, incidence
+from pointconic import cli, configuration, constructions, geometry, incidence
 from pointconic.analysis import audit, intersection_type
 from pointconic.cli import main
 from pointconic import io
@@ -129,6 +129,34 @@ class TestStoredArrays:
                 scalar_conic_from_normalized_coeffs(coeffs[i]).kind
         assert G.flags is C.flags and len(C.flags) == 34992
         assert G.flags == cube.flags
+        # Every builder and realizer makes its scene without a `Conic`; the
+        # one exception is the transversal ellipse richter_gebert draws.
+        builds = {
+            "crossed_ellipses": crossed_ellipses,
+            "polygon_ring": lambda: polygon_ring(5),
+            "qcube_48": qcube_48,
+            "pmn": lambda: pmn(4, 6),
+            "cell24": cell24,
+            "richter_gebert": lambda: richter_gebert(seed=1),
+            "dipyramid_carnot": lambda: dipyramid_carnot(5, seed=1),
+            "product": lambda: product(d, d, genericize=True, seed=1),
+            "realize_by_conics":
+                lambda: realize_by_conics(catalog("miquel"), seed=0),
+            "realize_lineal_by_circles":
+                lambda: realize_lineal_by_circles(catalog("pappus"), seed=0),
+        }
+        for name, build in builds.items():
+            built.clear()
+            with mock.patch.object(Conic, "__post_init__", autospec=True,
+                                   side_effect=Conic.__post_init__) as post, \
+                    mock.patch.object(
+                        constructions, "_random_ellipse",
+                        wraps=constructions._random_ellipse) as drawn:
+                G = build()
+            assert post.call_count == 0, name
+            assert len(built) == drawn.call_count, name
+            assert (drawn.call_count > 0) == (name == "richter_gebert"), name
+            assert "conics" not in vars(G), name
 
     def test_constructor_stacks_the_conics(self):
         G = crossed_ellipses()
