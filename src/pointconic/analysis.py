@@ -6,12 +6,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import geometry
 from .configuration import GeometricConfiguration
-from .geometry import (GeometryError, TOL_MERGE, _coincident,
-                       _quadratic_form, affine_images, apply_affine_point,
-                       dilation_to_circle, ellipse_parameters_stack,
-                       pencil_intersections)
+from .geometry import (GeometryError, TOL_MERGE, _coincident, _residuals,
+                       affine_images, apply_affine_point, dilation_to_circle,
+                       ellipse_parameters_stack, pencil_intersections)
 from .incidence import (IncidenceStructure, Signature, _block_pairs,
                         _near_pairs, _pair_dict, signature)
 
@@ -20,14 +18,14 @@ from .incidence import (IncidenceStructure, Signature, _block_pairs,
 class AuditReport:
     """What `audit` found.
 
-    `max_flag_residual` and `missing_incidences` judge the flagged pairs by
-    the algebraic residual |h^T A h| of the unit-norm form A at the
-    unit-norm homogenized point h, against the configuration's `tol`; `tol`
-    bounds these flag residuals and nothing else. `spurious_incidences` and
-    `borderline_incidences` are unflagged (point, conic) pairs judged by
-    their Sampson distance relative to the diameter of the point set: at
-    most `SPURIOUS_REL` makes a pair spurious, at most 10 * `SPURIOUS_REL`
-    borderline. Only spurious pairs fail the audit.
+    `max_flag_residual` and `missing_incidences` judge every flagged pair,
+    none skipped, by the algebraic residual |h^T A h| of the unit-norm form
+    A at the unit-norm homogenized point h, against the configuration's
+    `tol`; `tol` bounds these flag residuals and nothing else.
+    `spurious_incidences` and `borderline_incidences` are unflagged (point,
+    conic) pairs judged by their Sampson distance relative to the diameter
+    of the point set: at most `SPURIOUS_REL` makes a pair spurious, at most
+    10 * `SPURIOUS_REL` borderline. Only spurious pairs fail the audit.
     """
 
     signature: Signature
@@ -54,11 +52,6 @@ class IntersectionType:
     @cached_property
     def per_pair(self) -> dict:
         return _pair_dict(self.keys, self.counts, self.num_blocks)
-
-
-def _homogenized(points: np.ndarray) -> np.ndarray:
-    H = np.column_stack([points, np.ones(len(points))])
-    return H / np.linalg.norm(H, axis=1, keepdims=True)
 
 
 SPURIOUS_REL = 1e-9   # relative Sampson distance of a spurious incidence
@@ -167,31 +160,25 @@ def _coincident_pairs(forms: np.ndarray, tol: float = 1e-9) -> list:
     return list(zip(i[keep].tolist(), j[keep].tolist()))
 
 
-def audit(G: GeometricConfiguration, spurious_scan: bool = True,
-          flag_sample: int | None = None, rng=None) -> AuditReport:
+def audit(G: GeometricConfiguration,
+          spurious_scan: bool = True) -> AuditReport:
     """Check every claimed incidence and scan for everything unclaimed.
 
-    Flagged pairs must have an algebraic residual of at most `G.tol` (see
-    `AuditReport`). Their residuals come from one stacked pass over the
+    Every flagged pair must have an algebraic residual of at most `G.tol`
+    (see `AuditReport`). Their residuals come from one stacked pass
+    (`geometry._residuals`, as `Conic.residual` computes one) over the
     configuration's sorted flag array, and `missing_incidences` lists the
     failing flags in that order. The spurious scan tests every unflagged
     pair by its Sampson distance relative to the diameter of the point set,
     so its verdict does not depend on the scene's position or size.
-    `flag_sample` limits the flag-residual check to a random subset (for
-    very large products); `spurious_scan=False` skips the exhaustive
-    point-times-conic pass. Both defaults give the full audit.
+    `spurious_scan=False` skips that point-times-conic pass.
     """
     tol = G.tol
     C = G.to_incidence_structure()
-    checked = C.flag_array
-    if flag_sample is not None and flag_sample < len(checked):
-        rng = rng or np.random.default_rng(0)
-        checked = checked[rng.choice(len(checked), size=flag_sample,
-                                     replace=False)]
-    H = _homogenized(G.points)[checked[:, 0]]
-    res = np.abs(_quadratic_form(H, G.forms[checked[:, 1]], H))
+    F = C.flag_array
+    res = _residuals(G.points[F[:, 0]], G.forms[F[:, 1]])
     max_res = float(res.max(initial=0.0))
-    missing = list(map(tuple, checked[res > tol].tolist()))
+    missing = list(map(tuple, F[res > tol].tolist()))
     spurious, borderline = _spurious_scan(G) if spurious_scan else ([], [])
     duplicates = _duplicate_pairs(G.points, TOL_MERGE)
     coincident = _coincident_pairs(G.forms)
@@ -272,5 +259,5 @@ def strongly_isometric_to_circles(
     prov = dict(G.provenance)
     prov["transform"] = "dilation-to-circles"
     return GeometricConfiguration._of(
-        pts, *affine_images(M.homogeneous(), G.forms),
+        pts, affine_images(M.homogeneous(), G.forms),
         G.to_incidence_structure().flag_array, G.tol, prov)

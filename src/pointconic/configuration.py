@@ -1,8 +1,8 @@
 """Realized planar configurations and 4-polytope scaffolding.
 
-A configuration is stored as arrays: its points, its conic forms and their
-kinds, and the sorted flag array of its incidence structure. Its `Conic`s
-and its flag frozenset are views built from them on first use.
+A configuration is stored as arrays: its points, its conic forms and the
+sorted flag array of its incidence structure. The kinds of its conics, its
+`Conic`s and its flag frozenset are derived from them on first use.
 """
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import TOL_INCIDENCE, Conic, GeometryError, _conic_of
+from .geometry import (TOL_INCIDENCE, Conic, GeometryError, _classify_forms,
+                       _conic_of)
 from .incidence import IncidenceStructure, _flag_rows
 
 
@@ -21,18 +22,18 @@ class GeometricConfiguration:
     """Planar points and conics with their incidence flags.
 
     Stored: `points` (N, 2), `forms` (B, 3, 3), the read-only stack of the
-    unit-norm conic forms, their `kinds`, the incidence structure of the
-    flags (`to_incidence_structure()`), `tol` and `provenance`. `conics`
-    (views of `forms`) and `flags` ((point, conic) pairs) are built on first
-    use. The constructor stacks `Conic`s; readers and builders hand stacks
-    to `_of`. Flags are any collection of pairs or an (F, 2) integer array.
+    unit-norm conic forms, the incidence structure of the flags
+    (`to_incidence_structure()`), `tol` and `provenance`. `kinds`, `conics`
+    (views of `forms`) and `flags` ((point, conic) pairs) are derived on
+    first use. The constructor stacks the forms of `Conic`s; readers and
+    builders hand stacks to `_of`. Flags are any collection of pairs or an
+    (F, 2) integer array.
     Every flagged pair is supposed to satisfy the incidence predicate at
     `tol` (the audit in `analysis` checks this, builders ensure it).
     """
 
     points: np.ndarray
     forms: np.ndarray
-    kinds: tuple
     tol: float
     provenance: dict
 
@@ -41,19 +42,19 @@ class GeometricConfiguration:
         conics = tuple(conics)
         if not all(isinstance(c, Conic) for c in conics):
             raise TypeError("conics must be Conic instances")
-        self._set(points, np.array([conic.form for conic in conics]),
-                  [conic.kind for conic in conics], flags, tol, provenance)
+        self._set(points, np.array([conic.form for conic in conics]), flags,
+                  tol, provenance)
 
     @classmethod
-    def _of(cls, points, forms, kinds, flags, tol: float = TOL_INCIDENCE,
+    def _of(cls, points, forms, flags, tol: float = TOL_INCIDENCE,
             provenance: dict | None = None) -> GeometricConfiguration:
-        """The configuration of normalized forms (B, 3, 3) and their kinds,
-        without a `Conic` per form."""
+        """The configuration of normalized forms (B, 3, 3), without a
+        `Conic` per form."""
         G = object.__new__(cls)
-        G._set(points, forms, kinds, flags, tol, provenance)
+        G._set(points, forms, flags, tol, provenance)
         return G
 
-    def _set(self, points, forms, kinds, flags, tol, provenance):
+    def _set(self, points, forms, flags, tol, provenance):
         """Check `tol` and (in one array pass) the flags' range; store."""
         if not (math.isfinite(tol) and tol > 0):
             raise GeometryError(f"tol must be positive and finite, "
@@ -66,9 +67,13 @@ class GeometricConfiguration:
         if bad is not None:
             raise GeometryError(f"flag {bad} out of range")
         vars(self).update(
-            points=pts, forms=forms, kinds=tuple(kinds), tol=tol,
+            points=pts, forms=forms, tol=tol,
             provenance={} if provenance is None else provenance,
             _incidence=IncidenceStructure._of(len(pts), len(forms), F))
+
+    @cached_property
+    def kinds(self) -> tuple[str, ...]:
+        return tuple(_classify_forms(self.forms))
 
     @cached_property
     def conics(self) -> tuple[Conic, ...]:

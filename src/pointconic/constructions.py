@@ -4,9 +4,10 @@ Every builder returns a GeometricConfiguration that has passed
 `analysis.audit`; the audit is the gate, so builders do not pre-check what it
 checks (duplicate points, missing or spurious incidences, coincident conics).
 Every builder and realizer makes its scene in one stacked step: it fits a
-stack of forms, checks them in array passes and hands points, forms, kinds
-and flags to `GeometricConfiguration._of`. No `Conic` is built on the way,
-apart from the transversal ellipse that richter_gebert draws.
+stack of forms, checks them in array passes and hands points, forms and
+flags to `GeometricConfiguration._of`; it classifies the forms only where it
+decides on a kind. No `Conic` is built on the way, apart from the
+transversal ellipse that richter_gebert draws.
 Builders that draw random data are pure functions of (parameters, seed). They
 resample through one helper, `_retry`: a rejected draw raises GeometryError or
 ConstructionError, and `_retry` draws again up to an explicit budget.
@@ -66,7 +67,8 @@ _UNIT_CIRCLE = _normalized_forms(np.diag([1.0, 1.0, -1.0])[None])
 def _ellipse_forms(centers, a: float, b: float, angles):
     """(forms, kinds) of the unit circle's images under x -> R(angle)
     diag(a, b) x + center for the centers (n, 2) and `angles` (n floats),
-    maps built and checked as `AffineMap2` does, in one `affine_images`."""
+    maps built and checked as `AffineMap2` does, in one `affine_images`
+    pass, and one `_classify_forms` pass."""
     cos, sin = (np.array([f(t) for t in angles]) for f in (math.cos, math.sin))
     H = np.tile(np.eye(3), (len(cos), 1, 1))
     H[:, :2, :2] = np.matmul(np.stack([cos, -sin, sin, cos], axis=1)
@@ -74,7 +76,8 @@ def _ellipse_forms(centers, a: float, b: float, angles):
     H[:, :2, 2] = centers
     if (np.abs(np.linalg.det(H[:, :2, :2])) < 1e-12).any():
         raise GeometryError("affine map is singular")
-    return affine_images(H, _UNIT_CIRCLE)
+    forms = affine_images(H, _UNIT_CIRCLE)
+    return forms, _classify_forms(forms)
 
 
 def ellipse_conic(center, a: float, b: float, angle: float) -> Conic:
@@ -104,10 +107,9 @@ def _flags_of(members: np.ndarray) -> np.ndarray:
                             np.arange(members.size) // members.shape[1]])
 
 
-def translate_conics(forms: np.ndarray, shifts: np.ndarray):
-    """(forms, kinds) of the forms (n, 3, 3), or of one form (3, 3),
-    translated by the shifts (n, 2), in one stacked pass
-    (`geometry.affine_images`)."""
+def translate_conics(forms: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The forms (n, 3, 3), or one form (3, 3), translated by the shifts
+    (n, 2), in one stacked pass (`geometry.affine_images`)."""
     H = np.tile(np.eye(3), (len(shifts), 1, 1))
     H[:, :2, 2] = shifts
     return affine_images(H, forms)
@@ -139,7 +141,7 @@ def crossed_ellipses() -> GeometricConfiguration:
     if counts[0] != 4:
         raise ConstructionError("crossed ellipses failed to meet in 4 points")
     G = GeometricConfiguration._of(
-        pts[0], forms, kinds, _flags_of(np.tile(np.arange(4), (2, 1))),
+        pts[0], forms, _flags_of(np.tile(np.arange(4), (2, 1))),
         tol=1e-9, provenance={"builder": "crossed_ellipses"})
     return _require_audit(G, "crossed_ellipses")
 
@@ -168,7 +170,7 @@ def polygon_ring(n: int, elongation: float = 0.15,
             f"ellipses {k},{pairs[k, 1]} meet in {counts[k]} points, need 4; "
             f"adjust elongation/minor (got {elongation}, {minor})")
     G = GeometricConfiguration._of(
-        pts.reshape(-1, 2), forms, kinds,
+        pts.reshape(-1, 2), forms,
         _flags_of(np.repeat(pairs, 4, axis=0))[:, ::-1], tol=1e-9,
         provenance={"builder": "polygon_ring",
                     "params": {"n": n, "elongation": elongation,
@@ -200,8 +202,10 @@ def _parallelogram_forms(Q: np.ndarray, t: float):
     """`parallelogram_ellipse_pair` of the parallelograms Q (F, 4, 2) in
     one pass: forms (2F, 3, 3) and kinds (AC, then BD, of each), side points
     (F, 4, 2) and per face its first failed check's message or None (the
-    parallelogram, the two five-point sets, the two closures, in order).
-    A bad `t` raises after the first face's parallelogram check."""
+    parallelogram, then the two five-point sets). A bad `t` raises after
+    the first face's parallelogram check. By central symmetry the AC
+    ellipse passes through C and the BD one through D; no check is made
+    here, and `qcube_48`'s audit tests both at 1e-8."""
     A, B, C, D = np.moveaxis(Q, 1, 0)
     scale = np.maximum(np.maximum(_norm(B - A), _norm(D - A)), 1e-300)
     skew = (_norm((A + C) - (B + D)) > 1e-10 * scale).tolist()
@@ -215,12 +219,9 @@ def _parallelogram_forms(Q: np.ndarray, t: float):
     # A failed set is fitted as a regular pentagon, a finite placeholder.
     sets[[bool(f) for f in fits]] = _regular_polygon(5)
     forms, kinds = conic_forms_from_5_points(sets)
-    gaps = (_residuals(Q[:, 2:].reshape(-1, 2), forms) > 1e-8).reshape(-1, 2)
     return forms, kinds, side, [
-        "ABCD is not a parallelogram" if bad else ac or bd or (
-            "central-symmetry closure failed for the parallelogram ellipse "
-            "pair" if gap else None) for bad, ac, bd, gap in zip(
-                skew, fits[::2], fits[1::2], gaps.any(axis=1).tolist())]
+        "ABCD is not a parallelogram" if bad else ac or bd
+        for bad, ac, bd in zip(skew, fits[::2], fits[1::2])]
 
 
 def hypercube() -> Polytope4:
@@ -294,7 +295,7 @@ def qcube_48(proj: Projection4to2 | None = None) -> GeometricConfiguration:
     edge[i, j] = edge[j, i] = 16 + np.arange(len(i))
     mids = np.repeat(edge[faces, np.roll(faces, -1, axis=1)], 2, axis=0)
     G = GeometricConfiguration._of(
-        points, forms, kinds, _flags_of(np.column_stack(
+        points, forms, _flags_of(np.column_stack(
             [mids, faces[:, [0, 2, 1, 3]].reshape(-1, 2)])), tol=1e-8,
         provenance={"builder": "qcube_48"})
     return _require_audit(G, "qcube_48")
@@ -360,8 +361,8 @@ def _carnot_scene(edge_pts, faces, tol: float, provenance: dict,
     forms, kinds = conic_forms_from_5_points(points[slots[:, :5]])
     if any(kind in DEGENERATE_KINDS for kind in kinds):
         raise GeometryError("degenerate face conic")
-    G = GeometricConfiguration._of(points, forms, kinds, _flags_of(slots),
-                                   tol, provenance)
+    G = GeometricConfiguration._of(points, forms, _flags_of(slots), tol,
+                                   provenance)
     return _require_audit(G, context)
 
 
@@ -516,7 +517,7 @@ def product(C1: GeometricConfiguration, C2: GeometricConfiguration,
         M = AffineMap2(R, np.zeros(2))
         C2 = GeometricConfiguration._of(
             np.array([apply_affine_point(M, p) for p in C2.points]),
-            *affine_images(M.homogeneous(), C2.forms),
+            affine_images(M.homogeneous(), C2.forms),
             C2.to_incidence_structure().flag_array, C2.tol,
             dict(C2.provenance))
 
@@ -533,7 +534,7 @@ def product(C1: GeometricConfiguration, C2: GeometricConfiguration,
     # conic b2 by point i1 is block i1 * nb2 + b2, and that of C1's conic b1
     # by point i2 is block n1 * nb2 + i2 * nb1 + b1.
     nb1, nb2 = C1.num_conics, C2.num_conics
-    forms, kinds = translate_conics(
+    forms = translate_conics(
         np.concatenate([np.tile(C2.forms, (n1, 1, 1)),
                         np.tile(C1.forms, (n2, 1, 1))]),
         np.concatenate([np.repeat(P1, nb2, axis=0),
@@ -550,7 +551,7 @@ def product(C1: GeometricConfiguration, C2: GeometricConfiguration,
             "translated conics coincide; pre-transform a factor "
             "(genericize=True)")
     return GeometricConfiguration._of(
-        pts, forms, kinds, flags, tol=max(C1.tol, C2.tol),
+        pts, forms, flags, tol=max(C1.tol, C2.tol),
         provenance={"builder": "product",
                     "factors": (C1.provenance.get("builder", "?"),
                                 C2.provenance.get("builder", "?"))})
@@ -649,8 +650,7 @@ def _hexagon_configuration(points4: np.ndarray, hexagons: np.ndarray,
                                  "system"),
                    ConstructionError(f"non-generic projection: hexagon gave "
                                      f"{kinds[h]}")][failed[:, h].argmax()]
-        G = GeometricConfiguration._of(pts2, forms, kinds, flags, tol,
-                                       provenance)
+        G = GeometricConfiguration._of(pts2, forms, flags, tol, provenance)
         return _require_audit(G, provenance.get("builder", "hexagons"))
 
     return _with_default_projection(build) if proj is None else build(proj)
@@ -739,9 +739,8 @@ def _realize(C: IncidenceStructure, seed: int, fit, builder: str,
     def attempt():
         pts = rng.uniform(0, 1, size=(C.num_points, 2))
         forms = fit(rng, pts)
-        G = GeometricConfiguration._of(
-            pts, forms, _classify_forms(forms), C.flag_array, 1e-8,
-            {"builder": builder, "seed": seed})
+        G = GeometricConfiguration._of(pts, forms, C.flag_array, 1e-8,
+                                       {"builder": builder, "seed": seed})
         return _require_audit(G, what)
     return _retry(attempt, RETRY_BUDGET, what)
 

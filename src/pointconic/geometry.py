@@ -15,7 +15,6 @@ from itertools import combinations
 import numpy as np
 
 # Default tolerances (see module docstring for the normalization they assume).
-EPS_FIT = 1e-9          # residual bound for fitted conics
 TOL_INCIDENCE = 1e-8    # default point-on-conic tolerance
 TOL_MERGE = 1e-7        # distance below which two points are "the same"
 DEG_EPS = 1e-10         # determinant threshold for degeneracy decisions
@@ -98,14 +97,13 @@ def forms_coeffs(forms) -> np.ndarray:
     return M[:, _COEFFS_FROM_FORM] * _COEFFS_SCALE
 
 
-def conics_from_normalized_coeffs(coeffs) -> tuple[np.ndarray, list[str]]:
-    """(forms, kinds) of a (B, 6) array of coefficients of already-normalized
-    forms: a read-only (B, 3, 3) stack and its `_classify_forms` kinds.
+def conics_from_normalized_coeffs(coeffs) -> np.ndarray:
+    """The read-only (B, 3, 3) stack of forms of a (B, 6) array of
+    coefficients of already-normalized forms.
 
     Skips renormalization so that serialized conics round-trip bit-exactly;
     rejects coefficient rows that are not unit-norm to 1e-9 (and NaN),
-    naming the first. One stacked pass: the unit-norm check and
-    `_classify_forms` run over the stack, and no `Conic` is built."""
+    naming the first. One stacked pass, and no `Conic` is built."""
     C = np.asarray(coeffs, dtype=float).reshape(-1, 6)
     M = (C[:, _FORM_FROM_COEFFS] * _FORM_SCALE).reshape(-1, 3, 3)
     off = ~(np.abs(np.sqrt(np.einsum("bij,bij->b", M, M)) - 1.0) <= 1e-9)
@@ -113,7 +111,7 @@ def conics_from_normalized_coeffs(coeffs) -> tuple[np.ndarray, list[str]]:
         raise GeometryError(f"conic {int(off.argmax())}: coefficients are "
                             f"not normalized")
     M.setflags(write=False)
-    return M, _classify_forms(M)
+    return M
 
 
 def _conic_of(M: np.ndarray, kind: str) -> Conic:
@@ -768,24 +766,22 @@ def apply_affine_point(M: AffineMap2, p) -> np.ndarray:
 def apply_affine(M: AffineMap2, conic: Conic) -> Conic:
     """The image of a conic under an affine map: the one-form call of
     `affine_images`."""
-    forms, kinds = affine_images(M.homogeneous(), conic.form)
-    return _conic_of(forms[0], kinds[0])
+    forms = affine_images(M.homogeneous(), conic.form)
+    return _conic_of(forms[0], _classify_forms(forms)[0])
 
 
-def affine_images(H: np.ndarray, forms: np.ndarray):
-    """(forms, kinds) of the images of a stack of forms (n, 3, 3) under one
-    homogeneous affine map H (3, 3) or one map per form (n, 3, 3):
-    H^-T A H^-1, normalized and classified as by `Conic`, as one read-only
-    (n, 3, 3) stack and a list of kinds.
+def affine_images(H: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """The images of a stack of forms (n, 3, 3) under one homogeneous affine
+    map H (3, 3) or one map per form (n, 3, 3): H^-T A H^-1, normalized as
+    by `Conic`, as one read-only (n, 3, 3) stack.
 
-    One stacked `inv` and two stacked products, then `_normalized_forms`
-    and `_classify_forms`. The maps are taken as given: `AffineMap2` is
-    where an affine map is checked for invertibility."""
+    One stacked `inv` and two stacked products, then `_normalized_forms`.
+    The maps are taken as given: `AffineMap2` is where an affine map is
+    checked for invertibility."""
     forms = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
     Hinv = np.linalg.inv(H)
-    M = _normalized_forms(np.matmul(np.matmul(np.swapaxes(Hinv, -1, -2),
-                                              forms), Hinv))
-    return M, _classify_forms(M)
+    return _normalized_forms(np.matmul(np.matmul(np.swapaxes(Hinv, -1, -2),
+                                                 forms), Hinv))
 
 
 def _axis_angle(x: float, y: float) -> float:

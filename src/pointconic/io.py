@@ -11,9 +11,10 @@ The reader validates every document against its published schema in
 (`bool` is no number, an integral float is an integer) and names the JSON
 path of the first violation. It also rejects non-finite reals, which the
 schemas allow. Validated integers come back as `int`, points, conics and
-flags as one array each: the conic forms are checked and classified in one
-stacked pass and handed to the configuration as a stack, and a flag list of
-plain non-negative ints is checked in one array pass.
+flags as one array each: the conic forms are checked in one stacked pass
+and handed to the configuration as a stack, and a flag list of plain
+non-negative ints is checked in one array pass. Nothing is classified on
+the way in: a configuration derives its conics' kinds on first use.
 """
 from __future__ import annotations
 
@@ -277,10 +278,10 @@ def from_document(doc: dict):
     if not isinstance(provenance, dict):
         raise _violation("$.provenance", f"{provenance!r} is not an object")
     try:
-        forms, kinds = conics_from_normalized_coeffs(coeffs)
+        forms = conics_from_normalized_coeffs(coeffs)
     except GeometryError as exc:
         raise InterfaceError(str(exc)) from exc
-    return GeometricConfiguration._of(points, forms, kinds, flags,
+    return GeometricConfiguration._of(points, forms, flags,
                                       tol=float(tol), provenance=provenance)
 
 

@@ -43,8 +43,13 @@ class SceneStyle:
     background: str = "#ffffff"
 
     def __post_init__(self):
-        if self.stroke_width <= 0 or self.point_radius <= 0:
-            raise ValueError("stroke width and point radius must be positive")
+        if not (0 < self.stroke_width < math.inf
+                and 0 < self.point_radius < math.inf):
+            raise ValueError("stroke width and point radius must be finite "
+                             "and positive")
+        if not 0 <= self.margin < 0.5:
+            raise ValueError(f"margin must lie in [0, 0.5), got "
+                             f"{self.margin!r}")
         if not self.palette:
             raise ValueError("palette must be nonempty")
         if self.canvas[0] <= 0 or self.canvas[1] <= 0:

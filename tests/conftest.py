@@ -15,8 +15,7 @@ from networkx.algorithms.connectivity import (
 from networkx.algorithms.flow import build_residual_network
 
 from pointconic import incidence
-from pointconic.analysis import (SPURIOUS_REL, _homogenized,
-                                 intersection_type)
+from pointconic.analysis import SPURIOUS_REL, intersection_type
 from pointconic.cli import BUILDERS
 from pointconic.configuration import GeometricConfiguration
 from pointconic.constructions import (ConstructionError, _require_audit,
@@ -26,9 +25,10 @@ from pointconic.constructions import (ConstructionError, _require_audit,
                                       hypercube, octagonal_projection,
                                       prism_product)
 from pointconic.geometry import (COND_WARN, TOL_MERGE, AffineMap2, Conic,
-                                 GeometryError, _axis_angle, _coincident,
-                                 _conic_of, _kind, conic_conic_intersections,
-                                 cross2, pencil_intersections, project)
+                                 GeometryError, _axis_angle, _classify_forms,
+                                 _coincident, _conic_of, _kind,
+                                 conic_conic_intersections, cross2,
+                                 pencil_intersections, project)
 from pointconic.incidence import (IncidenceStructure, LeviGraph,
                                   new_incidence_structure)
 from pointconic.io import InterfaceError
@@ -58,10 +58,10 @@ def stack_of(conics) -> tuple[np.ndarray, tuple]:
             tuple(c.kind for c in conics))
 
 
-def conics_of(forms, kinds) -> tuple:
-    """The `Conic`s of a (forms, kinds) stack, each form a view of it, as
-    `GeometricConfiguration.conics` builds them."""
-    return tuple(map(_conic_of, forms, kinds))
+def conics_of(forms) -> tuple:
+    """The `Conic`s of a stack of normalized forms, each form a view of it,
+    as `GeometricConfiguration.conics` builds them."""
+    return tuple(map(_conic_of, forms, _classify_forms(forms)))
 
 
 def sweep_intersections(A: Conic, B: Conic, samples: int = 4096,
@@ -231,21 +231,15 @@ def index_signature(C: IncidenceStructure) -> tuple:
     return (C.num_points, q, C.num_blocks, k)
 
 
-def per_flag_check(G, flag_sample=None, rng=None) -> tuple[float, list]:
+def per_flag_check(G) -> tuple[float, list]:
     """(max flag residual, missing flags) of `analysis.audit`, one flag at a
     time over `sorted(G.flags)`."""
-    H = _homogenized(G.points)
-    flags = sorted(G.flags)
-    if flag_sample is not None and flag_sample < len(flags):
-        rng = rng or np.random.default_rng(0)
-        idx = rng.choice(len(flags), size=flag_sample, replace=False)
-        checked = [flags[i] for i in idx]
-    else:
-        checked = flags
     max_res = 0.0
     missing = []
-    for (p, b) in checked:
-        r = float(abs(H[p] @ G.conics[b].form @ H[p]))
+    for (p, b) in sorted(G.flags):
+        h = np.array([*G.points[p], 1.0])
+        h /= np.linalg.norm(h)
+        r = float(abs(h @ G.conics[b].form @ h))
         max_res = max(max_res, r)
         if r > G.tol:
             missing.append((p, b))

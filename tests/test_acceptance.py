@@ -202,8 +202,6 @@ def test_criterion_08():
     C = cube.to_incidence_structure()
     sig = inc_signature(C)
     assert (sig.p, sig.q, sig.n, sig.k) == (5832, 6, 5832, 6)
-    rep = audit(cube, spurious_scan=False, flag_sample=500)
-    assert rep.passed
     rep = audit(cube)
     assert rep.passed and not rep.spurious_incidences
     assert time.perf_counter() - t0 < 30.0
@@ -273,7 +271,7 @@ def test_criterion_13():
     rng = np.random.default_rng(13)
     base = ellipse_conic((0, 0), 0.9, 0.35, 0.8)
     shifts = rng.uniform(-2, 2, size=(6, 2))
-    conics = conics_of(*translate_conics(base.form, shifts))
+    conics = conics_of(translate_conics(base.form, shifts))
     center, a, b, ang = ellipse_parameters(base)
     R = np.array([[math.cos(ang), -math.sin(ang)],
                   [math.sin(ang), math.cos(ang)]])

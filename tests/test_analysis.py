@@ -40,7 +40,7 @@ def _translate_family(num=5, seed=0):
     rng = np.random.default_rng(seed)
     base = ellipse_conic((0, 0), 0.8, 0.4, 0.6)
     shifts = rng.uniform(-2, 2, size=(num, 2))
-    conics = conics_of(*translate_conics(base.form, shifts))
+    conics = conics_of(translate_conics(base.form, shifts))
     center, a, b, ang = ellipse_parameters(base)
     R = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
     pts = np.array([shifts[i] + center
@@ -132,11 +132,6 @@ class TestAudit:
                                            frozenset(), 1e-8))
         assert rep.coincident_conics == ((0, 1),)
 
-    def test_flag_sampling(self):
-        G = polygon_ring(5)
-        rep = audit(G, flag_sample=10)
-        assert rep.passed
-
     def test_empty_scenes_scan_nothing(self):
         conics = (ellipse_conic((0, 0), 1, 0.5, 0.2),
                   ellipse_conic((1, 0), 1, 0.5, 0.2))
@@ -188,18 +183,6 @@ class TestStackedFlagCheck:
         assert abs(rep.max_flag_residual - max_res) <= _RESIDUAL_ULPS
         if scale == 1e-3:
             assert missing and not rep.passed
-
-    def test_flag_sample_picks_the_same_flags(self):
-        # Every flag fails once all points move, so `missing` lists exactly
-        # the sampled flags, in the order they were drawn.
-        G = _offset(_scene("pmn"), 3, 1.0, 0.05)
-        assert len(per_flag_check(G)[1]) == len(G.flags)
-        for seed in range(10):
-            rep = audit(G, spurious_scan=False, flag_sample=17,
-                        rng=np.random.default_rng(seed))
-            _, sampled = per_flag_check(G, 17, np.random.default_rng(seed))
-            assert len(sampled) == 17
-            assert list(rep.missing_incidences) == sampled
 
 
 class TestDuplicatesAndCoincidences:

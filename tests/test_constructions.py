@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (circle_through_3_points, loop_carnot_scene,
                       loop_cell24, loop_hexagon_configuration, loop_pmn,
@@ -14,7 +16,7 @@ from conftest import (circle_through_3_points, loop_carnot_scene,
                       random_conical_structure, scalar_apply_affine,
                       scalar_conic_through_padded, scalar_ellipse_conic,
                       scalar_translate_conic, symbolic_hexagons_in_prisms)
-from pointconic import analysis, constructions, geometry, io
+from pointconic import analysis, constructions, io
 from pointconic.analysis import audit, intersection_type, isometry_check
 from pointconic.cli import main
 from pointconic.configuration import GeometricConfiguration, Polytope4
@@ -674,18 +676,26 @@ class TestStackedStepErrors:
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
             parallelogram_ellipse_pair(*quad, t=t)
 
-    def test_parallelogram_pair_closure(self, monkeypatch):
-        # A parallelogram's closure holds to rounding, so the failure is
-        # forced: every residual reads 1. The fits run first.
-        def ones(xy, M):
-            return np.ones(len(xy))
-        monkeypatch.setattr(geometry, "_residuals", ones)
-        monkeypatch.setattr(constructions, "_residuals", ones, raising=False)
-        with pytest.raises(GeometryError, match=r"^duplicate points"):
-            parallelogram_ellipse_pair((0, 0), (0, 0), (1, 1), (1, 1))
-        with pytest.raises(GeometryError, match="^central-symmetry closure "
-                           "failed for the parallelogram ellipse pair$"):
-            parallelogram_ellipse_pair((0, 0), (1, 0), (1, 1), (0, 1))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(st.tuples(st.floats(-9, 9), st.floats(-9, 9)),
+           st.floats(-4, 0), st.floats(-4, 0), st.floats(-math.pi, math.pi),
+           st.floats(-11, math.log10(math.pi)), st.floats(0.1, 0.9))
+    @settings(max_examples=300, deadline=None)
+    def test_parallelogram_pair_closes(self, offset, lu, lv, turn, gap, t):
+        # No central-symmetry check is made: a parallelogram that passes
+        # the skew and five-point checks puts C and D on their ellipses.
+        A = np.sign(offset) * 10.0 ** np.abs(offset)
+        u = 10.0 ** lu * np.array([math.cos(turn), math.sin(turn)])
+        v = 10.0 ** lv * np.array([math.cos(turn + 10.0 ** gap),
+                                   math.sin(turn + 10.0 ** gap)])
+        B, D = A + u, A + v
+        C = B + D - A
+        try:
+            e_ac, e_bd, _ = parallelogram_ellipse_pair(A, B, C, D, t=t)
+        except GeometryError:
+            assume(False)
+        assert e_ac.residual(C) <= 1e-8
+        assert e_bd.residual(D) <= 1e-8
 
     @pytest.mark.parametrize("proj,message", [
         ([[1, 0, 0, 0], [0, 1, 0, 0]],

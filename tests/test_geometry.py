@@ -72,7 +72,7 @@ class TestConicBasics:
 
     def test_roundtrip_coeffs(self):
         c = ellipse_conic((0.3, -0.2), 0.7, 0.4, 0.5)
-        (c2,) = conics_of(*conics_from_normalized_coeffs([c.coeffs()]))
+        (c2,) = conics_of(conics_from_normalized_coeffs([c.coeffs()]))
         assert np.array_equal(c.form, c2.form)
         with pytest.raises(GeometryError):
             conics_from_normalized_coeffs([(5, 0, 5, 0, 0, -5)])
@@ -120,7 +120,7 @@ class TestConicBasics:
 
 
 def _assert_stacked_matches_one_conic(coeffs):
-    stacked = conics_of(*conics_from_normalized_coeffs(coeffs))
+    stacked = conics_of(conics_from_normalized_coeffs(coeffs))
     assert len(stacked) == len(coeffs)
     for c, s in zip(coeffs, stacked):
         one = scalar_conic_from_normalized_coeffs(c)
@@ -178,8 +178,8 @@ class TestStackedConics:
             [scalar_coeffs(scalar_conic(M)) for M in forms])
 
     def test_empty_stack(self):
-        forms, kinds = conics_from_normalized_coeffs(np.zeros((0, 6)))
-        assert forms.shape == (0, 3, 3) and kinds == []
+        forms = conics_from_normalized_coeffs(np.zeros((0, 6)))
+        assert forms.shape == (0, 3, 3)
 
     @pytest.mark.parametrize("bad", [(5, 0, 5, 0, 0, -5),
                                      (math.nan, 0, 1, 0, 0, 0)])
@@ -217,8 +217,8 @@ class TestStackedAffineKernels:
     def test_one_map(self, forms, L, t):
         conics = [scalar_conic(M) for M in forms]
         M = AffineMap2(L, t)
-        _same_conics(conics_of(*affine_images(M.homogeneous(),
-                                              stack_of(conics)[0])),
+        _same_conics(conics_of(affine_images(M.homogeneous(),
+                                             stack_of(conics)[0])),
                      [scalar_apply_affine(M, c) for c in conics])
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
@@ -228,7 +228,7 @@ class TestStackedAffineKernels:
     def test_one_map_per_form(self, drawn):
         conics = [scalar_conic(M) for M, _, _ in drawn]
         maps = [AffineMap2(L, t) for _, L, t in drawn]
-        _same_conics(conics_of(*affine_images(
+        _same_conics(conics_of(affine_images(
                          np.array([M.homogeneous() for M in maps]),
                          stack_of(conics)[0])),
                      [scalar_apply_affine(M, c) for M, c in zip(maps, conics)])
@@ -239,8 +239,8 @@ class TestStackedAffineKernels:
         rng = np.random.default_rng(seed)
         conics = [random_ellipse(rng) for _ in range(6)]
         shifts = rng.normal(size=(6, 2)) * scale
-        _same_conics(conics_of(*translate_conics(stack_of(conics)[0],
-                                                 shifts)),
+        _same_conics(conics_of(translate_conics(stack_of(conics)[0],
+                                                shifts)),
                      [scalar_translate_conic(c, v)
                       for c, v in zip(conics, shifts)])
 
@@ -249,13 +249,13 @@ class TestStackedAffineKernels:
         sq = product(d, d, genericize=True, seed=1)
         forms = np.array([c.form for c in d.conics] * sq.num_points)
         shifts = np.repeat(sq.points, d.num_conics, axis=0)
-        _same_conics(conics_of(*translate_conics(forms, shifts)),
+        _same_conics(conics_of(translate_conics(forms, shifts)),
                      [scalar_translate_conic(c, v)
                       for v in sq.points for c in d.conics])
 
     def test_empty_stacks(self):
-        forms, kinds = affine_images(np.eye(3), np.zeros((0, 3, 3)))
-        assert forms.shape == (0, 3, 3) and kinds == []
+        forms = affine_images(np.eye(3), np.zeros((0, 3, 3)))
+        assert forms.shape == (0, 3, 3)
         centers, a, b, angles = ellipse_parameters_stack(np.zeros((0, 3, 3)))
         assert centers.shape == (0, 2) and a.shape == b.shape == (0,)
         assert angles == []

@@ -18,20 +18,21 @@ from hypothesis import strategies as st
 
 import pointconic
 from pointconic import cli, configuration, constructions, geometry, incidence
-from pointconic.analysis import audit, intersection_type
+from pointconic.analysis import (audit, geometric_meets, intersection_type,
+                                 strongly_isometric_to_circles)
 from pointconic.cli import main
 from pointconic import io
 from pointconic.configuration import GeometricConfiguration
 from conftest import (format_path_data, full_make_parser,
-                      recursive_dump_value, scalar_render_svg,
-                      scalar_conic_from_normalized_coeffs)
+                      recursive_dump_value, scalar_classify_form,
+                      scalar_render_svg, scalar_conic_from_normalized_coeffs)
 from pointconic.constructions import (cell24, crossed_ellipses,
                                       dipyramid_carnot, ellipse_conic,
                                       parallelogram_ellipse_pair, pmn,
                                       polygon_ring, product, qcube_48,
                                       realize_by_conics,
                                       realize_lineal_by_circles,
-                                      richter_gebert)
+                                      richter_gebert, translate_conics)
 from pointconic.geometry import (Conic, GeometryError,
                                  ellipse_parameters_stack)
 from pointconic.incidence import IncidenceError, catalog
@@ -86,6 +87,36 @@ class TestRoundTrip:
             jsonschema.validate(doc, io._SCHEMAS[doc["kind"]])
             assert doc.get("name") == name
             assert type(read_configuration(path)) is type(obj)
+
+
+def _translates() -> GeometricConfiguration:
+    """Translates of one ellipse, each through one flagged point: a
+    strongly isometric scene."""
+    shifts = np.array([[0.0, 0.0], [1.5, 0.2], [-0.4, 1.1]])
+    forms = translate_conics(ellipse_conic((0, 0), 0.8, 0.3, 0.6).form,
+                             shifts)
+    points = shifts + [0.8 * math.cos(0.6), 0.8 * math.sin(0.6)]
+    return GeometricConfiguration._of(points, forms, [(0, 0), (1, 1), (2, 2)],
+                                      1e-8)
+
+
+# Every builder, product and realizer, and the dilation to circles.
+_SCENES = {
+    "crossed_ellipses": crossed_ellipses,
+    "polygon_ring": lambda: polygon_ring(5),
+    "qcube_48": qcube_48,
+    "richter_gebert": lambda: richter_gebert(seed=1),
+    "dipyramid_carnot": lambda: dipyramid_carnot(4, seed=3),
+    "pmn": lambda: pmn(4, 6),
+    "cell24": cell24,
+    "product": lambda: product(dipyramid_carnot(3, seed=0),
+                               crossed_ellipses(), genericize=True, seed=1),
+    "realize_lineal_by_circles":
+        lambda: realize_lineal_by_circles(catalog("pappus"), seed=0),
+    "realize_by_conics": lambda: realize_by_conics(catalog("miquel"), seed=0),
+    "strongly_isometric_to_circles":
+        lambda: strongly_isometric_to_circles(_translates()),
+}
 
 
 class TestStoredArrays:
@@ -170,6 +201,45 @@ class TestStoredArrays:
         assert H.to_incidence_structure() == G.to_incidence_structure()
         with pytest.raises(TypeError, match="Conic instances"):
             GeometricConfiguration(G.points, [G.forms[0]], [], G.tol)
+
+    @pytest.mark.parametrize("name", sorted(_SCENES))
+    def test_kinds_are_those_of_the_forms(self, name, tmp_path):
+        # Nothing hands a scene its kinds: they are derived from the forms,
+        # in every scene and in its reader round trip.
+        G = _SCENES[name]()
+        assert "kinds" not in vars(G)
+        path = tmp_path / "g.json"
+        write_configuration(G, path)
+        for H in (G, read_configuration(path)):
+            assert H.kinds == tuple(map(scalar_classify_form, H.forms))
+            assert H.kinds == tuple(conic.kind for conic in H.conics)
+
+    def test_kinds_classified_on_first_use_only(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.json"
+        write_configuration(pmn(4, 4), path)
+        calls = []
+        original = geometry._classify_forms
+
+        def counted(M):
+            calls.append(len(M))
+            return original(M)
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("pointconic")
+                    and getattr(mod, "_classify_forms", None) is original):
+                monkeypatch.setattr(mod, "_classify_forms", counted)
+        G = read_configuration(path)
+        assert audit(G).passed
+        incidence.property_report(G.to_incidence_structure())
+        P = product(G, G, genericize=True, seed=1)
+        assert calls == []
+        assert "kinds" not in vars(G) and "kinds" not in vars(P)
+        render_svg(G)
+        assert calls == [G.num_conics]
+        render_svg(G)
+        geometric_meets(G)
+        assert calls == [G.num_conics]
+        geometric_meets(read_configuration(path))
+        assert calls == [G.num_conics] * 2
 
 
 class TestValidation:
@@ -564,6 +634,18 @@ class TestSvg:
             SceneStyle(palette=())
         with pytest.raises(ValueError):
             SceneStyle(canvas=(0, 100))
+        assert SceneStyle(margin=0.0).margin == 0.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("margin", 0.5), ("margin", 0.7), ("margin", -0.1),
+        ("margin", math.nan), ("stroke_width", math.nan),
+        ("stroke_width", math.inf), ("point_radius", math.nan),
+        ("point_radius", -math.inf)])
+    def test_style_rejects_bad_sizes(self, field, value):
+        # A margin of 0.5 drew every shape with zero size, one above 0.5
+        # with negative radii; NaN sizes passed the positivity test.
+        with pytest.raises(ValueError, match="margin|finite"):
+            SceneStyle(**{field: value})
 
 
 def _pair_scene(e_ac, e_bd, side):
@@ -841,6 +923,20 @@ class TestCli:
         assert main(["build", "crossed_ellipses", "-o", str(g)]) == 0
         assert main(["render", "-i", str(g), "-o", str(svg)]) == 0
         assert svg.read_text().count("<ellipse") == 2
+        # The bytes of the default style.
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "e114e5ed961175357c2939cba5bb0f4834faf7a09e84cadb6878386c1e2d9f98")
+
+    @pytest.mark.parametrize("option", [
+        ("--margin", "0.7"), ("--margin", "0.5"), ("--stroke-width", "nan"),
+        ("--point-radius", "inf")])
+    def test_render_bad_style_exit_1(self, option, tmp_path, capsys):
+        g, svg = tmp_path / "g.json", tmp_path / "g.svg"
+        assert main(["build", "crossed_ellipses", "-o", str(g)]) == 0
+        capsys.readouterr()
+        assert main(["render", "-i", str(g), "-o", str(svg), *option]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not svg.exists()
 
     def test_usage_errors(self, capsys):
         assert main(["frobnicate"]) == 2
