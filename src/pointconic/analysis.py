@@ -7,9 +7,10 @@ from functools import cached_property
 import numpy as np
 
 from .configuration import GeometricConfiguration
-from .geometry import (GeometryError, TOL_MERGE, _coincident, _residuals,
-                       affine_images, apply_affine_point, dilation_to_circle,
-                       ellipse_parameters_stack, pencil_intersections)
+from .geometry import (GeometryError, TOL_MERGE, _coincident, _conic_of,
+                       _residuals, affine_images, apply_affine_points,
+                       dilation_to_circle, ellipse_parameters_stack,
+                       forms_coeffs, pencil_intersections)
 from .incidence import (IncidenceStructure, Signature, _block_pairs,
                         _near_pairs, _pair_dict, signature)
 
@@ -92,8 +93,7 @@ def _spurious_scan(G: GeometricConfiguration) -> tuple[list, list]:
     Q, A = _normalized_scene(G)
     x, y = Q[:, 0], Q[:, 1]
     monomials = np.stack([x * x, x * y, y * y, x, y, np.ones(len(Q))])
-    coeffs = np.column_stack([A[:, 0, 0], 2 * A[:, 0, 1], A[:, 1, 1],
-                              2 * A[:, 0, 2], 2 * A[:, 1, 2], A[:, 2, 2]])
+    coeffs = forms_coeffs(A)
     band = 10 * SPURIOUS_REL
     chunk = max(1, _SCAN_ELEMENTS // len(Q))
     hits = []
@@ -208,9 +208,8 @@ def geometric_meets(G: GeometricConfiguration) -> dict:
     tuple of pairs that meet in more points than they share as
     configuration points. All pairs go through one call of the batched
     pencil kernel `geometry.pencil_intersections`, which raises on
-    degenerate or coincident conics and on more than four distinct points,
-    and gives the per-pair pencil method's counts. The excess pairs are
-    one comparison with the shared-point counts of `intersection_type`.
+    degenerate or coincident conics and on more than four distinct points.
+    The excess pairs are one comparison with `intersection_type`'s counts.
     """
     B = G.num_conics
     i, j = np.triu_indices(B, 1)
@@ -253,11 +252,9 @@ def strongly_isometric_to_circles(
     if verdict != "strongly_isometric":
         raise GeometryError(
             f"requires a strongly isometric configuration, got {verdict}")
-    M = dilation_to_circle(G.conics[0])
-    pts = np.array([apply_affine_point(M, p) for p in G.points]) \
-        if G.num_points else np.zeros((0, 2))
-    prov = dict(G.provenance)
-    prov["transform"] = "dilation-to-circles"
+    M = dilation_to_circle(_conic_of(G.forms[0], G.kinds[0]))
     return GeometricConfiguration._of(
-        pts, affine_images(M.homogeneous(), G.forms),
-        G.to_incidence_structure().flag_array, G.tol, prov)
+        apply_affine_points(M, G.points),
+        affine_images(M.homogeneous(), G.forms),
+        G.to_incidence_structure().flag_array, G.tol,
+        {**G.provenance, "transform": "dilation-to-circles"})

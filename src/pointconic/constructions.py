@@ -24,7 +24,7 @@ from .configuration import GeometricConfiguration, Polytope4
 from .geometry import (DEGENERATE_KINDS, AffineMap2, Conic, GeometryError,
                        Projection4to2, TOL_MERGE, _classify_forms, _conic_of,
                        _five_point_faults, _norm, _normalized_forms,
-                       _residuals, affine_images, apply_affine_point,
+                       _residuals, affine_images, apply_affine_points,
                        carnot_product, carnot_solve_sixth,
                        conic_forms_from_5_points, cross2,
                        line_conic_intersections, pencil_intersections)
@@ -115,9 +115,9 @@ def translate_conics(forms: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return affine_images(H, forms)
 
 
-def _require_audit(G: GeometricConfiguration, context: str,
-                   **kwargs) -> GeometricConfiguration:
-    rep = analysis.audit(G, **kwargs)
+def _require_audit(G: GeometricConfiguration,
+                   context: str) -> GeometricConfiguration:
+    rep = analysis.audit(G)
     if not rep.passed:
         raise ConstructionError(
             f"{context}: audit failed "
@@ -516,7 +516,7 @@ def product(C1: GeometricConfiguration, C2: GeometricConfiguration,
                       [math.sin(ang), math.cos(ang)]])
         M = AffineMap2(R, np.zeros(2))
         C2 = GeometricConfiguration._of(
-            np.array([apply_affine_point(M, p) for p in C2.points]),
+            apply_affine_points(M, C2.points),
             affine_images(M.homogeneous(), C2.forms),
             C2.to_incidence_structure().flag_array, C2.tol,
             dict(C2.provenance))

@@ -332,12 +332,11 @@ def central_conic_from_pairs(center, reps) -> Conic:
 # ---------------------------------------------------------------------------
 # Conic-conic intersection via the pencil
 # ---------------------------------------------------------------------------
-# One kernel, on stacks of conic pairs. Candidates use the per-pair pencil
-# method's numpy/LAPACK routines, so a pair gets the same bits in any batch:
-# stacked `np.matmul` rounds like `@` and `np.linalg.norm` on one vector, but
-# `einsum` or explicit sums do not, and the ill-conditioned line bases of
-# symmetric scenes turn that into different counts. The polish and merge
-# after them are elementwise and round differently, with the same counts.
+# One kernel, on stacks of conic pairs; a pair gets the same bits in any
+# batch. Stacked `np.matmul` rounds like `@` on one vector, but `einsum` or
+# explicit sums do not, and the ill-conditioned line bases of symmetric
+# scenes turn that into different counts. The tests check counts and points
+# against exact common points (resultants and Sturm sequences).
 
 _PENCIL_TS = np.array([0.0, 1.0, -1.0, 2.0])
 _PENCIL_VANDER = np.vander(_PENCIL_TS, 4)
@@ -578,11 +577,12 @@ def pencil_intersections(forms, kinds, pairs, merge_tol: float = TOL_MERGE):
     if they lie on both conics, tangential ones once. Every pair is checked
     first (degenerate or coincident conics raise). A broad phase gives
     count 0 to ellipse pairs that a line separates; the rest are solved in
-    chunks. Against the per-pair method (the tests' oracle) candidates are
-    bit-identical and counts equal; a point lies within 100 forward error
-    bounds u |v|^T |A| |v| ||J|| / |det J| of the oracle's (J: the Newton
-    Jacobian at v = (x, y, 1)), a tangent one within merge_tol of the
-    touching point. Raises if more than 4 distinct points survive.
+    chunks. A point lies within 100 forward error bounds u |v|^T |A| |v|
+    ||J|| / |det J| of the exact common point (J: the Newton Jacobian at
+    v = (x, y, 1)), a tangent one within merge_tol of the touching point.
+    Known faults: a line through the origin loses its points, a tangency
+    counts 0, 1 or 3, and the absolute Newton stop leaves points of tiny
+    conics up to ~1,600 bounds off. More than 4 distinct points raise.
     """
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
     points = np.full((len(pairs), 4, 2), np.nan)
@@ -629,10 +629,9 @@ def pencil_intersections(forms, kinds, pairs, merge_tol: float = TOL_MERGE):
 
 def conic_conic_intersections(A: Conic, B: Conic,
                               merge_tol: float = TOL_MERGE) -> list[np.ndarray]:
-    """All real affine intersection points of two nondegenerate conics: the
-    one-pair call of `pencil_intersections`, so the per-pair method's count
-    and its points to within their forward error bounds, sorted, tangential
-    ones once. Raises on degenerate or coincident inputs, or > 4 points."""
+    """All real affine intersection points of two nondegenerate conics,
+    sorted, tangential ones once: the one-pair call of `pencil_intersections`
+    and its bits. Raises on degenerate or coincident inputs, or > 4 points."""
     points, counts = pencil_intersections(
         np.stack([A.form, B.form]), (A.kind, B.kind), [(0, 1)], merge_tol)
     return list(points[0, :counts[0]])
@@ -761,6 +760,12 @@ class AffineMap2:
 
 def apply_affine_point(M: AffineMap2, p) -> np.ndarray:
     return M.linear @ np.asarray(p, float) + M.translation
+
+
+def apply_affine_points(M: AffineMap2, P) -> np.ndarray:
+    """`apply_affine_point` of each row of P (N, 2), bit for bit."""
+    P = np.asarray(P, float).reshape(-1, 2)
+    return np.matmul(M.linear, P[:, :, None])[:, :, 0] + M.translation
 
 
 def apply_affine(M: AffineMap2, conic: Conic) -> Conic:

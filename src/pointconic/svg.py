@@ -43,17 +43,15 @@ class SceneStyle:
     background: str = "#ffffff"
 
     def __post_init__(self):
-        if not (0 < self.stroke_width < math.inf
-                and 0 < self.point_radius < math.inf):
-            raise ValueError("stroke width and point radius must be finite "
-                             "and positive")
+        sizes = (self.stroke_width, self.point_radius, *self.canvas)
+        if not all(0 < v < math.inf for v in sizes):
+            raise ValueError("stroke width, point radius and canvas "
+                             "dimensions must be finite and positive")
         if not 0 <= self.margin < 0.5:
             raise ValueError(f"margin must lie in [0, 0.5), got "
                              f"{self.margin!r}")
         if not self.palette:
             raise ValueError("palette must be nonempty")
-        if self.canvas[0] <= 0 or self.canvas[1] <= 0:
-            raise ValueError("canvas dimensions must be positive")
 
 
 def _fmt(v: float) -> str:

@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 from collections import Counter, defaultdict
+from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
@@ -26,7 +27,7 @@ from pointconic.constructions import (ConstructionError, _require_audit,
                                       prism_product)
 from pointconic.geometry import (COND_WARN, TOL_MERGE, AffineMap2, Conic,
                                  GeometryError, _axis_angle, _classify_forms,
-                                 _coincident, _conic_of, _kind,
+                                 _conic_of, _kind,
                                  conic_conic_intersections, cross2,
                                  pencil_intersections, project)
 from pointconic.incidence import (IncidenceStructure, LeviGraph,
@@ -345,361 +346,201 @@ def nx_local_connectivities(L: LeviGraph) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Per-pair pencil kernel: the oracle for geometry.pencil_intersections
+# Exact meets: the reference for geometry.pencil_intersections
 # ---------------------------------------------------------------------------
-# The per-pair pencil kernel, verbatim. geometry.pencil_intersections runs
-# the same algorithm on stacks of pairs: it must reproduce its counts, and
-# its points to within 100 forward error bounds, 2 * merge_tol at a
-# tangency (see `_assert_matches` in test_geometry.py).
+# The common points of two conics whose float forms are taken as exact
+# rationals, in integer arithmetic: the reference shares no code and no
+# rounding with the kernel. After a shear x -> x + s y the points are the
+# roots X of the resultant in y of the two quadratics, one point per
+# distinct root once no two points share an X, with y from the first
+# subresultant (Richter-Gebert, Perspectives on Projective Geometry, 2011,
+# ch. 11). Sturm sequences count and isolate the real roots (Basu, Pollack
+# and Roy, Algorithms in Real Algebraic Geometry, 2006, ch. 2). A polynomial
+# in X is a list of ints, lowest degree first.
 
-def _split_degenerate(C: np.ndarray) -> list[np.ndarray]:
-    """Split a (near-)rank-2 symmetric form into its two lines.
-
-    Works in complex arithmetic; callers filter for real results. Uses the
-    adjugate to find the singular point, then reduces to a rank-1 matrix
-    whose rows/columns are the lines.
-    """
-    C = np.asarray(C, dtype=complex)
-    # Adjugate of a 3x3 matrix.
-    adj = np.array([[np.linalg.det(np.delete(np.delete(C, i, 0), j, 1))
-                     * (-1) ** (i + j) for i in range(3)] for j in range(3)])
-    i = int(np.argmax(np.abs(np.diag(adj))))
-    if abs(adj[i, i]) < 1e-14:
-        # Rank <= 1: a double line.
-        j = int(np.argmax(np.abs(C).sum(axis=1)))
-        return [C[j], C[j]]
-    beta = np.sqrt(-adj[i, i] + 0j)
-    p = adj[:, i] / beta
-    skew = np.array([[0, p[2], -p[1]], [-p[2], 0, p[0]], [p[1], -p[0], 0]])
-    M = C + skew
-    r, c = np.unravel_index(int(np.argmax(np.abs(M))), M.shape)
-    return [M[r, :], M[:, c]]
+# Shears s = p / q, tried in turn. A pair rules out at most 10: the four
+# directions at infinity of the two conics, and one per two common points.
+_SHEARS = ((3, 7), (-5, 11), (2, 13), (7, 3), (-11, 5), (13, 2), (1, 17),
+           (-17, 9), (19, 23), (-23, 29), (29, 31), (-31, 37))
 
 
-def _line_conic_complex(line: np.ndarray, A: np.ndarray) -> list[np.ndarray]:
-    """Intersections (homogeneous, complex) of a projective line with a conic."""
-    basis = []
-    for e in np.eye(3):
-        v = np.cross(line, e)
-        if np.linalg.norm(v) > 1e-12 * (np.linalg.norm(line) + 1):
-            basis.append(v)
-        if len(basis) == 2:
-            break
-    if len(basis) < 2:
-        return []
-    p0, p1 = basis
-    a = p1 @ A @ p1
-    b = p0 @ A @ p1
-    c = p0 @ A @ p0
-    out = []
-    if abs(a) < 1e-16 * (abs(b) + abs(c) + 1):
-        if abs(b) > 1e-300:
-            out.append(p0 - c / (2 * b) * p1)
-    else:
-        r = np.sqrt(b * b - a * c + 0j)
-        out.append(p0 + ((-b + r) / a) * p1)
-        out.append(p0 + ((-b - r) / a) * p1)
+def _lin(a: int, p: list, b: int, q: list) -> list:
+    """a p + b q."""
+    n = max(len(p), len(q))
+    out = [a * u + b * v
+           for u, v in zip(p + [0] * (n - len(p)), q + [0] * (n - len(q)))]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out or [0]
+
+
+def _mul(p: list, q: list) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
     return out
 
 
-def _newton_polish(p, A: np.ndarray, B: np.ndarray, iters: int = 30):
-    """Refine a common point of two conics with 2D Newton steps."""
-    x, y = float(p[0]), float(p[1])
-    for _ in range(iters):
-        v = np.array([x, y, 1.0])
-        fa = v @ A @ v
-        fb = v @ B @ v
-        if max(abs(fa), abs(fb)) < 1e-16:
-            break
-        ga = 2 * (A[:2] @ v)
-        gb = 2 * (B[:2] @ v)
-        J = np.array([ga, gb])
-        try:
-            delta = np.linalg.solve(J, -np.array([fa, fb]))
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(delta)):
-            break
-        step = np.linalg.norm(delta)
-        if step > 0.1:
-            delta *= 0.1 / step
-        x += delta[0]
-        y += delta[1]
-    return np.array([x, y])
+def _primitive(p: list) -> list:
+    """p over the gcd of its coefficients: the same roots and signs."""
+    g = math.gcd(*p)
+    return [u // g for u in p] if g > 1 else p
 
 
-def scalar_conic_conic_intersections(A: Conic, B: Conic,
-                                     merge_tol: float = TOL_MERGE
-                                     ) -> list[np.ndarray]:
-    """All real affine intersection points of two nondegenerate conics.
+def _derivative(p: list) -> list:
+    return _primitive([i * u for i, u in enumerate(p)][1:] or [0])
 
-    Finds a degenerate member of the pencil A + lambda*B, splits it into
-    two lines and intersects those with A; candidates are Newton-polished
-    and kept only if they lie on both conics. Tangential intersections are
-    reported once. Raises on degenerate or coincident inputs.
-    """
-    if A.is_degenerate() or B.is_degenerate():
-        raise GeometryError("degenerate conic input")
-    if A.same_as(B):
-        raise GeometryError(
-            "coincident conics: five or more common points force equality")
-    MA, MB = A.form, B.form
-    # det(MA + t*MB) is a cubic in t; recover it from four evaluations.
-    ts = np.array([0.0, 1.0, -1.0, 2.0])
-    vals = [np.linalg.det(MA + t * MB) for t in ts]
-    coeffs = np.linalg.solve(np.vander(ts, 4), vals)
-    roots = np.roots(coeffs)
-    real_roots = [r.real for r in roots
-                  if abs(r.imag) <= 1e-8 * (1 + abs(r.real))]
-    candidates = []
-    for lam in real_roots:
-        C = MA + lam * MB
-        for line in _split_degenerate(C):
-            for q in _line_conic_complex(line, MA.astype(complex)):
-                nrm = np.linalg.norm(q)
-                if nrm == 0 or abs(q[2]) < 1e-10 * nrm:
-                    continue  # point at infinity
-                q = q / q[2]
-                if max(abs(q[0].imag), abs(q[1].imag)) > 1e-6 * (
-                        1 + abs(q[0].real) + abs(q[1].real)):
-                    continue
-                candidates.append(np.array([q[0].real, q[1].real]))
+
+def _pseudo_divide(p: list, q: list) -> tuple:
+    """Quotient and remainder of c p by q, and the sign of c = lc(q)^k for
+    the k steps taken."""
+    quot, sign = [0] * max(1, len(p) - len(q) + 1), 1
+    while len(p) >= len(q) and p != [0]:
+        c, shift = p[-1], len(p) - len(q)
+        quot = [q[-1] * u for u in quot]
+        quot[shift] += c
+        p = _lin(q[-1], p[:-1], -c, ([0] * shift + q)[:-1])
+        sign = sign if q[-1] > 0 else -sign
+    return quot, p, sign
+
+
+def _at(p: list, m: int, d: int) -> int:
+    """d^deg(p) p(m / d)."""
+    h, t = p[-1], 1
+    for c in reversed(p[:-1]):
+        t *= d
+        h = h * m + c * t
+    return h
+
+
+def _sign(p: list, m: int, k: int) -> int:
+    """The sign of p at m / 2^k."""
+    h = _at(p, m, 1 << k)
+    return (h > 0) - (h < 0)
+
+
+def _changes(sturm: list, m: int, k: int) -> int:
+    """Sign changes of the Sturm sequence at m / 2^k, zeros dropped."""
+    signs = [s for s in (_sign(p, m, k) for p in sturm) if s]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _real_roots(S: list) -> list:
+    """The real roots of a square-free S, as Fractions within 2^-64
+    relative of each; an exact one where bisection hits it. The Sturm
+    sequence counts the roots in each (lo, hi], and bisection splits the
+    intervals until each holds one."""
+    sturm = [S, _derivative(S)]
+    while len(sturm[-1]) > 1:
+        _, r, sign = _pseudo_divide(sturm[-2], sturm[-1])
+        if r == [0]:
+            break
+        sturm.append(_primitive([-sign * u for u in r]))
+    # 2^e exceeds the Cauchy bound 1 + max |S_i / S_n| of every root.
+    e = max(1, max(abs(u) for u in S).bit_length()
+            - abs(S[-1]).bit_length() + 2)
+    roots, todo = [], [(-1 << e, 1 << e, 0)]
+    while todo:
+        lo, hi, k = todo.pop()
+        n = _changes(sturm, lo, k) - _changes(sturm, hi, k)
+        if n > 1:
+            todo += [(2 * lo, lo + hi, k + 1), (lo + hi, 2 * hi, k + 1)]
+        elif n == 1:
+            roots.append(_bisect(S, sturm, lo, hi, k))
+    return roots
+
+
+def _bisect(S: list, sturm: list, lo: int, hi: int, k: int) -> Fraction:
+    """The one root of S in (lo / 2^k, hi / 2^k], to 64 bits."""
+    s_lo = _sign(S, lo, k)
+    if _sign(S, hi, k) == 0:
+        return Fraction(hi, 1 << k)
+    while (hi - lo) << 64 > max(abs(lo), abs(hi)):
+        lo, hi, k, mid = 2 * lo, 2 * hi, k + 1, lo + hi
+        s_mid = _sign(S, mid, k)
+        if s_mid == 0:
+            return Fraction(mid, 1 << k)
+        if s_lo:
+            left = s_mid != s_lo
+        else:  # lo is the root of the interval on its left
+            left = _changes(sturm, lo, k) - _changes(sturm, mid, k) == 1
+        lo, hi, s_lo = (lo, mid, s_lo) if left else (mid, hi, s_mid)
+    return Fraction(lo + hi, 1 << (k + 1))
+
+
+def _form_coeffs(form) -> list:
+    """Integers proportional to a, b, c, d, e, g of the form's
+    a x^2 + b xy + c y^2 + d x + e y + g, exactly."""
+    M = np.asarray(form, dtype=float).tolist()
+    v = [M[i][j].as_integer_ratio()
+         for i, j in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))]
+    den = math.lcm(*(d for _, d in v))
+    return [s * n * (den // d) for s, (n, d) in zip((1, 2, 1, 2, 2, 1), v)]
+
+
+def _sheared(coeffs: list, p: int, q: int) -> tuple:
+    """q^2 f(X - (p / q) y, y) as c2 y^2 + c1(X) y + c0(X)."""
+    a, b, c, d, e, g = coeffs
+    return (a * p * p - b * p * q + c * q * q,
+            [e * q * q - d * p * q, b * q * q - 2 * a * p * q],
+            [g * q * q, d * q * q, a * q * q])
+
+
+def exact_meets(A, B, merge_tol: float = TOL_MERGE) -> list:
+    """The real affine common points of the conics with forms A and B
+    (3, 3), the float entries taken exactly: float (x, y) tuples ascending,
+    where a point within `merge_tol` of a kept one is dropped, as in
+    `geometry.pencil_intersections`. Raises ValueError on conics that share
+    a component."""
+    ca, cb = _form_coeffs(A), _form_coeffs(B)
+    for p, q in _SHEARS:
+        a2, a1, a0 = _sheared(ca, p, q)
+        b2, b1, b0 = _sheared(cb, p, q)
+        if not a2 or not b2:
+            continue  # a direction at infinity of A or B became vertical
+        # The resultant P^2 - L M, and the first subresultant L y + P.
+        P, L = _lin(a2, b0, -b2, a0), _lin(a2, b1, -b2, a1)
+        R = _lin(1, _mul(P, P), -1,
+                 _mul(L, _lin(1, _mul(a1, b0), -1, _mul(a0, b1))))
+        if R == [0]:
+            raise ValueError("the conics share a component")
+        if L == [0] and len(R) == 1:
+            return []  # R = P^2 is a nonzero constant: no common X
+        # Where L vanishes at a root, two common points share its X.
+        if L != [0] and (len(L) == 1 or _at(R, -L[0], L[1])):
+            break
+    else:
+        raise ValueError("no shear separates the common points")
+    g, h = R, _derivative(R)
+    while h != [0]:
+        g, h = h, _primitive(_pseudo_divide(g, h)[1])
+    square_free = _primitive(_pseudo_divide(R, g)[0])
     points = []
-    for p in candidates:
-        p = _newton_polish(p, MA, MB)
-        if (scalar_residual(A, p) > 10 * merge_tol
-                or scalar_residual(B, p) > 10 * merge_tol):
-            continue
-        if any(np.linalg.norm(p - q) < merge_tol for q in points):
-            continue
-        points.append(p)
-    points.sort(key=lambda p: (round(p[0], 9), round(p[1], 9)))
-    return points[:4]
+    for X in _real_roots(square_free) if len(square_free) > 1 else ():
+        m, d = X.numerator, X.denominator
+        y = Fraction(-_at(P, m, d) * d ** (len(L) - 1),
+                     _at(L, m, d) * d ** (len(P) - 1))
+        points.append((float(X - Fraction(p, q) * y), float(y)))
+    kept = []
+    for pt in sorted(points):
+        if all(math.dist(pt, other) >= merge_tol for other in kept):
+            kept.append(pt)
+    return kept
 
 
-# ---------------------------------------------------------------------------
-# Stacked pencil candidates: the pin for geometry._pencil_candidates
-# ---------------------------------------------------------------------------
-# The stacked candidate stage and the residuals, verbatim but for the names,
-# from the kernel whose points were bit-identical to the per-pair oracle.
-# geometry._pencil_candidates must return the same bits: the benchmark's
-# excess pins move with the last bit of a candidate. The one-phase oracle
-# below runs on these.
-
-_PENCIL_TS = np.array([0.0, 1.0, -1.0, 2.0])
-_PENCIL_VANDER = np.vander(_PENCIL_TS, 4)
-# Indices left after deleting k, and the cofactor signs (-1) ** (i + j).
-_MINOR_KEEP = np.array([[1, 2], [0, 2], [0, 1]])
-_COFACTOR_SIGN = (-1) ** np.add.outer(np.arange(3), np.arange(3))
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of stacked real or complex vectors (last axis)."""
-    def sq(u):
-        return np.matmul(u[..., None, :], u[..., :, None])[..., 0, 0]
-    return np.sqrt(sq(v.real) + sq(v.imag) if np.iscomplexobj(v) else sq(v))
-
-
-def _quadratic_form(p: np.ndarray, A: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p^T A q for stacked vectors (..., 3) and broadcastable forms
-    (..., 3, 3)."""
-    return np.matmul(np.matmul(p[..., None, :], A), q[..., :, None])[..., 0, 0]
-
-
-def stacked_split_degenerate(C: np.ndarray) -> np.ndarray:
-    """Split stacked (near-)rank-2 symmetric forms (R, 3, 3) into two lines
-    each, (R, 2, 3) complex; callers filter for real results.
-
-    The adjugate gives the singular point, which reduces the form to a
-    rank-1 matrix whose rows/columns are the lines. A form of rank <= 1 is
-    a double line, given twice.
-    """
-    C = C.astype(complex)
-    rows = np.arange(len(C))
-    # Minor (i, j) of C, (R, 3, 3, 2, 2); adj is the transposed cofactors.
-    minors = C[:, _MINOR_KEEP[:, None, :, None], _MINOR_KEEP[None, :, None, :]]
-    adj = (np.linalg.det(minors) * _COFACTOR_SIGN).transpose(0, 2, 1)
-    i = np.argmax(np.abs(np.diagonal(adj, axis1=1, axis2=2)), axis=1)
-    beta = np.sqrt(-adj[rows, i, i] + 0j)
-    p = adj[rows, :, i] / beta[:, None]
-    skew = np.zeros_like(C)
-    skew[:, 0, 1], skew[:, 0, 2] = p[:, 2], -p[:, 1]
-    skew[:, 1, 0], skew[:, 1, 2] = -p[:, 2], p[:, 0]
-    skew[:, 2, 0], skew[:, 2, 1] = p[:, 1], -p[:, 0]
-    M = C + skew
-    r, c = np.divmod(np.argmax(np.abs(M).reshape(-1, 9), axis=1), 3)
-    lines = np.stack([M[rows, r, :], M[rows, :, c]], axis=1)
-    double = np.abs(adj[rows, i, i]) < 1e-14
-    heaviest = C[rows, np.argmax(np.abs(C).sum(axis=2), axis=1)]
-    lines[double] = heaviest[double, None, :]
-    return lines
-
-
-def stacked_line_conic_complex(L: np.ndarray, A: np.ndarray):
-    """Homogeneous complex intersections of stacked lines (..., 3) with
-    broadcastable conics (..., 3, 3): points (..., 2, 3) and a mask (..., 2)
-    of the slots that hold one.
-
-    A line is parametrized by the first two of cross(line, e_k) that are not
-    negligible; a line with fewer has no points.
-    """
-    v = [np.cross(L, e) for e in np.eye(3)]
-    usable = [_norm(vk) > 1e-12 * (_norm(L) + 1) for vk in v]
-    p0 = np.where(usable[0][..., None], v[0], v[1])
-    p1 = np.where((usable[0] & usable[1])[..., None], v[1], v[2])
-    a = _quadratic_form(p1, A, p1)
-    b = _quadratic_form(p0, A, p1)
-    c = _quadratic_form(p0, A, p0)
-    linear = np.abs(a) < 1e-16 * (np.abs(b) + np.abs(c) + 1)
-    r = np.sqrt(b * b - a * c + 0j)
-    first = np.where(linear[..., None], p0 - (c / (2 * b))[..., None] * p1,
-                     p0 + ((-b + r) / a)[..., None] * p1)
-    second = p0 + ((-b - r) / a)[..., None] * p1
-    has_basis = sum(u.astype(int) for u in usable) >= 2
-    valid = np.stack([has_basis & (~linear | (np.abs(b) > 1e-300)),
-                      has_basis & ~linear], axis=-1)
-    return np.stack([first, second], axis=-2), valid
-
-
-def residuals(xy: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """|p^T A p| for the unit-norm homogenizations p of stacked points
-    (K, 2), against forms (K, 3, 3) or one form (3, 3)."""
-    v = np.column_stack([xy, np.ones(len(xy))])
-    v /= _norm(v)[:, None]
-    return np.abs(_quadratic_form(v, M, v))
-
-
-def pencil_candidates(MA: np.ndarray, MB: np.ndarray):
-    """Unpolished real affine candidates (K, 2) of stacked pairs of forms
-    (P, 3, 3), with the pair of each, in the per-pair order root, line, slot.
-    """
-    P = len(MA)
-    # det(MA + t*MB) is a cubic in t; recover it from four evaluations and
-    # find its roots as the eigenvalues of the companion matrix (np.roots).
-    vals = np.linalg.det(MA[:, None] + _PENCIL_TS[:, None, None] * MB[:, None])
-    coeffs = np.linalg.solve(np.broadcast_to(_PENCIL_VANDER, (P, 4, 4)),
-                             vals[:, :, None])[:, :, 0]
-    companion = np.zeros((P, 3, 3))
-    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    roots = np.linalg.eigvals(companion)
-    pair, k = np.nonzero(np.abs(roots.imag) <= 1e-8 * (1 + np.abs(roots.real)))
-    lam = roots.real[pair, k]
-    lines = stacked_split_degenerate(MA[pair] + lam[:, None, None] * MB[pair])
-    q, valid = stacked_line_conic_complex(lines, MA[pair, None].astype(complex))
-    q, valid, pair = q.reshape(-1, 3), valid.reshape(-1), np.repeat(pair, 4)
-    nrm = _norm(q)
-    valid &= ~((nrm == 0) | (np.abs(q[:, 2]) < 1e-10 * nrm))  # at infinity
-    q = q / q[:, 2:]
-    valid &= ~(np.maximum(np.abs(q[:, 0].imag), np.abs(q[:, 1].imag))
-               > 1e-6 * (1 + np.abs(q[:, 0].real) + np.abs(q[:, 1].real)))
-    return q[valid, :2].real, pair[valid]
-
-
-# ---------------------------------------------------------------------------
-# One-phase chunked pencil kernel: the oracle for the two-phase, pruned one
-# ---------------------------------------------------------------------------
-# The stacked kernel before the broad phase and the two-phase polish,
-# verbatim: every pair is solved, and each chunk of pairs runs all 30 Newton
-# steps (stacked LAPACK solves) and falls back to per-matrix solves when a
-# stacked solve is singular. geometry.pencil_intersections must reproduce its
-# counts, and its points within the per-pair oracle's tolerance. It runs on
-# the candidate and residual copies above.
-
-ONE_PHASE_PAIR_CHUNK = 256
-
-
-def per_matrix_solve_or_nan(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Stacked 2x2 solves; a singular system gives a NaN solution."""
-    try:
-        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan)
-        for k in range(len(J)):
-            try:
-                out[k] = np.linalg.solve(J[k], rhs[k])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _stacked_newton_polish(xy: np.ndarray, A: np.ndarray, B: np.ndarray,
-                           iters: int = 30) -> np.ndarray:
-    xy = xy.copy()
-    live = np.arange(len(xy))
-    for _ in range(iters):
-        if not len(live):
-            break
-        v = np.column_stack([xy[live], np.ones(len(live))])
-        A_l, B_l = A[live], B[live]
-        fa = _quadratic_form(v, A_l, v)
-        fb = _quadratic_form(v, B_l, v)
-        go = ~(np.maximum(np.abs(fa), np.abs(fb)) < 1e-16)
-        J = 2 * np.stack([np.matmul(A_l[go, :2], v[go, :, None]),
-                          np.matmul(B_l[go, :2], v[go, :, None])], axis=1)
-        delta = per_matrix_solve_or_nan(
-            J[..., 0], -np.stack([fa[go], fb[go]], axis=1))
-        finite = np.isfinite(delta).all(axis=1)
-        delta, live = delta[finite], live[go][finite]
-        step = _norm(delta)
-        long = step > 0.1
-        delta[long] *= (0.1 / step[long])[:, None]
-        xy[live] += delta
-    return xy
-
-
-def _one_phase_chunk(MA: np.ndarray, MB: np.ndarray, merge_tol: float):
-    P = len(MA)
-    xy, pair = pencil_candidates(MA, MB)
-    xy = _stacked_newton_polish(xy, MA[pair], MB[pair])
-    tol = 10 * merge_tol
-    on_both = (~(residuals(xy, MA[pair]) > tol)
-               & ~(residuals(xy, MB[pair]) > tol))
-    xy, pair = xy[on_both], pair[on_both]
-    per_pair = np.bincount(pair, minlength=P)
-    rank = np.arange(len(pair)) - (np.cumsum(per_pair) - per_pair)[pair]
-    width = max(4, int(per_pair.max(initial=0)))
-    cand = np.full((P, width, 2), np.nan)
-    cand[pair, rank] = xy
-    kept = np.zeros((P, width), bool)
-    kept[pair, rank] = True
-    for j in range(1, width):
-        near = _norm(cand[:, :j] - cand[:, j:j + 1]) < merge_tol
-        kept[:, j] &= ~(kept[:, :j] & near).any(axis=1)
-    order = np.lexsort((np.round(cand[:, :, 1], 9), np.round(cand[:, :, 0], 9),
-                        ~kept), axis=-1)
-    points = np.take_along_axis(cand, order[:, :, None], axis=1)
-    counts = kept.sum(axis=1)
-    points[np.arange(width) >= counts[:, None]] = np.nan
-    return points, counts
-
-
-def one_phase_pencil_intersections(conics, pairs, merge_tol: float = TOL_MERGE):
-    """`(points, counts)` of the conic pairs `pairs`, as
-    `geometry.pencil_intersections` returns them, from every pair."""
+def exact_pencil_intersections(forms, pairs, merge_tol: float = TOL_MERGE):
+    """`(points, counts)` of the pairs `pairs` into the stack `forms`, laid
+    out as `geometry.pencil_intersections` returns them (sorted by rounded
+    (x, y), NaN-padded to (P, 4, 2)), from `exact_meets`."""
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
     points = np.full((len(pairs), 4, 2), np.nan)
     counts = np.zeros(len(pairs), dtype=int)
-    if any(conics[i].is_degenerate() for i in set(pairs.ravel().tolist())):
-        raise GeometryError("degenerate conic input")
-    forms = np.array([c.form for c in conics])
-    chunks = [slice(s, s + ONE_PHASE_PAIR_CHUNK)
-              for s in range(0, len(pairs), ONE_PHASE_PAIR_CHUNK)]
-    if any(_coincident(forms[pairs[c, 0]], forms[pairs[c, 1]], 1e-9).any()
-           for c in chunks):
-        raise GeometryError(
-            "coincident conics: five or more common points force equality")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for c in chunks:
-            pts, n = _one_phase_chunk(forms[pairs[c, 0]], forms[pairs[c, 1]],
-                                      merge_tol)
-            if n.max() > 4:
-                i, j = pairs[c][int(np.argmax(n))]
-                raise GeometryError(
-                    f"conics {i} and {j} give {n.max()} distinct "
-                    "intersection points; two distinct conics share at "
-                    "most 4")
-            points[c], counts[c] = pts[:, :4], n
+    for k, (i, j) in enumerate(pairs):
+        found = sorted(exact_meets(forms[i], forms[j], merge_tol),
+                       key=lambda pt: (round(pt[0], 9), round(pt[1], 9)))
+        counts[k] = len(found)
+        points[k, :len(found)] = np.reshape(found, (-1, 2))
     return points, counts
 
 

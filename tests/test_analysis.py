@@ -26,9 +26,9 @@ from pointconic.constructions import (cell24, crossed_ellipses,
                                       realize_by_conics,
                                       realize_lineal_by_circles,
                                       richter_gebert, translate_conics)
-from pointconic.geometry import (AffineMap2, Conic, GeometryError,
+from pointconic.geometry import (AffineMap2, Conic, GeometryError, _conic_of,
                                  apply_affine, apply_affine_point,
-                                 ellipse_parameters)
+                                 dilation_to_circle, ellipse_parameters)
 from pointconic.cli import main
 from pointconic.incidence import (block_pair_counts, catalog,
                                   new_incidence_structure)
@@ -562,6 +562,23 @@ class TestIsometry:
             radii.append(a)
         assert np.ptp(radii) < 1e-8
         assert audit(out).passed
+
+    def test_to_circles_builds_one_conic(self):
+        # The dilation comes from the first conic alone, and the points are
+        # mapped in one stacked pass with the per-point call's bits.
+        G = _translate_family(num=200)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _conic_of(*args)
+        with mock.patch.object(analysis, "_conic_of", counted), \
+                mock.patch("pointconic.configuration._conic_of", counted):
+            out = strongly_isometric_to_circles(G)
+        assert len(calls) == 1 and "conics" not in vars(G)
+        M = dilation_to_circle(G.conics[0])
+        want = np.array([apply_affine_point(M, p) for p in G.points])
+        assert out.points.tobytes() == want.tobytes()
 
     def test_to_circles_precondition(self):
         with pytest.raises(GeometryError, match="strongly isometric"):

@@ -3,6 +3,7 @@ import functools
 import math
 import warnings
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (carnot_six_from_conic, conics_of,
-                      one_phase_pencil_intersections, pencil_candidates,
-                      random_ellipse, random_triangle,
+                      exact_pencil_intersections, random_ellipse,
                       scalar_apply_affine, scalar_central_conic_from_pairs,
                       scalar_coeffs, scalar_collinear,
-                      scalar_conic, scalar_conic_conic_intersections,
+                      scalar_conic,
                       scalar_conic_from_5_points,
                       scalar_conic_from_normalized_coeffs,
                       scalar_ellipse_parameters, scalar_normalize_form,
@@ -25,11 +25,13 @@ from pointconic.constructions import (cell24, crossed_ellipses,
                                       dipyramid_carnot, ellipse_conic, pmn,
                                       polygon_ring, product, qcube_48,
                                       richter_gebert, translate_conics)
-from pointconic.geometry import (TOL_MERGE, AffineMap2, Conic, GeometryError,
-                                 Projection4to2, _collinear, _ellipses_apart,
+from pointconic.geometry import (DEGENERATE_KINDS, TOL_MERGE, AffineMap2,
+                                 Conic, GeometryError, Projection4to2,
+                                 _collinear, _ellipses_apart,
                                  _pencil_candidates, _residuals,
                                  affine_images, apply_affine,
-                                 apply_affine_point, carnot_product,
+                                 apply_affine_point, apply_affine_points,
+                                 carnot_product,
                                  carnot_solve_sixth, central_conic_from_pairs,
                                  classify, conic_conic_intersections,
                                  _normalized_forms, conic_forms_from_5_points,
@@ -209,7 +211,20 @@ _shift = st.tuples(st.floats(-1, 1), st.floats(-1, 1), _scale).map(
 
 class TestStackedAffineKernels:
     """`affine_images` and `ellipse_parameters_stack` against the one-conic
-    bodies of `apply_affine`, `translate_conic` and `ellipse_parameters`."""
+    bodies of `apply_affine`, `translate_conic` and `ellipse_parameters`,
+    and `apply_affine_points` against `apply_affine_point`."""
+
+    @given(_linear, _shift, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_points(self, L, t, seed):
+        # A stacked matmul of one vector each rounds like the one-point
+        # call; P @ L.T does not.
+        M = AffineMap2(L, t)
+        rng = np.random.default_rng(seed)
+        P = rng.uniform(-1, 1, (200, 2)) * 10.0 ** rng.uniform(-3, 3, (200, 1))
+        want = np.array([apply_affine_point(M, p) for p in P])
+        assert apply_affine_points(M, P).tobytes() == want.tobytes()
+        assert apply_affine_points(M, P[:0]).shape == (0, 2)
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     @given(st.lists(_forms, min_size=1, max_size=8), _linear, _shift)
@@ -895,99 +910,211 @@ def _tangent_family():
 
 def _error_bounds(forms, pairs, points):
     """A forward error bound for each point (P, n, 2) as a root of its
-    pair's two equations, NaN where the point is NaN: the unit roundoff
-    times N = the larger |v|^T |A| |v| at v = (x, y, 1), which bounds the
-    rounding of f there (Higham 2002, section 3.1), times ||J||_F / |det J|,
-    which bounds ||J^-1|| for the Newton Jacobian J (rows grad f_A, grad
-    f_B)."""
+    pair's two equations, NaN where the point is NaN: the rounding of f,
+    the unit roundoff times N = the larger |v|^T |A| |v| at v = (x, y, 1)
+    (Higham 2002, section 3.1), times ||J||_F / |det J|, which bounds
+    ||J^-1|| for the Newton Jacobian J (rows grad f_A, grad f_B). Returns
+    the rounding and the bound."""
     v = np.concatenate([points, np.ones(points.shape[:-1] + (1,))], axis=-1)
     F = forms[pairs.T]  # (2, P, 3, 3)
     N = np.einsum("pni,kpij,pnj->kpn", np.abs(v), np.abs(F), np.abs(v))
     g = 2 * np.einsum("kpij,pnj->kpni", F[:, :, :2], v)
     det = g[0, ..., 0] * g[1, ..., 1] - g[0, ..., 1] * g[1, ..., 0]
     J = np.sqrt((g ** 2).sum(axis=(0, -1)))
-    return np.finfo(float).eps / 2 * N.max(axis=0) * J / np.abs(det)
+    rounding = np.finfo(float).eps / 2 * N.max(axis=0)
+    return rounding, rounding * J / np.abs(det)
 
 
-def _assert_matches(conics, pairs, got, want, merge_tol=TOL_MERGE):
-    """The kernel's contract against an oracle's `(points, counts)`: the
-    same counts and NaN padding, and each point within 100 times the
-    forward error bound of the oracle's point (`_error_bounds`; on every
-    scene and random suite here the two differ by at most 6.1 bounds). At
-    a tangency det J vanishes and Newton converges only linearly: it stops
-    within merge_tol of the touching point, possibly on the other side of
-    it from the oracle's point, so there the bound is 2 * merge_tol."""
+def _assert_matches(forms, pairs, got, want, bounds=100, skip_stop=False):
+    """The kernel's contract against the exact `(points, counts)` on the
+    pairs whose counts agree: the same NaN padding, and each point within
+    `bounds` forward error bounds of the exact point (`_error_bounds`; on
+    every scene here the two differ by at most 6.5 bounds). At a tangency
+    det J vanishes and Newton converges only linearly: it stops within
+    merge_tol of the touching point, so there the bound is 2 * merge_tol.
+    With `skip_stop`, a point is not checked where the rounding of f is
+    below 1/100 of Newton's stop (STOP)."""
     (points, counts), (want_points, want_counts) = got, want
-    assert np.array_equal(counts, want_counts)
+    agree = counts == want_counts
+    pairs, points = np.asarray(pairs).reshape(-1, 2)[agree], points[agree]
+    want_points = want_points[agree]
     assert np.array_equal(np.isnan(points), np.isnan(want_points))
-    if not want_counts.any():
-        return
-    pairs = np.asarray(pairs).reshape(-1, 2)
-    forms = np.array([c.form for c in conics])
-    with np.errstate(divide="ignore"):
-        tol = np.minimum(100 * _error_bounds(forms, pairs, want_points),
-                         2 * merge_tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rounding, bound = _error_bounds(forms, pairs, want_points)
+        tol = np.minimum(bounds * bound, 2 * TOL_MERGE)
     err = np.linalg.norm(points - want_points, axis=-1)
     bad = err > tol
+    if skip_stop:
+        bad &= 100 * rounding >= _NEWTON_STOP
     assert not bad.any(), (pairs[bad.any(axis=1)][:3], err[bad][:3],
                            tol[bad][:3])
 
 
-def _scalar_results(conics, pairs):
-    """`(points, counts)` of the per-pair oracle, padded like the kernel's."""
-    points = np.full((len(pairs), 4, 2), np.nan)
-    counts = np.zeros(len(pairs), dtype=int)
-    for k, (i, j) in enumerate(pairs):
-        want = scalar_conic_conic_intersections(conics[i], conics[j])
-        counts[k] = len(want)
-        points[k, :len(want)] = np.reshape(want, (-1, 2))
-    return points, counts
+def _assert_exact(forms, kinds, pairs, got, want, under=0, over=0, **match):
+    """The kernel's `(points, counts)` `got` of the pairs against the exact
+    `want`: `under` pairs undercounted and `over` overcounted, every other
+    pair's points within the contract's tolerance (`_assert_matches`, with
+    `match`), and no pair that the broad phase skips with an exact point."""
+    n, exact = got[1], want[1]
+    assert (int((n < exact).sum()), int((n > exact).sum())) == (under, over)
+    _assert_matches(forms, pairs, got, want, **match)
+    assert not exact[_apart(forms, kinds, pairs)].any()
 
 
-def _assert_candidates_pinned(conics, pairs):
-    """`_pencil_candidates` gives the verbatim candidate stage's bits."""
-    forms = np.array([c.form for c in conics])
-    pairs = np.asarray(pairs).reshape(-1, 2)
+def _check_exact(forms, kinds, pairs, under=0, over=0, **match):
+    """`_assert_exact` of the kernel on the pairs; returns both results."""
+    got = pencil_intersections(forms, kinds, pairs)
+    want = exact_pencil_intersections(forms, pairs)
+    _assert_exact(forms, kinds, pairs, got, want, under, over, **match)
+    return got, want
+
+
+def _apart(forms, kinds, pairs):
+    ellipse = np.array([k == "ellipse" for k in kinds])
+    with np.errstate(invalid="ignore"):  # as in the kernel: concentric pairs
+        return _ellipses_apart(forms, ellipse,
+                               np.asarray(pairs).reshape(-1, 2))
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def _candidates(forms, pairs, chunk):
+    """`_pencil_candidates` of the pairs, `chunk` pairs per call, with the
+    index into `pairs` of each candidate's pair."""
     det = np.linalg.det(forms)
+    xy, pair = [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s in range(0, len(pairs), 256):
-            i, j = pairs[s:s + 256].T
-            got = _pencil_candidates(forms[i], forms[j], det[i])
-            want = pencil_candidates(forms[i], forms[j])
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.shape == w.shape
-                assert g.tobytes() == w.tobytes()
+        for s in range(0, len(pairs), chunk):
+            i, j = pairs[s:s + chunk].T
+            c, p = _pencil_candidates(forms[i], forms[j], det[i])
+            xy.append(c)
+            pair.append(p + s)
+    return np.concatenate(xy), np.concatenate(pair)
+
+
+def _kernel_at_chunk(chunk, forms, kinds, pairs):
+    with mock.patch.object(geometry, "_PAIR_CHUNK", chunk):
+        return pencil_intersections(forms, kinds, pairs)
+
+
+def _assert_one_pair_calls(forms, pairs, got, step=1):
+    """`conic_conic_intersections` gives every `step`-th pair the bits of
+    its row of the kernel's `(points, counts)` `got`."""
+    conics = conics_of(forms)
+    for k in range(0, len(pairs), step):
+        points = conic_conic_intersections(*(conics[i] for i in pairs[k]))
+        n = got[1][k]
+        assert len(points) == n
+        assert np.reshape(points, (-1, 2)).tobytes() == got[0][k, :n].tobytes()
+
+
+def _assert_candidates_invariant(forms, pairs):
+    """`_pencil_candidates` gives a pair the same bits, signed zeros
+    included, in chunks of 1, 7 and 256 pairs as in one chunk of all pairs:
+    the benchmark's excess pins move with the last bit of a candidate."""
+    want = _candidates(forms, pairs, max(1, len(pairs)))
+    for chunk in (1, 7, 256):
+        _assert_same_bits(_candidates(forms, pairs, chunk), want)
+
+
+def _assert_batch_invariant(forms, kinds, pairs):
+    """A pair's candidates, count and points do not depend on its batch:
+    the same bits at 1, 7 and 256 pairs per chunk as in one chunk of all
+    pairs, and in the one-pair call."""
+    _assert_candidates_invariant(forms, pairs)
+    got = _kernel_at_chunk(max(1, len(pairs)), forms, kinds, pairs)
+    for chunk in (1, 7, 256):
+        _assert_same_bits(_kernel_at_chunk(chunk, forms, kinds, pairs), got)
+    _assert_one_pair_calls(forms, pairs, got)
+
+
+def _every_pair(G):
+    return G.forms, G.kinds, np.column_stack(np.triu_indices(G.num_conics, 1))
+
+
+def _sampled_pairs(G, size=500):
+    """`size` pairs of G drawn with a fixed seed, and every pair the kernel
+    counts odd."""
+    forms, kinds, pairs = _every_pair(G)
+    keep = pencil_intersections(forms, kinds, pairs)[1] % 2 == 1
+    rng = np.random.default_rng(0)
+    keep[rng.choice(len(pairs), size, replace=False)] = True
+    return forms, kinds, pairs[keep]
+
+
+def _conic_pairs(conics, pairs=None):
+    pairs = _all_pairs(conics) if pairs is None else pairs
+    return (*stack_of(conics), np.asarray(pairs, dtype=int).reshape(-1, 2))
+
+
+def _tangent_pairs():
+    conics = _tangent_family()
+    return _conic_pairs(conics, [(k, k + 1) for k in range(0, len(conics), 2)])
+
+
+# Every scene whose pairs are checked against the exact reference, with the
+# numbers of pairs the kernel undercounts and overcounts there. Each of the
+# kernel's two faults causes its own pins, and fixing it zeroes them:
+# - LINE, the line-basis fault (ROADMAP item 1): `_line_conic_complex`
+#   parametrizes a line through the origin by two dependent vectors and
+#   loses its points. The polytope scenes are symmetric about the origin,
+#   so their degenerate pencil members often pass through it.
+# - TANGENT, the tangency count (ROADMAP item 4): rounded, a tangency is two
+#   nearby points, which the reference merges into one, or none, while the
+#   kernel's polish leaves 0, 1 or 3.
+# A third fault moves points only, in scenes far smaller than these:
+# - STOP, the absolute Newton stop (ROADMAP item 3): `_newton_polish` stops
+#   once both |f| < 1e-16. Where the rounding of f is below 1e-18 that
+#   leaves a point up to ~1,600 bounds off (`_STOP_SEEDS`).
+_SCENES = {
+    "pmn44": (lambda: _every_pair(pmn(4, 4)), 6, 0),                 # LINE
+    "pmn46": (lambda: _every_pair(pmn(4, 6)), 6, 0),                 # LINE
+    "pmn66": (lambda: _sampled_pairs(pmn(6, 6)), 6, 0),              # LINE
+    "pmn88": (lambda: _sampled_pairs(pmn(8, 8)), 5, 0),              # LINE
+    "qcube_48": (lambda: _every_pair(qcube_48()), 78, 10),  # LINE; TANGENT
+    "cell24": (lambda: _every_pair(cell24()), 6, 0),                 # LINE
+    **{f"dipyramid8-{s}": (lambda s=s: _every_pair(
+        dipyramid_carnot(8, seed=s)), 0, 0) for s in range(3)},
+    **{f"richter_gebert-{s}": (lambda s=s: _every_pair(
+        richter_gebert(seed=s)), 0, 0) for s in range(3)},
+    "crossed_ellipses": (lambda: _every_pair(crossed_ellipses()), 0, 0),
+    **{f"polygon_ring-{n}": (lambda n=n: _every_pair(polygon_ring(n)), 0, 0)
+       for n in range(3, 9)},
+    "tangent_family": (_tangent_pairs, 5, 13),                     # TANGENT
+}
+
+
+@functools.cache
+def _scene(name):
+    """The scene's forms, kinds and pairs, with the kernel's `(points,
+    counts)` of the pairs in one chunk and the exact ones."""
+    forms, kinds, pairs = _SCENES[name][0]()
+    return (forms, kinds, pairs,
+            _kernel_at_chunk(max(1, len(pairs)), forms, kinds, pairs),
+            exact_pencil_intersections(forms, pairs))
 
 
 class TestBatchedKernelAgainstScalarOracle:
-    """`pencil_intersections` runs the scalar kernel's algorithm on stacks of
-    pairs; the scalar kernel in conftest is its oracle for counts, and for
-    points within the contract's tolerance. The candidates before the polish
-    are bit-identical to the verbatim candidate stage."""
+    """`pencil_intersections` against the exact reference `exact_meets`
+    (conftest): the pinned miscounts, and within the contract's tolerance
+    the points of every other pair. Random pairs keep their bits in any
+    batch."""
 
-    @staticmethod
-    def _check(conics, pairs):
-        got = pencil_intersections(*stack_of(conics), pairs)
-        _assert_matches(conics, pairs, got, _scalar_results(conics, pairs))
+    @pytest.mark.parametrize("name", list(_SCENES))
+    def test_every_pair_of_scene(self, name):
+        _assert_exact(*_scene(name), *_SCENES[name][1:])
 
-    @pytest.mark.parametrize("build", [
-        lambda: pmn(4, 4), qcube_48,
-        *[lambda s=s: dipyramid_carnot(8, seed=s) for s in range(3)],
-        *[lambda s=s: richter_gebert(seed=s) for s in range(3)],
-    ], ids=["pmn44", "qcube_48", "dipyramid8-0", "dipyramid8-1",
-            "dipyramid8-2", "richter_gebert-0", "richter_gebert-1",
-            "richter_gebert-2"])
-    def test_every_pair_of_scene(self, build):
-        conics = build().conics
-        self._check(conics, _all_pairs(conics))
-
-    def test_bit_identical_on_builder_and_tangent_pairs(self):
-        for G in (crossed_ellipses(), *(polygon_ring(n) for n in range(3, 9))):
-            self._check(G.conics, _all_pairs(G.conics))
-            _assert_candidates_pinned(G.conics, _all_pairs(G.conics))
-        conics = _tangent_family()
-        self._check(conics, [(k, k + 1) for k in range(0, len(conics), 2)])
-        _assert_candidates_pinned(conics, _all_pairs(conics))
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.xfail(
+            strict=True, reason="pinned miscounts: line basis, tangency"))
+        if any(pins) else name for name, (_, *pins) in _SCENES.items()])
+    def test_counts_equal_exact(self, name):
+        *_, got, want = _scene(name)
+        assert np.array_equal(got[1], want[1])
 
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -999,14 +1126,9 @@ class TestBatchedKernelAgainstScalarOracle:
         conics = [random_ellipse(rng) for _ in range(5)]
         pairs = [(i, j) for i, j in _all_pairs(conics)
                  if not conics[i].same_as(conics[j])]
-        self._check(conics, pairs)
-        _assert_candidates_pinned(conics, pairs)
-        for i, j in pairs[:2]:
-            got = conic_conic_intersections(conics[i], conics[j])
-            points = np.full((1, 4, 2), np.nan)
-            points[0, :len(got)] = np.reshape(got, (-1, 2))
-            _assert_matches(conics, [(i, j)], (points, np.array([len(got)])),
-                            _scalar_results(conics, [(i, j)]))
+        scene = _conic_pairs(conics, pairs)
+        _check_exact(*scene)
+        _assert_batch_invariant(*scene)
 
     def test_more_than_four_points_raise(self):
         # xy = 1 and xy + x = 2 meet at (1, 1) and, along their shared
@@ -1027,76 +1149,36 @@ class TestBatchedKernelAgainstScalarOracle:
         assert points.shape == (0, 4, 2) and counts.shape == (0,)
 
 
-# Every scene the two-phase, pruned kernel must reproduce, and on which its
-# candidates are pinned bit for bit.
-_ORACLE_SCENES = {
-    "pmn44": lambda: pmn(4, 4), "pmn46": lambda: pmn(4, 6),
-    "pmn66": lambda: pmn(6, 6), "pmn88": lambda: pmn(8, 8),
-    "qcube_48": qcube_48, "cell24": cell24,
-    **{f"dipyramid8-{s}": (lambda s=s: dipyramid_carnot(8, seed=s))
-       for s in range(3)},
-    **{f"richter_gebert-{s}": (lambda s=s: richter_gebert(seed=s))
-       for s in range(3)},
-}
-
-
-@functools.cache
-def _one_phase_scene(name):
-    conics = _ORACLE_SCENES[name]().conics
-    pairs = _all_pairs(conics)
-    return conics, pairs, one_phase_pencil_intersections(conics, pairs)
-
-
-def _matches_one_phase(conics, pairs):
-    got = pencil_intersections(*stack_of(conics), pairs)
-    want = one_phase_pencil_intersections(conics, pairs)
-    _assert_matches(conics, pairs, got, want)
-    return want
-
-
-def _apart(conics, pairs):
-    forms = np.array([c.form for c in conics])
-    ellipse = np.array([c.kind == "ellipse" for c in conics])
-    return _ellipses_apart(forms, ellipse, np.asarray(pairs).reshape(-1, 2))
-
-
 class TestPencilCandidatesPinned:
-    """`_pencil_candidates` returns the verbatim stacked candidate stage's
-    bits (conftest), signed zeros included, on every oracle scene; the
-    builder, tangent and random pairs are pinned in
-    `TestBatchedKernelAgainstScalarOracle`. Everything after the candidates
-    may round differently, but the benchmark's excess pins move with the
-    last bit of a candidate."""
+    """Every scene's candidates keep their bits in any batch
+    (`_assert_candidates_invariant`)."""
 
-    @pytest.mark.parametrize("name", list(_ORACLE_SCENES))
+    @pytest.mark.parametrize("name", list(_SCENES))
     def test_every_pair_of_scene(self, name):
-        conics = _ORACLE_SCENES[name]().conics
-        _assert_candidates_pinned(conics, _all_pairs(conics))
+        forms, _, pairs = _scene(name)[:3]
+        _assert_candidates_invariant(forms, pairs)
 
 
 class TestTwoPhaseKernelAgainstOnePhaseOracle:
     """The broad phase, the two-phase polish and the closed-form Newton
-    steps change no count: `pencil_intersections` gives the one-phase
-    chunked kernel's counts and NaN padding, and its points within the
-    contract's tolerance. Chunks of 1 and 7 pairs put the pairs whose
-    points still move after the chunk's Newton steps in many chunks."""
+    steps give a pair the same count and the same point bits in any batch:
+    chunks of 1, 7 and 256 pairs, which put the pairs whose points still
+    move after the chunk's Newton steps in many chunks, give the bits of
+    one chunk of all pairs, and so does the one-pair call. Together with
+    `TestPencilCandidatesPinned` this is `_assert_batch_invariant` on every
+    scene."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 256])
-    @pytest.mark.parametrize("name", list(_ORACLE_SCENES))
-    def test_every_pair_of_scene(self, name, chunk, monkeypatch):
-        conics, pairs, want = _one_phase_scene(name)
-        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
-        got = pencil_intersections(*stack_of(conics), pairs)
-        _assert_matches(conics, pairs, got, want)
+    @pytest.mark.parametrize("name", list(_SCENES))
+    def test_every_pair_of_scene(self, name, chunk):
+        forms, kinds, pairs, got, _ = _scene(name)
+        _assert_same_bits(_kernel_at_chunk(chunk, forms, kinds, pairs), got)
 
     def test_one_pair_call(self):
-        conics, pairs, (want_points, want_counts) = _one_phase_scene("pmn44")
-        for k in range(0, len(pairs), 37):
-            got = conic_conic_intersections(*(conics[i] for i in pairs[k]))
-            points = np.full((1, 4, 2), np.nan)
-            points[0, :len(got)] = np.reshape(got, (-1, 2))
-            _assert_matches(conics, [pairs[k]], (points, np.array([len(got)])),
-                            (want_points[k:k + 1], want_counts[k:k + 1]))
+        for name in _SCENES:
+            forms, _, pairs, got, _ = _scene(name)
+            _assert_one_pair_calls(forms, pairs, got,
+                                   step=max(1, len(pairs) // 100))
 
 
 def _circle(c, r):
@@ -1116,26 +1198,50 @@ def _scaled_ellipses(rng, n):
     return conics
 
 
+def _scaled_scene(seed):
+    """The pairs of six `_scaled_ellipses` that are not the same conic."""
+    conics = _scaled_ellipses(np.random.default_rng(seed), 6)
+    return _conic_pairs(conics, [(i, j) for i, j in _all_pairs(conics)
+                                 if not conics[i].same_as(conics[j])])
+
+
+# The seeds in 0-1599 whose `_scaled_scene` the kernel solves with a point
+# more than 100 bounds off (STOP): 104 to 1,575 bounds, at scales 1.5e-3 to
+# 9.1e-2. No point of a seed in 0-1599 whose rounding of f is at least
+# 1e-18 lies more than 56 bounds off.
+_STOP_SEEDS = (29, 346, 371, 413, 573, 817, 960, 986, 1026, 1027, 1091, 1177,
+               1301, 1356, 1365, 1388, 1485)
+_NEWTON_STOP = 1e-16  # the residual at which `_newton_polish` stops
+
+
 class TestBroadPhase:
     """Pairs of ellipses that a line separates (their boxes, or their
     projections on the line through their centres, are disjoint) skip the
-    kernel and get count 0. No pair the oracle finds a point for is
-    skipped: not at any scale, not when tangent, not when nested."""
+    kernel and get count 0. No pair with an exact common point is skipped:
+    not at any scale, not when tangent, not when nested."""
 
     @given(st.integers(min_value=0, max_value=10 ** 9))
+    @example(346)  # points 147 and 225 bounds off, not checked (STOP)
     @settings(max_examples=60, deadline=None)
     def test_scaled_random_ellipses(self, seed):
-        conics = _scaled_ellipses(np.random.default_rng(seed), 6)
-        pairs = [(i, j) for i, j in _all_pairs(conics)
-                 if not conics[i].same_as(conics[j])]
-        try:
-            one_phase_pencil_intersections(conics, pairs)
-        except GeometryError:
+        forms, kinds, pairs = _scaled_scene(seed)
+        if any(k in DEGENERATE_KINDS for k in kinds):
+            # At small scales a thin ellipse far from the origin can take
+            # a degenerate kind (the absolute DEG_EPS).
             with pytest.raises(GeometryError):
-                pencil_intersections(*stack_of(conics), pairs)
+                pencil_intersections(forms, kinds, pairs)
             return
-        points, counts = _matches_one_phase(conics, pairs)
-        assert not counts[_apart(conics, pairs)].any()
+        _check_exact(forms, kinds, pairs, skip_stop=True)
+
+    @pytest.mark.parametrize("seed", _STOP_SEEDS)
+    def test_newton_stop_pinned(self, seed):
+        # STOP: exact counts, and every point within 2,000 bounds.
+        _check_exact(*_scaled_scene(seed), bounds=2000)
+
+    @pytest.mark.xfail(strict=True, reason="absolute Newton stop (STOP)")
+    @pytest.mark.parametrize("seed", _STOP_SEEDS)
+    def test_newton_stop_within_bounds(self, seed):
+        _check_exact(*_scaled_scene(seed))
 
     @given(st.integers(min_value=0, max_value=10 ** 9))
     @settings(max_examples=40, deadline=None)
@@ -1156,7 +1262,7 @@ class TestBroadPhase:
         r = rng.uniform(0.05, 1) * scale
         B = ellipse_conic(touch + r * normal, r, r * rng.uniform(0.3, 1),
                           math.atan2(normal[1], normal[0]))
-        assert not _apart([A, B], [(0, 1)]).any()
+        assert not _apart(*_conic_pairs([A, B])).any()
 
     @given(st.integers(min_value=0, max_value=10 ** 9))
     @settings(max_examples=40, deadline=None)
@@ -1170,44 +1276,59 @@ class TestBroadPhase:
         inner = ellipse_conic(center + rng.uniform(-0.3, 0.3, size=2) * scale,
                               0.5 * scale, rng.uniform(0.1, 0.5) * scale,
                               rng.uniform(0, math.pi))
-        assert not _apart([outer, inner], [(0, 1)]).any()
+        assert not _apart(*_conic_pairs([outer, inner])).any()
         # At small scales a thin ellipse far from the origin can take
         # another kind (the absolute DEG_EPS); only ellipses are solved here.
         if outer.kind == inner.kind == "ellipse":
-            points, counts = _matches_one_phase([outer, inner], [(0, 1)])
+            (_, counts), _ = _check_exact(*_conic_pairs([outer, inner]))
             assert counts.tolist() == [0]
+
+    def test_concentric_pairs_kept(self):
+        # Circles about the origin differ only in their constant terms: the
+        # first subresultant vanishes under every shear.
+        scene = _conic_pairs([_circle((0, 0), 1.0), _circle((0, 0), 2.0),
+                              ellipse_conic((0.3, -0.2), 0.6, 0.3, 0.4),
+                              ellipse_conic((0.3, -0.2), 0.9, 0.45, 0.4)],
+                             [(0, 1), (2, 3)])
+        assert not _apart(*scene).any()
+        (_, counts), _ = _check_exact(*scene)
+        assert counts.tolist() == [0, 0]
 
     def test_centre_line_separates_what_boxes_do_not(self):
         # Along the diagonal the boxes overlap, but the projections on the
         # line through the centres do not.
-        conics = [_circle((0.0, 0.0), 1.0), _circle((1.6, 1.6), 1.0),
-                  _circle((1.4, 1.4), 1.0)]
-        pairs = [(0, 1), (0, 2)]
-        assert _apart(conics, pairs).tolist() == [True, False]
-        points, counts = _matches_one_phase(conics, pairs)
+        scene = _conic_pairs([_circle((0.0, 0.0), 1.0),
+                              _circle((1.6, 1.6), 1.0),
+                              _circle((1.4, 1.4), 1.0)], [(0, 1), (0, 2)])
+        assert _apart(*scene).tolist() == [True, False]
+        (_, counts), _ = _check_exact(*scene)
         assert counts.tolist() == [0, 2]
+
+    # The pairs whose tangency the kernel overcounts at each scale (TANGENT).
+    _BOX_EDGE_OVERCOUNTS = {1e-3: 2, 1.0: 1, 10.0: 2}
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0])
     def test_tangent_at_box_edges_kept(self, scale):
         def at(c):
             return np.asarray(c, float) * scale
-        conics = [_circle(at((0, 0)), 0.5 * scale),
-                  _circle(at((0.8, 0)), 0.3 * scale),
-                  _circle(at((0, -0.7)), 0.2 * scale),
-                  ellipse_conic(at((-0.9, 0)), 0.4 * scale, 0.1 * scale, 0.0),
-                  ellipse_conic(at((0, 0.75)), 0.6 * scale, 0.25 * scale,
-                                0.0)]
-        pairs = [(0, 1), (0, 2), (0, 3), (0, 4)]
-        assert not _apart(conics, pairs).any()
-        _matches_one_phase(conics, pairs)
+        scene = _conic_pairs([
+            _circle(at((0, 0)), 0.5 * scale),
+            _circle(at((0.8, 0)), 0.3 * scale),
+            _circle(at((0, -0.7)), 0.2 * scale),
+            ellipse_conic(at((-0.9, 0)), 0.4 * scale, 0.1 * scale, 0.0),
+            ellipse_conic(at((0, 0.75)), 0.6 * scale, 0.25 * scale, 0.0)],
+            [(0, 1), (0, 2), (0, 3), (0, 4)])
+        assert not _apart(*scene).any()
+        _check_exact(*scene, over=self._BOX_EDGE_OVERCOUNTS[scale])
 
     def test_qcube_48_pairs_tangent_at_box_edges(self):
         # Their boxes touch: a strict test without the margin would skip
-        # these pairs, which meet in one point each.
-        conics = qcube_48().conics
-        pairs = [(19, 29), (21, 27)]
-        assert not _apart(conics, pairs).any()
-        points, counts = _matches_one_phase(conics, pairs)
+        # these pairs, which the kernel counts one point each. Rounded, the
+        # tangencies are no exact common point (TANGENT).
+        G = qcube_48()
+        scene = G.forms, G.kinds, np.array([(19, 29), (21, 27)])
+        assert not _apart(*scene).any()
+        (_, counts), _ = _check_exact(*scene, over=2)
         assert counts.tolist() == [1, 1]
 
     def test_hyperbolas_and_parabolas_never_skipped(self):
@@ -1219,18 +1340,20 @@ class TestBroadPhase:
                   far, _circle((-6.0, 0.0), 0.3)]
         assert [c.kind for c in conics[:4]] == ["hyperbola", "hyperbola",
                                                "parabola", "parabola"]
-        pairs = [(i, j) for i, j in _all_pairs(conics) if i < 4]
-        assert not _apart(conics, pairs).any()
-        _matches_one_phase(conics, pairs)
+        scene = _conic_pairs(conics,
+                             [(i, j) for i, j in _all_pairs(conics) if i < 4])
+        assert not _apart(*scene).any()
+        # x^2 - y^2 = 1 and xy = 1 meet in two points, but their pencil's
+        # degenerate members are line pairs through the origin (LINE).
+        _check_exact(*scene, under=1)
 
     def test_every_pair_skipped(self):
-        conics = [_circle((3.0 * k, 0.0), 1.0) for k in range(4)]
-        pairs = [(0, 2), (0, 3), (1, 3)]
-        assert _apart(conics, pairs).all()
-        points, counts = pencil_intersections(*stack_of(conics), pairs)
+        scene = _conic_pairs([_circle((3.0 * k, 0.0), 1.0) for k in range(4)],
+                             [(0, 2), (0, 3), (1, 3)])
+        assert _apart(*scene).all()
+        (points, counts), _ = _check_exact(*scene)
         assert points.shape == (3, 4, 2) and not counts.any()
         assert np.isnan(points).all()
-        _matches_one_phase(conics, pairs)
 
 
 class TestNormalizedFormsLayout:

@@ -640,10 +640,12 @@ class TestSvg:
         ("margin", 0.5), ("margin", 0.7), ("margin", -0.1),
         ("margin", math.nan), ("stroke_width", math.nan),
         ("stroke_width", math.inf), ("point_radius", math.nan),
-        ("point_radius", -math.inf)])
+        ("point_radius", -math.inf), ("canvas", (math.nan, 800)),
+        ("canvas", (800, math.inf))])
     def test_style_rejects_bad_sizes(self, field, value):
         # A margin of 0.5 drew every shape with zero size, one above 0.5
-        # with negative radii; NaN sizes passed the positivity test.
+        # with negative radii; NaN sizes passed the positivity test, and a
+        # NaN canvas wrote width="nan".
         with pytest.raises(ValueError, match="margin|finite"):
             SceneStyle(**{field: value})
 
