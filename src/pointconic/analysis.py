@@ -247,14 +247,17 @@ def isometry_check(G: GeometricConfiguration) -> str:
 
 def strongly_isometric_to_circles(
         G: GeometricConfiguration) -> GeometricConfiguration:
-    """Map a strongly isometric family to congruent circles by one dilation."""
+    """Map a strongly isometric family to congruent circles by one dilation;
+    a scene with no conics comes back as it is."""
     verdict = isometry_check(G)
     if verdict != "strongly_isometric":
         raise GeometryError(
             f"requires a strongly isometric configuration, got {verdict}")
-    M = dilation_to_circle(_conic_of(G.forms[0], G.kinds[0]))
+    points, forms = G.points, G.forms
+    if G.num_conics:
+        M = dilation_to_circle(_conic_of(G.forms[0], G.kinds[0]))
+        points = apply_affine_points(M, points)
+        forms = affine_images(M.homogeneous(), forms)
     return GeometricConfiguration._of(
-        apply_affine_points(M, G.points),
-        affine_images(M.homogeneous(), G.forms),
-        G.to_incidence_structure().flag_array, G.tol,
+        points, forms, G.to_incidence_structure().flag_array, G.tol,
         {**G.provenance, "transform": "dilation-to-circles"})

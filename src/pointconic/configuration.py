@@ -121,7 +121,8 @@ class Polytope4:
                            tuple(tuple(f) for f in self.faces2))
         object.__setattr__(self, "facets",
                            tuple(tuple(f) for f in self.facets))
-        for what, items in (("edge", self.edges), ("face", self.faces2)):
+        for what, items in (("edge", self.edges), ("face", self.faces2),
+                            ("facet", self.facets)):
             flat = np.array([i for t in items for i in t], float)
             out = ~((flat >= 0) & (flat < len(V)))
             if out.any():

@@ -661,13 +661,13 @@ _CARNOT_SIDES = "aabbcc"
 _SIDE_ENDS = {"a": (1, 2), "b": (2, 0), "c": (0, 1)}
 
 
-def _check_carnot_point(tri, side: str, p, vertex_eps: float = 1e-9):
+def _check_carnot_point(tri, side: str, p):
     U, V = (tri[k] for k in _SIDE_ENDS[side])
     p = np.asarray(p, float)
     if not _collinear(U, V, p, rel=1e-7):
         raise GeometryError(f"point {p} not on side line '{side}'")
     for v in tri:
-        if np.linalg.norm(p - v) < vertex_eps:
+        if np.linalg.norm(p - v) < 1e-9:
             raise GeometryError("side point coincides with a triangle vertex")
 
 

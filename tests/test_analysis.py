@@ -580,6 +580,19 @@ class TestIsometry:
         want = np.array([apply_affine_point(M, p) for p in G.points])
         assert out.points.tobytes() == want.tobytes()
 
+    def test_to_circles_without_conics(self):
+        # A scene with no conics is strongly isometric; there is no conic to
+        # take the dilation from, so it comes back as it is.
+        for points in (np.zeros((0, 2)), np.array([[1.5, -0.0], [2.0, 3.0]])):
+            G = GeometricConfiguration(points, (), frozenset(),
+                                       provenance={"builder": "none"})
+            out = strongly_isometric_to_circles(G)
+            assert out.points.tobytes() == G.points.tobytes()
+            assert out.forms.shape == (0, 3, 3) and out.num_conics == 0
+            assert out.provenance == {"builder": "none",
+                                      "transform": "dilation-to-circles"}
+            assert audit(out).passed
+
     def test_to_circles_precondition(self):
         with pytest.raises(GeometryError, match="strongly isometric"):
             strongly_isometric_to_circles(polygon_ring(3))

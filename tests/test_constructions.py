@@ -273,14 +273,17 @@ class TestPmnAndCell24:
         ([(0, 1)], [(0, 1, 2), (0, -1, 2, 3), (4, 0, 1)],
          "face (0, -1, 2, 3) out of range"),
         ([(0, 1)], [(0, 1, 2, 3), (1, 2, 3, 0, 2 ** 70)],
-         f"face (1, 2, 3, 0, {2 ** 70}) out of range")],
-        ids=["edge", "face", "ragged-face-beyond-int64"])
+         f"face (1, 2, 3, 0, {2 ** 70}) out of range"),
+        ([(0, 1)], [(0, 1, 2, 3)], "facet (0, 5) out of range")],
+        ids=["edge", "face", "ragged-face-beyond-int64", "facet"])
     def test_polytope_indices_out_of_range(self, edges, faces, message):
-        # The first offender in order is named, edges before faces.
+        # The first offender in order is named: edges, faces, then facets.
         with pytest.raises(IndexError) as exc:
-            Polytope4(np.zeros((4, 4)), edges, faces)
+            Polytope4(np.zeros((4, 4)), edges, faces,
+                      facets=[(0, 1, 2, 3), (0, 5)])
         assert str(exc.value) == message
-        Polytope4(np.zeros((4, 4)), [(0, 1), (3, 2)], [(0, 1, 2, 3), (1, 2)])
+        Polytope4(np.zeros((4, 4)), [(0, 1), (3, 2)], [(0, 1, 2, 3), (1, 2)],
+                  facets=[(0, 1, 2, 3)])
 
     def test_pmn44(self):
         G = pmn(4, 4)
@@ -366,9 +369,10 @@ class TestStackedHexagonBuilders:
                 _build_outcome(lambda: loop_cell24(proj))
 
     def test_first_failing_hexagon_and_check(self):
-        # Hexagons with known defects, appended to pmn(4, 4)'s in every
+        # Hexagons with known defects, inserted among pmn(4, 4)'s in every
         # order: the error is that of the first failing hexagon, and of its
-        # first failing check, as in the loop.
+        # first failing check, as in the loop. The random and asymmetric
+        # shapes are not planar: symmetry is left to the audit.
         u, v, w = np.eye(4)[:3]
         c = np.array([3.0, 1.0, 2.0, 0.5])
         rng = np.random.default_rng(5)
@@ -397,8 +401,28 @@ class TestStackedHexagonBuilders:
                     points4, hexagons, proj, 1e-8, {"builder": "pmn"}))
             seen.add(outcome)
         assert {text for _, text in seen} == {
-            "hexagon is not centrally symmetric", "hexagon is not planar",
+            "hexagon is not planar",
             "degenerate hexagon: singular central system"}
+        # A planar hexagon that is not centrally symmetric passes every
+        # check before the audit. Its conic runs through its first three
+        # vertices and their reflections in its centroid, so the audit finds
+        # the last three vertices off it, in the builder and in the loop.
+        angles = np.pi / 3 * np.arange(6)
+        hexagon = np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * v
+        hexagon[3:] *= 1.25
+        points4 = np.vstack([points4[:32], c + hexagon])
+        for at in (0, 3, 32):
+            hexagons = np.array(good[:at] + [extra[0]] + good[at:])
+            outcome = _build_outcome(
+                lambda: constructions._hexagon_configuration(
+                    points4, hexagons, 1e-8, {"builder": "pmn"}, proj))
+            assert outcome == _build_outcome(
+                lambda: loop_hexagon_configuration(
+                    points4, hexagons, proj, 1e-8, {"builder": "pmn"}))
+            assert outcome[0] is ConstructionError
+            assert outcome[1].startswith("pmn: audit failed (")
+            assert f"missing=[(35, {at}), (36, {at}), (37, {at})]" \
+                in outcome[1]
 
     def test_polytope_built_once_per_default_build(self):
         for builder, polytope, build, tried in (

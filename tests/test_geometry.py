@@ -1098,7 +1098,7 @@ def _scene(name):
             exact_pencil_intersections(forms, pairs))
 
 
-class TestBatchedKernelAgainstScalarOracle:
+class TestKernelAgainstExactReference:
     """`pencil_intersections` against the exact reference `exact_meets`
     (conftest): the pinned miscounts, and within the contract's tolerance
     the points of every other pair. Random pairs keep their bits in any
@@ -1149,7 +1149,7 @@ class TestBatchedKernelAgainstScalarOracle:
         assert points.shape == (0, 4, 2) and counts.shape == (0,)
 
 
-class TestPencilCandidatesPinned:
+class TestCandidatesBatchInvariant:
     """Every scene's candidates keep their bits in any batch
     (`_assert_candidates_invariant`)."""
 
@@ -1159,13 +1159,13 @@ class TestPencilCandidatesPinned:
         _assert_candidates_invariant(forms, pairs)
 
 
-class TestTwoPhaseKernelAgainstOnePhaseOracle:
+class TestKernelBatchInvariant:
     """The broad phase, the two-phase polish and the closed-form Newton
     steps give a pair the same count and the same point bits in any batch:
     chunks of 1, 7 and 256 pairs, which put the pairs whose points still
     move after the chunk's Newton steps in many chunks, give the bits of
     one chunk of all pairs, and so does the one-pair call. Together with
-    `TestPencilCandidatesPinned` this is `_assert_batch_invariant` on every
+    `TestCandidatesBatchInvariant` this is `_assert_batch_invariant` on every
     scene."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 256])
