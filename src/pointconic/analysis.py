@@ -160,8 +160,7 @@ def _coincident_pairs(forms: np.ndarray, tol: float = 1e-9) -> list:
     return list(zip(i[keep].tolist(), j[keep].tolist()))
 
 
-def audit(G: GeometricConfiguration,
-          spurious_scan: bool = True) -> AuditReport:
+def audit(G: GeometricConfiguration) -> AuditReport:
     """Check every claimed incidence and scan for everything unclaimed.
 
     Every flagged pair must have an algebraic residual of at most `G.tol`
@@ -171,7 +170,6 @@ def audit(G: GeometricConfiguration,
     failing flags in that order. The spurious scan tests every unflagged
     pair by its Sampson distance relative to the diameter of the point set,
     so its verdict does not depend on the scene's position or size.
-    `spurious_scan=False` skips that point-times-conic pass.
     """
     tol = G.tol
     C = G.to_incidence_structure()
@@ -179,7 +177,7 @@ def audit(G: GeometricConfiguration,
     res = _residuals(G.points[F[:, 0]], G.forms[F[:, 1]])
     max_res = float(res.max(initial=0.0))
     missing = list(map(tuple, F[res > tol].tolist()))
-    spurious, borderline = _spurious_scan(G) if spurious_scan else ([], [])
+    spurious, borderline = _spurious_scan(G)
     duplicates = _duplicate_pairs(G.points, TOL_MERGE)
     coincident = _coincident_pairs(G.forms)
     sig = signature(C)
@@ -213,7 +211,7 @@ def geometric_meets(G: GeometricConfiguration) -> dict:
     """
     B = G.num_conics
     i, j = np.triu_indices(B, 1)
-    _, n = pencil_intersections(G.forms, G.kinds, np.column_stack([i, j]))
+    _, n = pencil_intersections(G.forms, np.column_stack([i, j]))
     # The keys i * B + j of the pairs ascend and hold every shared key.
     t = intersection_type(G)
     shared = np.zeros_like(n)
@@ -255,7 +253,7 @@ def strongly_isometric_to_circles(
             f"requires a strongly isometric configuration, got {verdict}")
     points, forms = G.points, G.forms
     if G.num_conics:
-        M = dilation_to_circle(_conic_of(G.forms[0], G.kinds[0]))
+        M = dilation_to_circle(_conic_of(G.forms[0]))
         points = apply_affine_points(M, points)
         forms = affine_images(M.homogeneous(), forms)
     return GeometricConfiguration._of(

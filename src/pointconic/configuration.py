@@ -77,7 +77,7 @@ class GeometricConfiguration:
 
     @cached_property
     def conics(self) -> tuple[Conic, ...]:
-        return tuple(map(_conic_of, self.forms, self.kinds))
+        return tuple(map(_conic_of, self.forms))
 
     @property
     def flags(self) -> frozenset:

@@ -9,9 +9,10 @@ planarity in E^4 (lost in projection), draw quality (a poor draw can pass)
 and `polygon_ring`'s meet count (its message names the fix).
 Every builder and realizer makes its scene in one stacked step: it fits a
 stack of forms, checks them in array passes and hands points, forms and
-flags to `GeometricConfiguration._of`; it classifies the forms only where it
-decides on a kind. No `Conic` is built on the way, apart from the
-transversal ellipse that richter_gebert draws.
+flags to `GeometricConfiguration._of`. Fits return forms only; a builder
+classifies them itself only where it decides on a kind, and the pencil
+kernel classifies the stack it is given. No `Conic` is built on the way,
+apart from the transversal ellipse that richter_gebert draws.
 Builders that draw random data are pure functions of (parameters, seed). They
 resample through one helper, `_retry`: a rejected draw raises GeometryError or
 ConstructionError, and `_retry` draws again up to an explicit budget.
@@ -32,7 +33,7 @@ from .geometry import (DEGENERATE_KINDS, AffineMap2, Conic, GeometryError,
                        carnot_product, carnot_solve_sixth,
                        conic_forms_from_5_points, cross2,
                        line_conic_intersections, pencil_intersections)
-from .incidence import IncidenceError, IncidenceStructure, has_biclique
+from .incidence import IncidenceStructure, has_biclique
 
 RETRY_BUDGET = 1000
 
@@ -68,11 +69,10 @@ def _retry(attempt, budget: int, what: str):
 _UNIT_CIRCLE = _normalized_forms(np.diag([1.0, 1.0, -1.0])[None])
 
 
-def _ellipse_forms(centers, a: float, b: float, angles):
-    """(forms, kinds) of the unit circle's images under x -> R(angle)
-    diag(a, b) x + center for the centers (n, 2) and `angles` (n floats),
-    maps built and checked as `AffineMap2` does, in one `affine_images`
-    pass, and one `_classify_forms` pass."""
+def _ellipse_forms(centers, a: float, b: float, angles) -> np.ndarray:
+    """The forms of the unit circle's images under x -> R(angle) diag(a, b)
+    x + center for the centers (n, 2) and `angles` (n floats), maps built
+    and checked as `AffineMap2` does, in one `affine_images` pass."""
     cos, sin = (np.array([f(t) for t in angles]) for f in (math.cos, math.sin))
     H = np.tile(np.eye(3), (len(cos), 1, 1))
     H[:, :2, :2] = np.matmul(np.stack([cos, -sin, sin, cos], axis=1)
@@ -80,15 +80,14 @@ def _ellipse_forms(centers, a: float, b: float, angles):
     H[:, :2, 2] = centers
     if (np.abs(np.linalg.det(H[:, :2, :2])) < 1e-12).any():
         raise GeometryError("affine map is singular")
-    forms = affine_images(H, _UNIT_CIRCLE)
-    return forms, _classify_forms(forms)
+    return affine_images(H, _UNIT_CIRCLE)
 
 
 def ellipse_conic(center, a: float, b: float, angle: float) -> Conic:
     """Ellipse with the given center, semi-axes and major-axis direction:
     the one-ellipse call of `_ellipse_forms`."""
-    forms, kinds = _ellipse_forms(np.reshape(center, (1, 2)), a, b, [angle])
-    return _conic_of(forms[0], kinds[0])
+    forms = _ellipse_forms(np.reshape(center, (1, 2)), a, b, [angle])
+    return _conic_of(forms[0])
 
 
 def _circle_forms(P: np.ndarray) -> np.ndarray:
@@ -139,9 +138,8 @@ def _require_audit(G: GeometricConfiguration,
 
 def crossed_ellipses() -> GeometricConfiguration:
     """Two congruent perpendicular ellipses meeting in four points: (4_2, 2_4)."""
-    forms, kinds = _ellipse_forms(np.zeros((2, 2)), 0.6, 0.25,
-                                  [0.0, math.pi / 2])
-    pts, _ = pencil_intersections(forms, kinds, [(0, 1)])
+    forms = _ellipse_forms(np.zeros((2, 2)), 0.6, 0.25, [0.0, math.pi / 2])
+    pts, _ = pencil_intersections(forms, [(0, 1)])
     G = GeometricConfiguration._of(
         pts[0], forms, _flags_of(np.tile(np.arange(4), (2, 1))),
         tol=1e-9, provenance={"builder": "crossed_ellipses"})
@@ -162,10 +160,10 @@ def polygon_ring(n: int, elongation: float = 0.15,
         minor = 0.5 * elongation
     V = np.array(_regular_polygon(n))
     W = np.roll(V, -1, axis=0)
-    forms, kinds = _ellipse_forms((V + W) / 2, 0.5 + elongation, minor, [
+    forms = _ellipse_forms((V + W) / 2, 0.5 + elongation, minor, [
         math.atan2(y, x) for x, y in (W - V).tolist()])
     pairs = np.column_stack([np.arange(n), np.roll(np.arange(n), -1)])
-    pts, counts = pencil_intersections(forms, kinds, pairs)
+    pts, counts = pencil_intersections(forms, pairs)
     if (counts != 4).any():
         k = int((counts != 4).argmax())
         raise ConstructionError(
@@ -192,17 +190,16 @@ def parallelogram_ellipse_pair(A, B, C, D, t: float = 0.5):
     symmetric parameter on BC and DA. Returns (conic_AC, conic_BD,
     [P_AB, P_BC, P_CD, P_DA]).
     """
-    forms, kinds, side, errors = _parallelogram_forms(
+    forms, side, errors = _parallelogram_forms(
         np.array([A, B, C, D], float)[None], t)
     if errors[0]:
         raise GeometryError(errors[0])
-    return (_conic_of(forms[0], kinds[0]), _conic_of(forms[1], kinds[1]),
-            list(side[0]))
+    return _conic_of(forms[0]), _conic_of(forms[1]), list(side[0])
 
 
 def _parallelogram_forms(Q: np.ndarray, t: float):
     """`parallelogram_ellipse_pair` of the parallelograms Q (F, 4, 2) in
-    one pass: forms (2F, 3, 3) and kinds (AC, then BD, of each), side points
+    one pass: forms (2F, 3, 3) (AC, then BD, of each face), side points
     (F, 4, 2) and per face its first failed check's message or None (the
     parallelogram, then the two five-point sets). A bad `t` raises after
     the first face's parallelogram check. By central symmetry the AC
@@ -220,8 +217,7 @@ def _parallelogram_forms(Q: np.ndarray, t: float):
     fits = _five_point_faults(sets)
     # A failed set is fitted as a regular pentagon, a finite placeholder.
     sets[[bool(f) for f in fits]] = _regular_polygon(5)
-    forms, kinds = conic_forms_from_5_points(sets)
-    return forms, kinds, side, [
+    return conic_forms_from_5_points(sets), side, [
         "ABCD is not a parallelogram" if bad else ac or bd
         for bad, ac, bd in zip(skew, fits[::2], fits[1::2])]
 
@@ -283,7 +279,8 @@ def qcube_48(proj: Projection4to2 | None = None) -> GeometricConfiguration:
     points = np.matmul(proj.map, np.vstack([
         poly.vertices, poly.edge_midpoints()])[:, :, None])[:, :, 0]
     faces = np.array(poly.faces2)
-    forms, kinds, _, errors = _parallelogram_forms(points[faces], 0.5)
+    forms, _, errors = _parallelogram_forms(points[faces], 0.5)
+    kinds = _classify_forms(forms)
     for face, error, *pair in zip(poly.faces2, errors, kinds[::2],
                                   kinds[1::2]):
         gave = [kind for kind in pair if kind != "ellipse"]
@@ -360,8 +357,8 @@ def _carnot_scene(edge_pts, faces, tol: float, provenance: dict,
     flagged on all six: the audit's flag check tests the sixth at `tol`."""
     points = np.reshape(edge_pts, (-1, 2))
     slots = (2 * np.asarray(faces)[:, :, None] + [0, 1]).reshape(-1, 6)
-    forms, kinds = conic_forms_from_5_points(points[slots[:, :5]])
-    if any(kind in DEGENERATE_KINDS for kind in kinds):
+    forms = conic_forms_from_5_points(points[slots[:, :5]])
+    if any(kind in DEGENERATE_KINDS for kind in _classify_forms(forms)):
         raise GeometryError("degenerate face conic")
     G = GeometricConfiguration._of(points, forms, _flags_of(slots), tol,
                                    provenance)
@@ -606,10 +603,10 @@ def _hexagons_in_prisms(m: int, n: int) -> np.ndarray:
 
 
 def _hexagon_configuration(points4: np.ndarray, hexagons: np.ndarray,
-                           tol: float, provenance: dict,
-                           proj: Projection4to2 | None
+                           provenance: dict, proj: Projection4to2 | None
                            ) -> GeometricConfiguration:
-    """Project hexagon vertex sets in E^4 and circumscribe planar conics.
+    """Project hexagon vertex sets in E^4 and circumscribe planar conics,
+    flagged at tol 1e-8.
 
     `hexagons` is an (H, 6) index array into `points4` (N, 4) of planar,
     centrally symmetric hexagons. Their centers, planarity, circumradii and
@@ -647,7 +644,7 @@ def _hexagon_configuration(points4: np.ndarray, hexagons: np.ndarray,
                                  "system"),
                    ConstructionError(f"non-generic projection: hexagon gave "
                                      f"{kinds[h]}")][failed[:, h].argmax()]
-        G = GeometricConfiguration._of(pts2, forms, flags, tol, provenance)
+        G = GeometricConfiguration._of(pts2, forms, flags, 1e-8, provenance)
         return _require_audit(G, provenance.get("builder", "hexagons"))
 
     return _with_default_projection(build) if proj is None else build(proj)
@@ -665,7 +662,7 @@ def pmn(m: int, n: int,
         raise ConstructionError("pmn needs even m, n >= 4")
     return _hexagon_configuration(
         prism_product(m, n).edge_midpoints(), _hexagons_in_prisms(m, n),
-        1e-8, {"builder": "pmn", "params": {"m": m, "n": n}}, proj)
+        {"builder": "pmn", "params": {"m": m, "n": n}}, proj)
 
 
 def cell24(proj: Projection4to2 | None = None) -> GeometricConfiguration:
@@ -695,7 +692,7 @@ def cell24(proj: Projection4to2 | None = None) -> GeometricConfiguration:
     edge = np.zeros((len(poly.vertices),) * 2, np.int64)
     edge[i, j] = edge[j, i] = np.arange(len(i))
     hexagons = edge[cycles, np.roll(cycles, -1, axis=-1)].reshape(-1, 6)
-    return _hexagon_configuration(poly.edge_midpoints(), hexagons, 1e-8,
+    return _hexagon_configuration(poly.edge_midpoints(), hexagons,
                                   {"builder": "cell24"}, proj)
 
 
@@ -776,9 +773,8 @@ def _conic_through_padded(rng, pts, members) -> np.ndarray:
 
     def attempt():
         aux = rng.uniform(-0.2, 1.2, size=(5 - len(members), 2))
-        forms, kinds = conic_forms_from_5_points(
-            np.vstack([pts[members], aux])[None])
-        if kinds[0] in DEGENERATE_KINDS:
+        forms = conic_forms_from_5_points(np.vstack([pts[members], aux])[None])
+        if _classify_forms(forms)[0] in DEGENERATE_KINDS:
             raise GeometryError("degenerate padded conic")
         if (_residuals(others, forms[0]) <= 1e-7).any():
             raise GeometryError("padded conic grazes a non-member point")

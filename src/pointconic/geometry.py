@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -37,19 +38,22 @@ DEGENERATE_KINDS = ("pair-of-lines", "double-line", "point")
 
 @dataclass(frozen=True)
 class Conic:
-    """A conic as a normalized symmetric 3x3 form.
+    """A conic as a normalized symmetric 3x3 form, which is all it stores.
 
-    Construction is the one-form call of the stacked `_normalized_forms`
-    and `_classify_forms`; the form is a read-only view of that stack."""
+    Construction is the one-form call of the stacked `_normalized_forms`;
+    the form is a read-only view of that stack. `kind` is the one-form call
+    of `_classify_forms`, made on first read."""
 
     form: np.ndarray
-    kind: str = field(init=False)
 
     def __post_init__(self):
         M = _normalized_forms(np.asarray(self.form, dtype=float)
                               .reshape(1, 3, 3))
         object.__setattr__(self, "form", M[0])
-        object.__setattr__(self, "kind", _classify_forms(M)[0])
+
+    @cached_property
+    def kind(self) -> str:
+        return _classify_forms(self.form[None])[0]
 
     @classmethod
     def from_coeffs(cls, a, b, c, d, e, f) -> "Conic":
@@ -114,12 +118,11 @@ def conics_from_normalized_coeffs(coeffs) -> np.ndarray:
     return M
 
 
-def _conic_of(M: np.ndarray, kind: str) -> Conic:
-    """The `Conic` of a normalized, read-only form M of kind `kind`, with M
-    itself as its form."""
+def _conic_of(M: np.ndarray) -> Conic:
+    """The `Conic` of a normalized, read-only form M, with M itself as its
+    form."""
     conic = object.__new__(Conic)
     object.__setattr__(conic, "form", M)
-    object.__setattr__(conic, "kind", kind)
     return conic
 
 
@@ -208,13 +211,12 @@ def _collinear(a, b, c, rel: float = 1e-10):
     return area <= rel * np.maximum(_norm(u) * _norm(v), 1e-300)
 
 
-def line_conic_intersections(conic: Conic, p0, p1,
-                             tol: float = 1e-12) -> list[np.ndarray]:
+def line_conic_intersections(conic: Conic, p0, p1) -> list[np.ndarray]:
     """Real intersections of the line through p0, p1 with a conic.
 
     The line is parametrized as p0 + t*(p1 - p0); a discriminant below
     -1e-12 means no real intersection, values in [-1e-12, 0] are clamped
-    (tangency reported once).
+    (tangency, a square root below 1e-12, reported once).
     """
     A = conic.form
     h0 = np.array([p0[0], p0[1], 1.0])
@@ -233,7 +235,7 @@ def line_conic_intersections(conic: Conic, p0, p1,
         disc = max(disc, 0.0)
         r = math.sqrt(disc)
         ts = [(-b + r) / a, (-b - r) / a]
-        if r < tol:
+        if r < 1e-12:
             ts = ts[:1]
     return [(h0 + t * d)[:2] for t in ts]
 
@@ -263,8 +265,8 @@ def _five_point_faults(P: np.ndarray) -> list:
                               fault.any(axis=1).tolist())]
 
 
-def conic_forms_from_5_points(P) -> tuple[np.ndarray, list[str]]:
-    """(forms, kinds) of the unique conics through the five-point sets P
+def conic_forms_from_5_points(P) -> np.ndarray:
+    """The forms of the unique conics through the five-point sets P
     (B, 5, 2), no three points of a set collinear: each the least-singular
     direction of its 5x6 design matrix in the monomial basis (x^2, xy, y^2,
     x, y, 1), from one stacked `svd`. Raises the first failed check of the
@@ -280,16 +282,15 @@ def conic_forms_from_5_points(P) -> tuple[np.ndarray, list[str]]:
                                        np.ones_like(x)], axis=-1))
     if (s[:, 0] / np.where(s[:, 4] > 0, s[:, 4], np.inf) > COND_WARN).any():
         warnings.warn("ill-conditioned five-point conic fit", RuntimeWarning)
-    M = _normalized_forms((Vt[:, -1][:, _FORM_FROM_COEFFS] * _FORM_SCALE)
-                          .reshape(-1, 3, 3))
-    return M, _classify_forms(M)
+    return _normalized_forms((Vt[:, -1][:, _FORM_FROM_COEFFS] * _FORM_SCALE)
+                             .reshape(-1, 3, 3))
 
 
 def conic_from_5_points(pts) -> Conic:
     """Unique conic through five points, no three collinear: the one-set
     call of `conic_forms_from_5_points`."""
-    forms, kinds = conic_forms_from_5_points(np.array([list(pts)], float))
-    return _conic_of(forms[0], kinds[0])
+    forms = conic_forms_from_5_points(np.array([list(pts)], float))
+    return _conic_of(forms[0])
 
 
 def central_conic_forms(centers, reps) -> tuple[np.ndarray, np.ndarray]:
@@ -499,7 +500,7 @@ def _pencil_candidates(MA: np.ndarray, MB: np.ndarray, det_a: np.ndarray):
 
 
 def _settle(k: np.ndarray, xy: np.ndarray, entries: np.ndarray,
-            pairs: np.ndarray, merge_tol: float):
+            pairs: np.ndarray):
     """The distinct points of the pairs `k` (K,), grouped and ascending, from
     their polished candidates `xy` (K, 2): the pairs present, their sorted
     points[p, :n[p]] in a NaN-padded (U, >= 4, 2) array, and their counts n."""
@@ -508,12 +509,12 @@ def _settle(k: np.ndarray, xy: np.ndarray, entries: np.ndarray,
     present, pair = k[first], np.cumsum(first) - 1
     P = len(present)
     x, y = xy[:, 0], xy[:, 1]
-    # On both conics: |f| / |(x, y, 1)|^2 not above 10 * merge_tol, or NaN.
-    tol = 10 * merge_tol * (x * x + y * y + 1)
+    # On both conics: |f| / |(x, y, 1)|^2 not above 10 * TOL_MERGE, or NaN.
+    tol = 10 * TOL_MERGE * (x * x + y * y + 1)
     on_both = ~((np.abs(_value_and_gradient(x, y, c[:, 0])[0]) > tol)
                 | (np.abs(_value_and_gradient(x, y, c[:, 1])[0]) > tol))
     xy, pair = xy[on_both], pair[on_both]
-    # Drop what lies within merge_tol of an earlier kept point of its pair.
+    # Drop what lies within TOL_MERGE of an earlier kept point of its pair.
     per_pair = np.bincount(pair, minlength=P)
     rank = np.arange(len(pair)) - (np.cumsum(per_pair) - per_pair)[pair]
     width = max(4, int(per_pair.max(initial=0)))
@@ -523,7 +524,7 @@ def _settle(k: np.ndarray, xy: np.ndarray, entries: np.ndarray,
     kept[rank, pair] = True
     for j in range(1, width):
         dx, dy = cx[:j] - cx[j], cy[:j] - cy[j]
-        kept[j] &= ~(kept[:j] & (dx * dx + dy * dy < merge_tol ** 2)).any(0)
+        kept[j] &= ~(kept[:j] & (dx * dx + dy * dy < TOL_MERGE ** 2)).any(0)
     # Kept points by pair, then rounded (x, y); equal keys keep their order.
     order = np.lexsort((np.round(xy[:, 1], 9), np.round(xy[:, 0], 9), pair))
     order = order[kept[rank, pair][order]]
@@ -565,21 +566,22 @@ def _ellipses_apart(forms: np.ndarray, ellipse: np.ndarray,
     return boxes | (dist > reach[0] + reach[1] + margin)
 
 
-def pencil_intersections(forms, kinds, pairs, merge_tol: float = TOL_MERGE):
+def pencil_intersections(forms, pairs):
     """Real affine intersection points of the conic pairs `pairs`, index
-    pairs (i, j) into the stack of normalized forms `forms` (B, 3, 3) of
-    kinds `kinds`.
+    pairs (i, j) into the stack of normalized forms `forms` (B, 3, 3).
 
     Returns `(points, counts)`: pair k meets in `points[k, :counts[k]]`,
     sorted by rounded (x, y); the rest of the (P, 4, 2) array is NaN. Each
     degenerate member of the pencil A + lambda*B is split into two lines,
     which are intersected with A; candidates are Newton-polished and kept
-    if they lie on both conics, tangential ones once. Every pair is checked
-    first (degenerate or coincident conics raise). A broad phase gives
+    if they lie on both conics, points within TOL_MERGE of each other once.
+    The stack is classified in one `_classify_forms` pass, and every pair
+    is checked first (a degenerate form in a pair, or coincident conics,
+    raise; a degenerate form in no pair is ignored). A broad phase gives
     count 0 to ellipse pairs that a line separates; the rest are solved in
     chunks. A point lies within 100 forward error bounds u |v|^T |A| |v|
     ||J|| / |det J| of the exact common point (J: the Newton Jacobian at
-    v = (x, y, 1)), a tangent one within merge_tol of the touching point.
+    v = (x, y, 1)), a tangent one within TOL_MERGE of the touching point.
     Known faults: a line through the origin loses its points, a tangency
     counts 0, 1 or 3, and the absolute Newton stop leaves points of tiny
     conics up to ~1,600 bounds off. More than 4 distinct points raise.
@@ -587,9 +589,10 @@ def pencil_intersections(forms, kinds, pairs, merge_tol: float = TOL_MERGE):
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
     points = np.full((len(pairs), 4, 2), np.nan)
     counts = np.zeros(len(pairs), dtype=int)
+    forms = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
+    kinds = _classify_forms(forms)
     if any(kinds[i] in DEGENERATE_KINDS for i in set(pairs.ravel().tolist())):
         raise GeometryError("degenerate conic input")
-    forms = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
     if any(_coincident(*forms[pairs[s:s + _PAIR_CHUNK].T], 1e-9).any()
            for s in range(0, len(pairs), _PAIR_CHUNK)):
         raise GeometryError(
@@ -609,14 +612,13 @@ def pencil_intersections(forms, kinds, pairs, merge_tol: float = TOL_MERGE):
             moving = np.bincount(live, minlength=len(xy)) > 0
             wait = np.bincount(pair[live], minlength=len(idx))[pair] > 0
             waiting.append((k[wait], xy[wait], moving[wait]))
-            done, pts, n = _settle(k[~wait], xy[~wait], entries, pairs,
-                                   merge_tol)
+            done, pts, n = _settle(k[~wait], xy[~wait], entries, pairs)
             points[done], counts[done] = pts[:, :4], n
         if waiting:
             k, xy, moving = (np.concatenate(a) for a in zip(*waiting))
             xy[moving] = _newton_polish(xy[moving], entries, pairs[k[moving]],
                                         _NEWTON_STEPS - _CHUNK_STEPS)[0]
-            done, pts, n = _settle(k, xy, entries, pairs, merge_tol)
+            done, pts, n = _settle(k, xy, entries, pairs)
             points[done], counts[done] = pts[:, :4], n
     over = np.flatnonzero(counts > 4)
     if len(over):
@@ -627,13 +629,12 @@ def pencil_intersections(forms, kinds, pairs, merge_tol: float = TOL_MERGE):
     return points, counts
 
 
-def conic_conic_intersections(A: Conic, B: Conic,
-                              merge_tol: float = TOL_MERGE) -> list[np.ndarray]:
+def conic_conic_intersections(A: Conic, B: Conic) -> list[np.ndarray]:
     """All real affine intersection points of two nondegenerate conics,
     sorted, tangential ones once: the one-pair call of `pencil_intersections`
     and its bits. Raises on degenerate or coincident inputs, or > 4 points."""
-    points, counts = pencil_intersections(
-        np.stack([A.form, B.form]), (A.kind, B.kind), [(0, 1)], merge_tol)
+    points, counts = pencil_intersections(np.stack([A.form, B.form]),
+                                          [(0, 1)])
     return list(points[0, :counts[0]])
 
 
@@ -771,8 +772,7 @@ def apply_affine_points(M: AffineMap2, P) -> np.ndarray:
 def apply_affine(M: AffineMap2, conic: Conic) -> Conic:
     """The image of a conic under an affine map: the one-form call of
     `affine_images`."""
-    forms = affine_images(M.homogeneous(), conic.form)
-    return _conic_of(forms[0], _classify_forms(forms)[0])
+    return _conic_of(affine_images(M.homogeneous(), conic.form)[0])
 
 
 def affine_images(H: np.ndarray, forms: np.ndarray) -> np.ndarray:

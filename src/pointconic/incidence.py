@@ -226,17 +226,11 @@ class PropertyReport:
     vertex_connectivity: int
 
 
-def new_incidence_structure(num_points: int, num_blocks: int, flags,
-                            strict: bool = False) -> IncidenceStructure:
+def new_incidence_structure(num_points: int, num_blocks: int,
+                            flags) -> IncidenceStructure:
     """Validated incidence structure from raw flag data: the constructor,
-    which checks every index, and in `strict` mode a check that no flag
-    repeats."""
-    if strict and not isinstance(flags, np.ndarray):
-        flags = list(flags)
-    C = IncidenceStructure(num_points, num_blocks, flags)
-    if strict and len(C.flag_array) != len(flags):
-        raise IncidenceError("duplicate flags in strict mode")
-    return C
+    which checks every index and keeps each repeated flag once."""
+    return IncidenceStructure(num_points, num_blocks, flags)
 
 
 def levi_graph(C: IncidenceStructure) -> LeviGraph:

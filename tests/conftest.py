@@ -26,8 +26,7 @@ from pointconic.constructions import (ConstructionError, _require_audit,
                                       hypercube, octagonal_projection,
                                       prism_product)
 from pointconic.geometry import (COND_WARN, TOL_MERGE, AffineMap2, Conic,
-                                 GeometryError, _axis_angle, _classify_forms,
-                                 _conic_of, _kind,
+                                 GeometryError, _axis_angle, _conic_of, _kind,
                                  conic_conic_intersections, cross2,
                                  pencil_intersections, project)
 from pointconic.incidence import (IncidenceStructure, LeviGraph,
@@ -45,17 +44,16 @@ def random_ellipse(rng, center_box: float = 1.0,
     return ellipse_conic(center, a, b, ang)
 
 
-def stack_of(conics) -> tuple[np.ndarray, tuple]:
-    """(forms, kinds) of a sequence of conics: the stack that
+def stack_of(conics) -> np.ndarray:
+    """The forms of a sequence of conics: the stack that
     `GeometricConfiguration` stores and the stacked kernels take."""
-    return (np.array([c.form for c in conics]).reshape(-1, 3, 3),
-            tuple(c.kind for c in conics))
+    return np.array([c.form for c in conics]).reshape(-1, 3, 3)
 
 
 def conics_of(forms) -> tuple:
     """The `Conic`s of a stack of normalized forms, each form a view of it,
     as `GeometricConfiguration.conics` builds them."""
-    return tuple(map(_conic_of, forms, _classify_forms(forms)))
+    return tuple(map(_conic_of, forms))
 
 
 def sweep_intersections(A: Conic, B: Conic, samples: int = 4096,
@@ -483,10 +481,10 @@ def _sheared(coeffs: list, p: int, q: int) -> tuple:
             [g * q * q, d * q * q, a * q * q])
 
 
-def exact_meets(A, B, merge_tol: float = TOL_MERGE) -> list:
+def exact_meets(A, B) -> list:
     """The real affine common points of the conics with forms A and B
     (3, 3), the float entries taken exactly: float (x, y) tuples ascending,
-    where a point within `merge_tol` of a kept one is dropped, as in
+    where a point within `TOL_MERGE` of a kept one is dropped, as in
     `geometry.pencil_intersections`. Raises ValueError on conics that share
     a component."""
     ca, cb = _form_coeffs(A), _form_coeffs(B)
@@ -520,12 +518,12 @@ def exact_meets(A, B, merge_tol: float = TOL_MERGE) -> list:
         points.append((float(X - Fraction(p, q) * y), float(y)))
     kept = []
     for pt in sorted(points):
-        if all(math.dist(pt, other) >= merge_tol for other in kept):
+        if all(math.dist(pt, other) >= TOL_MERGE for other in kept):
             kept.append(pt)
     return kept
 
 
-def exact_pencil_intersections(forms, pairs, merge_tol: float = TOL_MERGE):
+def exact_pencil_intersections(forms, pairs):
     """`(points, counts)` of the pairs `pairs` into the stack `forms`, laid
     out as `geometry.pencil_intersections` returns them (sorted by rounded
     (x, y), NaN-padded to (P, 4, 2)), from `exact_meets`."""
@@ -533,7 +531,7 @@ def exact_pencil_intersections(forms, pairs, merge_tol: float = TOL_MERGE):
     points = np.full((len(pairs), 4, 2), np.nan)
     counts = np.zeros(len(pairs), dtype=int)
     for k, (i, j) in enumerate(pairs):
-        found = sorted(exact_meets(forms[i], forms[j], merge_tol),
+        found = sorted(exact_meets(forms[i], forms[j]),
                        key=lambda pt: (round(pt[0], 9), round(pt[1], 9)))
         counts[k] = len(found)
         points[k, :len(found)] = np.reshape(found, (-1, 2))
@@ -911,11 +909,19 @@ def scalar_classify_form(M: np.ndarray) -> str:
                  lambda: np.linalg.svd(M, compute_uv=False)[1])
 
 
+def scalar_conic_of(M) -> Conic:
+    """The `Conic` of a read-only form M with its kind cached from
+    `scalar_classify_form`, not classified by `Conic.kind`."""
+    conic = _conic_of(M)
+    vars(conic)["kind"] = scalar_classify_form(M)
+    return conic
+
+
 def scalar_conic(M) -> Conic:
     """`Conic(M)` through the one-form normalization and classification."""
     M = scalar_normalize_form(M)
     M.setflags(write=False)
-    return _conic_of(M, scalar_classify_form(M))
+    return scalar_conic_of(M)
 
 
 def scalar_conic_from_normalized_coeffs(coeffs) -> Conic:
@@ -926,7 +932,7 @@ def scalar_conic_from_normalized_coeffs(coeffs) -> Conic:
     if not abs(np.linalg.norm(M) - 1.0) <= 1e-9:
         raise GeometryError("conic coefficients are not normalized")
     M.setflags(write=False)
-    return _conic_of(M, scalar_classify_form(M))
+    return scalar_conic_of(M)
 
 
 def scalar_apply_affine(M: AffineMap2, conic: Conic) -> Conic:
@@ -1279,7 +1285,7 @@ def list_geometric_meets(G) -> dict:
     the counts dict and the excess tuple built pair by pair."""
     config = intersection_type(G).per_pair
     pairs = list(combinations(range(G.num_conics), 2))
-    _, n = pencil_intersections(G.forms, G.kinds, pairs)
+    _, n = pencil_intersections(G.forms, pairs)
     counts = dict(zip(pairs, n.tolist()))
     excess = tuple(p for p in pairs if counts[p] > config.get(p, 0))
     return {"counts": counts, "excess": excess}

@@ -165,7 +165,7 @@ class TestStackedFlagCheck:
     @pytest.mark.parametrize("name", BUILDERS)
     def test_builders_match_per_flag_loop(self, name):
         G = _scene(name)
-        rep = audit(G, spurious_scan=False)
+        rep = audit(G)
         max_res, missing = per_flag_check(G)
         assert list(rep.missing_incidences) == missing == []
         assert abs(rep.max_flag_residual - max_res) <= _RESIDUAL_ULPS
@@ -177,7 +177,7 @@ class TestStackedFlagCheck:
                                              (2, 1e-9)])
     def test_planted_offsets_match_per_flag_loop(self, name, seed, scale):
         G = _offset(_scene(name), seed, 0.3, scale)
-        rep = audit(G, spurious_scan=False)
+        rep = audit(G)
         max_res, missing = per_flag_check(G)
         assert list(rep.missing_incidences) == missing
         assert abs(rep.max_flag_residual - max_res) <= _RESIDUAL_ULPS
@@ -254,7 +254,7 @@ class TestDuplicatesAndCoincidences:
         assert round(a.form[0, 0], 5) != round(b.form[0, 0], 5)
         assert rounded_coincident_pairs([a, b]) == []
         c = ellipse_conic((0, 0), 1, 0.5, 0.2)
-        assert analysis._coincident_pairs(stack_of([a, c, b])[0]) == [(0, 2)]
+        assert analysis._coincident_pairs(stack_of([a, c, b])) == [(0, 2)]
         rep = audit(GeometricConfiguration(np.zeros((0, 2)), (a, c, b),
                                            frozenset(), 1e-8))
         assert rep.coincident_conics == ((0, 2),) and not rep.passed
@@ -263,7 +263,7 @@ class TestDuplicatesAndCoincidences:
     def test_builders_match_rounding(self, name):
         G = _scene(name)
         conics = G.conics + G.conics[::3]
-        got = analysis._coincident_pairs(stack_of(conics)[0])
+        got = analysis._coincident_pairs(stack_of(conics))
         assert got == rounded_coincident_pairs(conics)
         B = G.num_conics
         assert set(got) >= {(i, B + k) for k, i in

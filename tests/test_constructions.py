@@ -395,7 +395,7 @@ class TestStackedHexagonBuilders:
                                 + good[3:])
             outcome = _build_outcome(
                 lambda: constructions._hexagon_configuration(
-                    points4, hexagons, 1e-8, {"builder": "pmn"}, proj))
+                    points4, hexagons, {"builder": "pmn"}, proj))
             assert outcome == _build_outcome(
                 lambda: loop_hexagon_configuration(
                     points4, hexagons, proj, 1e-8, {"builder": "pmn"}))
@@ -415,7 +415,7 @@ class TestStackedHexagonBuilders:
             hexagons = np.array(good[:at] + [extra[0]] + good[at:])
             outcome = _build_outcome(
                 lambda: constructions._hexagon_configuration(
-                    points4, hexagons, 1e-8, {"builder": "pmn"}, proj))
+                    points4, hexagons, {"builder": "pmn"}, proj))
             assert outcome == _build_outcome(
                 lambda: loop_hexagon_configuration(
                     points4, hexagons, proj, 1e-8, {"builder": "pmn"}))
@@ -617,13 +617,13 @@ class TestStackedSceneSteps:
             a, b = rng.uniform(0.05, 3, size=2)
             angles = rng.choice([0.0, math.pi / 2, math.pi, -1.3, 2.9],
                                 size=n).tolist()
-            forms, kinds = constructions._ellipse_forms(centers, a, b, angles)
+            forms = constructions._ellipse_forms(centers, a, b, angles)
             want = [scalar_ellipse_conic(c, a, b, t)
                     for c, t in zip(centers, angles)]
             assert _bits(forms) == _bits([c.form for c in want])
-            assert kinds == [c.kind for c in want]
             one = [ellipse_conic(c, a, b, t) for c, t in zip(centers, angles)]
             assert _bits([c.form for c in one]) == _bits(forms)
+            assert [c.kind for c in one] == [c.kind for c in want]
         with pytest.raises(GeometryError, match="^affine map is singular$"):
             ellipse_conic((0, 0), 0.0, 1.0, 0.3)
 

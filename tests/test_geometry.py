@@ -27,7 +27,7 @@ from pointconic.constructions import (cell24, crossed_ellipses,
                                       richter_gebert, translate_conics)
 from pointconic.geometry import (DEGENERATE_KINDS, TOL_MERGE, AffineMap2,
                                  Conic, GeometryError, Projection4to2,
-                                 _collinear, _ellipses_apart,
+                                 _classify_forms, _collinear, _ellipses_apart,
                                  _pencil_candidates, _residuals,
                                  affine_images, apply_affine,
                                  apply_affine_point, apply_affine_points,
@@ -233,7 +233,7 @@ class TestStackedAffineKernels:
         conics = [scalar_conic(M) for M in forms]
         M = AffineMap2(L, t)
         _same_conics(conics_of(affine_images(M.homogeneous(),
-                                             stack_of(conics)[0])),
+                                             stack_of(conics))),
                      [scalar_apply_affine(M, c) for c in conics])
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
@@ -245,7 +245,7 @@ class TestStackedAffineKernels:
         maps = [AffineMap2(L, t) for _, L, t in drawn]
         _same_conics(conics_of(affine_images(
                          np.array([M.homogeneous() for M in maps]),
-                         stack_of(conics)[0])),
+                         stack_of(conics))),
                      [scalar_apply_affine(M, c) for M, c in zip(maps, conics)])
 
     @given(st.integers(0, 10 ** 9), _scale)
@@ -254,7 +254,7 @@ class TestStackedAffineKernels:
         rng = np.random.default_rng(seed)
         conics = [random_ellipse(rng) for _ in range(6)]
         shifts = rng.normal(size=(6, 2)) * scale
-        _same_conics(conics_of(translate_conics(stack_of(conics)[0],
+        _same_conics(conics_of(translate_conics(stack_of(conics),
                                                 shifts)),
                      [scalar_translate_conic(c, v)
                       for c, v in zip(conics, shifts)])
@@ -931,7 +931,7 @@ def _assert_matches(forms, pairs, got, want, bounds=100, skip_stop=False):
     `bounds` forward error bounds of the exact point (`_error_bounds`; on
     every scene here the two differ by at most 6.5 bounds). At a tangency
     det J vanishes and Newton converges only linearly: it stops within
-    merge_tol of the touching point, so there the bound is 2 * merge_tol.
+    TOL_MERGE of the touching point, so there the bound is 2 * TOL_MERGE.
     With `skip_stop`, a point is not checked where the rounding of f is
     below 1/100 of Newton's stop (STOP)."""
     (points, counts), (want_points, want_counts) = got, want
@@ -950,7 +950,7 @@ def _assert_matches(forms, pairs, got, want, bounds=100, skip_stop=False):
                            tol[bad][:3])
 
 
-def _assert_exact(forms, kinds, pairs, got, want, under=0, over=0, **match):
+def _assert_exact(forms, pairs, got, want, under=0, over=0, **match):
     """The kernel's `(points, counts)` `got` of the pairs against the exact
     `want`: `under` pairs undercounted and `over` overcounted, every other
     pair's points within the contract's tolerance (`_assert_matches`, with
@@ -958,19 +958,19 @@ def _assert_exact(forms, kinds, pairs, got, want, under=0, over=0, **match):
     n, exact = got[1], want[1]
     assert (int((n < exact).sum()), int((n > exact).sum())) == (under, over)
     _assert_matches(forms, pairs, got, want, **match)
-    assert not exact[_apart(forms, kinds, pairs)].any()
+    assert not exact[_apart(forms, pairs)].any()
 
 
-def _check_exact(forms, kinds, pairs, under=0, over=0, **match):
+def _check_exact(forms, pairs, under=0, over=0, **match):
     """`_assert_exact` of the kernel on the pairs; returns both results."""
-    got = pencil_intersections(forms, kinds, pairs)
+    got = pencil_intersections(forms, pairs)
     want = exact_pencil_intersections(forms, pairs)
-    _assert_exact(forms, kinds, pairs, got, want, under, over, **match)
+    _assert_exact(forms, pairs, got, want, under, over, **match)
     return got, want
 
 
-def _apart(forms, kinds, pairs):
-    ellipse = np.array([k == "ellipse" for k in kinds])
+def _apart(forms, pairs):
+    ellipse = np.array([k == "ellipse" for k in _classify_forms(forms)])
     with np.errstate(invalid="ignore"):  # as in the kernel: concentric pairs
         return _ellipses_apart(forms, ellipse,
                                np.asarray(pairs).reshape(-1, 2))
@@ -996,9 +996,9 @@ def _candidates(forms, pairs, chunk):
     return np.concatenate(xy), np.concatenate(pair)
 
 
-def _kernel_at_chunk(chunk, forms, kinds, pairs):
+def _kernel_at_chunk(chunk, forms, pairs):
     with mock.patch.object(geometry, "_PAIR_CHUNK", chunk):
-        return pencil_intersections(forms, kinds, pairs)
+        return pencil_intersections(forms, pairs)
 
 
 def _assert_one_pair_calls(forms, pairs, got, step=1):
@@ -1021,34 +1021,34 @@ def _assert_candidates_invariant(forms, pairs):
         _assert_same_bits(_candidates(forms, pairs, chunk), want)
 
 
-def _assert_batch_invariant(forms, kinds, pairs):
+def _assert_batch_invariant(forms, pairs):
     """A pair's candidates, count and points do not depend on its batch:
     the same bits at 1, 7 and 256 pairs per chunk as in one chunk of all
     pairs, and in the one-pair call."""
     _assert_candidates_invariant(forms, pairs)
-    got = _kernel_at_chunk(max(1, len(pairs)), forms, kinds, pairs)
+    got = _kernel_at_chunk(max(1, len(pairs)), forms, pairs)
     for chunk in (1, 7, 256):
-        _assert_same_bits(_kernel_at_chunk(chunk, forms, kinds, pairs), got)
+        _assert_same_bits(_kernel_at_chunk(chunk, forms, pairs), got)
     _assert_one_pair_calls(forms, pairs, got)
 
 
 def _every_pair(G):
-    return G.forms, G.kinds, np.column_stack(np.triu_indices(G.num_conics, 1))
+    return G.forms, np.column_stack(np.triu_indices(G.num_conics, 1))
 
 
 def _sampled_pairs(G, size=500):
     """`size` pairs of G drawn with a fixed seed, and every pair the kernel
     counts odd."""
-    forms, kinds, pairs = _every_pair(G)
-    keep = pencil_intersections(forms, kinds, pairs)[1] % 2 == 1
+    forms, pairs = _every_pair(G)
+    keep = pencil_intersections(forms, pairs)[1] % 2 == 1
     rng = np.random.default_rng(0)
     keep[rng.choice(len(pairs), size, replace=False)] = True
-    return forms, kinds, pairs[keep]
+    return forms, pairs[keep]
 
 
 def _conic_pairs(conics, pairs=None):
     pairs = _all_pairs(conics) if pairs is None else pairs
-    return (*stack_of(conics), np.asarray(pairs, dtype=int).reshape(-1, 2))
+    return stack_of(conics), np.asarray(pairs, dtype=int).reshape(-1, 2)
 
 
 def _tangent_pairs():
@@ -1090,11 +1090,10 @@ _SCENES = {
 
 @functools.cache
 def _scene(name):
-    """The scene's forms, kinds and pairs, with the kernel's `(points,
-    counts)` of the pairs in one chunk and the exact ones."""
-    forms, kinds, pairs = _SCENES[name][0]()
-    return (forms, kinds, pairs,
-            _kernel_at_chunk(max(1, len(pairs)), forms, kinds, pairs),
+    """The scene's forms and pairs, with the kernel's `(points, counts)` of
+    the pairs in one chunk and the exact ones."""
+    forms, pairs = _SCENES[name][0]()
+    return (forms, pairs, _kernel_at_chunk(max(1, len(pairs)), forms, pairs),
             exact_pencil_intersections(forms, pairs))
 
 
@@ -1142,10 +1141,26 @@ class TestKernelAgainstExactReference:
             conic_conic_intersections(A, B)
         C = ellipse_conic((0, 0), 0.6, 0.3, 0.2)
         with pytest.raises(GeometryError, match="conics 1 and 2 give"):
-            pencil_intersections(*stack_of((C, A, B)), [(0, 1), (1, 2)])
+            pencil_intersections(stack_of((C, A, B)), [(0, 1), (1, 2)])
+
+    def test_degenerate_form_raises_only_in_a_pair(self):
+        # The kernel classifies its whole stack; a degenerate form that no
+        # pair names changes nothing.
+        lines = Conic.from_coeffs(1, 0, -1, 0, 0, 0)  # x^2 = y^2
+        A = ellipse_conic((0.1, 0.0), 1.5, 0.5, 0.2)
+        assert lines.kind == "pair-of-lines"
+        forms = stack_of((A, lines, UNIT_CIRCLE))
+        for pairs in ([(0, 1)], [(0, 2), (2, 1)]):
+            with pytest.raises(GeometryError,
+                               match="^degenerate conic input$"):
+                pencil_intersections(forms, pairs)
+        got = pencil_intersections(forms, [(0, 2)])
+        assert got[1].tolist() == [4]
+        _assert_same_bits(got, pencil_intersections(
+            stack_of((A, UNIT_CIRCLE)), [(0, 1)]))
 
     def test_no_pairs(self):
-        points, counts = pencil_intersections(*stack_of((UNIT_CIRCLE,)), [])
+        points, counts = pencil_intersections(stack_of((UNIT_CIRCLE,)), [])
         assert points.shape == (0, 4, 2) and counts.shape == (0,)
 
 
@@ -1155,7 +1170,7 @@ class TestCandidatesBatchInvariant:
 
     @pytest.mark.parametrize("name", list(_SCENES))
     def test_every_pair_of_scene(self, name):
-        forms, _, pairs = _scene(name)[:3]
+        forms, pairs = _scene(name)[:2]
         _assert_candidates_invariant(forms, pairs)
 
 
@@ -1171,12 +1186,12 @@ class TestKernelBatchInvariant:
     @pytest.mark.parametrize("chunk", [1, 7, 256])
     @pytest.mark.parametrize("name", list(_SCENES))
     def test_every_pair_of_scene(self, name, chunk):
-        forms, kinds, pairs, got, _ = _scene(name)
-        _assert_same_bits(_kernel_at_chunk(chunk, forms, kinds, pairs), got)
+        forms, pairs, got, _ = _scene(name)
+        _assert_same_bits(_kernel_at_chunk(chunk, forms, pairs), got)
 
     def test_one_pair_call(self):
         for name in _SCENES:
-            forms, _, pairs, got, _ = _scene(name)
+            forms, pairs, got, _ = _scene(name)
             _assert_one_pair_calls(forms, pairs, got,
                                    step=max(1, len(pairs) // 100))
 
@@ -1224,14 +1239,14 @@ class TestBroadPhase:
     @example(346)  # points 147 and 225 bounds off, not checked (STOP)
     @settings(max_examples=60, deadline=None)
     def test_scaled_random_ellipses(self, seed):
-        forms, kinds, pairs = _scaled_scene(seed)
-        if any(k in DEGENERATE_KINDS for k in kinds):
+        forms, pairs = _scaled_scene(seed)
+        if any(k in DEGENERATE_KINDS for k in _classify_forms(forms)):
             # At small scales a thin ellipse far from the origin can take
             # a degenerate kind (the absolute DEG_EPS).
             with pytest.raises(GeometryError):
-                pencil_intersections(forms, kinds, pairs)
+                pencil_intersections(forms, pairs)
             return
-        _check_exact(forms, kinds, pairs, skip_stop=True)
+        _check_exact(forms, pairs, skip_stop=True)
 
     @pytest.mark.parametrize("seed", _STOP_SEEDS)
     def test_newton_stop_pinned(self, seed):
@@ -1326,7 +1341,7 @@ class TestBroadPhase:
         # these pairs, which the kernel counts one point each. Rounded, the
         # tangencies are no exact common point (TANGENT).
         G = qcube_48()
-        scene = G.forms, G.kinds, np.array([(19, 29), (21, 27)])
+        scene = G.forms, np.array([(19, 29), (21, 27)])
         assert not _apart(*scene).any()
         (_, counts), _ = _check_exact(*scene, over=2)
         assert counts.tolist() == [1, 1]
@@ -1391,7 +1406,8 @@ class TestStackedFivePointFits:
         rng = np.random.default_rng(21)
         P = rng.normal(size=(300, 5, 2)) * 10.0 ** rng.uniform(
             -3, 3, size=(300, 1, 1))
-        forms, kinds = conic_forms_from_5_points(P)
+        forms = conic_forms_from_5_points(P)
+        kinds = _classify_forms(forms)
         assert not forms.flags.writeable
         one = [conic_from_5_points(p) for p in P]
         scalar = [scalar_conic_from_5_points(p) for p in P]

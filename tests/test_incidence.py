@@ -39,8 +39,6 @@ class TestBasics:
             new_incidence_structure(2, 2, [(2, 0)])
         with pytest.raises(IncidenceError, match="out of range"):
             new_incidence_structure(2, 2, [(0, 5)])
-        with pytest.raises(IncidenceError, match="duplicate"):
-            new_incidence_structure(2, 2, [(0, 0), (0, 0)], strict=True)
         C = new_incidence_structure(2, 2, [(0, 0), (0, 0)])
         assert len(C.flags) == 1
 

@@ -1,6 +1,7 @@
 """Unit tests for JSON I/O, SVG rendering and the CLI."""
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -133,9 +134,9 @@ class TestStoredArrays:
         built = []
         original = geometry._conic_of
 
-        def counted(M, kind):
-            built.append(kind)
-            return original(M, kind)
+        def counted(M):
+            built.append(M)
+            return original(M)
         for mod in list(sys.modules.values()):
             if (getattr(mod, "__name__", "").startswith("pointconic")
                     and getattr(mod, "_conic_of", None) is original):
@@ -204,15 +205,21 @@ class TestStoredArrays:
 
     @pytest.mark.parametrize("name", sorted(_SCENES))
     def test_kinds_are_those_of_the_forms(self, name, tmp_path):
-        # Nothing hands a scene its kinds: they are derived from the forms,
-        # in every scene and in its reader round trip.
+        # Nothing hands a scene or a `Conic` its kinds: they are derived
+        # from the forms, in every scene and in its reader round trip. A
+        # `Conic` stores its form only, whether its constructor made it or
+        # it is a view of a scene's stack, and classifies it when first read.
+        assert [f.name for f in dataclasses.fields(Conic)] == ["form"]
         G = _SCENES[name]()
         assert "kinds" not in vars(G)
         path = tmp_path / "g.json"
         write_configuration(G, path)
         for H in (G, read_configuration(path)):
             assert H.kinds == tuple(map(scalar_classify_form, H.forms))
-            assert H.kinds == tuple(conic.kind for conic in H.conics)
+            for conics in (H.conics, tuple(map(Conic, H.forms))):
+                assert not any("kind" in vars(c) for c in conics)
+                assert tuple(c.kind for c in conics) == H.kinds
+                assert all("kind" in vars(c) for c in conics)
 
     def test_kinds_classified_on_first_use_only(self, tmp_path, monkeypatch):
         path = tmp_path / "g.json"
@@ -233,13 +240,15 @@ class TestStoredArrays:
         P = product(G, G, genericize=True, seed=1)
         assert calls == []
         assert "kinds" not in vars(G) and "kinds" not in vars(P)
-        render_svg(G)
-        assert calls == [G.num_conics]
-        render_svg(G)
+        # The pencil kernel classifies the stack it is given, once a call;
+        # the scene classifies its own conics once, on first use.
         geometric_meets(G)
-        assert calls == [G.num_conics]
-        geometric_meets(read_configuration(path))
+        assert calls == [G.num_conics] and "kinds" not in vars(G)
+        render_svg(G)
+        render_svg(G)
         assert calls == [G.num_conics] * 2
+        geometric_meets(G)
+        assert calls == [G.num_conics] * 3
 
 
 class TestValidation:
