@@ -7,10 +7,11 @@ from functools import cached_property
 import numpy as np
 
 from .configuration import GeometricConfiguration
-from .geometry import (GeometryError, TOL_MERGE, _coincident, _conic_of,
-                       _residuals, affine_images, apply_affine_points,
-                       dilation_to_circle, ellipse_parameters_stack,
-                       forms_coeffs, pencil_intersections)
+from .geometry import (GeometryError, TOL_COINCIDENT, TOL_MERGE, _coincident,
+                       _conic_of, _residuals, affine_images,
+                       apply_affine_points, dilation_to_circle,
+                       ellipse_parameters_stack, forms_coeffs,
+                       pencil_intersections)
 from .incidence import (IncidenceStructure, Signature, _block_pairs,
                         _near_pairs, _pair_dict, signature)
 
@@ -139,24 +140,24 @@ def _duplicate_pairs(points: np.ndarray, tol: float) -> list:
     return sorted(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
-def _coincident_pairs(forms: np.ndarray, tol: float = 1e-9) -> list:
+def _coincident_pairs(forms: np.ndarray) -> list:
     """Sorted pairs (i, j), i < j, of a stack of normalized forms (B, 3, 3)
-    that `Conic.same_as` calls coincident at `tol`.
+    that `Conic.same_as` calls coincident.
 
     same_as compares the unit-norm forms F and G by |F - G| and |F + G|.
     For a unit vector u, |u.(F -+ G)| <= |F -+ G|, so the projections of
-    every form and its negative place such a pair within `tol`; the window
-    of 2 `tol` covers their rounding. same_as's test, stacked, decides the
-    candidates."""
+    every form and its negative place such a pair within `TOL_COINCIDENT`;
+    the window of twice that covers their rounding. same_as's test,
+    stacked, decides the candidates."""
     B = len(forms)
     if B < 2:
         return []
     s = forms.reshape(-1, 9) @ _FORM_AXIS
-    a, b = _near_pairs(np.concatenate([s, -s]), 2 * tol)
+    a, b = _near_pairs(np.concatenate([s, -s]), 2 * TOL_COINCIDENT)
     a, b = a % B, b % B
     keys = np.sort(np.minimum(a, b) * B + np.maximum(a, b))
     i, j = np.divmod(keys[np.diff(keys, prepend=-1) > 0], B)
-    keep = (i != j) & _coincident(forms[i], forms[j], tol)
+    keep = (i != j) & _coincident(forms[i], forms[j], TOL_COINCIDENT)
     return list(zip(i[keep].tolist(), j[keep].tolist()))
 
 

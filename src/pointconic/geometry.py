@@ -18,6 +18,7 @@ import numpy as np
 # Default tolerances (see module docstring for the normalization they assume).
 TOL_INCIDENCE = 1e-8    # default point-on-conic tolerance
 TOL_MERGE = 1e-7        # distance below which two points are "the same"
+TOL_COINCIDENT = 1e-9   # form distance below which two conics are "the same"
 DEG_EPS = 1e-10         # determinant threshold for degeneracy decisions
 COND_WARN = 1e12        # design-matrix condition number warning threshold
 _NORM_MIN = math.sqrt(np.finfo(float).tiny)  # squares below it underflow
@@ -73,7 +74,7 @@ class Conic:
     def is_degenerate(self) -> bool:
         return self.kind in DEGENERATE_KINDS
 
-    def same_as(self, other: "Conic", tol: float = 1e-9) -> bool:
+    def same_as(self, other: "Conic", tol: float = TOL_COINCIDENT) -> bool:
         """Proportionality test on the normalized forms."""
         return bool(_coincident(self.form, other.form, tol)[0])
 
@@ -593,7 +594,8 @@ def pencil_intersections(forms, pairs):
     kinds = _classify_forms(forms)
     if any(kinds[i] in DEGENERATE_KINDS for i in set(pairs.ravel().tolist())):
         raise GeometryError("degenerate conic input")
-    if any(_coincident(*forms[pairs[s:s + _PAIR_CHUNK].T], 1e-9).any()
+    if any(_coincident(*forms[pairs[s:s + _PAIR_CHUNK].T],
+                       TOL_COINCIDENT).any()
            for s in range(0, len(pairs), _PAIR_CHUNK)):
         raise GeometryError(
             "coincident conics: five or more common points force equality")

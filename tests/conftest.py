@@ -5,7 +5,6 @@ import argparse
 import json
 import math
 import warnings
-from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,10 +24,10 @@ from pointconic.constructions import (ConstructionError, _require_audit,
                                       cell24_polytope, ellipse_conic,
                                       hypercube, octagonal_projection,
                                       prism_product)
-from pointconic.geometry import (COND_WARN, TOL_MERGE, AffineMap2, Conic,
-                                 GeometryError, _axis_angle, _conic_of, _kind,
-                                 conic_conic_intersections, cross2,
-                                 pencil_intersections, project)
+from pointconic.geometry import (COND_WARN, TOL_COINCIDENT, TOL_MERGE,
+                                 AffineMap2, Conic, GeometryError, _axis_angle,
+                                 _conic_of, _kind, conic_conic_intersections,
+                                 cross2, pencil_intersections, project)
 from pointconic.incidence import (IncidenceStructure, LeviGraph,
                                   new_incidence_structure)
 from pointconic.io import InterfaceError
@@ -170,17 +169,6 @@ def scan_blocks_of_point(C: IncidenceStructure, p: int) -> frozenset:
     return frozenset(c for (q, c) in C.flags if q == p)
 
 
-def per_flag_index(C: IncidenceStructure) -> tuple:
-    """(blocks of each point, points of each block) as frozensets, from one
-    pass over the flag set: the structure's former `_index`."""
-    blocks = [[] for _ in range(C.num_points)]
-    points = [[] for _ in range(C.num_blocks)]
-    for (p, b) in C.flags:
-        blocks[p].append(b)
-        points[b].append(p)
-    return tuple(map(frozenset, blocks)), tuple(map(frozenset, points))
-
-
 def pairwise_block_meets(C: IncidenceStructure) -> dict:
     """Shared-point count of every block pair that shares a point, by
     pairwise set intersection, keyed (i, j) with i < j in sorted order."""
@@ -200,31 +188,20 @@ def brute_force_biclique(C: IncidenceStructure, s: int, t: int) -> bool:
                for blocks in combinations(sets, t))
 
 
-# ---------------------------------------------------------------------------
-# Per-flag oracles for the flag-array paths: the former code, verbatim
-# ---------------------------------------------------------------------------
-# The signature, block-pair counts, audit flag check, product flags,
-# duplicate-point and coincident-conic searches before they moved onto the
-# sorted flag array and sorted projections.
-
-def counter_block_pair_counts(C: IncidenceStructure) -> dict:
-    """Shared-point count of every block pair (i, j), i < j, that shares a
-    point, in sorted key order, by a Counter over each point's blocks."""
-    counts = Counter()
-    for blocks in per_flag_index(C)[0]:
-        counts.update(combinations(sorted(blocks), 2))
-    return dict(sorted(counts.items()))
-
-
 def index_signature(C: IncidenceStructure) -> tuple:
     """(p, q, n, k) of `incidence.signature`, from the degree sets."""
-    blocks_of, points_of = per_flag_index(C)
-    pdeg = {len(bs) for bs in blocks_of}
-    bdeg = {len(ps) for ps in points_of}
+    pdeg = {len(scan_blocks_of_point(C, p)) for p in range(C.num_points)}
+    bdeg = {len(scan_points_of_block(C, b)) for b in range(C.num_blocks)}
     q = pdeg.pop() if len(pdeg) == 1 else None
     k = bdeg.pop() if len(bdeg) == 1 else None
     return (C.num_points, q, C.num_blocks, k)
 
+
+# ---------------------------------------------------------------------------
+# Per-flag and pair-by-pair oracles for the array paths
+# ---------------------------------------------------------------------------
+# The audit flag check and product flags before they moved onto the sorted
+# flag array; duplicate points and coincident conics by testing every pair.
 
 def per_flag_check(G) -> tuple[float, list]:
     """(max flag residual, missing flags) of `analysis.audit`, one flag at a
@@ -261,50 +238,21 @@ def nested_product_flags(C1, C2) -> set:
     return flags
 
 
-def grid_hash_duplicate_pairs(points: np.ndarray, tol: float) -> list:
-    """The former grid hash of `analysis._duplicate_pairs`. It keeps a pair
-    of adjacent cells only when the point in the lower cell has the lower
-    index, so it can miss pairs that straddle a cell edge; every pair it
-    reports is a true one."""
-    cells = defaultdict(list)
-    inv = 1.0 / max(tol, 1e-300)
-    for i, (x, y) in enumerate(np.floor(points * inv).tolist()):
-        cells[(int(x), int(y))].append(i)
-    dupes = []
-    for (cx, cy), members in cells.items():
-        neigh = []
-        for dx in (0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy < 0:
-                    continue
-                neigh.extend(cells.get((cx + dx, cy + dy), ()))
-        for i in members:
-            for j in neigh:
-                if j > i and np.linalg.norm(points[i] - points[j]) < tol:
-                    dupes.append((i, j))
-    return sorted(set(dupes))
-
-
 def brute_force_duplicate_pairs(points: np.ndarray, tol: float) -> list:
     """Every pair (i, j), i < j, of points closer than `tol`, sorted."""
     return [(i, j) for i, j in combinations(range(len(points)), 2)
             if np.linalg.norm(points[i] - points[j]) < tol]
 
 
-def rounded_coincident_pairs(conics, tol: float = 1e-9) -> list:
-    """The former `analysis._coincident_pairs`: candidates share their forms
-    rounded to 5 decimals, so a pair straddling a rounding boundary is
-    missed. An oracle on generic scenes only."""
-    groups = defaultdict(list)
-    forms = np.array([c.form for c in conics]).reshape(-1, 9)
-    for i, key in enumerate(np.round(forms, 5).tolist()):
-        groups[tuple(key)].append(i)
-    out = []
-    for members in groups.values():
-        for i, j in combinations(members, 2):
-            if conics[i].same_as(conics[j], tol):
-                out.append((i, j))
-    return sorted(out)
+def brute_force_coincident_pairs(forms: np.ndarray) -> list:
+    """Every pair (i, j), i < j, of normalized forms (B, 3, 3) that
+    `Conic.same_as` calls coincident, |F - G| or |F + G| below
+    `TOL_COINCIDENT`, sorted."""
+    F = np.asarray(forms, dtype=float).reshape(-1, 9)
+    i, j = np.triu_indices(len(F), 1)
+    near = ((np.linalg.norm(F[i] - F[j], axis=1) < TOL_COINCIDENT)
+            | (np.linalg.norm(F[i] + F[j], axis=1) < TOL_COINCIDENT))
+    return list(zip(i[near].tolist(), j[near].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +487,7 @@ def exact_pencil_intersections(forms, pairs):
 
 
 # ---------------------------------------------------------------------------
-# Spurious-scan oracles for analysis.audit
+# Spurious-scan oracle for analysis.audit
 # ---------------------------------------------------------------------------
 
 def dense_sampson_scan(G) -> tuple[set, set]:
@@ -570,21 +518,6 @@ def dense_sampson_scan(G) -> tuple[set, set]:
                 (spurious if dist[p] <= SPURIOUS_REL
                  else borderline).add((p, b))
     return spurious, borderline
-
-
-def residual_matrix_spurious(G) -> set:
-    """The audit's former spurious scan: unflagged pairs whose algebraic
-    residual |h^T A h|, of the unit-norm form at the unit-norm homogenized
-    point, is at most 0.1 * tol. Its verdict depends on the scene's
-    position and size, so it is an oracle on unit-scale scenes only."""
-    H = np.column_stack([G.points, np.ones(G.num_points)])
-    H /= np.linalg.norm(H, axis=1, keepdims=True)
-    spurious = set()
-    for b, conic in enumerate(G.conics):
-        R = np.abs(np.einsum("ni,ij,nj->n", H, conic.form, H))
-        spurious.update((p, b) for p in np.flatnonzero(R <= 0.1 * G.tol)
-                        .tolist() if (p, b) not in G.flags)
-    return spurious
 
 
 # ---------------------------------------------------------------------------

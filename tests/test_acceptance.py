@@ -18,15 +18,13 @@ from conftest import (carnot_six_from_conic, conics_of, no_3_collinear,
 from pointconic.analysis import (audit, intersection_type, isometry_check,
                                  strongly_isometric_to_circles)
 from pointconic.configuration import GeometricConfiguration
-from pointconic.constructions import (cell24, crossed_ellipses,
-                                      dipyramid_carnot, ellipse_conic,
-                                      hypercube, pmn, polygon_ring, product,
-                                      qcube_48,
+from pointconic.constructions import (cell24, dipyramid_carnot,
+                                      ellipse_conic, hypercube, pmn,
+                                      polygon_ring, product, qcube_48,
                                       realize_by_conics,
                                       realize_lineal_by_circles,
                                       richter_gebert, translate_conics)
-from pointconic.geometry import (apply_affine_point, carnot_product,
-                                 conic_conic_intersections,
+from pointconic.geometry import (carnot_product, conic_conic_intersections,
                                  conic_from_5_points, ellipse_parameters)
 from pointconic.incidence import catalog, girth, levi_graph, property_report, \
     signature as inc_signature, vertex_connectivity

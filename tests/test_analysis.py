@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_force_duplicate_pairs, conics_of,
-                      dense_sampson_scan, grid_hash_duplicate_pairs,
-                      list_geometric_meets, per_flag_check,
-                      random_ellipse, residual_matrix_spurious,
-                      rounded_coincident_pairs, stack_of)
+from conftest import (brute_force_coincident_pairs,
+                      brute_force_duplicate_pairs, conics_of,
+                      dense_sampson_scan, list_geometric_meets,
+                      per_flag_check, random_ellipse, stack_of)
 from pointconic import analysis, io
 from pointconic.analysis import (SPURIOUS_REL, audit, geometric_meets,
                                  intersection_type,
@@ -187,13 +186,12 @@ class TestStackedFlagCheck:
 
 class TestDuplicatesAndCoincidences:
     """The projection searches for duplicate points and coincident conics
-    against brute force and the former grid hash and rounding."""
+    against brute force over every pair."""
 
     @staticmethod
     def _check_points(points, tol):
         got = analysis._duplicate_pairs(points, tol)
         assert got == brute_force_duplicate_pairs(points, tol)
-        assert set(grid_hash_duplicate_pairs(points, tol)) <= set(got)
         return got
 
     @pytest.mark.parametrize("seed", range(6))
@@ -220,11 +218,10 @@ class TestDuplicatesAndCoincidences:
             abs(x / tol) + 0.5 > 3 for x in halves[:, 0])
 
     def test_pair_across_a_cell_edge(self):
-        # The grid hash missed this pair: the point in the lower cell has
-        # the higher index.
+        # A grid hash with unit cells that pairs adjacent cells only when
+        # the point in the lower cell has the lower index misses this pair.
         points = np.array([[0.5, 1.2], [0.5, 0.9]])
-        assert grid_hash_duplicate_pairs(points, 1.0) == []
-        assert analysis._duplicate_pairs(points, 1.0) == [(0, 1)]
+        assert self._check_points(points, 1.0) == [(0, 1)]
 
     def test_far_from_the_origin(self):
         points = np.array([[1e7, 3e6], [2e7, 3e6], [1e7, 3e6],
@@ -252,7 +249,6 @@ class TestDuplicatesAndCoincidences:
         a, b = self._straddling_pair()
         assert np.linalg.norm(a.form - b.form) < 1e-10 and a.same_as(b)
         assert round(a.form[0, 0], 5) != round(b.form[0, 0], 5)
-        assert rounded_coincident_pairs([a, b]) == []
         c = ellipse_conic((0, 0), 1, 0.5, 0.2)
         assert analysis._coincident_pairs(stack_of([a, c, b])) == [(0, 2)]
         rep = audit(GeometricConfiguration(np.zeros((0, 2)), (a, c, b),
@@ -262,9 +258,9 @@ class TestDuplicatesAndCoincidences:
     @pytest.mark.parametrize("name", BUILDERS)
     def test_builders_match_rounding(self, name):
         G = _scene(name)
-        conics = G.conics + G.conics[::3]
-        got = analysis._coincident_pairs(stack_of(conics))
-        assert got == rounded_coincident_pairs(conics)
+        forms = np.concatenate([G.forms, G.forms[::3]])
+        got = analysis._coincident_pairs(forms)
+        assert got == brute_force_coincident_pairs(forms)
         B = G.num_conics
         assert set(got) >= {(i, B + k) for k, i in
                             enumerate(range(0, B, 3))}
@@ -280,9 +276,7 @@ class TestSpuriousScan:
         spurious, borderline = dense_sampson_scan(G)
         assert set(rep.spurious_incidences) == spurious
         assert set(rep.borderline_incidences) == borderline
-        # At unit scale the former absolute-residual scan agrees: no
-        # unflagged point lies on a conic.
-        assert not spurious and not residual_matrix_spurious(G)
+        assert not spurious  # no unflagged point lies on a conic
 
     def test_minkowski_cube_matches_oracle(self):
         d = dipyramid_carnot(3, seed=0)

@@ -16,7 +16,7 @@ from conftest import (circle_through_3_points, loop_carnot_scene,
                       random_conical_structure, scalar_apply_affine,
                       scalar_conic_through_padded, scalar_ellipse_conic,
                       scalar_translate_conic, symbolic_hexagons_in_prisms)
-from pointconic import analysis, constructions, io
+from pointconic import constructions, io
 from pointconic.analysis import audit, intersection_type, isometry_check
 from pointconic.cli import main
 from pointconic.configuration import GeometricConfiguration, Polytope4
@@ -34,7 +34,7 @@ from pointconic.geometry import (AffineMap2, Conic, GeometryError,
                                  Projection4to2, apply_affine_point,
                                  carnot_product, classify, ellipse_parameters)
 from pointconic.incidence import (catalog, catalog_names,
-                                  new_incidence_structure, signature)
+                                  new_incidence_structure)
 
 
 class TestCrossedEllipses:
@@ -365,8 +365,6 @@ class TestStackedHexagonBuilders:
                                match="non-generic projection: hexagon gave "
                                      "point"):
                 cell24(proj)
-            assert _build_outcome(lambda: cell24(proj)) == \
-                _build_outcome(lambda: loop_cell24(proj))
 
     def test_first_failing_hexagon_and_check(self):
         # Hexagons with known defects, inserted among pmn(4, 4)'s in every
@@ -439,17 +437,12 @@ class TestStackedHexagonBuilders:
             assert projections.call_count == tried, builder
 
     def test_no_conic_objects_built(self):
-        for build, loop in ((lambda: pmn(10, 10), lambda: loop_pmn(10, 10)),
-                            (cell24, loop_cell24)):
+        for build in (lambda: pmn(10, 10), cell24):
             with mock.patch.object(Conic, "__post_init__", autospec=True,
                                    side_effect=Conic.__post_init__) as post:
                 G = build()
             assert post.call_count == 0
             assert "conics" not in vars(G)
-            with mock.patch.object(Conic, "__post_init__", autospec=True,
-                                   side_effect=Conic.__post_init__) as post:
-                loop()
-            assert post.call_count >= G.num_conics
 
 
 class TestRealizers:
@@ -654,9 +647,11 @@ class TestStackedSceneSteps:
         assert _build_outcome(lambda: qcube_48(proj)) == \
             _build_outcome(lambda: loop_qcube_48(proj))
 
+    # The default rings of 3 to 8 sides are pinned by
+    # test_interface.py::TestCli::BUILD_DIGESTS.
     @pytest.mark.parametrize("args", [
-        (3,), (4,), (5,), (8,), (12,), (5, 0.4), (6, 0.3, 0.2),
-        (4, 0.02, 0.5), (5, 0.01, 0.05), (8, 0.05, 0.2), (5, 0.15, 0.0)])
+        (12,), (5, 0.4), (6, 0.3, 0.2), (4, 0.02, 0.5), (5, 0.01, 0.05),
+        (8, 0.05, 0.2), (5, 0.15, 0.0)])
     def test_polygon_ring_matches_one_pair_loop(self, args):
         assert _build_outcome(lambda: polygon_ring(*args)) == \
             _build_outcome(lambda: loop_polygon_ring(*args))

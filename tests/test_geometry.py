@@ -19,7 +19,7 @@ from conftest import (carnot_six_from_conic, conics_of,
                       scalar_conic_from_normalized_coeffs,
                       scalar_ellipse_parameters, scalar_normalize_form,
                       scalar_residual,
-                      scalar_translate_conic, stack_of, sweep_intersections)
+                      scalar_translate_conic, stack_of)
 from pointconic import geometry
 from pointconic.constructions import (cell24, crossed_ellipses,
                                       dipyramid_carnot, ellipse_conic, pmn,
@@ -868,25 +868,6 @@ class TestHypothesisProperties:
         scaled = Conic(c.form * rng.uniform(0.5, 2.0)
                        * rng.choice([-1.0, 1.0]))
         assert np.linalg.norm(scaled.form - c.form) < 1e-14
-
-
-class TestSweepOracleAgreement:
-    def test_counts_and_points(self):
-        rng = np.random.default_rng(42)
-        done = 0
-        while done < 60:
-            A = random_ellipse(rng)
-            B = random_ellipse(rng)
-            if A.same_as(B):
-                continue
-            got = conic_conic_intersections(A, B)
-            want = sweep_intersections(A, B)
-            assert len(got) <= 4
-            assert len(got) == len(want)
-            for p in want:
-                assert min((np.linalg.norm(p - q) for q in got),
-                           default=np.inf) < 1e-6
-            done += 1
 
 
 def _all_pairs(conics):

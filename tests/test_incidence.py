@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_force_biclique, counter_block_pair_counts,
-                      index_signature, nx_girth, nx_local_connectivities,
-                      nx_vertex_connectivity, pairwise_block_meets,
-                      per_flag_index, scan_blocks_of_point,
+from conftest import (brute_force_biclique, index_signature, nx_girth,
+                      nx_local_connectivities, nx_vertex_connectivity,
+                      pairwise_block_meets, scan_blocks_of_point,
                       scan_points_of_block)
 from pointconic import incidence
 from pointconic.analysis import intersection_type_combinatorial
@@ -132,22 +131,19 @@ class TestIndexedCore:
     @settings(max_examples=200, deadline=None)
     def test_accessors_match_flag_scans(self, C):
         # The index is cut from the sorted flag array at its offsets; the
-        # flag scans and the per-flag index it replaced are its oracles.
-        blocks_of, points_of = per_flag_index(C)
+        # flag scans are its oracle.
+        blocks_of = [scan_blocks_of_point(C, p) for p in range(C.num_points)]
+        points_of = [scan_points_of_block(C, b) for b in range(C.num_blocks)]
         for p in range(C.num_points):
-            assert C.blocks_of_point(p) == scan_blocks_of_point(C, p)
             assert C.blocks_of_point(p) == blocks_of[p]
-            assert C.point_degree(p) == len(scan_blocks_of_point(C, p))
+            assert C.point_degree(p) == len(blocks_of[p])
         for b in range(C.num_blocks):
-            assert C.points_of_block(b) == scan_points_of_block(C, b)
             assert C.points_of_block(b) == points_of[b]
-            assert C.block_size(b) == len(scan_points_of_block(C, b))
-        assert C.block_point_sets == [scan_points_of_block(C, b)
-                                      for b in range(C.num_blocks)]
+            assert C.block_size(b) == len(points_of[b])
+        assert C.block_point_sets == points_of
         P = C.num_points
         assert list(map(frozenset, levi_graph(C)._adjacency)) == (
-            [frozenset(P + b for b in bs) for bs in blocks_of]
-            + list(points_of))
+            [frozenset(P + b for b in bs) for bs in blocks_of] + points_of)
 
     @given(structures())
     @settings(max_examples=200, deadline=None)
@@ -195,8 +191,8 @@ _FIXED = {
 
 
 class TestFlagArray:
-    """The sorted flag array and the counts read off it, against the
-    per-flag code they replaced and against set scans."""
+    """The sorted flag array and the counts read off it, against set
+    scans."""
 
     def _check(self, C):
         F = C.flag_array
@@ -204,8 +200,6 @@ class TestFlagArray:
         assert not F.flags.writeable
         assert list(map(tuple, F.tolist())) == sorted(C.flags)
         counts = incidence.block_pair_counts(C)
-        assert list(counts.items()) == \
-            list(counter_block_pair_counts(C).items())
         assert list(counts.items()) == list(pairwise_block_meets(C).items())
         sig = signature(C)
         assert (sig.p, sig.q, sig.n, sig.k) == index_signature(C)
