@@ -7,13 +7,13 @@ from functools import cached_property
 import numpy as np
 
 from .configuration import GeometricConfiguration
-from .geometry import (GeometryError, TOL_COINCIDENT, TOL_MERGE, _coincident,
-                       _conic_of, _residuals, affine_images,
+from .geometry import (AffineMap2, GeometryError, TOL_COINCIDENT, TOL_MERGE,
+                       _coincident, _conic_of, _residuals, affine_images,
                        apply_affine_points, dilation_to_circle,
                        ellipse_parameters_stack, forms_coeffs,
                        pencil_intersections)
 from .incidence import (IncidenceStructure, Signature, _block_pairs,
-                        _near_pairs, _pair_dict, signature)
+                        _near_pairs, signature)
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,12 @@ class IntersectionType:
     @cached_property
     def per_pair(self) -> dict:
         return _pair_dict(self.keys, self.counts, self.num_blocks)
+
+
+def _pair_dict(keys: np.ndarray, counts: np.ndarray, num_blocks: int) -> dict:
+    """{(i, j): count} of the block-pair keys i * num_blocks + j."""
+    i, j = np.divmod(keys, max(num_blocks, 1))
+    return dict(zip(zip(i.tolist(), j.tolist()), counts.tolist()))
 
 
 SPURIOUS_REL = 1e-9   # relative Sampson distance of a spurious incidence
@@ -252,11 +258,19 @@ def strongly_isometric_to_circles(
     if verdict != "strongly_isometric":
         raise GeometryError(
             f"requires a strongly isometric configuration, got {verdict}")
-    points, forms = G.points, G.forms
-    if G.num_conics:
-        M = dilation_to_circle(_conic_of(G.forms[0]))
-        points = apply_affine_points(M, points)
-        forms = affine_images(M.homogeneous(), forms)
+    provenance = {**G.provenance, "transform": "dilation-to-circles"}
+    if not G.num_conics:
+        return GeometricConfiguration._of(
+            G.points, G.forms, G.to_incidence_structure().flag_array, G.tol,
+            provenance)
+    return _moved(G, dilation_to_circle(_conic_of(G.forms[0])), provenance)
+
+
+def _moved(G: GeometricConfiguration, M: AffineMap2,
+           provenance: dict) -> GeometricConfiguration:
+    """G with its points and forms carried through the affine map M, its
+    flag array and tol kept."""
     return GeometricConfiguration._of(
-        points, forms, G.to_incidence_structure().flag_array, G.tol,
-        {**G.provenance, "transform": "dilation-to-circles"})
+        apply_affine_points(M, G.points),
+        affine_images(M.homogeneous(), G.forms),
+        G.to_incidence_structure().flag_array, G.tol, provenance)

@@ -71,12 +71,6 @@ def _props_args(p):
     p.add_argument("-i", "--input", required=True)
 
 
-def _as_incidence(obj) -> IncidenceStructure:
-    if isinstance(obj, GeometricConfiguration):
-        return obj.to_incidence_structure()
-    return obj
-
-
 def _cmd_build(args) -> int:
     write_configuration(BUILDERS[args.builder](args), args.output)
     print(f"wrote {args.output}")
@@ -145,7 +139,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_props(args) -> int:
-    C = _as_incidence(read_configuration(args.input))
+    C = read_configuration(args.input)
+    if isinstance(C, GeometricConfiguration):
+        C = C.to_incidence_structure()
     rep = incidence.property_report(C)
     print(f"signature {incidence.signature(C)}")
     kinds = [name for name, flag in

@@ -55,11 +55,17 @@ class GeometricConfiguration:
         return G
 
     def _set(self, points, forms, flags, tol, provenance):
-        """Check `tol` and (in one array pass) the flags' range; store."""
+        """Check `tol`, that every point is finite and (in one array pass)
+        the flags' range; store."""
         if not (math.isfinite(tol) and tol > 0):
             raise GeometryError(f"tol must be positive and finite, "
                                 f"got {tol!r}")
         pts = np.asarray(points, float).reshape(-1, 2).copy()
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            p = int(np.argmin(finite))
+            raise GeometryError(f"point {p} is not finite: "
+                                f"{pts[p].tolist()}")
         pts.setflags(write=False)
         forms = np.asarray(forms, float).reshape(-1, 3, 3)
         forms.setflags(write=False)

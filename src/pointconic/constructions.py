@@ -29,9 +29,8 @@ from .configuration import GeometricConfiguration, Polytope4
 from .geometry import (DEGENERATE_KINDS, AffineMap2, Conic, GeometryError,
                        Projection4to2, TOL_MERGE, _classify_forms, _conic_of,
                        _five_point_faults, _norm, _normalized_forms,
-                       _residuals, affine_images, apply_affine_points,
-                       carnot_product, carnot_solve_sixth,
-                       conic_forms_from_5_points, cross2,
+                       _residuals, affine_images, carnot_product,
+                       carnot_solve_sixth, conic_forms_from_5_points, cross2,
                        line_conic_intersections, pencil_intersections)
 from .incidence import IncidenceStructure, has_biclique
 
@@ -509,12 +508,8 @@ def product(C1: GeometricConfiguration, C2: GeometricConfiguration,
         ang = rng.uniform(0.1, 1.0)
         R = np.array([[math.cos(ang), -math.sin(ang)],
                       [math.sin(ang), math.cos(ang)]])
-        M = AffineMap2(R, np.zeros(2))
-        C2 = GeometricConfiguration._of(
-            apply_affine_points(M, C2.points),
-            affine_images(M.homogeneous(), C2.forms),
-            C2.to_incidence_structure().flag_array, C2.tol,
-            dict(C2.provenance))
+        C2 = analysis._moved(C2, AffineMap2(R, np.zeros(2)),
+                             dict(C2.provenance))
 
     P1, P2 = C1.points, C2.points
     n1, n2 = len(P1), len(P2)

@@ -576,13 +576,14 @@ def pencil_intersections(forms, pairs):
     degenerate member of the pencil A + lambda*B is split into two lines,
     which are intersected with A; candidates are Newton-polished and kept
     if they lie on both conics, points within TOL_MERGE of each other once.
-    The stack is classified in one `_classify_forms` pass, and every pair
-    is checked first (a degenerate form in a pair, or coincident conics,
-    raise; a degenerate form in no pair is ignored). A broad phase gives
-    count 0 to ellipse pairs that a line separates; the rest are solved in
-    chunks. A point lies within 100 forward error bounds u |v|^T |A| |v|
-    ||J|| / |det J| of the exact common point (J: the Newton Jacobian at
-    v = (x, y, 1)), a tangent one within TOL_MERGE of the touching point.
+    The stack is classified in one `_classify_forms` pass, and a
+    degenerate form in a pair raises before any pair is solved (one in no
+    pair is ignored). A broad phase gives count 0 to ellipse pairs that a
+    line separates; the rest are solved in chunks, and coincident conics,
+    which the broad phase never separates, raise in theirs. A point lies
+    within 100 forward error bounds u |v|^T |A| |v| ||J|| / |det J| of the
+    exact common point (J: the Newton Jacobian at v = (x, y, 1)), a tangent
+    one within TOL_MERGE of the touching point.
     Known faults: a line through the origin loses its points, a tangency
     counts 0, 1 or 3, and the absolute Newton stop leaves points of tiny
     conics up to ~1,600 bounds off. More than 4 distinct points raise.
@@ -594,11 +595,6 @@ def pencil_intersections(forms, pairs):
     kinds = _classify_forms(forms)
     if any(kinds[i] in DEGENERATE_KINDS for i in set(pairs.ravel().tolist())):
         raise GeometryError("degenerate conic input")
-    if any(_coincident(*forms[pairs[s:s + _PAIR_CHUNK].T],
-                       TOL_COINCIDENT).any()
-           for s in range(0, len(pairs), _PAIR_CHUNK)):
-        raise GeometryError(
-            "coincident conics: five or more common points force equality")
     ellipse = np.array([k == "ellipse" for k in kinds], dtype=bool)
     entries = forms.reshape(-1, 9)[:, _COEFFS_FROM_FORM].T
     det = np.linalg.det(forms)
@@ -608,6 +604,9 @@ def pencil_intersections(forms, pairs):
         for s in range(0, len(todo), _PAIR_CHUNK):
             idx = todo[s:s + _PAIR_CHUNK]
             i, j = pairs[idx].T
+            if _coincident(forms[i], forms[j], TOL_COINCIDENT).any():
+                raise GeometryError("coincident conics: five or more common "
+                                    "points force equality")
             xy, pair = _pencil_candidates(forms[i], forms[j], det[i])
             k = idx[pair]
             xy, live = _newton_polish(xy, entries, pairs[k], _CHUNK_STEPS)

@@ -32,9 +32,11 @@ class IncidenceStructure:
     The flags are stored once, as `flag_array`: a read-only (F, 2) int64
     array of distinct rows sorted by (point, block). The constructor takes
     any collection of (point, block) pairs or an (F, 2) integer array, and
-    raises `IncidenceError` on the first flag out of range. `flags`, the
-    frozenset of pairs, and the per-point and per-block sets are built on
-    first use. Structures compare and hash by counts and flag array.
+    raises `IncidenceError` on a count that is not an int >= 0 (numpy ints
+    count, bools and floats do not) and on the first flag out of range.
+    `flags`, the frozenset of pairs, and the per-point and per-block sets
+    are built on first use. Structures compare and hash by counts and flag
+    array.
     """
 
     num_points: int
@@ -42,13 +44,19 @@ class IncidenceStructure:
     flag_array: np.ndarray
 
     def __init__(self, num_points: int, num_blocks: int, flags):
+        for name, n in (("num_points", num_points),
+                        ("num_blocks", num_blocks)):
+            if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                    or n < 0):
+                raise IncidenceError(f"{name} {n!r} is not an int >= 0")
+        num_points, num_blocks = int(num_points), int(num_blocks)
         F, bad = _flag_rows(flags, num_points, num_blocks)
         if bad is not None:
             p, b = bad
             what = (f"point index {p}" if not 0 <= p < num_points
                     else f"block index {b}")
             raise IncidenceError(f"flag {bad}: {what} out of range")
-        vars(self).update(vars(self._of(num_points, num_blocks, F)))
+        self._set(num_points, num_blocks, F)
 
     @classmethod
     def _of(cls, num_points: int, num_blocks: int,
@@ -56,9 +64,12 @@ class IncidenceStructure:
         """The structure of an (F, 2) int64 flag array whose range the
         caller has checked (`_flag_rows`)."""
         C = object.__new__(cls)
-        vars(C).update(num_points=num_points, num_blocks=num_blocks,
-                       flag_array=_sort_flags(F))
+        C._set(num_points, num_blocks, F)
         return C
+
+    def _set(self, num_points: int, num_blocks: int, F: np.ndarray):
+        vars(self).update(num_points=num_points, num_blocks=num_blocks,
+                          flag_array=_sort_flags(F))
 
     def __eq__(self, other):
         return (isinstance(other, IncidenceStructure)
@@ -279,29 +290,15 @@ def _block_pairs(F: np.ndarray, num_blocks: int):
     """(keys, counts): the sorted keys i * num_blocks + j of the block
     pairs i < j that share a point, and how many points each pair shares.
 
-    F is sorted by (point, block), so the block pairs are the pairs of
-    rows with equal points: the offset sweep `_near_pairs` at window 0."""
-    a, b = _near_pairs(F[:, 0], 0)
-    return np.unique(F[a, 1] * num_blocks + F[b, 1], return_counts=True)
-
-
-def block_pair_counts(C: IncidenceStructure) -> dict:
-    """Shared-point count of every block pair (i, j), i < j, that shares a
-    point, in sorted key order.
-
     The counts are the off-diagonal of M^T M for the point-by-block
     incidence matrix M, found by sort and count rather than by a product
-    (Gustavson, ACM TOMS 4, 1978): one pass over the sorted flag array per
-    offset up to the largest point degree d collects the S = sum of
-    C(deg p, 2) pairs, in O(F d) time, and one sort of their keys counts
-    them, in O(S log S)."""
-    return _pair_dict(*_block_pairs(C.flag_array, C.num_blocks), C.num_blocks)
-
-
-def _pair_dict(keys: np.ndarray, counts: np.ndarray, num_blocks: int) -> dict:
-    """{(i, j): count} of the block-pair keys i * num_blocks + j."""
-    i, j = np.divmod(keys, max(num_blocks, 1))
-    return dict(zip(zip(i.tolist(), j.tolist()), counts.tolist()))
+    (Gustavson, ACM TOMS 4, 1978). F is sorted by (point, block), so the
+    block pairs are the pairs of rows with equal points: the offset sweep
+    `_near_pairs` at window 0 makes one pass per offset up to the largest
+    point degree d and collects the S = sum of C(deg p, 2) pairs, in O(F d)
+    time, and one sort of their keys counts them, in O(S log S)."""
+    a, b = _near_pairs(F[:, 0], 0)
+    return np.unique(F[a, 1] * num_blocks + F[b, 1], return_counts=True)
 
 
 def has_biclique(C: IncidenceStructure, s: int, t: int) -> bool:
@@ -539,20 +536,17 @@ def incidence_switch(C: IncidenceStructure, f1, f2) -> IncidenceStructure:
     f1, f2 = tuple(f1), tuple(f2)
     p1, b1 = f1
     p2, b2 = f2
-    F = C.flag_array.copy()
-
-    def present(f):
-        return bool((F == f).all(axis=1).any())
     for f in (f1, f2):
-        if not present(f):
+        if f not in C.flags:
             raise IncidenceError(f"flag {f} not present")
     if p1 == p2:
         raise IncidenceError(f"flags share point {p1}")
     if b1 == b2:
         raise IncidenceError(f"flags share block {b1}")
     for f in ((p1, b2), (p2, b1)):
-        if present(f):
+        if f in C.flags:
             raise IncidenceError(f"switch target flag {f} already present")
+    F = C.flag_array.copy()
     F[(F == f1).all(axis=1), 1] = b2
     F[(F == f2).all(axis=1), 1] = b1
     return IncidenceStructure(C.num_points, C.num_blocks, F)
@@ -635,27 +629,17 @@ SWITCH_FLAG_A = (0, 0)
 SWITCH_FLAG_B = (7, 5)
 
 
-def _anti_miquel_small() -> IncidenceStructure:
-    # One switch between two Miquel copies (copy 2 lives at offsets +8, +6).
-    m = _miquel()
-    C = disjoint_union([m, m])
-    (p1, b1) = SWITCH_FLAG_A
-    (p2, b2) = SWITCH_FLAG_A
-    return incidence_switch(C, (p1, b1), (p2 + 8, b2 + 6))
-
-
-def _anti_miquel_large() -> IncidenceStructure:
-    # Chain of switches through four Miquel copies. Closing the chain into
-    # a ring would make the graph 3-connected; the open chain keeps a
-    # 2-vertex cut at every splice, which is the behaviour documented for
-    # this configuration (strongly circular, 2- but not 3-connected).
-    C = disjoint_union([_miquel() for _ in range(4)])
-    for i in range(3):
-        (pa, ba) = SWITCH_FLAG_A
-        (pb, bb) = SWITCH_FLAG_B
-        g1 = (pa + 8 * i, ba + 6 * i)
-        g2 = (pb + 8 * (i + 1), bb + 6 * (i + 1))
-        C = incidence_switch(C, g1, g2)
+def _miquel_chain(copies: int, into) -> IncidenceStructure:
+    # Switches flag SWITCH_FLAG_A of each Miquel copy with the flag `into` of
+    # the next (copy i lives at offsets +8i, +6i). Closing the chain into a
+    # ring would make the graph 3-connected; the open chain keeps a 2-vertex
+    # cut at every splice, which is the behaviour documented for
+    # anti-miquel-large (strongly circular, 2- but not 3-connected).
+    C = disjoint_union([_miquel()] * copies)
+    (pa, ba), (pb, bb) = SWITCH_FLAG_A, into
+    for i in range(copies - 1):
+        C = incidence_switch(C, (pa + 8 * i, ba + 6 * i),
+                             (pb + 8 * (i + 1), bb + 6 * (i + 1)))
     return C
 
 
@@ -663,8 +647,8 @@ _CATALOG = {
     "miquel": _miquel,
     "fano": _fano,
     "pappus": _pappus,
-    "anti-miquel-small": _anti_miquel_small,
-    "anti-miquel-large": _anti_miquel_large,
+    "anti-miquel-small": lambda: _miquel_chain(2, SWITCH_FLAG_A),
+    "anti-miquel-large": lambda: _miquel_chain(4, SWITCH_FLAG_B),
 }
 
 

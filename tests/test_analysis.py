@@ -29,8 +29,7 @@ from pointconic.geometry import (AffineMap2, Conic, GeometryError, _conic_of,
                                  apply_affine, apply_affine_point,
                                  dilation_to_circle, ellipse_parameters)
 from pointconic.cli import main
-from pointconic.incidence import (block_pair_counts, catalog,
-                                  new_incidence_structure)
+from pointconic.incidence import catalog, new_incidence_structure
 
 
 def _translate_family(num=5, seed=0):
@@ -453,7 +452,7 @@ class TestIntersectionType:
         assert capsys.readouterr().out.splitlines()[:2] == [
             "signature (5832_6)", "intersection type {1,2}"]
         C = cube.to_incidence_structure()
-        assert t.per_pair == block_pair_counts(C)
+        assert t.per_pair == intersection_type_combinatorial(C).per_pair
         assert len(t.per_pair) == 78732 and t.per_pair is t.per_pair
         assert t == intersection_type_combinatorial(C)
 
@@ -532,6 +531,12 @@ class TestIsometry:
 
     def test_translates_strong(self):
         assert isometry_check(_translate_family()) == "strongly_isometric"
+
+    def test_congruent_circles_strong(self):
+        conics = (ellipse_conic((0, 0), 1, 1, 0),
+                  ellipse_conic((3, 0), 1, 1, 0))
+        G = GeometricConfiguration(np.zeros((0, 2)), conics, frozenset())
+        assert isometry_check(G) == "strongly_isometric"
 
     def test_not_isometric(self):
         conics = (ellipse_conic((0, 0), 1, 0.5, 0),

@@ -165,6 +165,10 @@ class TestDipyramid:
             six = [np.asarray(G.points[i], float) for i in pts]
             assert abs(carnot_product(tri, six) - 1.0) < 1e-6
 
+    def test_too_few_sides(self):
+        with pytest.raises(ConstructionError, match="n >= 3"):
+            dipyramid_carnot(2)
+
 
 class TestProduct:
     def test_counts(self):
@@ -188,6 +192,16 @@ class TestProduct:
         with pytest.raises(ConstructionError):
             product(G, G)
         assert audit(product(G, G, genericize=True, seed=1)).passed
+
+    def test_coinciding_translates_refused(self):
+        # One point and one conic: both translates of the conic are the
+        # conic moved by that point, twice.
+        one = GeometricConfiguration([[1.0, 0.0]],
+                                     (Conic.from_coeffs(1, 0, 1, 0, 0, -1),),
+                                     [(0, 0)])
+        with pytest.raises(ConstructionError,
+                           match="translated conics coincide"):
+            product(one, one)
 
     def test_signature_arithmetic(self):
         rng = np.random.default_rng(0)

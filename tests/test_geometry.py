@@ -405,6 +405,8 @@ class TestFitting:
     def test_central_conic_degenerate(self):
         with pytest.raises(GeometryError):
             central_conic_from_pairs((0, 0), [(1, 0), (2, 0), (3, 0)])
+        with pytest.raises(GeometryError, match="exactly three"):
+            central_conic_from_pairs((0, 0), [(1, 0), (0, 1)])
 
     # A hexagon: its center, two representatives and a third that is
     # either free or a multiple of the first about the center (a singular
@@ -616,6 +618,15 @@ class TestIntersections:
         pts = line_conic_intersections(UNIT_CIRCLE, (-2, 1), (2, 1))
         assert len(pts) == 1  # tangent reported once
         assert not line_conic_intersections(UNIT_CIRCLE, (-2, 2), (2, 2))
+
+    def test_line_conic_one_root(self):
+        # A line parallel to the parabola's axis meets it once; the
+        # hyperbola's asymptote meets it nowhere in the affine plane.
+        parabola = Conic.from_coeffs(1, 0, 0, 0, -1, 0)
+        pts = line_conic_intersections(parabola, (1, 0), (1, 1))
+        assert len(pts) == 1 and np.allclose(pts[0], (1, 1), atol=1e-12)
+        hyperbola = Conic.from_coeffs(0, 1, 0, 0, 0, -1)
+        assert line_conic_intersections(hyperbola, (0, 0), (1, 0)) == []
 
 
 class TestSignedRatioAndCarnot:

@@ -1,6 +1,7 @@
 """Unit tests for the combinatorial incidence core."""
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,25 @@ class TestBasics:
             new_incidence_structure(2, 2, [(0, 5)])
         C = new_incidence_structure(2, 2, [(0, 0), (0, 0)])
         assert len(C.flags) == 1
+
+    @pytest.mark.parametrize("num_points, num_blocks, flags", [
+        (-1, 2, []), (2.5, 2, [(0, 0)]), (True, 1, [(0, 0)]),
+        (2, np.float64(2.0), []), (1, np.bool_(True), [(0, 0)])])
+    def test_counts_are_ints(self, num_points, num_blocks, flags):
+        # A bool or a float is no count, as in the reader; such a structure
+        # used to construct and fail later, inside `signature`.
+        for make in (incidence.IncidenceStructure, new_incidence_structure):
+            with pytest.raises(IncidenceError, match="is not an int >= 0"):
+                make(num_points, num_blocks, flags)
+
+    def test_numpy_counts_stored_as_ints(self):
+        with mock.patch.object(incidence.IncidenceStructure, "_of",
+                               side_effect=AssertionError):
+            C = new_incidence_structure(np.int64(2), np.int32(1),
+                                        [(0, 0), (1, 0)])
+        assert type(C.num_points) is int and type(C.num_blocks) is int
+        assert C == new_incidence_structure(2, 1, [(0, 0), (1, 0)])
+        assert str(signature(C)) == "(2_1,1_2)"
 
     def test_accessors(self):
         C = catalog("miquel")
@@ -199,7 +219,7 @@ class TestFlagArray:
         assert F.dtype == "int64" and F.shape == (len(C.flags), 2)
         assert not F.flags.writeable
         assert list(map(tuple, F.tolist())) == sorted(C.flags)
-        counts = incidence.block_pair_counts(C)
+        counts = intersection_type_combinatorial(C).per_pair
         assert list(counts.items()) == list(pairwise_block_meets(C).items())
         sig = signature(C)
         assert (sig.p, sig.q, sig.n, sig.k) == index_signature(C)
@@ -232,7 +252,7 @@ class TestFlagArray:
         G = crossed_ellipses()
         C = G.to_incidence_structure()
         F = C.flag_array
-        signature(C), incidence.block_pair_counts(C)
+        signature(C), intersection_type_combinatorial(C).per_pair
         assert C.flag_array is F
         assert G.flags is C.flags
 
