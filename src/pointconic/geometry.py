@@ -875,23 +875,14 @@ def project_conic_plane(P: Projection4to2, center, u, v,
                         planar_conic: Conic) -> Conic:
     """Project a conic living in the 2-plane center + span(u, v) of E^4.
 
-    The conic is given in (u, v) coordinates; five sample points are mapped
-    through the projection and refitted.
+    The conic is given in (u, v) coordinates. The map (x, y) -> P(center +
+    x u + y v) from the plane to the image is affine, so the image is the
+    conic's `affine_images` under it.
     """
-    center = np.asarray(center, float)
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    img = np.column_stack([P.map @ u, P.map @ v])
-    s = np.linalg.svd(img, compute_uv=False)
+    H = np.vstack([np.column_stack([P.map @ np.asarray(a, float)
+                                    for a in (u, v, center)]),
+                   [0.0, 0.0, 1.0]])
+    s = np.linalg.svd(H[:2, :2], compute_uv=False)
     if s[1] < 1e-10 * max(s[0], 1.0):
         raise GeometryError("plane projects degenerately")
-    c2, a, b, ang = ellipse_parameters(planar_conic)
-    R = np.array([[math.cos(ang), -math.sin(ang)],
-                  [math.sin(ang), math.cos(ang)]])
-    samples = []
-    for k in range(5):
-        t = 2 * math.pi * k / 5
-        xy = c2 + R @ np.array([a * math.cos(t), b * math.sin(t)])
-        q4 = center + xy[0] * u + xy[1] * v
-        samples.append(P.map @ q4)
-    return conic_from_5_points(samples)
+    return _conic_of(affine_images(H, planar_conic.form)[0])

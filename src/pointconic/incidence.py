@@ -533,37 +533,46 @@ def are_isomorphic(C1: IncidenceStructure, C2: IncidenceStructure) -> bool:
 
 def incidence_switch(C: IncidenceStructure, f1, f2) -> IncidenceStructure:
     """Exchange the block ends of two flags, preserving all degrees."""
-    f1, f2 = tuple(f1), tuple(f2)
-    p1, b1 = f1
-    p2, b2 = f2
-    for f in (f1, f2):
-        if f not in C.flags:
-            raise IncidenceError(f"flag {f} not present")
-    if p1 == p2:
-        raise IncidenceError(f"flags share point {p1}")
-    if b1 == b2:
-        raise IncidenceError(f"flags share block {b1}")
-    for f in ((p1, b2), (p2, b1)):
-        if f in C.flags:
-            raise IncidenceError(f"switch target flag {f} already present")
-    F = C.flag_array.copy()
-    F[(F == f1).all(axis=1), 1] = b2
-    F[(F == f2).all(axis=1), 1] = b1
-    return IncidenceStructure(C.num_points, C.num_blocks, F)
+    return _cascade([C], [(f1, f2)])
 
 
-def _offsets(parts) -> np.ndarray:
-    """The (point, block) offset of each part, and the totals last."""
-    return np.cumsum([(0, 0)] + [(c.num_points, c.num_blocks)
-                                 for c in parts], axis=0)
+def _cascade(parts, switches) -> IncidenceStructure:
+    """The disjoint union of `parts`, with switch i exchanging the block
+    ends of a flag of part i and a flag of part (i + 1) mod n, both in
+    part-local indices, in order.
+
+    The parts' flag arrays are offset into one array. Each switch is
+    checked against the flags that the earlier ones left, through one flag
+    -> row dict, by `incidence_switch`'s four checks in its order, and its
+    texts name union indices; the structure is constructed once."""
+    shifts = np.cumsum([(0, 0)] + [(c.num_points, c.num_blocks)
+                                   for c in parts], axis=0)
+    F = np.concatenate([np.zeros((0, 2), np.int64)]
+                       + [c.flag_array + s for c, s in zip(parts, shifts)])
+    shifts = shifts.tolist()
+    row = dict(zip(zip(*F.T.tolist()), range(len(F)))) if switches else {}
+    for i, ((pa, ba), (pb, bb)) in enumerate(switches):
+        (dp1, db1), (dp2, db2) = shifts[i], shifts[(i + 1) % len(parts)]
+        f1, f2 = (pa + dp1, ba + db1), (pb + dp2, bb + db2)
+        (p1, b1), (p2, b2) = f1, f2
+        for f in (f1, f2):
+            if f not in row:
+                raise IncidenceError(f"flag {f} not present")
+        if p1 == p2:
+            raise IncidenceError(f"flags share point {p1}")
+        if b1 == b2:
+            raise IncidenceError(f"flags share block {b1}")
+        for f in ((p1, b2), (p2, b1)):
+            if f in row:
+                raise IncidenceError(f"switch target flag {f} already present")
+        r1, r2 = row.pop(f1), row.pop(f2)
+        row[p1, b2], row[p2, b1] = r1, r2
+        F[r1, 1], F[r2, 1] = b2, b1
+    return IncidenceStructure._of(*shifts[-1], F)
 
 
 def disjoint_union(parts) -> IncidenceStructure:
-    parts = list(parts)
-    shifts = _offsets(parts)
-    return IncidenceStructure(*shifts[-1].tolist(), np.concatenate(
-        [np.zeros((0, 2), np.int64)]
-        + [c.flag_array + s for c, s in zip(parts, shifts)]))
+    return _cascade(list(parts), [])
 
 
 def cyclic_cascade(parts, switch_spec) -> IncidenceStructure:
@@ -571,7 +580,8 @@ def cyclic_cascade(parts, switch_spec) -> IncidenceStructure:
 
     `switch_spec` holds one (flag-in-part-i, flag-in-part-i+1) pair per
     cyclic adjacency, in part-local indices; a single part with an empty
-    spec is returned unchanged.
+    spec is returned unchanged. A flag outside its part is refused before
+    any switch.
     """
     parts = list(parts)
     if not parts:
@@ -581,15 +591,14 @@ def cyclic_cascade(parts, switch_spec) -> IncidenceStructure:
     if len(switch_spec) != len(parts):
         raise IncidenceError("need exactly one switch pair per cyclic "
                              "adjacency of parts")
-    offsets = _offsets(parts).tolist()
-    C = disjoint_union(parts)
     for i, (fa, fb) in enumerate(switch_spec):
-        j = (i + 1) % len(parts)
-        (pa, ba), (pb, bb) = tuple(fa), tuple(fb)
-        g1 = (pa + offsets[i][0], ba + offsets[i][1])
-        g2 = (pb + offsets[j][0], bb + offsets[j][1])
-        C = incidence_switch(C, g1, g2)
-    return C
+        for k, (p, b) in ((i, fa), ((i + 1) % len(parts), fb)):
+            c = parts[k]
+            if not (0 <= p < c.num_points and 0 <= b < c.num_blocks):
+                raise IncidenceError(
+                    f"switch {i}: flag {(p, b)} lies outside part {k} "
+                    f"({c.num_points} points, {c.num_blocks} blocks)")
+    return _cascade(parts, switch_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -631,16 +640,12 @@ SWITCH_FLAG_B = (7, 5)
 
 def _miquel_chain(copies: int, into) -> IncidenceStructure:
     # Switches flag SWITCH_FLAG_A of each Miquel copy with the flag `into` of
-    # the next (copy i lives at offsets +8i, +6i). Closing the chain into a
-    # ring would make the graph 3-connected; the open chain keeps a 2-vertex
-    # cut at every splice, which is the behaviour documented for
-    # anti-miquel-large (strongly circular, 2- but not 3-connected).
-    C = disjoint_union([_miquel()] * copies)
-    (pa, ba), (pb, bb) = SWITCH_FLAG_A, into
-    for i in range(copies - 1):
-        C = incidence_switch(C, (pa + 8 * i, ba + 6 * i),
-                             (pb + 8 * (i + 1), bb + 6 * (i + 1)))
-    return C
+    # the next. Closing the chain into a ring would make the graph
+    # 3-connected; the open chain keeps a 2-vertex cut at every splice,
+    # which is the behaviour documented for anti-miquel-large (strongly
+    # circular, 2- but not 3-connected).
+    return _cascade([_miquel()] * copies,
+                    [(SWITCH_FLAG_A, into)] * (copies - 1))
 
 
 _CATALOG = {

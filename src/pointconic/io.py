@@ -127,6 +127,8 @@ def to_document(obj, name: str | None = None) -> dict:
             doc["name"] = name
         return doc
     if isinstance(obj, GeometricConfiguration):
+        if name is not None:
+            raise InterfaceError("a geometric document has no name")
         return {"kind": "geometric",
                 "points": obj.points.tolist(),
                 "conics": forms_coeffs(obj.forms).tolist(),

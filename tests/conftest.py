@@ -28,8 +28,8 @@ from pointconic.geometry import (COND_WARN, TOL_COINCIDENT, TOL_MERGE,
                                  AffineMap2, Conic, GeometryError, _axis_angle,
                                  _conic_of, _kind, conic_conic_intersections,
                                  cross2, pencil_intersections, project)
-from pointconic.incidence import (IncidenceStructure, LeviGraph,
-                                  new_incidence_structure)
+from pointconic.incidence import (IncidenceError, IncidenceStructure,
+                                  LeviGraph, new_incidence_structure)
 from pointconic.io import InterfaceError
 from pointconic.svg import SceneStyle
 
@@ -195,6 +195,38 @@ def index_signature(C: IncidenceStructure) -> tuple:
     q = pdeg.pop() if len(pdeg) == 1 else None
     k = bdeg.pop() if len(bdeg) == 1 else None
     return (C.num_points, q, C.num_blocks, k)
+
+
+def sequential_switches(parts, switches) -> IncidenceStructure:
+    """The disjoint union of `parts` with switch i exchanging the block ends
+    of a flag of part i mod n and a flag of part (i + 1) mod n, given in
+    part-local indices: one switch at a time on a set of flag tuples, with
+    `incidence_switch`'s four checks in its order and its texts in union
+    indices. The IncidenceError of a failed switch carries its index as
+    `switch`."""
+    offsets, flags = [(0, 0)], set()
+    for c in parts:
+        dp, db = offsets[-1]
+        flags |= {(p + dp, b + db) for (p, b) in c.flags}
+        offsets.append((dp + c.num_points, db + c.num_blocks))
+    for i, ((pa, ba), (pb, bb)) in enumerate(switches):
+        (dp1, db1) = offsets[i % len(parts)]
+        (dp2, db2) = offsets[(i + 1) % len(parts)]
+        f1, f2 = (pa + dp1, ba + db1), (pb + dp2, bb + db2)
+        (p1, b1), (p2, b2) = f1, f2
+        targets = [(p1, b2), (p2, b1)]
+        texts = ([f"flag {f} not present" for f in (f1, f2)
+                  if f not in flags]
+                 + [f"flags share point {p1}"] * (p1 == p2)
+                 + [f"flags share block {b1}"] * (b1 == b2)
+                 + [f"switch target flag {f} already present"
+                    for f in targets if f in flags])
+        if texts:
+            error = IncidenceError(texts[0])
+            error.switch = i
+            raise error
+        flags = (flags - {f1, f2}) | set(targets)
+    return IncidenceStructure(*offsets[-1], sorted(flags))
 
 
 # ---------------------------------------------------------------------------

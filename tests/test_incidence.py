@@ -1,4 +1,5 @@
 """Unit tests for the combinatorial incidence core."""
+import collections
 import math
 import random
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import (brute_force_biclique, index_signature, nx_girth,
                       nx_local_connectivities, nx_vertex_connectivity,
                       pairwise_block_meets, scan_blocks_of_point,
-                      scan_points_of_block)
+                      scan_points_of_block, sequential_switches)
 from pointconic import incidence
 from pointconic.analysis import intersection_type_combinatorial
 from pointconic.constructions import (cell24, crossed_ellipses,
@@ -663,6 +664,89 @@ class TestSwitchAndCascade:
         m = catalog("miquel")
         with pytest.raises(IncidenceError, match="one switch pair"):
             cyclic_cascade([m, m], [((0, 0), (7, 5))])
+
+    @pytest.mark.parametrize("spec, text", [
+        # (8, 6) is part 1's (0, 0) in union indices, so without the range
+        # check the switch meant for part 0 exchanges two flags of part 1.
+        ([((8, 6), (7, 5)), ((0, 2), (7, 3))],
+         "switch 0: flag (8, 6) lies outside part 0 (8 points, 6 blocks)"),
+        ([((0, 0), (7, 5)), ((0, 2), (7, -1))],
+         "switch 1: flag (7, -1) lies outside part 0 (8 points, 6 blocks)"),
+        ([((0, 0), (7, 6)), ((0, 2), (7, 3))],
+         "switch 0: flag (7, 6) lies outside part 1 (8 points, 6 blocks)")])
+    def test_cascade_flag_outside_part(self, spec, text):
+        m = catalog("miquel")
+        with pytest.raises(IncidenceError) as exc:
+            cyclic_cascade([m, m], spec)
+        assert str(exc.value) == text
+
+    def test_one_pass_matches_sequential(self):
+        # Random switches over copies of Miquel, Fano and Pappus: equal
+        # structures, or the same error text at the same switch. Chained
+        # `incidence_switch` calls draw from the flags of the structure so
+        # far, so later switches take flags that earlier ones made; a
+        # refused switch is dropped from the chain.
+        pool = [catalog(name) for name in ("miquel", "fano", "pappus")]
+        seen = collections.Counter()
+
+        def flag(c):
+            if rng.random() < 0.8:
+                return rng.choice(sorted(c.flags))
+            return rng.randrange(c.num_points), rng.randrange(c.num_blocks)
+
+        def outcome(run):
+            try:
+                return run()
+            except IncidenceError as exc:
+                return str(exc)
+
+        for seed in range(60):
+            rng = random.Random(seed)
+            parts = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+            n = len(parts)
+            spec = [(flag(parts[i]), flag(parts[(i + 1) % n]))
+                    for i in range(n)]
+            expected = outcome(lambda: sequential_switches(parts, spec))
+            assert outcome(lambda: cyclic_cascade(parts, spec)) == expected
+            seen["cascade refused" if isinstance(expected, str)
+                 else "cascade"] += 1
+            assert disjoint_union(parts) == sequential_switches(parts, [])
+            base = C = parts[0]
+            switches = []
+            for _ in range(12):
+                switches.append((flag(C), flag(C)))
+                made = set(switches[-1]) & (C.flags - base.flags)
+                try:
+                    C = incidence_switch(C, *switches[-1])
+                except IncidenceError as exc:
+                    with pytest.raises(IncidenceError) as ref:
+                        sequential_switches([base], switches)
+                    assert (ref.value.switch, str(ref.value)) == \
+                        (len(switches) - 1, str(exc))
+                    seen["refused"] += 1
+                    switches.pop()
+                    continue
+                assert C == sequential_switches([base], switches)
+                seen["switched"] += 1
+                seen["made"] += bool(made)
+        assert len(seen) == 5, seen
+
+    def test_anti_miquel_chains_match_sequential(self):
+        m = catalog("miquel")
+        assert catalog("anti-miquel-small") == \
+            sequential_switches([m] * 2, [((0, 0), (0, 0))])
+        assert catalog("anti-miquel-large") == \
+            sequential_switches([m] * 4, [((0, 0), (7, 5))] * 3)
+
+    def test_cascade_constructed_once(self):
+        # One sort of one flag array, however many switches: switching
+        # stays linear in the parts.
+        m = catalog("miquel")
+        with mock.patch.object(incidence, "_sort_flags",
+                               wraps=incidence._sort_flags) as sort:
+            C = cyclic_cascade([m] * 50, [((0, 0), (7, 5))] * 50)
+        assert sort.call_count == 1
+        assert C == sequential_switches([m] * 50, [((0, 0), (7, 5))] * 50)
 
 
 class TestCatalog:

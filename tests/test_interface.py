@@ -89,6 +89,15 @@ class TestRoundTrip:
             assert doc.get("name") == name
             assert type(read_configuration(path)) is type(obj)
 
+    def test_geometric_name_refused(self, tmp_path):
+        # The geometric schema has no name, so the writer must not drop one.
+        G, path = crossed_ellipses(), tmp_path / "g.json"
+        with pytest.raises(InterfaceError, match="geometric document"):
+            to_document(G, name="x")
+        with pytest.raises(InterfaceError, match="geometric document"):
+            write_configuration(G, path, name="x")
+        assert not path.exists()
+
 
 def _translates() -> GeometricConfiguration:
     """Translates of one ellipse, each through one flagged point: a
