@@ -32,7 +32,7 @@ from .geometry import (DEGENERATE_KINDS, AffineMap2, Conic, GeometryError,
                        _residuals, affine_images, carnot_product,
                        carnot_solve_sixth, conic_forms_from_5_points, cross2,
                        line_conic_intersections, pencil_intersections)
-from .incidence import IncidenceStructure, has_biclique
+from .incidence import IncidenceStructure, _rows, dual, has_biclique
 
 RETRY_BUDGET = 1000
 
@@ -734,13 +734,12 @@ def realize_lineal_by_circles(C: IncidenceStructure,
                               seed: int = 0) -> GeometricConfiguration:
     """Realize a lineal 3-configuration by points in general position and
     the circles through its triples."""
-    sizes = {C.block_size(b) for b in range(C.num_blocks)}
-    if sizes - {3}:
+    blocks = _rows(dual(C))
+    if any(len(members) != 3 for members in blocks):
         raise ConstructionError("all block sizes must be 3")
     if has_biclique(C, 2, 2):
         raise ConstructionError("structure is not lineal")
-    F = C.flag_array
-    triples = F[np.lexsort(F.T), 0].reshape(-1, 3)  # by block, then point
+    triples = np.array(blocks, dtype=np.int64).reshape(-1, 3)
     return _realize(C, seed, lambda rng, pts: _circle_forms(pts[triples]),
                     "realize_lineal_by_circles", "circle realization")
 
@@ -752,9 +751,9 @@ def realize_by_conics(C: IncidenceStructure,
     generic points that are not part of the configuration)."""
     if has_biclique(C, 5, 2):
         raise ConstructionError("structure has a K_{5,2}; not conical")
-    if any(C.block_size(b) > 5 for b in range(C.num_blocks)):
+    blocks = _rows(dual(C))
+    if any(len(members) > 5 for members in blocks):
         raise ConstructionError("block sizes must be at most 5")
-    blocks = [sorted(members) for members in C.block_point_sets]
     return _realize(C, seed, lambda rng, pts: np.reshape(
         [_conic_through_padded(rng, pts, m) for m in blocks], (-1, 3, 3)),
         "realize_by_conics", "conic realization")

@@ -3,10 +3,10 @@
 Points and blocks are 0-based indices in disjoint namespaces; a flag is a
 (point, block) pair. A structure stores its flags once, as one sorted int64
 array, which signatures, block-pair counts, audits, products and the writer
-read; the `flags` frozenset and the per-point and per-block sets are built
-from it on first use. Girth and vertex connectivity run on the structure's
-incidence index, read as the Levi graph's adjacency. networkx serves only
-`LeviGraph.graph` and `are_isomorphic`, and is imported there.
+read; `dual` is the one sort by block, and the Levi adjacency and the
+realizers read rows cut off the sorted arrays. The `flags` frozenset and
+the accessors' per-point and per-block sets are built on first use.
+networkx serves only `LeviGraph.graph` and `are_isomorphic`, imported there.
 """
 from __future__ import annotations
 
@@ -34,9 +34,9 @@ class IncidenceStructure:
     any collection of (point, block) pairs or an (F, 2) integer array, and
     raises `IncidenceError` on a count that is not an int >= 0 (numpy ints
     count, bools and floats do not) and on the first flag out of range.
-    `flags`, the frozenset of pairs, and the per-point and per-block sets
-    are built on first use. Structures compare and hash by counts and flag
-    array.
+    `flags`, the frozenset of pairs, and the accessors' per-point and
+    per-block sets are built on first use; an index outside [0, n) raises
+    IndexError. Structures compare and hash by counts and flag array.
     """
 
     num_points: int
@@ -68,8 +68,14 @@ class IncidenceStructure:
         return C
 
     def _set(self, num_points: int, num_blocks: int, F: np.ndarray):
+        """Store the counts and the distinct rows of F sorted by (point,
+        block), as a new read-only array."""
+        F = F[np.lexsort((F[:, 1], F[:, 0]))]
+        if len(F) > 1:
+            F = F[np.concatenate([[True], (F[1:] != F[:-1]).any(axis=1)])]
+        F.setflags(write=False)
         vars(self).update(num_points=num_points, num_blocks=num_blocks,
-                          flag_array=_sort_flags(F))
+                          flag_array=F)
 
     def __eq__(self, other):
         return (isinstance(other, IncidenceStructure)
@@ -87,33 +93,42 @@ class IncidenceStructure:
 
     @cached_property
     def _index(self) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...]]:
-        """(blocks of each point, points of each block): the block column of
-        the flag array cut at each point's offset, and the point column of
-        its dual's sort at each block's."""
-        def cut(F, n):
-            ends = np.searchsorted(F[:, 0], np.arange(1, n + 1)).tolist()
-            values = F[:, 1].tolist()
-            return tuple(frozenset(values[a:b])
-                         for a, b in zip([0] + ends, ends))
-        F = self.flag_array
-        return (cut(F, self.num_points),
-                cut(_sort_flags(F[:, ::-1]), self.num_blocks))
+        """(blocks of each point, points of each block): the rows of the
+        structure and of its dual, as sets."""
+        return (tuple(map(frozenset, _rows(self))),
+                tuple(map(frozenset, _rows(dual(self)))))
 
     def point_degree(self, p: int) -> int:
-        return len(self._index[0][p])
+        return len(self.blocks_of_point(p))
 
     def block_size(self, b: int) -> int:
-        return len(self._index[1][b])
+        return len(self.points_of_block(b))
 
     def points_of_block(self, b: int) -> frozenset:
-        return self._index[1][b]
+        return self._index[1][_checked(b, self.num_blocks, "block")]
 
     def blocks_of_point(self, p: int) -> frozenset:
-        return self._index[0][p]
+        return self._index[0][_checked(p, self.num_points, "point")]
 
     @property
     def block_point_sets(self) -> list[frozenset]:
         return list(self._index[1])
+
+
+def _checked(i, n: int, what: str):
+    """`i`, or IndexError naming it when it lies outside [0, n)."""
+    if not 0 <= i < n:
+        raise IndexError(f"{what} index {i!r} out of range [0, {n})")
+    return i
+
+
+def _rows(C: IncidenceStructure) -> list[list[int]]:
+    """Each point's blocks, ascending: the block column of the flag array
+    cut at each point's offset. `_rows(dual(C))` gives each block's points."""
+    F = C.flag_array
+    ends = np.searchsorted(F[:, 0], np.arange(1, C.num_points + 1)).tolist()
+    values = F[:, 1].tolist()
+    return [values[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _int64_rows(rows) -> np.ndarray | None:
@@ -158,16 +173,6 @@ def _flag_rows(flags, num_points: int, num_blocks: int):
     return F.astype(np.int64, copy=False), None
 
 
-def _sort_flags(F: np.ndarray) -> np.ndarray:
-    """The distinct rows of the flag array F sorted by (point, block), as a
-    new read-only array."""
-    F = F[np.lexsort((F[:, 1], F[:, 0]))]
-    if len(F) > 1:
-        F = F[np.concatenate([[True], (F[1:] != F[:-1]).any(axis=1)])]
-    F.setflags(write=False)
-    return F
-
-
 @dataclass(frozen=True)
 class LeviGraph:
     """Coloured bipartite incidence graph of `structure`; black = points
@@ -197,12 +202,11 @@ class LeviGraph:
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbours of each node, read off the index: point p is node p,
-        block b is node num_points + b."""
-        blocks_of, points_of = self.structure._index
-        P = self.structure.num_points
-        return (tuple(tuple(P + b for b in bs) for bs in blocks_of)
-                + tuple(map(tuple, points_of)))
+        """Each node's neighbours, ascending, the rows of C and its dual:
+        point p is node p, block b is node num_points + b."""
+        C = self.structure
+        return (tuple(tuple(map(C.num_points.__add__, bs)) for bs in _rows(C))
+                + tuple(map(tuple, _rows(dual(C)))))
 
 
 @dataclass(frozen=True)
@@ -249,8 +253,8 @@ def levi_graph(C: IncidenceStructure) -> LeviGraph:
 
 
 def dual(C: IncidenceStructure) -> IncidenceStructure:
-    return IncidenceStructure(C.num_blocks, C.num_points,
-                              C.flag_array[:, ::-1])
+    return IncidenceStructure._of(C.num_blocks, C.num_points,
+                                  C.flag_array[:, ::-1])
 
 
 def _common(degrees: np.ndarray) -> int | None:
@@ -506,13 +510,15 @@ def property_report(C: IncidenceStructure) -> PropertyReport:
     lineal = shared_points < 2
     circular = shared_points < 3
     conical = shared_points < 5
-    shared_blocks = (int(_block_pairs(_sort_flags(F[:, ::-1]), C.num_points)[1]
+    shared_blocks = (int(_block_pairs(dual(C).flag_array, C.num_points)[1]
                          .max(initial=0)) if conical else None)
     strongly_circular = circular and shared_blocks < 3
     strongly_conical = conical and shared_blocks < 5
+    # Two blocks that share two points close a 4-cycle, the shortest a
+    # bipartite graph can have; only a lineal structure needs the search.
     L = levi_graph(C)
-    g = girth(L)
-    if lineal != (g >= 6):
+    g = girth(L) if lineal else 4
+    if lineal and g < 6:
         raise IncidenceError(
             f"lineality/girth cross-check failed: lineal={lineal}, girth={g}")
     return PropertyReport(lineal, circular, strongly_circular, conical,

@@ -124,6 +124,8 @@ def to_document(obj, name: str | None = None) -> dict:
                "blocks": obj.num_blocks,
                "flags": obj.flag_array.tolist()}
         if name is not None:
+            if not isinstance(name, str):
+                raise InterfaceError(f"document name {name!r} is not a string")
             doc["name"] = name
         return doc
     if isinstance(obj, GeometricConfiguration):

@@ -69,6 +69,19 @@ class TestBasics:
         assert len(C.points_of_block(2)) == 4
         assert len(C.blocks_of_point(5)) == 3
 
+    def test_accessors_refuse_indices_outside_range(self):
+        # A negative index used to wrap around: points_of_block(-1) gave
+        # block 6's points, point_degree(-7) point 0's degree.
+        C, G = catalog("fano"), crossed_ellipses()
+        for accessor, n in ((C.point_degree, 7), (C.block_size, 7),
+                            (C.points_of_block, 7), (C.blocks_of_point, 7),
+                            (G.points_of_conic, G.num_conics),
+                            (G.conics_of_point, G.num_points)):
+            accessor(0), accessor(n - 1)
+            for index in (-1, -n, n, n + 1):
+                with pytest.raises(IndexError, match=f" index {index} "):
+                    accessor(index)
+
     def test_levi_graph(self):
         L = levi_graph(catalog("miquel"))
         assert len(L.black) == 8 and len(L.white) == 6
@@ -502,6 +515,24 @@ class TestBicliques:
         assert not has_biclique(C, 3, 2)
 
 
+# Every builder, a product and both realizers.
+_SCENES = {
+    "crossed_ellipses": crossed_ellipses,
+    "polygon_ring": lambda: polygon_ring(5),
+    "qcube_48": qcube_48,
+    "richter_gebert": lambda: richter_gebert(seed=1),
+    "dipyramid_carnot": lambda: dipyramid_carnot(4, seed=3),
+    "pmn": lambda: pmn(4, 6),
+    "cell24": cell24,
+    "product": lambda: product(dipyramid_carnot(3, seed=0),
+                               dipyramid_carnot(3, seed=0), genericize=True,
+                               seed=1),
+    "realize_lineal_by_circles":
+        lambda: realize_lineal_by_circles(catalog("pappus"), seed=0),
+    "realize_by_conics": lambda: realize_by_conics(catalog("miquel"), seed=0),
+}
+
+
 def _predicates(C, biclique) -> tuple:
     """The report's five biclique verdicts, asked one (s, t) at a time."""
     circular = not biclique(C, 3, 2)
@@ -527,17 +558,7 @@ class TestPropertyReportPredicates:
         assert _reported(C) == _predicates(C, has_biclique) == \
             _predicates(C, brute_force_biclique)
 
-    @pytest.mark.parametrize("build", [
-        crossed_ellipses, lambda: polygon_ring(5), qcube_48,
-        lambda: richter_gebert(seed=1), lambda: dipyramid_carnot(4, seed=3),
-        lambda: pmn(4, 6), cell24,
-        lambda: product(dipyramid_carnot(3, seed=0),
-                        dipyramid_carnot(3, seed=0), genericize=True, seed=1),
-        lambda: realize_lineal_by_circles(catalog("pappus"), seed=0),
-        lambda: realize_by_conics(catalog("miquel"), seed=0)],
-        ids=["crossed_ellipses", "polygon_ring", "qcube_48", "richter_gebert",
-             "dipyramid_carnot", "pmn", "cell24", "product",
-             "realize_lineal_by_circles", "realize_by_conics"])
+    @pytest.mark.parametrize("build", _SCENES.values(), ids=_SCENES)
     def test_builders(self, build):
         C = build().to_incidence_structure()
         assert _reported(C) == _predicates(C, has_biclique)
@@ -547,6 +568,55 @@ class TestPropertyReportPredicates:
     def test_random_structures(self, C):
         assert _reported(C) == _predicates(C, has_biclique) == \
             _predicates(C, brute_force_biclique)
+
+
+class TestSortedFlagReaders:
+    """`dual` is the one sort by block. The Levi adjacency, property_report
+    and the realizers read rows cut off the sorted flag arrays and leave
+    the frozenset index, which only the public accessors need, unbuilt;
+    property_report takes girth 4 from the pair counts when two blocks
+    share two points."""
+
+    @staticmethod
+    def _check(C):
+        L = levi_graph(C)
+        got, want = property_report(C).girth, nx_girth(L)
+        assert got == want and type(got) is type(want)
+        assert dual(C) == incidence.IncidenceStructure(
+            C.num_blocks, C.num_points, C.flag_array[:, ::-1])
+        assert "_index" not in vars(C)
+        blocks_of, points_of = C._index
+        P = C.num_points
+        rows = L._adjacency
+        assert all(list(row) == sorted(set(row)) for row in rows)
+        assert list(map(frozenset, rows)) == (
+            [frozenset(P + b for b in bs) for bs in blocks_of]
+            + list(points_of))
+
+    @pytest.mark.parametrize("name", sorted(_FIXED))
+    def test_fixed_structures(self, name):
+        self._check(_FIXED[name]())
+
+    @pytest.mark.parametrize("build", _SCENES.values(), ids=_SCENES)
+    def test_scenes(self, build):
+        self._check(build().to_incidence_structure())
+
+    @given(st.one_of(structures(), dense_structures(), sparse_structures(),
+                     forests(), irregular_structures()))
+    @settings(max_examples=300, deadline=None)
+    def test_random_structures(self, C):
+        self._check(C)
+
+    @pytest.mark.parametrize("read", [
+        property_report, dual, lambda C: has_biclique(C, 2, 5),
+        lambda C: realize_by_conics(C, seed=0),
+        lambda C: realize_lineal_by_circles(C, seed=1)],
+        ids=["property_report", "dual", "has_biclique", "realize_by_conics",
+             "realize_lineal_by_circles"])
+    def test_readers_leave_the_index_unbuilt(self, read):
+        C = catalog("fano")
+        read(C)
+        assert "_index" not in vars(C)
 
 
 class TestGraphInvariants:
@@ -742,8 +812,10 @@ class TestSwitchAndCascade:
         # One sort of one flag array, however many switches: switching
         # stays linear in the parts.
         m = catalog("miquel")
-        with mock.patch.object(incidence, "_sort_flags",
-                               wraps=incidence._sort_flags) as sort:
+        with mock.patch.object(incidence.IncidenceStructure, "_set",
+                               autospec=True,
+                               side_effect=incidence.IncidenceStructure._set
+                               ) as sort:
             C = cyclic_cascade([m] * 50, [((0, 0), (7, 5))] * 50)
         assert sort.call_count == 1
         assert C == sequential_switches([m] * 50, [((0, 0), (7, 5))] * 50)

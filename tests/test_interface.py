@@ -98,6 +98,18 @@ class TestRoundTrip:
             write_configuration(G, path, name="x")
         assert not path.exists()
 
+    @pytest.mark.parametrize("name", [3, b"fano", ["fano"]],
+                             ids=["int", "bytes", "list"])
+    def test_combinatorial_name_must_be_a_string(self, tmp_path, name):
+        # The schema's name is a string; a writer that stored 3 made a
+        # document its own reader refused.
+        C, path = catalog("fano"), tmp_path / "c.json"
+        with pytest.raises(InterfaceError, match="is not a string"):
+            to_document(C, name=name)
+        with pytest.raises(InterfaceError, match="is not a string"):
+            write_configuration(C, path, name=name)
+        assert not path.exists()
+
 
 def _translates() -> GeometricConfiguration:
     """Translates of one ellipse, each through one flagged point: a
