@@ -10,9 +10,9 @@ and `polygon_ring`'s meet count (its message names the fix).
 Every builder and realizer makes its scene in one stacked step: it fits a
 stack of forms, checks them in array passes and hands points, forms and
 flags to `GeometricConfiguration._of`. Fits return forms only; a builder
-classifies them itself only where it decides on a kind, and the pencil
-kernel classifies the stack it is given. No `Conic` is built on the way,
-apart from the transversal ellipse that richter_gebert draws.
+classifies them only to name a kind, and the pencil kernel not at all.
+Degeneracy, affine maps and 4-D projections are `geometry`'s. No `Conic`
+is built on the way, apart from the transversal ellipse richter_gebert draws.
 Builders that draw random data are pure functions of (parameters, seed). They
 resample through one helper, `_retry`: a rejected draw raises GeometryError or
 ConstructionError, and `_retry` draws again up to an explicit budget.
@@ -26,11 +26,12 @@ import numpy as np
 
 from . import analysis, geometry
 from .configuration import GeometricConfiguration, Polytope4
-from .geometry import (DEGENERATE_KINDS, AffineMap2, Conic, GeometryError,
-                       Projection4to2, TOL_MERGE, _classify_forms, _conic_of,
-                       _five_point_faults, _norm, _normalized_forms,
-                       _residuals, affine_images, carnot_product,
-                       carnot_solve_sixth, conic_forms_from_5_points, cross2,
+from .geometry import (AffineMap2, Conic, GeometryError, Projection4to2,
+                       TOL_MERGE, _classify_forms, _conic_of, _degenerate,
+                       _five_point_faults, _homogeneous, _norm,
+                       _normalized_forms, _projected, _residuals,
+                       affine_images, carnot_product, carnot_solve_sixth,
+                       conic_forms_from_5_points, cross2,
                        line_conic_intersections, pencil_intersections)
 from .incidence import IncidenceStructure, _rows, dual, has_biclique
 
@@ -71,15 +72,11 @@ _UNIT_CIRCLE = _normalized_forms(np.diag([1.0, 1.0, -1.0])[None])
 def _ellipse_forms(centers, a: float, b: float, angles) -> np.ndarray:
     """The forms of the unit circle's images under x -> R(angle) diag(a, b)
     x + center for the centers (n, 2) and `angles` (n floats), maps built
-    and checked as `AffineMap2` does, in one `affine_images` pass."""
+    and checked by `geometry._homogeneous`, in one `affine_images` pass."""
     cos, sin = (np.array([f(t) for t in angles]) for f in (math.cos, math.sin))
-    H = np.tile(np.eye(3), (len(cos), 1, 1))
-    H[:, :2, :2] = np.matmul(np.stack([cos, -sin, sin, cos], axis=1)
-                             .reshape(-1, 2, 2), np.diag([a, b]))
-    H[:, :2, 2] = centers
-    if (np.abs(np.linalg.det(H[:, :2, :2])) < 1e-12).any():
-        raise GeometryError("affine map is singular")
-    return affine_images(H, _UNIT_CIRCLE)
+    R = np.stack([cos, -sin, sin, cos], axis=1).reshape(-1, 2, 2)
+    return affine_images(_homogeneous(np.matmul(R, np.diag([a, b])), centers),
+                         _UNIT_CIRCLE)
 
 
 def ellipse_conic(center, a: float, b: float, angle: float) -> Conic:
@@ -112,9 +109,7 @@ def _flags_of(members: np.ndarray) -> np.ndarray:
 def translate_conics(forms: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """The forms (n, 3, 3), or one form (3, 3), translated by the shifts
     (n, 2), in one stacked pass (`geometry.affine_images`)."""
-    H = np.tile(np.eye(3), (len(shifts), 1, 1))
-    H[:, :2, 2] = shifts
-    return affine_images(H, forms)
+    return affine_images(_homogeneous(np.eye(2), shifts), forms)
 
 
 def _require_audit(G: GeometricConfiguration,
@@ -274,9 +269,8 @@ def qcube_48(proj: Projection4to2 | None = None) -> GeometricConfiguration:
     same vertex of it also share that edge's midpoint."""
     proj = proj or octagonal_projection()
     poly = hypercube()
-    # A stacked matmul of (2, 4) by (4, 1) rounds like `project`.
-    points = np.matmul(proj.map, np.vstack([
-        poly.vertices, poly.edge_midpoints()])[:, :, None])[:, :, 0]
+    points = _projected(proj, np.vstack([poly.vertices,
+                                         poly.edge_midpoints()]))
     faces = np.array(poly.faces2)
     forms, _, errors = _parallelogram_forms(points[faces], 0.5)
     kinds = _classify_forms(forms)
@@ -357,7 +351,7 @@ def _carnot_scene(edge_pts, faces, tol: float, provenance: dict,
     points = np.reshape(edge_pts, (-1, 2))
     slots = (2 * np.asarray(faces)[:, :, None] + [0, 1]).reshape(-1, 6)
     forms = conic_forms_from_5_points(points[slots[:, :5]])
-    if any(kind in DEGENERATE_KINDS for kind in _classify_forms(forms)):
+    if _degenerate(np.linalg.det(forms)).any():
         raise GeometryError("degenerate face conic")
     G = GeometricConfiguration._of(points, forms, _flags_of(slots), tol,
                                    provenance)
@@ -623,11 +617,9 @@ def _hexagon_configuration(points4: np.ndarray, hexagons: np.ndarray,
     flags = _flags_of(hexagons)
 
     def build(proj: Projection4to2) -> GeometricConfiguration:
-        # A stacked matmul of (2, 4) by (4, 1) rounds like `project`.
-        pts2 = np.matmul(proj.map, points4[:, :, None])[:, :, 0]
-        c2 = np.matmul(proj.map, c4[:, :, None])[:, :, 0]
+        pts2 = _projected(proj, points4)
         forms, singular = geometry.central_conic_forms(
-            c2, pts2[hexagons[:, :3]])
+            _projected(proj, c4), pts2[hexagons[:, :3]])
         forms = _normalized_forms(forms)
         kinds = _classify_forms(forms)
         failed = np.array([warped, singular,
@@ -768,7 +760,7 @@ def _conic_through_padded(rng, pts, members) -> np.ndarray:
     def attempt():
         aux = rng.uniform(-0.2, 1.2, size=(5 - len(members), 2))
         forms = conic_forms_from_5_points(np.vstack([pts[members], aux])[None])
-        if _classify_forms(forms)[0] in DEGENERATE_KINDS:
+        if _degenerate(np.linalg.det(forms)).any():
             raise GeometryError("degenerate padded conic")
         if (_residuals(others, forms[0]) <= 1e-7).any():
             raise GeometryError("padded conic grazes a non-member point")

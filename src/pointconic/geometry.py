@@ -155,8 +155,13 @@ def _normalized_forms(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def _degenerate(det):
+    """The one degeneracy test on determinants of normalized forms."""
+    return abs(det) < DEG_EPS
+
+
 def _kind(det3, det2, trace2, second_singular_value) -> str:
-    if abs(det3) < DEG_EPS:
+    if _degenerate(det3):
         # Degenerate: rank decides between line pairs and a double line.
         if second_singular_value() < 1e-9:
             return "double-line"
@@ -301,7 +306,8 @@ def central_conic_forms(centers, reps) -> tuple[np.ndarray, np.ndarray]:
     finite placeholder. A representative stands for an antipodal pair, so
     a conic passes through the six vertices of its centrally symmetric
     hexagon. One stacked `det` and `solve` fit the conics centered at the
-    origin; one stacked H^-T M0 H^-1 moves them to their centers."""
+    origin; one stacked H^-T M0 H^-1, H^-1 the translations by -center of
+    `_homogeneous`, moves them to their centers."""
     centers = np.asarray(centers, float).reshape(-1, 2)
     d = np.asarray(reps, float).reshape(-1, 3, 2) - centers[:, None]
     x, y = d[..., 0], d[..., 1]
@@ -313,8 +319,7 @@ def central_conic_forms(centers, reps) -> tuple[np.ndarray, np.ndarray]:
     M0 = np.zeros((len(M), 3, 3))
     M0[:, 0, 0], M0[:, 1, 1], M0[:, 2, 2] = a, c, -1.0
     M0[:, 0, 1] = M0[:, 1, 0] = b / 2
-    Hinv = np.tile(np.eye(3), (len(M), 1, 1))
-    Hinv[:, :2, 2] = -centers
+    Hinv = _homogeneous(np.eye(2), -centers)
     return (np.matmul(np.matmul(np.swapaxes(Hinv, 1, 2), M0), Hinv),
             singular)
 
@@ -537,19 +542,29 @@ def _settle(k: np.ndarray, xy: np.ndarray, entries: np.ndarray,
     return present, points, counts
 
 
-def _ellipses_apart(forms: np.ndarray, ellipse: np.ndarray,
+def _ellipse_mask(entries: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """The ellipses among forms with entries (6, B) and determinants (B,):
+    not `_degenerate`, c22 = A00 A11 - A01^2 > DEG_EPS, det (A00 + A11) < 0.
+    `_kind` decides alike but for a c22 within an ulp of DEG_EPS."""
+    A00, A01, A11 = entries[:3]
+    return (~_degenerate(det) & (A00 * A11 - A01 ** 2 > DEG_EPS)
+            & (det * (A00 + A11) < 0))
+
+
+def _ellipses_apart(entries: np.ndarray, det: np.ndarray,
                     pairs: np.ndarray) -> np.ndarray:
-    """Mask of the pairs (P,) of ellipses that a line separates: their boxes
-    or their projections on the line through their centres are disjoint.
-    An ellipse reaches sqrt(u^T S u) from its centre along a unit vector u,
-    S from the adjugate (tangents l: l^T adj(A) l = 0). Reaches are widened
-    by 1e-6 of the ellipses' joint extent, so ellipses that touch are kept."""
+    """Mask of the pairs (P,) of ellipses (`_ellipse_mask`) that a line
+    separates: their boxes or their projections on the line through their
+    centres are disjoint. An ellipse reaches sqrt(u^T S u) from its centre
+    along a unit vector u, S from the adjugate (tangents l: l^T adj(A) l =
+    0). Reaches are widened by 1e-6 of the ellipses' joint extent, so
+    ellipses that touch are kept."""
+    ellipse = _ellipse_mask(entries, det)
     if not ellipse.any():
         return np.zeros(len(pairs), bool)
-    centre = np.full((len(forms), 2), np.nan)
-    S = np.full((len(forms), 3), np.nan)
-    A00, A01, A11, A02, A12, A22 = (forms[ellipse].reshape(-1, 9)
-                                    [:, _COEFFS_FROM_FORM].T)
+    centre = np.full((len(det), 2), np.nan)
+    S = np.full((len(det), 3), np.nan)
+    A00, A01, A11, A02, A12, A22 = entries[:, ellipse]
     c00, c11 = A11 * A22 - A12 ** 2, A00 * A22 - A02 ** 2  # cofactors
     c22, c01 = A00 * A11 - A01 ** 2, A02 * A12 - A01 * A22
     c02, c12 = A01 * A12 - A02 * A11, A01 * A02 - A00 * A12
@@ -576,14 +591,14 @@ def pencil_intersections(forms, pairs):
     degenerate member of the pencil A + lambda*B is split into two lines,
     which are intersected with A; candidates are Newton-polished and kept
     if they lie on both conics, points within TOL_MERGE of each other once.
-    The stack is classified in one `_classify_forms` pass, and a
-    degenerate form in a pair raises before any pair is solved (one in no
-    pair is ignored). A broad phase gives count 0 to ellipse pairs that a
-    line separates; the rest are solved in chunks, and coincident conics,
-    which the broad phase never separates, raise in theirs. A point lies
-    within 100 forward error bounds u |v|^T |A| |v| ||J|| / |det J| of the
-    exact common point (J: the Newton Jacobian at v = (x, y, 1)), a tangent
-    one within TOL_MERGE of the touching point.
+    Nothing is classified: a form in a pair that is `_degenerate` by the
+    stack's determinants raises before any pair is solved, and a broad
+    phase gives count 0 to `_ellipse_mask` pairs that a line separates;
+    the rest are solved in chunks, and coincident conics, which the broad
+    phase never separates, raise in theirs. A point lies within 100
+    forward error bounds u |v|^T |A| |v| ||J|| / |det J| of the exact
+    common point (J: the Newton Jacobian at v = (x, y, 1)), a tangent one
+    within TOL_MERGE of the touching point.
     Known faults: a line through the origin loses its points, a tangency
     counts 0, 1 or 3, and the absolute Newton stop leaves points of tiny
     conics up to ~1,600 bounds off. More than 4 distinct points raise.
@@ -592,15 +607,13 @@ def pencil_intersections(forms, pairs):
     points = np.full((len(pairs), 4, 2), np.nan)
     counts = np.zeros(len(pairs), dtype=int)
     forms = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
-    kinds = _classify_forms(forms)
-    if any(kinds[i] in DEGENERATE_KINDS for i in set(pairs.ravel().tolist())):
-        raise GeometryError("degenerate conic input")
-    ellipse = np.array([k == "ellipse" for k in kinds], dtype=bool)
-    entries = forms.reshape(-1, 9)[:, _COEFFS_FROM_FORM].T
     det = np.linalg.det(forms)
+    if _degenerate(det[pairs]).any():
+        raise GeometryError("degenerate conic input")
+    entries = forms.reshape(-1, 9)[:, _COEFFS_FROM_FORM].T
     waiting = []  # (pair index, point, still moving) of the waiting pairs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        todo = np.flatnonzero(~_ellipses_apart(forms, ellipse, pairs))
+        todo = np.flatnonzero(~_ellipses_apart(entries, det, pairs))
         for s in range(0, len(todo), _PAIR_CHUNK):
             idx = todo[s:s + _PAIR_CHUNK]
             i, j = pairs[idx].T
@@ -727,23 +740,37 @@ def carnot_solve_sixth(tri, pts, side: str) -> np.ndarray:
 # Affine maps
 # ---------------------------------------------------------------------------
 
+def _homogeneous(linear, translation) -> np.ndarray:
+    """The matrices (n, 3, 3) of the affine maps x -> L x + t of the linear
+    parts L (n, 2, 2) and translations t (n, 2), either maybe one map's.
+    The one invertibility test: |det L| <= 1e-12 ||L||_F^2 raises, judged
+    on L scaled to a largest |entry| of 1, so no scale over- or underflows."""
+    L = np.asarray(linear, float).reshape(-1, 2, 2)
+    t = np.asarray(translation, float).reshape(-1, 2)
+    m = np.abs(L).max(axis=(1, 2))[:, None, None]
+    u = L / np.where(m > 0, m, 1.0)  # the test is homogeneous of degree 2
+    if (abs(np.linalg.det(u)) <= 1e-12 * (u * u).sum(axis=(1, 2))).any():
+        raise GeometryError("affine map is singular")
+    H = np.zeros(np.broadcast_shapes(L.shape[:1], t.shape[:1]) + (3, 3))
+    H[:, :2, :2], H[:, :2, 2], H[:, 2, 2] = L, t, 1.0
+    return H
+
+
 @dataclass(frozen=True, eq=False)
 class AffineMap2:
-    """Invertible planar affine map x -> linear @ x + translation. Maps
-    compare and hash by identity."""
+    """Invertible planar affine map x -> linear @ x + translation, built
+    and checked by `_homogeneous`. Maps compare and hash by identity."""
 
     linear: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        L = np.asarray(self.linear, float).reshape(2, 2).copy()
-        t = np.asarray(self.translation, float).reshape(2).copy()
-        if abs(np.linalg.det(L)) < 1e-12:
-            raise GeometryError("affine map is singular")
-        L.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "linear", L)
-        object.__setattr__(self, "translation", t)
+        H = _homogeneous(np.reshape(self.linear, (2, 2)),
+                         np.reshape(self.translation, 2))[0]
+        L, t = H[:2, :2].copy(), H[:2, 2].copy()
+        for part in (L, t):
+            part.setflags(write=False)
+        vars(self).update(linear=L, translation=t)
 
     @classmethod
     def identity(cls) -> "AffineMap2":
@@ -754,10 +781,7 @@ class AffineMap2:
         return cls(np.eye(2), np.asarray(v, float))
 
     def homogeneous(self) -> np.ndarray:
-        H = np.eye(3)
-        H[:2, :2] = self.linear
-        H[:2, 2] = self.translation
-        return H
+        return _homogeneous(self.linear, self.translation)[0]
 
 
 def apply_affine_point(M: AffineMap2, p) -> np.ndarray:
@@ -782,7 +806,7 @@ def affine_images(H: np.ndarray, forms: np.ndarray) -> np.ndarray:
     by `Conic`, as one read-only (n, 3, 3) stack.
 
     One stacked `inv` and two stacked products, then `_normalized_forms`.
-    The maps are taken as given: `AffineMap2` is where an affine map is
+    The maps are taken as given: `_homogeneous` is where an affine map is
     checked for invertibility."""
     forms = np.asarray(forms, dtype=float).reshape(-1, 3, 3)
     Hinv = np.linalg.inv(H)
@@ -867,8 +891,16 @@ class Projection4to2:
         object.__setattr__(self, "map", P)
 
 
+def _projected(P: Projection4to2, Q) -> np.ndarray:
+    """The images (N, 2) of the points Q (N, 4) under P, by one stacked
+    matmul of (2, 4) by (4, 1): a point gets the same bits in any stack."""
+    Q = np.asarray(Q, float).reshape(-1, 4)
+    return np.matmul(P.map, Q[:, :, None])[:, :, 0]
+
+
 def project(P: Projection4to2, q) -> np.ndarray:
-    return P.map @ np.asarray(q, float)
+    """The image of one point of E^4: the one-point call of `_projected`."""
+    return _projected(P, q)[0]
 
 
 def project_conic_plane(P: Projection4to2, center, u, v,
@@ -879,10 +911,9 @@ def project_conic_plane(P: Projection4to2, center, u, v,
     x u + y v) from the plane to the image is affine, so the image is the
     conic's `affine_images` under it.
     """
-    H = np.vstack([np.column_stack([P.map @ np.asarray(a, float)
-                                    for a in (u, v, center)]),
-                   [0.0, 0.0, 1.0]])
-    s = np.linalg.svd(H[:2, :2], compute_uv=False)
+    L = _projected(P, [u, v]).T
+    s = np.linalg.svd(L, compute_uv=False)
     if s[1] < 1e-10 * max(s[0], 1.0):
         raise GeometryError("plane projects degenerately")
+    H = _homogeneous(L, project(P, center))
     return _conic_of(affine_images(H, planar_conic.form)[0])

@@ -547,19 +547,27 @@ def _cascade(parts, switches) -> IncidenceStructure:
     ends of a flag of part i and a flag of part (i + 1) mod n, both in
     part-local indices, in order.
 
-    The parts' flag arrays are offset into one array. Each switch is
-    checked against the flags that the earlier ones left, through one flag
-    -> row dict, by `incidence_switch`'s four checks in its order, and its
-    texts name union indices; the structure is constructed once."""
+    The parts' flag arrays are offset into one sorted array. Each switch is
+    checked against the flags that the earlier ones left, in a flag -> row
+    dict of the flags that switches name, by `incidence_switch`'s four
+    checks in its order; its texts name union indices. One construction."""
     shifts = np.cumsum([(0, 0)] + [(c.num_points, c.num_blocks)
                                    for c in parts], axis=0)
     F = np.concatenate([np.zeros((0, 2), np.int64)]
                        + [c.flag_array + s for c, s in zip(parts, shifts)])
     shifts = shifts.tolist()
-    row = dict(zip(zip(*F.T.tolist()), range(len(F)))) if switches else {}
-    for i, ((pa, ba), (pb, bb)) in enumerate(switches):
-        (dp1, db1), (dp2, db2) = shifts[i], shifts[(i + 1) % len(parts)]
-        f1, f2 = (pa + dp1, ba + db1), (pb + dp2, bb + db2)
+    (P, B), n = shifts[-1], len(parts)
+    ends = [((pa + dp1, ba + db1), (pb + dp2, bb + db2))
+            for ((pa, ba), (pb, bb)), (dp1, db1), (dp2, db2)
+            in zip(switches, shifts, shifts[1:n] + shifts[:1])]
+    named = [f for (p1, b1), (p2, b2) in ends
+             for f in ((p1, b1), (p2, b2), (p1, b2), (p2, b1))
+             if 0 <= f[0] < P and 0 <= f[1] < B]
+    Q = np.reshape(named, (-1, 2))
+    at = np.searchsorted(F[:, 0] * B + F[:, 1], Q[:, 0] * B + Q[:, 1])
+    hit = (np.vstack([F, [(-1, -1)]])[at] == Q).all(axis=1).tolist()
+    row = {f: r for f, r, h in zip(named, at.tolist(), hit) if h}
+    for f1, f2 in ends:
         (p1, b1), (p2, b2) = f1, f2
         for f in (f1, f2):
             if f not in row:

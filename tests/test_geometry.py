@@ -20,13 +20,17 @@ from conftest import (carnot_six_from_conic, conics_of,
                       scalar_ellipse_parameters, scalar_normalize_form,
                       scalar_residual,
                       scalar_translate_conic, stack_of)
-from pointconic import geometry
+from pointconic import catalog, geometry
 from pointconic.constructions import (cell24, crossed_ellipses,
-                                      dipyramid_carnot, ellipse_conic, pmn,
-                                      polygon_ring, product, qcube_48,
+                                      dipyramid_carnot, ellipse_conic,
+                                      generic_projection, pmn, polygon_ring,
+                                      product, qcube_48, realize_by_conics,
+                                      realize_lineal_by_circles,
                                       richter_gebert, translate_conics)
 from pointconic.geometry import (DEGENERATE_KINDS, TOL_MERGE, AffineMap2,
                                  Conic, GeometryError, Projection4to2,
+                                 _COEFFS_FROM_FORM, _degenerate,
+                                 _ellipse_mask, _projected,
                                  _classify_forms, _collinear, _ellipses_apart,
                                  _pencil_candidates, _residuals,
                                  affine_images, apply_affine,
@@ -805,6 +809,32 @@ class TestAffineMaps:
         with pytest.raises(GeometryError):
             AffineMap2(np.zeros((2, 2)), np.zeros(2))
 
+    # The invertibility test judges det L against ||L||_F^2, on L scaled to
+    # a largest |entry| of 1, so a map's scale never decides it: tiny and
+    # huge maps are accepted, and zero and rank-1 parts are refused at
+    # every scale.
+    @pytest.mark.parametrize("eps", [1e-300, 1e-150, 1e-6, 1e-3, 1.0, 1e3,
+                                     1e6, 1e150, 1e300])
+    def test_invertibility_is_scale_free(self, eps):
+        M = AffineMap2(eps * np.eye(2), (0, 0))
+        assert np.array_equal(M.linear, eps * np.eye(2))
+        assert np.array_equal(M.homogeneous(), np.diag([eps, eps, 1.0]))
+        for L in (np.zeros((2, 2)), [[1, 2], [2, 4]], [[1, 0], [0, 1e-13]]):
+            with pytest.raises(GeometryError,
+                               match="^affine map is singular$"):
+                AffineMap2(eps * np.asarray(L, float), (0, 0))
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_ellipses_built_at_any_scale(self, eps):
+        c = ellipse_conic((0, 0), eps, eps / 2, 0.3)
+        R = np.array([[math.cos(0.3), -math.sin(0.3)],
+                      [math.sin(0.3), math.cos(0.3)]])
+        want = np.diag([0.0, 0.0, -1.0])
+        want[:2, :2] = R @ np.diag([eps ** -2, (eps / 2) ** -2]) @ R.T
+        assert c.same_as(Conic(want), 1e-12)
+        with pytest.raises(GeometryError, match="^affine map is singular$"):
+            ellipse_conic((0, 0), eps, 0.0, 0.3)
+
     def test_maps_and_projections_compare_by_identity(self):
         M1, M2 = AffineMap2.identity(), AffineMap2.identity()
         P = Projection4to2(np.array([[1, 0, 0, 0], [0, 1, 0, 0]], float))
@@ -845,6 +875,20 @@ class TestProjection:
     def test_rank2_required(self):
         with pytest.raises(GeometryError):
             Projection4to2(np.array([[1, 0, 0, 0], [2, 0, 0, 0]], float))
+
+    def test_stacked_rows_are_project_bits(self):
+        # Every 4-D point goes through the one stacked projection step;
+        # each row has the bytes of `project` and of one (2, 4) @ (4,)
+        # product, in any stack.
+        rng = np.random.default_rng(8)
+        for seed in range(20):
+            P = generic_projection(seed)
+            Q = rng.normal(size=(64, 4)) * 10.0 ** rng.uniform(-3, 3, (64, 1))
+            rows = _projected(P, Q)
+            assert rows.tobytes() == np.array(
+                [project(P, q) for q in Q]).tobytes()
+            assert rows.tobytes() == np.array([P.map @ q for q in Q]).tobytes()
+            assert rows[5:9].tobytes() == _projected(P, Q[5:9]).tobytes()
 
     def test_degenerate_plane_rejected(self):
         P = Projection4to2(np.array([[1, 0, 0, 0], [0, 1, 0, 0]], float))
@@ -961,10 +1005,17 @@ def _check_exact(forms, pairs, under=0, over=0, **match):
     return got, want
 
 
+def _entries_and_det(forms):
+    """The entries (6, B) and determinants (B,) of a stack of forms, as
+    `pencil_intersections` forms them for its degeneracy test and broad
+    phase."""
+    forms = np.asarray(forms, float).reshape(-1, 3, 3)
+    return forms.reshape(-1, 9)[:, _COEFFS_FROM_FORM].T, np.linalg.det(forms)
+
+
 def _apart(forms, pairs):
-    ellipse = np.array([k == "ellipse" for k in _classify_forms(forms)])
     with np.errstate(invalid="ignore"):  # as in the kernel: concentric pairs
-        return _ellipses_apart(forms, ellipse,
+        return _ellipses_apart(*_entries_and_det(forms),
                                np.asarray(pairs).reshape(-1, 2))
 
 
@@ -1361,6 +1412,45 @@ class TestBroadPhase:
         (points, counts), _ = _check_exact(*scene)
         assert points.shape == (3, 4, 2) and not counts.any()
         assert np.isnan(points).all()
+
+
+def _assert_predicates_match_kinds(forms):
+    """`_degenerate` of the determinants is `kind in DEGENERATE_KINDS`, and
+    `_ellipse_mask` is `kind == "ellipse"`, form by form."""
+    kinds = _classify_forms(forms)
+    entries, det = _entries_and_det(forms)
+    assert _degenerate(det).tolist() == [k in DEGENERATE_KINDS for k in kinds]
+    assert _ellipse_mask(entries, det).tolist() == [k == "ellipse"
+                                                    for k in kinds]
+
+
+class TestDegeneracyPredicate:
+    """The kernel and the builders decide degeneracy, and the broad phase
+    its ellipses, from determinants and cofactors; `_kind` names the same
+    forms degenerate and the same forms ellipses."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: pmn(4, 4), lambda: pmn(10, 10), qcube_48, cell24,
+        crossed_ellipses, *(lambda n=n: polygon_ring(n) for n in (3, 5, 8)),
+        *(lambda s=s: dipyramid_carnot(5, seed=s) for s in range(3)),
+        *(lambda s=s: richter_gebert(seed=s) for s in range(3)),
+        lambda: product(crossed_ellipses(), polygon_ring(5),
+                        genericize=True, seed=1),
+        lambda: realize_by_conics(catalog("miquel")),
+        lambda: realize_lineal_by_circles(catalog("fano"), seed=1)])
+    def test_builder_scenes(self, build):
+        _assert_predicates_match_kinds(build().forms)
+
+    # Tiny entries make LAPACK's LU of a singular form divide by zero, in
+    # `_classify_forms` and here alike.
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @given(st.lists(_forms, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    @example([np.diag([1.0, 0, 0]), np.diag([1.0, -1, 0]),
+              np.diag([1.0, 1, 0]), np.diag([1.0, 1, -1]),
+              np.diag([1.0, 1, 1]), _symmetric((1, 0, 0, 0, -0.5, 0))])
+    def test_drawn_forms(self, forms):
+        _assert_predicates_match_kinds(_normalized_forms(np.array(forms)))
 
 
 class TestNormalizedFormsLayout:

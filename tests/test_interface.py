@@ -261,15 +261,16 @@ class TestStoredArrays:
         P = product(G, G, genericize=True, seed=1)
         assert calls == []
         assert "kinds" not in vars(G) and "kinds" not in vars(P)
-        # The pencil kernel classifies the stack it is given, once a call;
-        # the scene classifies its own conics once, on first use.
+        # The pencil kernel classifies nothing: determinants decide
+        # degeneracy, and determinants and cofactors its broad phase's
+        # ellipses. The scene classifies its own conics once, on first use.
         geometric_meets(G)
-        assert calls == [G.num_conics] and "kinds" not in vars(G)
+        assert calls == [] and "kinds" not in vars(G)
         render_svg(G)
         render_svg(G)
-        assert calls == [G.num_conics] * 2
+        assert calls == [G.num_conics]
         geometric_meets(G)
-        assert calls == [G.num_conics] * 3
+        assert calls == [G.num_conics]
 
 
 class TestValidation:
